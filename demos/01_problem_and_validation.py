@@ -19,7 +19,6 @@ from duca import (
     metropolis_matrix,
     random_connected_graph,
     slater_check,
-    spectral_quantities,
     validate_setting,
 )
 
@@ -59,7 +58,7 @@ print("\nparameter families:")
 for variant in Variant:
     s = make_setting(variant, g, rho=1.0, tuning=tunings.get(variant))
     ok = validate_setting(s).passed
-    sq = spectral_quantities(s)
+    sq = s.spectra
     print(f"  {variant.name:10s} mode={s.exchange_mode:6s} valid={ok} "
           f"lam1(P_A)={sq.lam1_PA:.3f} lam_{{N-1}}(P_Htilde)={sq.lamNm1_PHtilde:.3f}")
 

@@ -4,17 +4,22 @@ Running synchronous rounds: exchanges, exact identities, snapshots
 
 Agents keep local copies of the global multiplier vector and mix them with
 their neighbors once (single-exchange families) or twice (double-exchange
-families) per round.  Two algebraic identities hold *exactly* every round,
-independent of how accurately the inner problems are solved, and the engine
-verifies them by default: the dual update's cone split (projection plus
-polar-cone part reassembles the pre-projection vector, with orthogonal
-parts), and a cumulative identity tying summed constraint evaluations to
-the drift of the dual iterates.
+families) per round.  Every family runs the same round, ``step``; the
+setting's exchange mode picks the exchange term.  Neighbor sums go through
+a ``Mailbox``, a neighbor table built once per run that refuses weights
+between agents that are not linked.  Two algebraic identities hold
+*exactly* every round, independent of how accurately the inner problems are
+solved, and the engine verifies them by default: the dual update's cone
+split (projection plus polar-cone part reassembles the pre-projection
+vector, with orthogonal parts), and a cumulative identity tying summed
+constraint evaluations to the drift of the dual iterates.  It also raises
+if a local solve ends without its certificate.
 """
 
 import numpy as np
 
 from duca import (
+    Mailbox,
     Variant,
     dump_state,
     ergodic_point,
@@ -24,8 +29,7 @@ from duca import (
     make_setting,
     random_connected_graph,
     run,
-    seed_mailbox,
-    single_exchange_round,
+    step,
 )
 
 g = random_connected_graph(6, n_edges=9, seed=3)
@@ -60,11 +64,12 @@ print(f"double-exchange reals after 60 rounds: {st2.comm_total}")
 
 # ----------------------------------------------------------------------
 # States serialize to structured text and resume exactly: running 60
-# rounds straight equals 30 + snapshot-roundtrip + 30 more.
+# rounds straight equals 30 + snapshot-roundtrip + 30 more, stepping the
+# resumed state round by round through one neighbor table.
 st_a = run(pb, s, 30, y0=y0)
 resumed = load_state(dump_state(st_a))
-mb = seed_mailbox(resumed, s)
+mb = Mailbox(s)
 for _ in range(30):
-    single_exchange_round(resumed, pb, s, mailbox=mb)
+    step(resumed, pb, s, mailbox=mb)
 print(f"\nsplit 30+30 equals straight 60: "
       f"{np.array_equal(resumed.Y, st.Y) and np.array_equal(resumed.X, st.X)}")

@@ -283,6 +283,7 @@ def cmd_run(cfg, raw_bytes: bytes, out_dir, strict: bool) -> int:
     rounds = cfg["run"]["rounds"]
 
     written = []
+    solver_failures = {}
     for entry in cfg["setting"]:
         s = _setting_from_entry(entry, g)
         try:
@@ -294,11 +295,12 @@ def cmd_run(cfg, raw_bytes: bytes, out_dir, strict: bool) -> int:
                 f"reference solution fails certificate checks: {exc}"
             ) from exc
         coll = MetricsCollector(pb, s, cert, tol_inner=tol_inner, check=strict)
-        run(pb, s, rounds, x0=x0, y0=y0, hook=coll, tol_inner=tol_inner,
-            check=strict)
+        st = run(pb, s, rounds, x0=x0, y0=y0, hook=coll, tol_inner=tol_inner,
+                 check=strict)
         name = _csv_name(entry)
         (out / name).write_text(rows_to_csv(coll.rows))
         written.append(name)
+        solver_failures[name] = st.solver_failures
         print(f"wrote {out / name} ({rounds} rounds)")
 
     cert_name = "certificate.txt"
@@ -314,6 +316,8 @@ def cmd_run(cfg, raw_bytes: bytes, out_dir, strict: bool) -> int:
         "tol_inner": tol_inner,
         "strict": strict,
         "outputs": sorted(written + [cert_name]),
+        # uncertified local solves per CSV; a strict run raises on the first
+        "solver_failures": solver_failures,
         "versions": {
             "duca": __version__,
             "numpy": np.__version__,

@@ -1,13 +1,16 @@
 """Synchronous message-passing simulator for the dual-consensus rounds.
 
-Both update schemes run as bulk-synchronous rounds over a fixed undirected
-graph.  Every cross-agent read goes through a :class:`Mailbox`, so the code
-cannot accidentally use a value that was never communicated; per-round
-algebraic identities (cone split, column-sum conservation, the cumulative
-constraint identity, and the ergodic feasibility bound) are asserted as the
-simulation advances.
+Every family runs the same bulk-synchronous round, :func:`step`, over a
+fixed undirected graph: one local solve per agent, one cone projection, and
+one or two neighbor exchanges.  The setting's exchange mode picks the
+exchange term and the disagreement update.  Cross-agent reads go through a
+per-run :class:`Mailbox`, a neighbor table that refuses weights between
+agents that are not neighbors.  Per-round algebraic identities (cone split,
+column-sum conservation, the cumulative constraint identity, and the
+ergodic feasibility bound) are asserted as the simulation advances, and so
+is the certificate of every local solve.
 
-Single-exchange round (one broadcast of y per agent)::
+Single exchange (one broadcast of y per agent)::
 
     ytilde_i = d'_i y_i - rho * sum_j W_ij y_j - v_i
     x_i+     = argmin_{X_i} f_i + (1/2d'_i)(||[mu~+g_i]_+||^2 + ||lam~+h_i||^2)
@@ -15,7 +18,7 @@ Single-exchange round (one broadcast of y per agent)::
     y_i+     = (1/d'_i) * Pi_K(ytilde_i + [g_i; h_i](x_i+))
     v_i+     = v_i + rho * sum_j W_ij y_j+
 
-Double-exchange round (broadcasts y then u)::
+Double exchange (broadcasts y then u)::
 
     ytilde_i = d'_i y_i - sum_j L_ij u_j
     ...same local solve and cone projection...
@@ -42,7 +45,7 @@ from .errors import (
     InvariantBreachError,
     MailboxError,
 )
-from .graphs import ParamSetting, block_quadratic_norm, spectral_quantities
+from .graphs import ParamSetting, block_quadratic_norm
 from .localsolver import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve_local_batch
 from .problem import Problem, StackedPoint, coupled_violation_norm, gtilde_rows
 from .textdoc import DocReader, DocWriter
@@ -65,52 +68,75 @@ def eps_inner(tol_inner: float) -> float:
 
 
 class Mailbox:
-    """Per-agent inboxes of round-tagged neighbor messages.
+    """Per-run neighbor table for the round's weighted neighbor sums.
 
-    Each (receiver, kind, sender) slot keeps the most recent message together
-    with the round index it was sent in.  A collect for a different round
-    means some agent skipped a send, or a phase tried to read stale data --
-    both are programming errors surfaced as :class:`MailboxError`.
+    Built once per run from ``s.graph`` or, for a setting without a graph,
+    from the sparsity of its exchange matrices.  It keeps each agent's
+    sorted neighbor indices and the weights of the setting's exchange
+    matrices: ``"H"`` (P_H) in single mode, ``"L"`` and ``"M"`` in double
+    mode.  Agent i's sum
+
+        W_ii * own_i + sum_j W_ij * x_j    (j over i's neighbors, ascending)
+
+    reads only rows that i's neighbors sent.  It is evaluated over degree
+    slots: the own term first, then slot k adds each agent's k-th neighbor
+    for the agents that have one.  Every agent thus adds its terms in the
+    order of a per-agent loop and gets the same bits; a dense ``W @ x``
+    would sum in another order.  A matrix with weight between two agents
+    that are not neighbors raises :class:`MailboxError`, and so does a read
+    of a matrix the table does not carry.
     """
 
-    def __init__(self, neighbor_lists):
-        self.neighbor_lists = [tuple(ns) for ns in neighbor_lists]
-        n = len(self.neighbor_lists)
-        for i, ns in enumerate(self.neighbor_lists):
+    def __init__(self, s: ParamSetting):
+        #: the setting the table was built for; :func:`step` refuses others
+        self.setting = s
+        if s.exchange_mode == "single":
+            mats = {"H": s.P_H}
+        else:
+            mats = {"L": s.L_matrix, "M": s.M_matrix}
+        n = s.n_nodes
+        if s.graph is not None:
+            nbrs = s.graph.neighbor_lists
+        else:
+            W = sum(np.abs(M) for M in mats.values())
+            np.fill_diagonal(W, 0.0)
+            nbrs = [tuple(np.flatnonzero(row)) for row in W]
+        if len(nbrs) != n:
+            raise MailboxError(f"neighbor table has {len(nbrs)} agents, setting has {n}")
+        for i, ns in enumerate(nbrs):
             if any(j == i or not 0 <= j < n for j in ns):
                 raise MailboxError(f"invalid neighbor list for agent {i}: {ns}")
-        self._slots = [dict() for _ in range(n)]
-        self.reals_sent = 0
+        deg = np.array([len(ns) for ns in nbrs])
+        #: directed links; every exchange sends m+p reals over each
+        self.links = int(deg.sum())
+        self._slots = []
+        for k in range(int(deg.max(initial=0))):
+            rows = np.flatnonzero(deg > k)
+            self._slots.append((rows, np.array([nbrs[i][k] for i in rows])))
+        self._weights = {}
+        for name, W in mats.items():
+            diag = np.diag(W).copy()
+            slot_w = [W[rows, cols] for rows, cols in self._slots]
+            on_table = np.count_nonzero(diag) + sum(np.count_nonzero(w) for w in slot_w)
+            if np.count_nonzero(W) != on_table:
+                raise MailboxError(
+                    f"exchange matrix {name} has weight between agents that are "
+                    "not neighbors"
+                )
+            self._weights[name] = (diag, slot_w)
 
-    def send(self, sender, receiver, kind, round_index, vec, count=True):
-        if sender not in self.neighbor_lists[receiver]:
+    def weighted_sum(self, name: str, x: np.ndarray) -> np.ndarray:
+        """Rows ``W_ii x_i + sum_j W_ij x_j`` for exchange matrix ``name``."""
+        try:
+            diag, slot_w = self._weights[name]
+        except KeyError:
             raise MailboxError(
-                f"agent {sender} is not a neighbor of {receiver}; send refused"
-            )
-        self._slots[receiver][(kind, sender)] = (
-            round_index,
-            np.array(vec, dtype=float, copy=True),
-        )
-        if count:
-            self.reals_sent += len(vec)
-
-    def collect(self, receiver, kind, round_index):
-        """Messages of one kind from all neighbors, for one specific round."""
-        out = {}
-        for j in self.neighbor_lists[receiver]:
-            slot = self._slots[receiver].get((kind, j))
-            if slot is None:
-                raise MailboxError(
-                    f"agent {receiver} has no '{kind}' message from neighbor {j}"
-                )
-            sent_round, vec = slot
-            if sent_round != round_index:
-                raise MailboxError(
-                    f"agent {receiver} read '{kind}' from {j} tagged round "
-                    f"{sent_round}, expected {round_index}"
-                )
-            out[j] = vec
-        return out
+                f"no exchange matrix {name!r} in this table (has {sorted(self._weights)})"
+            ) from None
+        acc = diag[:, None] * x
+        for (rows, cols), w in zip(self._slots, slot_w):
+            acc[rows] += w[:, None] * x[cols]
+        return acc
 
 
 @dataclass
@@ -142,17 +168,6 @@ class NetworkState:
     solver_failures: int = 0
     moreau_residual: float = 0.0
     cumulative_residual: float = 0.0
-
-
-def _neighbor_lists(s: ParamSetting):
-    """Communication topology: the setting's graph, else matrix sparsity."""
-    if s.graph is not None:
-        return [tuple(ns) for ns in s.graph.neighbor_lists]
-    W = np.abs(s.exchange_matrix).copy()
-    if s.exchange_mode == "double":
-        W = W + np.abs(s.M_matrix)
-    np.fill_diagonal(W, 0.0)
-    return [tuple(np.nonzero(W[i])[0]) for i in range(W.shape[0])]
 
 
 def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
@@ -191,18 +206,6 @@ def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
     return st
 
 
-def seed_mailbox(st: NetworkState, s: ParamSetting) -> Mailbox:
-    """Mailbox carrying the initial (uncounted) dissemination of y0 (and u0)."""
-    mb = Mailbox(_neighbor_lists(s))
-    for i in range(s.n_nodes):
-        for j in mb.neighbor_lists[i]:
-            mb.send(i, j, "y", st.k, st.Y[i], count=False)
-            if s.exchange_mode == "double":
-                mb.send(i, j, "u", st.k, st.U[i], count=False)
-    mb.reals_sent = st.comm_total
-    return mb
-
-
 def cone_split(pre: np.ndarray, m: int):
     """Split rows into projections onto K = R_+^m x R^p and its polar cone.
 
@@ -218,28 +221,19 @@ def cone_split(pre: np.ndarray, m: int):
     return proj, sigma
 
 
-def _weighted_neighbor_sum(W, i, own, received):
-    """W_ii * own + sum_j W_ij * received[j], in fixed neighbor order."""
-    acc = W[i, i] * own
-    for j, vec in received.items():
-        acc = acc + W[i, j] * vec
-    return acc
-
-
-def _dual_and_cone_update(st, pb, s, ytilde, X_new):
+def _dual_and_cone_update(pb, d, ytilde, X_new):
     """Shared y/sigma update + exact-identity residuals for both modes."""
-    m = pb.m
     gt = gtilde_rows(pb, X_new)
     pre = ytilde + gt
-    proj, sig = cone_split(pre, m)
-    Y_new = proj / s.d_prime[:, None]
-    recon = s.d_prime[:, None] * Y_new - sig
+    proj, sig = cone_split(pre, pb.m)
+    Y_new = proj / d[:, None]
+    recon = d[:, None] * Y_new - sig
     moreau = float(np.abs(recon - pre).max())
-    compl = float(np.abs(np.sum((s.d_prime[:, None] * Y_new) * sig, axis=1)).max())
+    compl = float(np.abs(np.sum((d[:, None] * Y_new) * sig, axis=1)).max())
     return gt, Y_new, sig, moreau, compl
 
 
-def _check_exact(st, pb, s, moreau, compl, check_vsum):
+def _check_exact(st, pb, moreau, compl, check_vsum):
     k = st.k
     if moreau > MOREAU_TOL:
         raise InvariantBreachError(f"round {k}: Moreau split residual {moreau:.3e}")
@@ -266,11 +260,11 @@ def _cumulative_residual(st, s) -> float:
     return float(np.abs(st.cum_gs - rhs).max())
 
 
-def _check_ergodic_bound(st, pb, s, lam1_PA, tol_inner):
+def _check_ergodic_bound(st, pb, s, tol_inner):
     """Per-round ergodic feasibility bound (norm-A form, certificate-free)."""
     fe = coupled_violation_norm(pb, st.sum_X / st.k)
     bound = (
-        np.sqrt(pb.n_agents * lam1_PA) / st.k
+        np.sqrt(pb.n_agents * s.spectra.lam1_PA) / st.k
     ) * block_quadratic_norm(s.P_A, st.Y - st.Y0) + eps_inner(tol_inner)
     if fe > bound:
         raise InvariantBreachError(
@@ -278,106 +272,75 @@ def _check_ergodic_bound(st, pb, s, lam1_PA, tol_inner):
         )
 
 
-def _finish_round(st, pb, s, gt, iters, done, moreau, compl, mailbox,
-                  check, lam1_PA, tol_inner):
+def step(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
+         max_iters=DEFAULT_MAX_ITERS, check=True):
+    """One synchronous round of the setting's exchange scheme (in place).
+
+    ``mailbox`` is the run's :class:`Mailbox`; without one the neighbor
+    table is built for this round.  A state of the other exchange mode
+    raises :class:`ConfigError`, a mailbox built for another setting
+    :class:`MailboxError`.  With ``check=True`` the round raises
+    :class:`InvariantBreachError` on an uncertified local solve or a broken
+    identity.
+    """
+    double = s.exchange_mode == "double"
+    if (st.U is not None) != double:
+        raise ConfigError(
+            f"the setting is {s.exchange_mode}-exchange but the state "
+            f"{'carries' if st.U is not None else 'lacks'} the double-exchange u and z"
+        )
+    mb = Mailbox(s) if mailbox is None else mailbox
+    if mb.setting is not s:
+        raise MailboxError("mailbox was built for another setting")
+    rho, d = s.rho, s.d_prime
+    if double:
+        ytilde = d[:, None] * st.Y - mb.weighted_sum("L", st.U)
+    else:
+        ytilde = d[:, None] * st.Y - rho * mb.weighted_sum("H", st.Y) - st.V
+
+    X_new, _res, iters, done, _vals, _ = solve_local_batch(
+        pb, ytilde, d, s.alpha, st.X, tol=tol_inner, max_iters=max_iters
+    )
+    gt, Y_new, sig, moreau, compl = _dual_and_cone_update(pb, d, ytilde, X_new)
+
+    if double:
+        Z_new = st.Z + rho * mb.weighted_sum("L", Y_new)
+        # u must satisfy u+ = rho*(sum_j M_ij y_j+) + z+ so that the round's
+        # pre-projection vector equals A y - Htilde^{1/2} z; building u from the
+        # stale z would shift the effective coupling matrix to L(M - L), which
+        # breaks the P_H >= P_Htilde requirement (it is 0 >= L^2 when M = L).
+        st.U = Z_new + rho * mb.weighted_sum("M", Y_new)
+        st.Z = Z_new
+        st.V = s.L_matrix @ Z_new  # diagnostic mirror of the implicit disagreement variable
+    else:
+        st.V = st.V + rho * mb.weighted_sum("H", Y_new)
+    st.X, st.Y, st.SIG = X_new, Y_new, sig
+
     st.sum_X += st.X
     st.sum_Y += st.Y
     st.cum_gs += gt.sum(axis=0) + st.SIG.sum(axis=0)
     st.k += 1
-    st.comm_total = mailbox.reals_sent
+    st.comm_total += (2 if double else 1) * mb.links * pb.mp
     st.inner_iters_total += int(iters.sum())
-    st.solver_failures += int((~done).sum())
+    uncertified = int((~done).sum())
+    st.solver_failures += uncertified
     st.moreau_residual = max(moreau, compl)
     st.cumulative_residual = _cumulative_residual(st, s)
     if check:
-        _check_exact(st, pb, s, moreau, compl, s.exchange_mode == "single")
+        if uncertified:
+            raise InvariantBreachError(
+                f"round {st.k}: {uncertified} of {pb.n_agents} local solves "
+                f"uncertified after max_iters={max_iters}"
+            )
+        _check_exact(st, pb, moreau, compl, not double)
         bar = CUMULATIVE_TOL * max(1.0, st.k / 1000.0)
         if st.cumulative_residual > bar:
             raise InvariantBreachError(
                 f"round {st.k}: cumulative constraint identity residual "
                 f"{st.cumulative_residual:.3e}"
             )
-        if lam1_PA is None:
-            lam1_PA = spectral_quantities(s).lam1_PA
-        _check_ergodic_bound(st, pb, s, lam1_PA, tol_inner)
+        _check_ergodic_bound(st, pb, s, tol_inner)
     return st
-
-
-def single_exchange_round(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
-                          max_iters=DEFAULT_MAX_ITERS, check=True, lam1_PA=None):
-    """One synchronous round of the single-broadcast scheme (in place)."""
-    if s.exchange_mode != "single":
-        raise ConfigError("setting is not in single-exchange mode")
-    mb = mailbox if mailbox is not None else seed_mailbox(st, s)
-    W, rho, d = s.P_H, s.rho, s.d_prime
-    k, n = st.k, s.n_nodes
-
-    Wy = np.empty_like(st.Y)
-    for i in range(n):
-        Wy[i] = _weighted_neighbor_sum(W, i, st.Y[i], mb.collect(i, "y", k))
-    ytilde = d[:, None] * st.Y - rho * Wy - st.V
-
-    X_new, _res, iters, done, _vals, _ = solve_local_batch(
-        pb, ytilde, d, s.alpha, st.X, tol=tol_inner, max_iters=max_iters
-    )
-    gt, Y_new, sig, moreau, compl = _dual_and_cone_update(st, pb, s, ytilde, X_new)
-
-    for i in range(n):
-        for j in mb.neighbor_lists[i]:
-            mb.send(i, j, "y", k + 1, Y_new[i])
-    Wy_new = np.empty_like(Y_new)
-    for i in range(n):
-        Wy_new[i] = _weighted_neighbor_sum(W, i, Y_new[i], mb.collect(i, "y", k + 1))
-
-    st.X, st.Y, st.SIG = X_new, Y_new, sig
-    st.V = st.V + rho * Wy_new
-    return _finish_round(st, pb, s, gt, iters, done, moreau, compl, mb,
-                         check, lam1_PA, tol_inner)
-
-
-def double_exchange_round(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
-                          max_iters=DEFAULT_MAX_ITERS, check=True, lam1_PA=None):
-    """One synchronous round of the double-broadcast scheme (in place)."""
-    if s.exchange_mode != "double":
-        raise ConfigError("setting is not in double-exchange mode")
-    mb = mailbox if mailbox is not None else seed_mailbox(st, s)
-    L, M, rho, d = s.L_matrix, s.M_matrix, s.rho, s.d_prime
-    k, n = st.k, s.n_nodes
-
-    Lu = np.empty_like(st.U)
-    for i in range(n):
-        Lu[i] = _weighted_neighbor_sum(L, i, st.U[i], mb.collect(i, "u", k))
-    ytilde = d[:, None] * st.Y - Lu
-
-    X_new, _res, iters, done, _vals, _ = solve_local_batch(
-        pb, ytilde, d, s.alpha, st.X, tol=tol_inner, max_iters=max_iters
-    )
-    gt, Y_new, sig, moreau, compl = _dual_and_cone_update(st, pb, s, ytilde, X_new)
-
-    for i in range(n):
-        for j in mb.neighbor_lists[i]:
-            mb.send(i, j, "y", k + 1, Y_new[i])
-    Ly = np.empty_like(Y_new)
-    My = np.empty_like(Y_new)
-    for i in range(n):
-        got = mb.collect(i, "y", k + 1)
-        Ly[i] = _weighted_neighbor_sum(L, i, Y_new[i], got)
-        My[i] = _weighted_neighbor_sum(M, i, Y_new[i], got)
-    Z_new = st.Z + rho * Ly
-    # u must satisfy u+ = rho*(sum_j M_ij y_j+) + z+ so that the round's
-    # pre-projection vector equals A y - Htilde^{1/2} z; building u from the
-    # stale z would shift the effective coupling matrix to L(M - L), which
-    # breaks the P_H >= P_Htilde requirement (it is 0 >= L^2 when M = L).
-    U_new = Z_new + rho * My
-    for i in range(n):
-        for j in mb.neighbor_lists[i]:
-            mb.send(i, j, "u", k + 1, U_new[i])
-
-    st.X, st.Y, st.SIG = X_new, Y_new, sig
-    st.Z, st.U = Z_new, U_new
-    st.V = L @ Z_new  # diagnostic mirror of the implicit disagreement variable
-    return _finish_round(st, pb, s, gt, iters, done, moreau, compl, mb,
-                         check, lam1_PA, tol_inner)
 
 
 def run(pb, s, rounds, x0=None, y0=None, hook=None, tol_inner=DEFAULT_TOL,
@@ -390,14 +353,12 @@ def run(pb, s, rounds, x0=None, y0=None, hook=None, tol_inner=DEFAULT_TOL,
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     st = init(pb, s, x0=x0, y0=y0)
-    mb = seed_mailbox(st, s)
-    lam1 = spectral_quantities(s).lam1_PA
-    step = single_exchange_round if s.exchange_mode == "single" else double_exchange_round
+    mb = Mailbox(s)
     if hook is not None:
         hook(st)
     for _ in range(rounds):
         step(st, pb, s, mailbox=mb, tol_inner=tol_inner, max_iters=max_iters,
-             check=check, lam1_PA=lam1)
+             check=check)
         if hook is not None:
             hook(st)
     return st
@@ -421,50 +382,29 @@ def ergodic_point(st: NetworkState, pb: Problem):
 # Checkpointing
 
 
+#: checkpoint fields in document order; double mode appends Z and U
+_STATE_INTS = ("k", "comm_total", "inner_iters_total", "solver_failures")
+_STATE_FLOATS = ("moreau_residual", "cumulative_residual")
+_STATE_ARRAYS = ("X", "Y", "V", "SIG", "X0", "Y0", "sum_X", "sum_Y", "cum_gs")
+
+
 def dump_state(st: NetworkState) -> str:
     """Serialize a state to structured text; bit-exact round trip."""
     w = DocWriter("netstate", 1)
-    w.scalar("k", st.k)
-    w.scalar("comm_total", st.comm_total)
-    w.scalar("inner_iters_total", st.inner_iters_total)
-    w.scalar("solver_failures", st.solver_failures)
-    w.scalar("moreau_residual", st.moreau_residual)
-    w.scalar("cumulative_residual", st.cumulative_residual)
+    for name in _STATE_INTS + _STATE_FLOATS:
+        w.scalar(name, getattr(st, name))
     w.scalar("double_mode", st.Z is not None)
-    for name in ("X", "Y", "V", "SIG", "X0", "Y0", "sum_X", "sum_Y", "cum_gs"):
+    for name in _STATE_ARRAYS + (("Z", "U") if st.Z is not None else ()):
         w.array(name, getattr(st, name))
-    if st.Z is not None:
-        w.array("Z", st.Z)
-        w.array("U", st.U)
     return w.text()
 
 
 def load_state(text: str) -> NetworkState:
     r = DocReader(text, "netstate")
-    k = r.scalar_int("k")
-    comm = r.scalar_int("comm_total")
-    inner = r.scalar_int("inner_iters_total")
-    fails = r.scalar_int("solver_failures")
-    moreau = r.scalar_float("moreau_residual")
-    cum = r.scalar_float("cumulative_residual")
+    fields = {name: r.scalar_int(name) for name in _STATE_INTS}
+    fields.update((name, r.scalar_float(name)) for name in _STATE_FLOATS)
     double_mode = r.scalar_bool("double_mode")
-    arrays = {
-        name: r.array(name)
-        for name in ("X", "Y", "V", "SIG", "X0", "Y0", "sum_X", "sum_Y", "cum_gs")
-    }
-    Z = U = None
-    if double_mode:
-        Z = r.array("Z")
-        U = r.array("U")
+    for name in _STATE_ARRAYS + (("Z", "U") if double_mode else ()):
+        fields[name] = r.array(name)
     r.done()
-    return NetworkState(
-        k=k,
-        Z=Z,
-        U=U,
-        comm_total=comm,
-        inner_iters_total=inner,
-        solver_failures=fails,
-        moreau_residual=moreau,
-        cumulative_residual=cum,
-        **arrays,
-    )
+    return NetworkState(**fields)

@@ -38,7 +38,7 @@ class InvariantBreachError(DucaError):
 
 
 class MailboxError(DucaError):
-    """An agent read a message that was never sent, or from a non-neighbor."""
+    """A neighbor table is invalid, or an exchange matrix weighs non-neighbors."""
 
 
 class CertificateMissingError(DucaError):

@@ -10,6 +10,7 @@ convergence bounds.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "make_setting",
     "validate_setting",
     "spectral_quantities",
-    "export_matrix_csv",
 ]
 
 # Eigenvalue tolerances: symmetric eigensolvers are accurate to ~1e-12 * ||A||
@@ -179,15 +179,17 @@ def metropolis_matrix(g: Graph) -> np.ndarray:
     diagonal entry is the negated off-diagonal row sum, so M @ 1 = 0 and M is
     positive semidefinite with nullspace span(1) on a connected graph.
     """
-    n = g.n_nodes
-    M = np.zeros((n, n))
+    return laplacian_from_weights(
+        _edge_weights(g, lambda i, j: 1.0 / (max(g.degree(i), g.degree(j)) + 1)), g
+    )
+
+
+def _edge_weights(g: Graph, weight) -> np.ndarray:
+    """Symmetric weight matrix with ``weight(i, j)`` on each edge, 0 elsewhere."""
+    W = np.zeros((g.n_nodes, g.n_nodes))
     for i, j in g.edges:
-        w = -1.0 / (max(g.degree(i), g.degree(j)) + 1)
-        M[i, j] = w
-        M[j, i] = w
-    for i in range(n):
-        M[i, i] = -M[i].sum() + M[i, i]
-    return M
+        W[i, j] = W[j, i] = weight(i, j)
+    return W
 
 
 def laplacian_from_weights(W: np.ndarray, g: Graph) -> np.ndarray:
@@ -202,27 +204,17 @@ def laplacian_from_weights(W: np.ndarray, g: Graph) -> np.ndarray:
         raise PatternMismatchError(f"weight matrix shape {W.shape} != ({n},{n})")
     if not np.allclose(W, W.T, atol=1e-12, rtol=0.0):
         raise PatternMismatchError("weight matrix is not symmetric")
-    edge_set = set(g.edges)
-    for i in range(n):
-        if W[i, i] < 0:
-            raise PatternMismatchError(f"negative self-weight at node {i}")
-        for j in range(i + 1, n):
-            on_edge = (i, j) in edge_set
-            if on_edge and W[i, j] <= 0:
-                raise PatternMismatchError(f"non-positive weight on edge ({i},{j})")
-            if not on_edge and W[i, j] != 0:
-                raise PatternMismatchError(f"nonzero weight off the graph at ({i},{j})")
+    on_edge = np.zeros((n, n), dtype=bool)
+    if g.edges:
+        rows, cols = np.array(g.edges).T
+        on_edge[rows, cols] = on_edge[cols, rows] = True
+    for bad, what in ((np.diag(W) < 0, "negative self-weight at node"),
+                      (on_edge & (W <= 0), "non-positive weight on edge"),
+                      (~on_edge & (W != 0) & ~np.eye(n, dtype=bool),
+                       "nonzero weight off the graph at")):
+        if bad.any():
+            raise PatternMismatchError(f"{what} {np.argwhere(bad)[0].tolist()}")
     return np.diag(W.sum(axis=1)) - W
-
-
-def export_matrix_csv(M: np.ndarray, path=None) -> str:
-    """Render a matrix as CSV (row-major, 17 significant digits); optionally save."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    text = "\n".join(",".join("%.17g" % v for v in row) for row in M) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ SINGLE_EXCHANGE = (Variant.DUCA_I, Variant.PEXTRA, Variant.PGC, Variant.DPGA)
 DOUBLE_EXCHANGE = (Variant.DIST_ADMM, Variant.ALT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamSetting:
     """One algorithm parameterization: the penalty matrices and scalars.
 
@@ -252,6 +244,9 @@ class ParamSetting:
     nullspace exactly span(1).  In double-exchange mode ``P_H = L @ M`` and
     ``P_Htilde = L @ L`` hold entrywise, where L is the Laplacian used for the
     second exchanged variable and M its companion.
+
+    Settings are frozen because :attr:`spectra` is computed once per setting;
+    derive a changed setting with ``dataclasses.replace``.
     """
 
     variant: Variant
@@ -267,11 +262,6 @@ class ParamSetting:
     graph: "Graph | None" = None
 
     @property
-    def exchange_matrix(self) -> np.ndarray:
-        """The weight matrix multiplying the exchanged variable in y-tilde."""
-        return self.P_H if self.exchange_mode == "single" else self.L_matrix
-
-    @property
     def n_nodes(self) -> int:
         return self.P_H.shape[0]
 
@@ -283,6 +273,11 @@ class ParamSetting:
     def d_prime(self) -> np.ndarray:
         """Diagonal of P_D as a vector."""
         return np.diag(self.P_D).copy()
+
+    @cached_property
+    def spectra(self) -> "SpectralQuantities":
+        """The setting's :func:`spectral_quantities`, computed on first use."""
+        return spectral_quantities(self)
 
 
 def _dpga_scale(g: Graph, c: float) -> float:
@@ -346,11 +341,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
             raise MissingTuningError(f"rho_prime must be positive, got {rho_prime}")
         if rho != 1.0:
             raise AssumptionViolatedError("PGC fixes rho = 1; tune rho_prime instead")
-        L1 = np.zeros((n, n))
-        for i, j in g.edges:
-            L1[i, j] = L1[j, i] = -2.0 * rho_prime
-        for i in range(n):
-            L1[i, i] = -L1[i].sum() + L1[i, i]
+        L1 = laplacian_from_weights(_edge_weights(g, lambda i, j: 2.0 * rho_prime), g)
         P_H = L1 / 2.0
         P_Ht = L1 / 2.0
         P_D = np.diag(np.diag(L1))
@@ -365,11 +356,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         if rho != 1.0:
             raise AssumptionViolatedError("DPGA fixes rho = 1; tune c instead")
         s = _dpga_scale(g, c)
-        L2 = np.zeros((n, n))
-        for i, j in g.edges:
-            L2[i, j] = L2[j, i] = -s / 2.0
-        for i in range(n):
-            L2[i, i] = -L2[i].sum() + L2[i, i]
+        L2 = laplacian_from_weights(_edge_weights(g, lambda i, j: s / 2.0), g)
         P_H = L2
         P_Ht = L2.copy()
         P_D = s * np.diag([float(g.degree(i)) for i in range(n)])
@@ -452,9 +439,12 @@ def _sym_eigs(M):
     return np.linalg.eigh(S)
 
 
-def _nullspace_is_ones(M, n, checks, label):
-    """Append checks that M's nullspace is exactly span(1)."""
-    vals, vecs = _sym_eigs(M)
+def _nullspace_is_ones(vals, align, n, checks, label):
+    """Append checks that the nullspace is exactly span(1).
+
+    ``vals`` are the ascending eigenvalues, ``align`` is |<v_0, 1/sqrt(N)>|
+    for the bottom eigenvector.
+    """
     scale = max(abs(vals[-1]), 1.0)
     checks.append(
         Check(
@@ -463,8 +453,6 @@ def _nullspace_is_ones(M, n, checks, label):
             f"lam_min={vals[0]:.3e}",
         )
     )
-    ones = np.ones(n) / np.sqrt(n)
-    align = abs(float(vecs[:, 0] @ ones))
     checks.append(
         Check(
             f"{label} null eigenvector is the ones direction",
@@ -483,17 +471,22 @@ def _nullspace_is_ones(M, n, checks, label):
 
 
 def validate_setting(s: ParamSetting) -> ValidationReport:
-    """Report-style validation of every standing matrix assumption."""
+    """Report-style validation of every standing matrix assumption.
+
+    All eigenvalue checks read ``s.spectra``, so validating a setting and
+    later evaluating its bounds decompose each matrix once.
+    """
     checks = []
     n = s.n_nodes
-    for label, M in (("P_H", s.P_H), ("P_Htilde", s.P_Htilde)):
+    sp = s.spectra
+    for label, M, vals in (("P_H", s.P_H, sp.eig_PH),
+                           ("P_Htilde", s.P_Htilde, sp.eig_PHtilde)):
         checks.append(
             Check(
                 f"{label} symmetric",
                 bool(np.allclose(M, M.T, atol=1e-12, rtol=0.0)),
             )
         )
-        vals, _ = _sym_eigs(M)
         checks.append(
             Check(f"{label} PSD", vals[0] >= PSD_TOL, f"lam_min={vals[0]:.3e}")
         )
@@ -501,20 +494,19 @@ def validate_setting(s: ParamSetting) -> ValidationReport:
     checks.append(Check("P_D diagonal", float(np.abs(off).max()) == 0.0))
     dmin = float(np.diag(s.P_D).min()) if n else 0.0
     checks.append(Check("P_D positive", dmin > 0.0, f"min diag={dmin:.3e}"))
-    vals_A, _ = _sym_eigs(s.P_A)
     checks.append(
-        Check("P_A = P_D - rho*P_H PSD", vals_A[0] >= PSD_TOL, f"lam_min={vals_A[0]:.3e}")
+        Check("P_A = P_D - rho*P_H PSD", sp.eig_PA[0] >= PSD_TOL,
+              f"lam_min={sp.eig_PA[0]:.3e}")
     )
-    vals_diff, _ = _sym_eigs(s.P_H - s.P_Htilde)
     checks.append(
         Check(
             "P_H >= P_Htilde (PSD order)",
-            vals_diff[0] >= PSD_TOL,
-            f"lam_min={vals_diff[0]:.3e}",
+            sp.eig_order[0] >= PSD_TOL,
+            f"lam_min={sp.eig_order[0]:.3e}",
         )
     )
-    _nullspace_is_ones(s.P_H, n, checks, "P_H")
-    _nullspace_is_ones(s.P_Htilde, n, checks, "P_Htilde")
+    _nullspace_is_ones(sp.eig_PH, sp.ones_align_PH, n, checks, "P_H")
+    _nullspace_is_ones(sp.eig_PHtilde, sp.ones_align_PHtilde, n, checks, "P_Htilde")
     checks.append(Check("rho positive", s.rho > 0, f"rho={s.rho}"))
     checks.append(Check("alpha nonnegative", s.alpha >= 0, f"alpha={s.alpha}"))
     if s.exchange_mode == "double":
@@ -538,26 +530,57 @@ def block_quadratic_norm(M: np.ndarray, rows: np.ndarray) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralQuantities:
+    """One setting's eigen-data, from one decomposition per matrix.
+
+    The bounds use ``lam1_PA``, ``lamNm1_PHtilde`` and ``pinv_PHtilde``.
+    :func:`validate_setting` reads the ascending eigenvalues of the
+    symmetrized P_H, P_Htilde, P_A and P_H - P_Htilde (``eig_order``), and
+    ``ones_align_*`` = |<v_0, 1/sqrt(N)>| for the bottom eigenvector of P_H
+    and of P_Htilde.
+    """
+
     lam1_PA: float
     lamNm1_PHtilde: float
     pinv_PHtilde: np.ndarray
+    eig_PH: np.ndarray
+    eig_PHtilde: np.ndarray
+    eig_PA: np.ndarray
+    eig_order: np.ndarray
+    ones_align_PH: float
+    ones_align_PHtilde: float
 
 
 def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
-    """Largest eigenvalue of P_A, second-smallest of P_Htilde, and its pseudo-inverse.
+    """Decompose P_H, P_Htilde, P_A and P_H - P_Htilde once each.
 
     Eigenvalues below ``PINV_CUT`` times the largest magnitude are treated as
-    zero when inverting (the only intended null direction is the ones vector).
+    zero when inverting P_Htilde (the only intended null direction is the
+    ones vector).  Use ``s.spectra`` for the value cached on the setting.
     """
-    vals_A, _ = _sym_eigs(s.P_A)
-    lam1 = max(float(vals_A[-1]), 0.0)
-    vals, vecs = _sym_eigs(s.P_Htilde)
     n = s.n_nodes
-    lam_nm1 = float(vals[1]) if n > 1 else float("nan")
+    ones = np.ones(n) / np.sqrt(n)
+    # at most one N x N eigenvector matrix alive at a time keeps peak memory low
+    vals_H, vecs = _sym_eigs(s.P_H)
+    align_H = abs(float(vecs[:, 0] @ ones))
+    del vecs
+    vals_A = _sym_eigs(s.P_A)[0]
+    diff = s.P_H - s.P_Htilde
+    vals_order = np.linalg.eigvalsh(0.5 * (diff + diff.T))
+    del diff
+    vals, vecs = _sym_eigs(s.P_Htilde)
     scale = max(float(np.abs(vals).max()), 1.0)
     keep = np.abs(vals) > PINV_CUT * scale
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    pinv = (vecs * inv) @ vecs.T
-    return SpectralQuantities(lam1_PA=lam1, lamNm1_PHtilde=lam_nm1, pinv_PHtilde=pinv)
+    return SpectralQuantities(
+        lam1_PA=max(float(vals_A[-1]), 0.0),
+        lamNm1_PHtilde=float(vals[1]) if n > 1 else float("nan"),
+        pinv_PHtilde=(vecs * inv) @ vecs.T,
+        eig_PH=vals_H,
+        eig_PHtilde=vals,
+        eig_PA=vals_A,
+        eig_order=vals_order,
+        ones_align_PH=align_H,
+        ones_align_PHtilde=abs(float(vecs[:, 0] @ ones)),
+    )

@@ -36,7 +36,6 @@ __all__ = [
     "local_objective",
     "solve_local",
     "solve_local_batch",
-    "solve_local_dualfun",
     "dual_value_batch",
 ]
 
@@ -515,25 +514,3 @@ def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL,
         np.maximum(lip, 1e-12), tol, max_iters,
     )
     return vals, X, res, done
-
-
-def solve_local_dualfun(pb: Problem, i: int, y: np.ndarray, tol=DEFAULT_TOL):
-    """Value and minimizer of agent i's dual function at y = (mu, lam)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (pb.mp,):
-        raise DimMismatchError(f"y has shape {y.shape}, expected ({pb.mp},)")
-    if pb.m and float(y[: pb.m].min()) < 0.0:
-        raise AssumptionViolatedError("dual evaluation needs mu >= 0")
-    rows_idx = np.array([i])
-    mu = y[None, : pb.m]
-    lam = y[None, pb.m :]
-    vg = _dual_value_and_grad(pb, rows_idx, mu, lam)
-    lam_P = 2.0 * float(np.linalg.eigvalsh(pb.P[i])[-1])
-    lip = lam_P + 2.0 * float(y[: pb.m].sum())
-    X, res, iters, done, vals, _ = _prox_grad_loop(
-        vg, np.zeros((1, pb.dmax)), pb.a[rows_idx], pb.c[rows_idx],
-        pb.l1_weight, np.array([max(lip, 1e-12)]), tol, DEFAULT_MAX_ITERS,
-    )
-    d = pb.dims[i]
-    return {"value": float(vals[0]), "x": X[0, :d].copy(),
-            "residual": float(res[0]), "converged": bool(done[0])}

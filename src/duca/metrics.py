@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,9 +40,10 @@ from .engine import NetworkState, ergodic_point, eps_inner
 from .errors import (
     CertificateMissingError,
     InsufficientDataError,
+    InvalidInitError,
     InvariantBreachError,
 )
-from .graphs import ParamSetting, block_quadratic_norm, spectral_quantities
+from .graphs import ParamSetting, block_quadratic_norm
 from .localsolver import DEFAULT_TOL, dual_value_batch
 from .oracle import CertificateCore
 from .problem import (
@@ -51,24 +52,6 @@ from .problem import (
     coupled_violation_norm,
     eval_objective,
     gtilde_rows,
-)
-
-#: CSV column order; floats are printed with 17 significant digits.
-CSV_COLUMNS = (
-    "k",
-    "objective_error",
-    "ergodic_objective_error",
-    "constraint_violation",
-    "ergodic_feasibility",
-    "consensus_error",
-    "bound_fe_slack",
-    "bound_oe_lower_slack",
-    "bound_oe_upper_slack",
-    "moreau_residual",
-    "cumulative_residual",
-    "lyapunov_residual",
-    "comm_total",
-    "inner_iters_total",
 )
 
 
@@ -91,12 +74,19 @@ class MetricsRow:
     lyapunov_value: float = math.nan  # carried for checks; not a CSV column
 
 
+#: CSV column order (the MetricsRow fields but ``lyapunov_value``); floats
+#: are printed with 17 significant digits.
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))[:-1]
+
+
 @dataclass
 class Certificate:
     """Reference solution plus every constant the bounds need.
 
-    The constants C1/C2/R1/R2/R1_prime/R2_prime are evaluated for the run
-    context (setting, x0, y0, v0=0) the certificate was built for;
+    The constants C1/C2/R1/R2/R1_prime/R2_prime and ``bound_coefs`` are
+    evaluated once for the run context (setting, x0, y0, v0=0) the
+    certificate was built for; ``bound_coefs`` holds k times the three
+    bound values, which :func:`compute_row` divides by k.
     :func:`theorem_bounds` can re-evaluate them for any other start.
     """
 
@@ -113,30 +103,25 @@ class Certificate:
     R2: float
     R1_prime: float
     R2_prime: float
+    x0: np.ndarray  # (N, dmax) agent rows of the run's start
+    y0: np.ndarray  # (N, m+p)
+    bound_coefs: dict  # {fe_bound, oe_lower, oe_upper} at k = 1
 
 
-def _hdag_norm(pinv_PHt: np.ndarray, rows: np.ndarray) -> float:
-    return block_quadratic_norm(pinv_PHt, rows)
-
-
-def _bound_constants(pb, s, lam1, pinv_PHt, x_star_rows, y_star, v_star,
+def _bound_constants(n, s, lam1, pinv_PHt, x_star_rows, y_star, v_star,
                      x0_rows, y0_rows, v0_rows):
-    """All theorem constants for one run context; see module docstring."""
-    n = pb.n_agents
+    """The certificate's bound fields for one run context; see module docstring."""
     y_stack = np.tile(y_star, (n, 1))
     sq_nl = math.sqrt(n * lam1)
     dy_A = block_quadratic_norm(s.P_A, y0_rows - y_stack)
     y0_A = block_quadratic_norm(s.P_A, y0_rows)
-    v_term = _hdag_norm(pinv_PHt, v0_rows - v_star)
+    v_term = block_quadratic_norm(pinv_PHt, v0_rows - v_star)
     s_G = math.sqrt(dy_A**2 + v_term**2 / s.rho)
     dx = float(np.linalg.norm(x0_rows - x_star_rows))
     C1 = sq_nl * float(np.linalg.norm(y_star))
     C2 = math.sqrt((y0_A + C1) ** 2 + s.alpha * dx**2 + v_term**2 / s.rho)
     R2 = v_term**2 / (2.0 * s.rho) + 0.5 * y0_A**2
-    return {
-        "sq_nl": sq_nl,
-        "fe_coef_plain": sq_nl * (dy_A + s_G),
-        "fe_coef_prox": sq_nl * (y0_A + C1 + C2),
+    cons = {
         "C1": C1,
         "C2": C2,
         "R1": float(np.linalg.norm(y_star)) * sq_nl * (dy_A + s_G),
@@ -144,6 +129,14 @@ def _bound_constants(pb, s, lam1, pinv_PHt, x_star_rows, y_star, v_star,
         "R2": R2,
         "R2_prime": R2 + 0.5 * s.alpha * dx**2,
     }
+    if s.alpha > 0.0:
+        cons["bound_coefs"] = {"fe_bound": sq_nl * (y0_A + C1 + C2),
+                               "oe_lower": cons["R1_prime"],
+                               "oe_upper": cons["R2_prime"]}
+    else:
+        cons["bound_coefs"] = {"fe_bound": sq_nl * (dy_A + s_G),
+                               "oe_lower": cons["R1"], "oe_upper": cons["R2"]}
+    return cons
 
 
 def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
@@ -161,7 +154,7 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     gt = gtilde_rows(pb, x_star_rows)
     v_star = gt - gt.mean(axis=0)[None, :]
 
-    spec = spectral_quantities(s)
+    spec = s.spectra
     block_sum = float(np.abs(v_star.sum(axis=0)).max()) if mp else 0.0
     if block_sum > 1e-8:
         raise InvariantBreachError(f"v* block sum {block_sum:.3e} is not zero")
@@ -181,8 +174,6 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     x0_rows = np.zeros((n, pb.dmax)) if x0 is None else np.asarray(x0, dtype=float)
     y0_rows = np.zeros((n, mp)) if y0 is None else np.asarray(y0, dtype=float)
     v0_rows = np.zeros((n, mp))
-    cons = _bound_constants(pb, s, spec.lam1_PA, spec.pinv_PHtilde, x_star_rows,
-                            core.y_star, v_star, x0_rows, y0_rows, v0_rows)
     return Certificate(
         x_star=core.x_star,
         f_star=core.f_star,
@@ -191,12 +182,10 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
         lam1_PA=spec.lam1_PA,
         lamNm1_PHtilde=spec.lamNm1_PHtilde,
         pinv_PHtilde=spec.pinv_PHtilde,
-        C1=cons["C1"],
-        C2=cons["C2"],
-        R1=cons["R1"],
-        R2=cons["R2"],
-        R1_prime=cons["R1_prime"],
-        R2_prime=cons["R2_prime"],
+        x0=x0_rows.copy(),
+        y0=y0_rows.copy(),
+        **_bound_constants(n, s, spec.lam1_PA, spec.pinv_PHtilde, x_star_rows,
+                           core.y_star, v_star, x0_rows, y0_rows, v0_rows),
     )
 
 
@@ -218,29 +207,11 @@ def theorem_bounds(cert: Certificate, s: ParamSetting, y0, v0, x0, k: int):
     x_star_rows = cert.x_star.rows(x0.shape[1] if x0.ndim == 2 else None)
     if v0.size and float(np.abs(v0).max()) != 0.0:
         return {"fe_bound": math.nan, "oe_lower": math.nan, "oe_upper": math.nan}
-    cons = _bound_constants(
-        _DimsOnly(n, cert.v_star.shape[1]), s, cert.lam1_PA, cert.pinv_PHtilde,
-        x_star_rows, cert.y_star, cert.v_star, x0, y0, v0,
-    )
-    if s.alpha > 0.0:
-        return {
-            "fe_bound": cons["fe_coef_prox"] / k,
-            "oe_lower": cons["R1_prime"] / k,
-            "oe_upper": cons["R2_prime"] / k,
-        }
-    return {
-        "fe_bound": cons["fe_coef_plain"] / k,
-        "oe_lower": cons["R1"] / k,
-        "oe_upper": cons["R2"] / k,
-    }
-
-
-class _DimsOnly:
-    """Duck-typed stand-in exposing just n_agents for _bound_constants."""
-
-    def __init__(self, n, mp):
-        self.n_agents = n
-        self.mp = mp
+    coefs = _bound_constants(
+        n, s, cert.lam1_PA, cert.pinv_PHtilde, x_star_rows, cert.y_star,
+        cert.v_star, x0, y0, v0,
+    )["bound_coefs"]
+    return {key: c / k for key, c in coefs.items()}
 
 
 def lyapunov_value(st: NetworkState, cert: Certificate, s: ParamSetting,
@@ -248,23 +219,10 @@ def lyapunov_value(st: NetworkState, cert: Certificate, s: ParamSetting,
     """V_k for one state snapshot (see module docstring)."""
     x_star_rows = cert.x_star.rows(pb.dmax)
     val = 0.5 * block_quadratic_norm(s.P_A, st.Y) ** 2
-    val += _hdag_norm(cert.pinv_PHtilde, st.V - cert.v_star) ** 2 / (2.0 * s.rho)
+    val += block_quadratic_norm(cert.pinv_PHtilde, st.V - cert.v_star) ** 2 / (2.0 * s.rho)
     if s.alpha > 0.0:
         val += 0.5 * s.alpha * float(np.sum((st.X - x_star_rows) ** 2))
     return val
-
-
-def lyapunov_descent_check(st_pair, cert: Certificate, s: ParamSetting,
-                           pb: Problem) -> float:
-    """One-round descent residual: positive values violate the descent lemma.
-
-    Returns (f(x_{k+1}) - f*) - (V_k - V_{k+1}); expected <= the inner-solve
-    slack for exact-enough local solves.
-    """
-    st_prev, st_next = st_pair
-    drop = lyapunov_value(st_prev, cert, s, pb) - lyapunov_value(st_next, cert, s, pb)
-    gain = eval_objective(pb, st_next.X) - cert.f_star
-    return gain - drop
 
 
 def local_ball_violation(pb: Problem, X_rows: np.ndarray) -> float:
@@ -284,11 +242,19 @@ def constraint_violation_composite(pb: Problem, X_rows: np.ndarray) -> float:
 
 
 def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
-                cert: Certificate, tol_inner: float = DEFAULT_TOL,
-                lyapunov_prev: float = math.nan) -> MetricsRow:
-    """All diagnostics for one post-round state (st.k >= 1)."""
+                cert: Certificate, lyapunov_prev: float = math.nan) -> MetricsRow:
+    """All diagnostics for one post-round state (st.k >= 1).
+
+    The bounds come from the certificate's precomputed coefficients, so the
+    state must have started from the certificate's (x0, y0).
+    """
     if cert is None:
         raise CertificateMissingError("compute_row needs a certificate")
+    if not (np.array_equal(st.X0, cert.x0) and np.array_equal(st.Y0, cert.y0)):
+        raise InvalidInitError(
+            "state started from another (x0, y0) than its certificate; "
+            "use theorem_bounds for other starts"
+        )
     k = st.k
     xbar, _ = ergodic_point(st, pb)
     xbar_rows = xbar.rows(pb.dmax)
@@ -298,7 +264,7 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
     f_bar = eval_objective(pb, xbar_rows)
     ergodic_oe = f_bar - cert.f_star
     fe = coupled_violation_norm(pb, xbar_rows)
-    bounds = theorem_bounds(cert, s, st.Y0, np.zeros_like(st.Y0), st.X0, k)
+    bounds = {key: c / k for key, c in cert.bound_coefs.items()}
 
     V_now = lyapunov_value(st, cert, s, pb)
     lyap_resid = math.nan
@@ -349,7 +315,7 @@ class MetricsCollector:
             self._prev_V = lyapunov_value(st, self.cert, self.s, self.pb)
             return
         row = compute_row(st, self.pb, self.s, self.cert,
-                          tol_inner=self.tol_inner, lyapunov_prev=self._prev_V)
+                          lyapunov_prev=self._prev_V)
         self._prev_V = row.lyapunov_value
         self.rows.append(row)
         if self.check:

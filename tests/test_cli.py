@@ -1,5 +1,6 @@
 """Tests for the experiment driver: config handling, artifacts, exit codes."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from duca.cli import (
     main,
     normalize_config,
 )
+from duca.engine import run
 from duca.errors import ConfigError, InvariantBreachError, NotConvergedError
 from duca.graphs import Variant, make_setting, random_connected_graph
 from duca.metrics import CSV_COLUMNS, csv_to_rows, make_certificate, theorem_bounds
@@ -218,6 +220,22 @@ class TestRunArtifacts:
         assert manifest["outputs"] == ["DUCA_I__0.csv", "certificate.txt"]
         assert set(manifest["versions"]) == {"duca", "numpy", "python"}
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["solver_failures"] == {"DUCA_I__0.csv": 0}
+
+    def test_uncertified_solves_recorded_when_not_strict(self, tmp_path, monkeypatch):
+        # one inner iteration per solve leaves local solves uncertified
+        monkeypatch.setattr("duca.cli.run", functools.partial(run, max_iters=1))
+        out = tmp_path / "runs"
+        rc = main(["run", "--config", write_config(tmp_path), "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_failures"]["DUCA_I__0.csv"] > 0
+
+    def test_uncertified_solve_fails_strict_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("duca.cli.run", functools.partial(run, max_iters=1))
+        rc = main(["run", "--config", write_config(tmp_path),
+                   "--out", str(tmp_path / "o"), "--strict"])
+        assert rc == EXIT_INVARIANT
 
     def test_repeat_run_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,27 +1,36 @@
 """Tests for the synchronous message-passing engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from duca.engine import (
     Mailbox,
     cone_split,
-    double_exchange_round,
     dump_state,
     ergodic_point,
     init,
     load_state,
     run,
-    seed_mailbox,
-    single_exchange_round,
+    step,
 )
 from duca.errors import (
     ConfigError,
     InsufficientDataError,
     InvalidInitError,
+    InvariantBreachError,
     MailboxError,
 )
-from duca.graphs import ParamSetting, Variant, make_setting, random_connected_graph
+from duca.graphs import (
+    ParamSetting,
+    Variant,
+    build_graph,
+    make_setting,
+    random_connected_graph,
+)
 from duca.localsolver import LocalSubproblem, solve_local
 from duca.problem import Problem, generate_example
 
@@ -66,38 +75,126 @@ def single_agent_setting(d_prime=2.0):
     )
 
 
+def brute_force_sums(W, nbrs, x):
+    """W_ii x_i + sum_j W_ij x_j per agent, neighbors ascending: the reference."""
+    out = np.empty_like(x)
+    for i in range(len(nbrs)):
+        acc = W[i, i] * x[i]
+        for j in nbrs[i]:
+            acc = acc + W[i, j] * x[j]
+        out[i] = acc
+    return out
+
+
+def exchange_matrices(s):
+    if s.exchange_mode == "single":
+        return {"H": s.P_H}
+    return {"L": s.L_matrix, "M": s.M_matrix}
+
+
+TUNING = {Variant.PGC: {"rho_prime": 0.5}, Variant.DPGA: {"c": 1.0}}
+
+
 class TestMailbox:
+    @given(
+        n=hst.integers(min_value=2, max_value=9),
+        extra=hst.integers(min_value=0, max_value=8),
+        seed=hst.integers(min_value=0, max_value=10_000),
+        variant=hst.sampled_from(list(Variant)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sums_match_per_agent_loop(self, n, extra, seed, variant):
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+        s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
+        mb = Mailbox(s)
+        x = np.random.default_rng(seed).standard_normal((n, 4))
+        for name, W in exchange_matrices(s).items():
+            got = mb.weighted_sum(name, x)
+            assert np.array_equal(got, brute_force_sums(W, g.neighbor_lists, x))
+        assert mb.links == 2 * g.n_edges
+
+    @given(seed=hst.integers(min_value=0, max_value=10_000),
+           variant=hst.sampled_from(list(Variant)))
+    @settings(max_examples=12, deadline=None)
+    def test_comm_grows_by_links_per_exchange(self, seed, variant):
+        g = random_connected_graph(5, 7, seed=seed)
+        pb = generate_example(5, 2, 1, 1, seed=seed)
+        s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
+        st = init(pb, s, y0=np.ones((5, pb.mp)))
+        mb = Mailbox(s)
+        exchanges = 2 if s.exchange_mode == "double" else 1
+        for k in range(1, 4):
+            step(st, pb, s, mailbox=mb)
+            assert st.comm_total == k * exchanges * 2 * g.n_edges * pb.mp
+
+    def test_graph_free_setting_uses_matrix_sparsity(self):
+        g = random_connected_graph(4, 3, seed=1)
+        s = dataclasses.replace(make_setting(Variant.PEXTRA, g, rho=1.0), graph=None)
+        nbrs = [tuple(np.flatnonzero((s.P_H[i] != 0) & (np.arange(4) != i)))
+                for i in range(4)]
+        x = np.random.default_rng(0).standard_normal((4, 3))
+        mb = Mailbox(s)
+        assert np.array_equal(mb.weighted_sum("H", x), brute_force_sums(s.P_H, nbrs, x))
+        assert mb.links == sum(len(ns) for ns in nbrs)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_off_graph_weight_rejected(self, variant):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
+        name, W = next(iter(exchange_matrices(s).items()))
+        bad = W.copy()
+        bad[0, 3] = bad[3, 0] = -0.01  # agents 0 and 3 are not linked
+        field = {"H": "P_H", "L": "L_matrix"}[name]
+        with pytest.raises(MailboxError):
+            Mailbox(dataclasses.replace(s, **{field: bad}))
+
+
     def test_roundtrip_and_counting(self):
-        mb = Mailbox([(1,), (0,)])
-        mb.send(0, 1, "y", 0, np.array([1.0, 2.0]))
-        got = mb.collect(1, "y", 0)
-        assert np.array_equal(got[0], [1.0, 2.0])
-        assert mb.reals_sent == 2
-        mb.send(0, 1, "y", 1, np.array([3.0, 4.0]), count=False)
-        assert mb.reals_sent == 2
+        g = build_graph(2, [(0, 1)])
+        s = make_setting(Variant.PEXTRA, g, rho=1.0)
+        mb = Mailbox(s)
+        x = np.array([[1.0, 2.0], [3.0, 5.0]])
+        W = s.P_H
+        assert np.array_equal(mb.weighted_sum("H", x)[0], W[0, 0] * x[0] + W[0, 1] * x[1])
+        assert np.array_equal(mb.weighted_sum("H", x)[1], W[1, 1] * x[1] + W[1, 0] * x[0])
+        assert mb.links == 2
+        pb = generate_example(2, 2, 1, 1, seed=0)
+        st = init(pb, s, y0=np.ones((2, pb.mp)))
+        step(st, pb, s, mailbox=mb)
+        assert st.comm_total == 2 * pb.mp
 
     def test_send_to_non_neighbor_refused(self):
-        mb = Mailbox([(1,), (0,), ()])
+        g = build_graph(3, [(0, 1), (1, 2)])
+        P_H = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
+        s = ParamSetting(variant=Variant.DUCA_I, P_H=P_H, P_Htilde=P_H.copy(),
+                         P_D=2.0 * np.eye(3), rho=1.0, graph=g)
         with pytest.raises(MailboxError):
-            mb.send(0, 2, "y", 0, np.zeros(2))
+            Mailbox(s)  # P_H weighs agents 0 and 2, which are not linked
 
     def test_missing_message(self):
-        mb = Mailbox([(1,), (0,)])
+        pb, s = small_case()
+        mb = Mailbox(s)
         with pytest.raises(MailboxError):
-            mb.collect(0, "y", 0)
+            mb.weighted_sum("L", np.zeros((6, pb.mp)))  # single mode exchanges only H
 
     def test_stale_round_detected(self):
-        mb = Mailbox([(1,), (0,)])
-        mb.send(1, 0, "y", 0, np.zeros(2))
+        pb, s = small_case()
+        other = make_setting(Variant.PEXTRA, s.graph, rho=1.0)
+        st = init(pb, s)
         with pytest.raises(MailboxError):
-            mb.collect(0, "y", 1)
+            step(st, pb, s, mailbox=Mailbox(other))  # table of another setting
+        assert st.k == 0
 
     def test_messages_are_copies(self):
-        mb = Mailbox([(1,), (0,)])
-        v = np.array([1.0])
-        mb.send(0, 1, "y", 0, v)
-        v[0] = 99.0
-        assert mb.collect(1, "y", 0)[0][0] == 1.0
+        _, s = small_case()
+        mb = Mailbox(s)
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        x_before = x.copy()
+        got = mb.weighted_sum("H", x)
+        assert np.array_equal(x, x_before)
+        kept = got.copy()
+        x[:] = 99.0
+        assert np.array_equal(got, kept)
 
 
 class TestConeSplit:
@@ -179,7 +276,7 @@ class TestSingleExchange:
         pb = single_agent_problem()
         s = single_agent_setting(d_prime=2.0)
         st = init(pb, s)
-        single_exchange_round(st, pb, s)
+        step(st, pb, s)
         # With no neighbors and v = 0 the round is exactly one multiplier-
         # method step with penalty 1/d': same solve, then the cone update.
         sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(1), d_prime=2.0)
@@ -200,18 +297,19 @@ class TestSingleExchange:
     def test_comm_count_matches_topology(self):
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         st = init(SEED_PROBLEM, s, y0=ONES_Y0)
-        mb = seed_mailbox(st, s)
+        mb = Mailbox(s)
         assert st.comm_total == 0
-        single_exchange_round(st, SEED_PROBLEM, s, mailbox=mb)
+        step(st, SEED_PROBLEM, s, mailbox=mb)
         assert st.comm_total == 480  # 2 * |E| * (m+p) = 2 * 40 * 6
-        single_exchange_round(st, SEED_PROBLEM, s, mailbox=mb)
+        step(st, SEED_PROBLEM, s, mailbox=mb)
         assert st.comm_total == 960
 
     def test_mode_mismatch_rejected(self):
         pb, s = small_case(variant=Variant.DIST_ADMM)
         st = init(pb, s)
+        _, single = small_case()
         with pytest.raises(ConfigError):
-            single_exchange_round(st, pb, s)
+            step(st, pb, single)
 
     def test_nonnegative_mu_and_sigma_structure(self):
         pb, s = small_case(seed=5)
@@ -238,25 +336,25 @@ class TestDoubleExchange:
     def test_dist_admm_u_gap_is_last_z_increment(self):
         pb, s = small_case(variant=Variant.DIST_ADMM)
         st = init(pb, s, y0=np.ones((6, pb.mp)))
-        mb = seed_mailbox(st, s)
+        mb = Mailbox(s)
         prev_Z = st.Z.copy()
         for _ in range(8):
             prev_Z = st.Z.copy()
-            double_exchange_round(st, pb, s, mailbox=mb)
+            step(st, pb, s, mailbox=mb)
         assert np.allclose(st.U, 2.0 * st.Z - prev_Z, atol=1e-12)
 
     def test_comm_count_doubles(self):
         s = make_setting(Variant.DIST_ADMM, SEED_GRAPH, rho=1.0)
         st = init(SEED_PROBLEM, s, y0=ONES_Y0)
-        mb = seed_mailbox(st, s)
-        double_exchange_round(st, SEED_PROBLEM, s, mailbox=mb)
+        step(st, SEED_PROBLEM, s)
         assert st.comm_total == 960  # 2 exchanges of 2 * |E| * (m+p)
 
     def test_mode_mismatch_rejected(self):
         pb, s = small_case()
         st = init(pb, s)
+        _, double = small_case(variant=Variant.DIST_ADMM)
         with pytest.raises(ConfigError):
-            double_exchange_round(st, pb, s)
+            step(st, pb, double)
 
     def test_v_mirror_tracks_L_times_z(self):
         pb, s = small_case(variant=Variant.ALT)
@@ -282,6 +380,17 @@ class TestRun:
         st1 = run(pb, s, 25, y0=y0)
         st2 = run(pb, s, 25, y0=y0)
         assert dump_state(st1) == dump_state(st2)
+
+    def test_uncertified_solve_raises_when_checked(self):
+        # One inner iteration is too few on the shipped instance: 19 of the
+        # 20 agents end round 1 without a certificate.
+        pb = generate_example(20, 3, 1, 5, seed=42)
+        s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
+        x0, y0 = np.zeros((20, pb.dmax)), np.ones((20, pb.mp))
+        with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
+            run(pb, s, 5, x0, y0, max_iters=1, check=True)
+        st = run(pb, s, 5, x0, y0, max_iters=1, check=False)
+        assert st.solver_failures == 95
 
     def test_zero_start_is_a_fixed_point_here(self):
         # The generated family minimizes at the origin with slack coupled
@@ -342,9 +451,9 @@ class TestCheckpoint:
 
         part = run(pb, s, 5, y0=y0)
         resumed = load_state(dump_state(part))
-        mb = seed_mailbox(resumed, s)
+        mb = Mailbox(s)
         for _ in range(3):
-            single_exchange_round(resumed, pb, s, mailbox=mb)
+            step(resumed, pb, s, mailbox=mb)
         assert dump_state(resumed) == dump_state(full)
 
     def test_double_mode_round_trip(self):

@@ -1,5 +1,7 @@
 """Graphs, weight matrices, and parameter settings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from duca.graphs import (
     ParamSetting,
     Variant,
     build_graph,
-    export_matrix_csv,
     laplacian_from_weights,
     make_setting,
     metropolis_matrix,
@@ -110,7 +111,7 @@ class TestRandomConnectedGraph:
 
 
 # ---------------------------------------------------------------------------
-# metropolis_matrix / laplacian_from_weights
+# metropolis_matrix
 # ---------------------------------------------------------------------------
 
 
@@ -365,9 +366,19 @@ class TestValidateSetting:
         text = str(validate_setting(s))
         assert "[PASS]" in text and "[FAIL]" not in text
 
+    def test_setting_is_frozen_and_replace_recomputes_spectra(self):
+        # the spectra are cached per setting, so a setting cannot change
+        # under them; a replaced setting gets its own
+        s = make_default(Variant.DUCA_I, TRIANGLE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.P_H = 2.0 * s.P_H
+        s2 = dataclasses.replace(s, P_H=2.0 * s.P_H, P_Htilde=2.0 * s.P_Htilde)
+        assert s2.spectra is not s.spectra
+        assert s2.spectra.lamNm1_PHtilde == pytest.approx(2.0 * s.spectra.lamNm1_PHtilde)
+
     def test_double_mode_factorization_checked(self):
         s = make_default(Variant.ALT, TRIANGLE)
-        s.P_H = s.P_H + 1e-6 * np.eye(3)
+        s = dataclasses.replace(s, P_H=s.P_H + 1e-6 * np.eye(3))
         report = validate_setting(s)
         failed = {c.name for c in report.checks if not c.passed}
         assert "P_H == L @ M" in failed
@@ -430,24 +441,3 @@ class TestSpectralQuantities:
             s = make_default(variant, g)
             lam = np.linalg.eigvalsh(0.5 * (s.P_A + s.P_A.T))[-1]
             assert spectral_quantities(s).lam1_PA == pytest.approx(max(lam, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# export_matrix_csv
-# ---------------------------------------------------------------------------
-
-
-class TestExportMatrixCsv:
-    def test_round_trip_exact(self, tmp_path):
-        M = np.array([[1 / 3, -2 / 7], [np.pi, 1e-17]])
-        path = tmp_path / "m.csv"
-        text = export_matrix_csv(M, path)
-        assert path.read_text() == text
-        back = np.array(
-            [[float(v) for v in line.split(",")] for line in text.strip().split("\n")]
-        )
-        np.testing.assert_array_equal(back, M)  # 17 significant digits round-trip
-
-    def test_vector_rendered_as_row(self):
-        text = export_matrix_csv(np.array([1.0, 2.0]))
-        assert text == "1,2\n"

@@ -12,7 +12,6 @@ from duca.localsolver import (
     local_objective,
     solve_local,
     solve_local_batch,
-    solve_local_dualfun,
 )
 from duca.problem import Problem, generate_example
 
@@ -273,38 +272,40 @@ class TestSolveLocal:
 class TestDualFunction:
     def test_zero_dual_gives_min_over_ball(self):
         pb = single_agent(P=[[1.0]], Q=[0.0], c=1.0, l1_weight=0.0)
-        out = solve_local_dualfun(pb, 0, np.zeros(0), tol=1e-10)
-        assert out["value"] == pytest.approx(0.0, abs=1e-9)
+        vals, _, _, done = dual_value_batch(pb, np.zeros(0), tol=1e-10)
+        assert done.all()
+        assert vals[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_objective_hits_boundary(self):
         # f(x) = x on [-1, 1]: infimum -1 at x = -1
         pb = single_agent(P=[[0.0]], Q=[1.0], c=1.0, l1_weight=0.0)
-        out = solve_local_dualfun(pb, 0, np.zeros(0), tol=1e-10)
-        assert out["value"] == pytest.approx(-1.0, abs=1e-9)
-        assert out["x"][0] == pytest.approx(-1.0, abs=1e-8)
+        vals, X, _, _ = dual_value_batch(pb, np.zeros(0), tol=1e-10)
+        assert vals[0] == pytest.approx(-1.0, abs=1e-9)
+        assert X[0, 0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_rejects_negative_mu(self):
         with pytest.raises(AssumptionViolatedError):
-            solve_local_dualfun(SVI, 0, np.array([-0.5, 0, 0, 0, 0, 0]))
+            dual_value_batch(SVI, np.array([-0.5, 0, 0, 0, 0, 0]))
 
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(21)
-        i = 2
         for _ in range(5):
             y1 = np.abs(rng.normal(size=6))
             y2 = np.abs(rng.normal(size=6))
             y1[1:] = rng.normal(size=5)  # lambda blocks unconstrained
             y2[1:] = rng.normal(size=5)
             th = float(rng.uniform(0.2, 0.8))
-            q1 = solve_local_dualfun(SVI, i, y1, tol=1e-10)["value"]
-            q2 = solve_local_dualfun(SVI, i, y2, tol=1e-10)["value"]
-            qm = solve_local_dualfun(SVI, i, th * y1 + (1 - th) * y2, tol=1e-10)["value"]
-            assert qm >= th * q1 + (1 - th) * q2 - 1e-7
+            q1 = dual_value_batch(SVI, y1, tol=1e-10)[0]
+            q2 = dual_value_batch(SVI, y2, tol=1e-10)[0]
+            qm = dual_value_batch(SVI, th * y1 + (1 - th) * y2, tol=1e-10)[0]
+            assert np.all(qm >= th * q1 + (1 - th) * q2 - 1e-7)
 
     def test_batch_consistency(self):
+        # each row equals the dual function of that agent alone
         y = np.array([0.2, 0.1, -0.3, 0.4, 0.0, -0.1])
         vals, X, res, done = dual_value_batch(SVI, y, tol=1e-10)
         assert done.all()
         for i in [0, 5, 19]:
-            solo = solve_local_dualfun(SVI, i, y, tol=1e-10)
-            assert solo["value"] == pytest.approx(vals[i], abs=1e-12)
+            solo = single_agent(**SVI.agent_data(i), l1_weight=SVI.l1_weight)
+            assert dual_value_batch(solo, y, tol=1e-10)[0][0] == pytest.approx(
+                vals[i], abs=1e-12)

@@ -12,6 +12,7 @@ from duca.engine import NetworkState, eps_inner, run
 from duca.errors import (
     CertificateMissingError,
     InsufficientDataError,
+    InvalidInitError,
     InvariantBreachError,
 )
 from duca.graphs import (
@@ -30,7 +31,6 @@ from duca.metrics import (
     csv_to_rows,
     dual_value,
     loglog_slope,
-    lyapunov_descent_check,
     make_certificate,
     rows_to_csv,
     theorem_bounds,
@@ -234,6 +234,31 @@ class TestNormsAgainstDenseKron:
             )
 
 
+class TestSpectraOncePerSetting:
+    @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.ALT])
+    def test_four_network_eigensolves_per_setting(self, variant, monkeypatch):
+        # make_setting, make_certificate and run share one decomposition of
+        # each of P_H, P_Htilde, P_A and P_H - P_Htilde.
+        pb, _, sol, _, x0, y0 = small_bundle()
+        g = random_connected_graph(6, 9, seed=3)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            orig = getattr(np.linalg, name)
+
+            def counted(a, *args, _orig=orig, **kwargs):
+                if np.ndim(a) == 2:  # per-agent solvers decompose (N, d, d) stacks
+                    calls.append(a.shape)
+                return _orig(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        s = make_setting(variant, g, rho=1.0)
+        cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
+        coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
+        run(pb, s, 3, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
+        assert calls == [(6, 6)] * 4
+        assert cert.pinv_PHtilde is s.spectra.pinv_PHtilde
+
+
 class TestCertificate:
     def test_v_star_closed_form_and_block_sum(self):
         pb, s, sol, cert, _, _ = small_bundle()
@@ -368,7 +393,8 @@ class TestLyapunov:
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
         st_k = state_at(pb, X, Y, cert.v_star, k=3)
         st_next = state_at(pb, X, Y, cert.v_star, k=4)
-        resid = lyapunov_descent_check((st_k, st_next), cert, s, pb)
+        V_k = compute_row(st_k, pb, s, cert).lyapunov_value
+        resid = compute_row(st_next, pb, s, cert, lyapunov_prev=V_k).lyapunov_residual
         assert abs(resid) <= 1e-9
 
     def test_descent_holds_across_run(self):
@@ -453,6 +479,18 @@ class TestComputeRow:
         assert min(r.bound_oe_upper_slack for r in coll.rows) >= -eps
         comms = [r.comm_total for r in coll.rows]
         assert all(b > a for a, b in zip(comms, comms[1:]))
+
+    def test_start_other_than_certificate_rejected(self):
+        # The row reads the certificate's bound coefficients, which hold only
+        # for the start the certificate was built for.
+        pb, s, sol, cert = pair_bundle()
+        X = sol.x_star.rows(pb.dmax)
+        Y = np.tile(sol.y_star, (pb.n_agents, 1))
+        for field in ("X0", "Y0"):
+            st = state_at(pb, X, Y, cert.v_star, k=1)
+            getattr(st, field)[0, 0] = 0.5
+            with pytest.raises(InvalidInitError):
+                compute_row(st, pb, s, cert)
 
     def test_missing_certificate_rejected(self):
         pb, s, sol, cert = pair_bundle()
