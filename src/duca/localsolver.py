@@ -9,14 +9,15 @@ where (mu, lam) is the agent's shifted dual vector.  Everything except the
 l1 part of f_i and the ball indicator is differentiable (the squared hinge is
 C^1), so the solver is a projected proximal-gradient loop: gradient step on
 the smooth part, then the exact joint prox of ``w*||.||_1 + ball indicator``
-(computed by bisection on the ball multiplier), with per-row backtracking on
-the quadratic majorization.
+(its ball multiplier solved in closed form on the breakpoint segment that
+holds the root), with per-row backtracking on the quadratic majorization.
 
 Acceptance of an iterate is certificate-based: the reported residual is the
 projected-gradient fixed-point gap ``||x - proj(x - eta*s(x))|| / eta`` where
 s(x) is a composite subgradient whose l1 selection at kink coordinates (and
-ball-normal multiplier on active rows) minimizes the gap.  The certificate is
-valid regardless of how the iterate was produced.
+ball-normal multiplier on active rows, found by the same kind of breakpoint
+solve) minimizes the gap.  The certificate is valid regardless of how the
+iterate was produced.
 
 All routines are batched over rows (agents); a row is frozen as soon as its
 residual passes the tolerance, so batched results match row-by-row solves.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolatedError, DimMismatchError
+from .errors import AssumptionViolatedError, DimMismatchError, InvariantBreachError
 from .problem import Problem, subgradient_f
 
 __all__ = [
@@ -134,53 +135,98 @@ def _soft(v, thr):
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
 
+def _root_segment(base, slope, h, use, past):
+    """Bracket each row's root of a scalar equation in tau >= 0 between kinks.
+
+    The equation is piecewise smooth: its pieces change where a coordinate of
+    ``base + tau*slope`` on which ``use`` holds crosses ``+-h``.  ``past(T)``
+    says, at each row's sorted kinks T (rows, K), whether the root lies
+    beyond the kink; the first kink where it does not ends the bracket, so a
+    rounding wobble past the root cannot move it.  Returns the ends ``lo < hi``
+    of the root's piece (lo = 0 before the first kink, hi = inf after the
+    last) and the coordinates ``base + tau*slope`` at a tau inside it, which
+    fix the piece's formula.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = np.concatenate([(h - base) / slope, (-h - base) / slope], axis=1)
+    usable = np.concatenate([use, use], axis=1) & (knots > 0.0)
+    knots = np.sort(np.where(usable, knots, np.inf), axis=1)
+    finite = np.isfinite(knots)
+    beyond = finite & past(np.where(finite, knots, 0.0))
+    k = np.cumprod(beyond, axis=1).sum(axis=1)
+    rows = np.arange(len(knots))
+    lo = np.concatenate([np.zeros((len(rows), 1)), knots], axis=1)[rows, k]
+    hi = np.concatenate([knots, np.full((len(rows), 1), np.inf)], axis=1)[rows, k]
+    inner = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * lo + 1.0)
+    return lo, hi, base + inner[:, None] * slope
+
+
 def _radial_clip(X, a, c):
-    """Force rows onto/into their balls; at most a few one-ulp shrinks."""
-    for _ in range(4):
-        diff = X - a
-        n2 = np.sum(diff**2, axis=1)
-        out = n2 > c
+    """Force rows onto or into their balls: ``||x - a||^2 <= c`` afterwards.
+
+    A row outside is pulled toward its center, to ``a + t*(x - a)`` with
+    ``t`` one ulp below ``sqrt(c / ||x - a||^2)``.  While rounding leaves it
+    outside, ``t`` shrinks by a relative step that doubles each time, so the
+    row reaches its center after at most ~55 shrinks; a row still outside
+    after that means bad data (``c < 0`` or non-finite entries) and raises.
+    """
+    diff = X - a
+    n2 = np.sum(diff**2, axis=1)
+    out = n2 > c
+    if not out.any():
+        return X
+    X = X.copy()
+    rel = 0.0
+    for _ in range(64):
+        t = np.nextafter(np.sqrt(c[out] / n2[out]) * max(1.0 - rel, 0.0), 0.0)
+        X[out] = a[out] + t[:, None] * diff[out]
+        out[out] = ~(np.sum((X[out] - a[out]) ** 2, axis=1) <= c[out])
         if not out.any():
             return X
-        t = np.ones_like(n2)
-        t[out] = np.sqrt(c[out] / n2[out])
-        t = np.nextafter(t, 0.0)
-        X = np.where(out[:, None], a + t[:, None] * diff, X)
-    return X
+        rel = max(2.0 * rel, np.finfo(float).eps)
+    raise InvariantBreachError(
+        f"{int(out.sum())} rows stay outside their balls after 64 radial shrinks"
+    )
 
 
 def _prox_l1_ball(V, thr, a, c):
     """Rows of argmin_x 0.5||x-v||^2 + thr*||x||_1 over {||x-a||^2 <= c}.
 
     ``thr`` is per-row.  With the ball multiplier nu >= 0 the solution is
-    ``soft(v + nu*a, thr) / (1 + nu)``; the ball gap is nonincreasing in nu,
-    so nu is found by bisection when the unconstrained soft-threshold lands
-    outside.
+    ``x(nu) = soft(v + nu*a, thr) / (1 + nu)``.  On a row whose plain
+    soft-threshold lands outside the ball, nu is the root of the ball gap
+    ``||x(nu) - a||^2 - c``, which is nonincreasing in nu and is solved
+    exactly: between the breakpoints ``nu = (+-thr - v_j) / a_j`` the
+    soft-threshold support is fixed and the gap is ``A/(1+nu)^2 + B - c``,
+    with ``A = sum_on (v_j - s_j*thr - a_j)^2`` and ``B = sum_off a_j^2``.
+    The gap is evaluated at the sorted breakpoints, and on the segment where
+    it changes sign ``nu = sqrt(A/(c - B)) - 1``.  The rounded root is raised
+    by ulps of ``1 + nu`` until ``x(nu)`` lies in the ball exactly.
     """
     X = _soft(V, thr[:, None])
     gap = np.sum((X - a) ** 2, axis=1) - c
     bad = gap > 0.0
     if bad.any():
-        Vb, ab = V[bad], a[bad]
-        thrb, cb = thr[bad], c[bad]
+        Vb, ab, thrb, cb = V[bad], a[bad], thr[bad, None], c[bad]
 
-        def gap_at(nu):
-            Z = _soft(Vb + nu[:, None] * ab, thrb[:, None]) / (1.0 + nu[:, None])
-            return np.sum((Z - ab) ** 2, axis=1) - cb
+        def outside(T):
+            Z = _soft(Vb[:, None, :] + T[:, :, None] * ab[:, None, :], thrb[:, :, None])
+            Z /= 1.0 + T[:, :, None]
+            return np.sum((Z - ab[:, None, :]) ** 2, axis=2) > cb[:, None]
 
-        hi = np.ones(len(cb))
-        for _ in range(200):
-            still = gap_at(hi) > 0.0
-            if not still.any():
+        lo, hi, u = _root_segment(Vb, ab, thrb, ab != 0.0, outside)
+        on = np.abs(u) > thrb
+        A = np.sum(np.where(on, (Vb - np.sign(u) * thrb - ab) ** 2, 0.0), axis=1)
+        B = np.sum(np.where(on, 0.0, ab**2), axis=1)
+        one_nu = np.sqrt(A / np.maximum(cb - B, np.finfo(float).tiny))
+        nu = np.clip(one_nu - 1.0, lo, hi)
+        for _ in range(8):
+            Xb = _soft(Vb + nu[:, None] * ab, thrb) / (1.0 + nu[:, None])
+            out = np.sum((Xb - ab) ** 2, axis=1) > cb
+            if not out.any():
                 break
-            hi[still] *= 2.0
-        lo = np.zeros_like(hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pos = gap_at(mid) > 0.0
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-        X[bad] = _soft(Vb + hi[:, None] * ab, thrb[:, None]) / (1.0 + hi[:, None])
+            nu[out] = np.nextafter(1.0 + nu[out], np.inf) - 1.0
+        X[bad] = Xb
     return _radial_clip(X, a, c)
 
 
@@ -205,8 +251,15 @@ def _certificate_residual(X, grads, eta, a, c, w):
 
     At kink coordinates (x_j = 0) the l1 subgradient is free in [-w, w]; on
     ball-active rows a normal multiplier t >= 0 is also free.  Both are chosen
-    to minimize ||grad + sigma + t*(x-a)|| by alternating the two closed-form
-    block updates of this jointly convex problem; the reported gap is then
+    to minimize ``0.5*||grad + sigma + t*(x-a)||^2``.  For fixed t the best
+    sigma clips ``-(grad_j + t*(x-a)_j)`` to [-w, w] on kink coordinates, and
+    what is left of the derivative in t,
+    ``psi(t) = sum_j (grad + sigma(t) + t*(x-a))_j * (x-a)_j``, is
+    nondecreasing and piecewise linear with kinks at
+    ``t = (+-w - grad_j) / (x-a)_j``.  When psi(0) < 0, t is its exact root:
+    psi is evaluated at the sorted kinks and the linear piece that changes
+    sign is solved.  Past the last kink the slope is ``||x - a||^2 > 0``.
+    The reported gap is then
     ``||x - proj(x - eta_c*(grad+sigma))|| / eta_c``, whose projection absorbs
     the normal-cone term exactly on radial directions.  The probe step eta_c
     is the method's step capped at (ball diameter)/||s||: beyond that the
@@ -216,38 +269,31 @@ def _certificate_residual(X, grads, eta, a, c, w):
     diff = X - a
     n2 = np.sum(diff**2, axis=1)
     active = n2 >= c * (1.0 - 1e-10)
-    kink = X == 0.0
+    # with w = 0 a kink coordinate's selection is fixed at 0 like any other
+    kink = (X == 0.0) & (w != 0.0)
     fixed_sigma = w * np.sign(X)
 
-    def sigma_at(t):
-        if w == 0.0:
-            return fixed_sigma
-        want = -(grads + t[:, None] * diff)
-        return np.where(kink, np.clip(want, -w, w), fixed_sigma)
-
-    def half_dphi(t):
-        # d/dt of 0.5*||grads + sigma(t) + t*diff||^2 (envelope: sigma optimal)
-        resid = grads + sigma_at(t) + t[:, None] * diff
-        return np.sum(resid * diff, axis=1)
+    def psi(g, dd, kk, fs, T):
+        """psi at multipliers T (rows, n) for rows with data g, dd, kk, fs."""
+        want = -(g[:, None, :] + T[:, :, None] * dd[:, None, :])
+        sigma = np.where(kk[:, None, :], np.clip(want, -w, w), fs[:, None, :])
+        return np.sum((sigma - want) * dd[:, None, :], axis=2)
 
     t = np.zeros(len(X))
     if active.any():
-        need = active & (half_dphi(t) < 0.0)
+        need = active & (psi(grads, diff, kink, fixed_sigma, t[:, None])[:, 0] < 0.0)
         if need.any():
-            hi = np.ones(len(X))
-            for _ in range(200):
-                still = need & (half_dphi(hi) < 0.0)
-                if not still.any():
-                    break
-                hi[still] *= 2.0
-            lo = np.zeros(len(X))
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                neg = half_dphi(mid) < 0.0
-                lo = np.where(neg, mid, lo)
-                hi = np.where(neg, hi, mid)
-            t = np.where(need, 0.5 * (lo + hi), t)
-    s = grads + sigma_at(t)
+            g, dd, kk, fs = grads[need], diff[need], kink[need], fixed_sigma[need]
+            lo, hi, u = _root_segment(
+                g, dd, w, kk & (dd != 0.0), lambda T: psi(g, dd, kk, fs, T) < 0.0
+            )
+            on = ~kk | (np.abs(u) > w)
+            sig = np.where(kk, -w * np.sign(u), fs)
+            C = np.sum(np.where(on, (g + sig) * dd, 0.0), axis=1)
+            S = np.sum(np.where(on, dd**2, 0.0), axis=1)
+            t[need] = np.clip(-C / np.maximum(S, np.finfo(float).tiny), lo, hi)
+    want = -(grads + t[:, None] * diff)
+    s = grads + np.where(kink, np.clip(want, -w, w), fixed_sigma)
     snorm = np.linalg.norm(s, axis=1)
     eta_c = np.minimum(eta, 2.0 * np.sqrt(c) / np.maximum(snorm, 1e-300))
     stepped = X - eta_c[:, None] * s

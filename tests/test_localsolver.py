@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from duca.errors import AssumptionViolatedError, DimMismatchError
+from duca.errors import AssumptionViolatedError, DimMismatchError, InvariantBreachError
 from duca.localsolver import (
     LocalSubproblem,
+    _certificate_residual,
     _prox_l1_ball,
+    _radial_clip,
     composite_subgradient,
     dual_value_batch,
     local_objective,
@@ -16,6 +21,128 @@ from duca.localsolver import (
 from duca.problem import Problem, generate_example
 
 SVI = generate_example(20, 3, 1, 5, seed=42)
+
+
+# ---------------------------------------------------------------------------
+# Bisection references: the solver's earlier scalar searches, kept to check
+# the exact breakpoint solves against.  Both bracket the root by doubling and
+# then take 60 bisection steps.
+
+
+def _soft_ref(v, thr):
+    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+
+
+def bisect_prox_l1_ball(V, thr, a, c):
+    """Prox of thr*||.||_1 + ball indicator; ball multiplier by bisection.
+
+    Every returned row is the feasible end of its bracket.
+    """
+    X = _soft_ref(V, thr[:, None])
+    bad = np.sum((X - a) ** 2, axis=1) - c > 0.0
+    if bad.any():
+        Vb, ab, thrb, cb = V[bad], a[bad], thr[bad], c[bad]
+
+        def gap_at(nu):
+            Z = _soft_ref(Vb + nu[:, None] * ab, thrb[:, None]) / (1.0 + nu[:, None])
+            return np.sum((Z - ab) ** 2, axis=1) - cb
+
+        hi = np.ones(len(cb))
+        for _ in range(200):
+            still = gap_at(hi) > 0.0
+            if not still.any():
+                break
+            hi[still] *= 2.0
+        lo = np.zeros_like(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            pos = gap_at(mid) > 0.0
+            lo = np.where(pos, mid, lo)
+            hi = np.where(pos, hi, mid)
+        X[bad] = _soft_ref(Vb + hi[:, None] * ab, thrb[:, None]) / (1.0 + hi[:, None])
+    return X
+
+
+def bisect_certificate_residual(X, grads, eta, a, c, w):
+    """Fixed-point gap with the normal multiplier t found by bisection."""
+    diff = X - a
+    n2 = np.sum(diff**2, axis=1)
+    active = n2 >= c * (1.0 - 1e-10)
+    kink = X == 0.0
+    fixed_sigma = w * np.sign(X)
+
+    def sigma_at(t):
+        if w == 0.0:
+            return fixed_sigma
+        want = -(grads + t[:, None] * diff)
+        return np.where(kink, np.clip(want, -w, w), fixed_sigma)
+
+    def half_dphi(t):
+        resid = grads + sigma_at(t) + t[:, None] * diff
+        return np.sum(resid * diff, axis=1)
+
+    t = np.zeros(len(X))
+    need = active & (half_dphi(t) < 0.0)
+    if need.any():
+        hi = np.ones(len(X))
+        for _ in range(200):
+            still = need & (half_dphi(hi) < 0.0)
+            if not still.any():
+                break
+            hi[still] *= 2.0
+        lo = np.zeros(len(X))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            neg = half_dphi(mid) < 0.0
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+        t = np.where(need, 0.5 * (lo + hi), t)
+    s = grads + sigma_at(t)
+    snorm = np.linalg.norm(s, axis=1)
+    eta_c = np.minimum(eta, 2.0 * np.sqrt(c) / np.maximum(snorm, 1e-300))
+    stepped = X - eta_c[:, None] * s
+    d2 = stepped - a
+    m2 = np.sum(d2**2, axis=1)
+    scale = np.where(m2 > c, np.sqrt(c / np.where(m2 > c, m2, 1.0)), 1.0)
+    back = a + scale[:, None] * d2
+    return np.linalg.norm(X - back, axis=1) / eta_c
+
+
+def fl(lo, hi):
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+@st.composite
+def prox_rows(draw):
+    """Prox inputs with 1-4 coordinates: some columns of a zero (padding),
+    thr = 0 on some draws (the oracle's projection), and balls from tight to
+    wide, so that some rows start inside."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    V = draw(hnp.arrays(np.float64, (n, d), elements=fl(-6.0, 6.0)))
+    a = draw(hnp.arrays(np.float64, (n, d), elements=fl(-2.0, 2.0)))
+    a[:, draw(hnp.arrays(bool, d))] = 0.0
+    c = draw(hnp.arrays(np.float64, n, elements=fl(0.05, 30.0)))
+    zero_thr = draw(st.booleans())
+    thr = np.zeros(n) if zero_thr else draw(hnp.arrays(np.float64, n, elements=fl(0.0, 2.0)))
+    return V, thr, a, c
+
+
+@st.composite
+def certificate_rows(draw):
+    """Ball-active rows (||x - a||^2 == c) with some x_j exactly 0, random
+    gradients and steps; w = 0 on some draws."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=fl(-3.0, 3.0)))
+    X[draw(hnp.arrays(bool, (n, d)))] = 0.0
+    a = draw(hnp.arrays(np.float64, (n, d), elements=fl(-2.0, 2.0)))
+    c = np.sum((X - a) ** 2, axis=1)
+    keep = c >= 1e-3
+    grads = draw(hnp.arrays(np.float64, (n, d), elements=fl(-5.0, 5.0)))
+    eta = draw(hnp.arrays(np.float64, n, elements=fl(0.01, 1.0)))
+    w = draw(st.one_of(st.just(0.0), fl(0.01, 2.0)))
+    return X[keep], grads[keep], eta[keep], a[keep], c[keep], w
 
 
 def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
@@ -183,6 +310,61 @@ class TestProxL1Ball:
         thr = rng.uniform(0.0, 1.0, size=40)
         X = _prox_l1_ball(V, thr, a, c)
         assert (np.sum((X - a) ** 2, axis=1) <= c).all()
+
+    @given(rows=prox_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_and_kkt(self, rows):
+        V, thr, a, c = rows
+        X = _prox_l1_ball(V, thr, a, c)
+        ref = bisect_prox_l1_ball(V, thr, a, c)
+        # tolerance fixed beforehand: both solve the same 1-D root problem,
+        # the reference to a bracket of 2^-60 times its initial width
+        np.testing.assert_allclose(X, ref, rtol=0.0, atol=1e-12)
+        assert (np.sum((X - a) ** 2, axis=1) <= c).all()  # exact feasibility
+        soft = _soft_ref(V, thr[:, None])
+        inside = np.sum((soft - a) ** 2, axis=1) <= c
+        np.testing.assert_array_equal(X[inside], soft[inside])  # nu = 0
+        for i in np.where(~inside)[0]:
+            # KKT: x = soft(v + nu*a, thr)/(1+nu), nu >= 0, on the sphere;
+            # nu from the stationarity rows v - x - thr*sign(x) = nu*(x - a)
+            nz = X[i] != 0.0
+            e = (X[i] - a[i])[nz]
+            if e @ e < 1e-2:
+                continue  # nu is poorly determined by so few rows
+            r = (V[i] - X[i] - thr[i] * np.sign(X[i]))[nz]
+            nu = (r @ e) / (e @ e)
+            assert nu >= -1e-9
+            kkt = _soft_ref(V[i] + nu * a[i], thr[i]) / (1.0 + nu)
+            np.testing.assert_allclose(X[i], kkt, rtol=0.0, atol=1e-9)
+            assert np.sum((X[i] - a[i]) ** 2) >= c[i] * (1.0 - 1e-12)
+
+    def test_radial_clip_lands_inside(self):
+        # before the clip kept shrinking, 268 of the 98,969 rows that start
+        # outside stayed outside by up to 4.4e-16
+        rng = np.random.default_rng(5)
+        n = 100_000
+        a = rng.normal(scale=0.5, size=(n, 3))
+        c = rng.uniform(0.05, 2.0, size=n)
+        X = rng.normal(scale=3.0, size=(n, 3))
+        assert int((np.sum((X - a) ** 2, axis=1) > c).sum()) == 98_969
+        out = _radial_clip(X, a, c)
+        assert (np.sum((out - a) ** 2, axis=1) <= c).all()
+
+    def test_radial_clip_raises_when_no_shrink_lands_inside(self):
+        with pytest.raises(InvariantBreachError), np.errstate(invalid="ignore"):
+            _radial_clip(np.ones((1, 2)), np.zeros((1, 2)), np.array([-1.0]))
+
+
+class TestCertificateResidual:
+    @given(rows=certificate_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, rows):
+        X, grads, eta, a, c, w = rows
+        got = _certificate_residual(X, grads, eta, a, c, w)
+        ref = bisect_certificate_residual(X, grads, eta, a, c, w)
+        # relative, with an absolute floor for a gap that vanishes at the
+        # exact multiplier, where the reference keeps its bracket's width
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestSolveLocal:
