@@ -22,7 +22,6 @@ from duca import (
     make_setting,
     random_connected_graph,
     run,
-    theorem_bounds,
 )
 
 g = random_connected_graph(20, n_edges=40, seed=42)
@@ -33,7 +32,7 @@ x0 = np.zeros((20, pb.dmax))
 
 s = make_setting(Variant.DUCA_I, g, rho=1.0)
 cert = make_certificate(core, pb, s, x0=x0, y0=y0)
-print(f"bound constants: lam1(P_A)={cert.lam1_PA:.4f}  "
+print(f"bound constants: lam1(P_A)={s.spectra.lam1_PA:.4f}  "
       f"R1={cert.R1:.4f}  R2={cert.R2:.4f}")
 
 # The collector evaluates every metric after each round; check=True would
@@ -44,7 +43,7 @@ rows = {r.k: r for r in coll.rows}
 
 print("\n    k   feasibility      bound     |obj err|   upper bound")
 for k in (1, 10, 100, 1000):
-    b = theorem_bounds(cert, s, y0, np.zeros_like(y0), x0, k)
+    b = cert.bounds(k)
     r = rows[k]
     print(f"{k:5d}   {r.ergodic_feasibility:11.5f} {b['fe_bound']:10.4f}   "
           f"{abs(r.ergodic_objective_error):9.5f} {b['oe_upper']:12.5f}")

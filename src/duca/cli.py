@@ -51,7 +51,6 @@ from .errors import (
 )
 from .graphs import Variant, make_setting, random_connected_graph
 from .metrics import MetricsCollector, make_certificate, rows_to_csv
-from .metrics import theorem_bounds as _theorem_bounds
 from .oracle import centralized_solve, dump_certificate
 from .problem import generate_example, slater_check
 
@@ -274,6 +273,11 @@ def _solve_reference(cfg, pb):
 
 
 def cmd_run(cfg, raw_bytes: bytes, out_dir, strict: bool) -> int:
+    names = [_csv_name(entry) for entry in cfg["setting"]]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # refused before --out exists: nothing is overwritten
+            raise ConfigError(f"setting[{names.index(name)}] and setting[{i}] both "
+                              f"write {name}; a run needs distinct (variant, alpha)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     g, pb = _build_instance(cfg)
@@ -336,14 +340,13 @@ def cmd_bounds(cfg, k_list) -> int:
     g, pb = _build_instance(cfg)
     core = _solve_reference(cfg, pb)
     x0, y0 = _initial_points(cfg, pb)
-    v0 = np.zeros_like(y0)
     header = f"{'variant':<12} {'alpha':>6} {'k':>6} {'fe_bound':>14} {'oe_lower':>14} {'oe_upper':>14}"
     print(header)
     for entry in cfg["setting"]:
         s = _setting_from_entry(entry, g)
         cert = make_certificate(core, pb, s, x0=x0, y0=y0)
         for k in k_list:
-            b = _theorem_bounds(cert, s, y0, v0, x0, k)
+            b = cert.bounds(k)
             print(
                 f"{entry['variant']:<12} {entry['alpha']:>6g} {k:>6d} "
                 f"{b['fe_bound']:>14.6e} {b['oe_lower']:>14.6e} {b['oe_upper']:>14.6e}"

@@ -2,10 +2,11 @@
 
 Builds the undirected communication graph, the Metropolis and related
 graph-Laplacian-type weight matrices, and the six named parameter settings
-(``P_H``, ``P_Htilde``, ``P_D``, ``rho``) consumed by the round engine.  Also
-validates the positive-semidefiniteness / nullspace conditions that every
-setting must satisfy, and computes the spectral quantities that enter the
-convergence bounds.
+(``P_H``, ``P_Htilde``, ``P_D = diag(d')``, ``rho``) consumed by the round
+engine.  A setting stores the diagonal of P_D as the vector ``d_prime``.
+Also validates the positive-semidefiniteness / nullspace conditions that
+every setting must satisfy, and computes the spectral quantities that enter
+the convergence bounds.
 """
 
 from dataclasses import dataclass, field
@@ -239,20 +240,22 @@ DOUBLE_EXCHANGE = (Variant.DIST_ADMM, Variant.ALT)
 class ParamSetting:
     """One algorithm parameterization: the penalty matrices and scalars.
 
-    ``P_A = P_D - rho * P_H`` must be PSD, ``P_D`` diagonal positive,
-    ``P_H >= P_Htilde`` in the PSD order, and both P_H and P_Htilde must have
-    nullspace exactly span(1).  In double-exchange mode ``P_H = L @ M`` and
-    ``P_Htilde = L @ L`` hold entrywise, where L is the Laplacian used for the
-    second exchanged variable and M its companion.
+    The step matrix P_D is diagonal and is stored as its diagonal, the
+    (N,) vector ``d_prime``.  ``P_A = diag(d') - rho * P_H`` must be PSD,
+    d' positive, ``P_H >= P_Htilde`` in the PSD order, and both P_H and
+    P_Htilde must have nullspace exactly span(1).  In double-exchange mode
+    ``P_H = L @ M`` and ``P_Htilde = L @ L`` hold entrywise, where L is the
+    Laplacian used for the second exchanged variable and M its companion.
 
-    Settings are frozen because :attr:`spectra` is computed once per setting;
-    derive a changed setting with ``dataclasses.replace``.
+    Settings are frozen because :attr:`P_A` and :attr:`spectra` are computed
+    once per setting, on first use; derive a changed setting with
+    ``dataclasses.replace``.
     """
 
     variant: Variant
     P_H: np.ndarray
     P_Htilde: np.ndarray
-    P_D: np.ndarray
+    d_prime: np.ndarray  # (N,) diagonal of P_D
     rho: float
     alpha: float = 0.0
     exchange_mode: str = "single"  # "single" | "double"
@@ -265,14 +268,10 @@ class ParamSetting:
     def n_nodes(self) -> int:
         return self.P_H.shape[0]
 
-    @property
+    @cached_property
     def P_A(self) -> np.ndarray:
-        return self.P_D - self.rho * self.P_H
-
-    @property
-    def d_prime(self) -> np.ndarray:
-        """Diagonal of P_D as a vector."""
-        return np.diag(self.P_D).copy()
+        """diag(d') - rho * P_H, built on first use."""
+        return np.diag(self.d_prime) - self.rho * self.P_H
 
     @cached_property
     def spectra(self) -> "SpectralQuantities":
@@ -325,12 +324,12 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
             raise AssumptionViolatedError(f"DUCA_I needs c >= 2, got {c}")
         P_H = MG
         P_Ht = MG.copy()
-        P_D = c * rho * np.diag(np.diag(MG))
+        d_prime = c * rho * np.diag(MG)
         mode = "single"
     elif variant == Variant.PEXTRA:
         P_H = MG / 2.0
         P_Ht = MG / 2.0
-        P_D = rho * np.eye(n)
+        d_prime = np.full(n, float(rho))
         mode = "single"
     elif variant == Variant.PGC:
         if "rho_prime" not in tuning:
@@ -344,7 +343,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         L1 = laplacian_from_weights(_edge_weights(g, lambda i, j: 2.0 * rho_prime), g)
         P_H = L1 / 2.0
         P_Ht = L1 / 2.0
-        P_D = np.diag(np.diag(L1))
+        d_prime = np.diag(L1).copy()
         mode = "single"
     elif variant == Variant.DPGA:
         if "c" not in tuning:
@@ -359,7 +358,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         L2 = laplacian_from_weights(_edge_weights(g, lambda i, j: s / 2.0), g)
         P_H = L2
         P_Ht = L2.copy()
-        P_D = s * np.diag([float(g.degree(i)) for i in range(n)])
+        d_prime = s * np.array([float(g.degree(i)) for i in range(n)])
         mode = "single"
     elif variant == Variant.DIST_ADMM:
         L_mat = MG
@@ -367,7 +366,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         P_H = MG @ MG
         P_Ht = MG @ MG
         deg1 = np.array([g.degree(j) + 1.0 for j in range(n)])
-        P_D = np.diag((MG**2) @ deg1)
+        d_prime = (MG**2) @ deg1
         mode = "double"
     elif variant == Variant.ALT:
         W4 = np.eye(n) - MG / 2.0
@@ -375,7 +374,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         M_mat = np.eye(n) + W4  # = 2I - L
         P_H = L_mat @ M_mat  # = I - W4 @ W4
         P_Ht = L_mat @ L_mat  # = (I - W4)^2
-        P_D = rho * np.eye(n)
+        d_prime = np.full(n, float(rho))
         mode = "double"
     else:  # pragma: no cover
         raise AssumptionViolatedError(f"unknown variant {variant}")
@@ -388,7 +387,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         variant=variant,
         P_H=P_H,
         P_Htilde=P_Ht,
-        P_D=P_D,
+        d_prime=d_prime,
         rho=float(rho),
         alpha=float(alpha),
         exchange_mode=mode,
@@ -490,9 +489,7 @@ def validate_setting(s: ParamSetting) -> ValidationReport:
         checks.append(
             Check(f"{label} PSD", vals[0] >= PSD_TOL, f"lam_min={vals[0]:.3e}")
         )
-    off = s.P_D - np.diag(np.diag(s.P_D))
-    checks.append(Check("P_D diagonal", float(np.abs(off).max()) == 0.0))
-    dmin = float(np.diag(s.P_D).min()) if n else 0.0
+    dmin = float(s.d_prime.min()) if n else 0.0
     checks.append(Check("P_D positive", dmin > 0.0, f"min diag={dmin:.3e}"))
     checks.append(
         Check("P_A = P_D - rho*P_H PSD", sp.eig_PA[0] >= PSD_TOL,

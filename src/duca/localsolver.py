@@ -441,20 +441,15 @@ def _round_value_and_grad(pb, rows_idx, Ytilde, d_prime, alpha, anchor):
 
 
 def _round_lipschitz(pb, rows_idx, Ytilde, d_prime, alpha):
-    """Per-row bound on the smooth part's Hessian norm over the ball."""
-    P = pb.P[rows_idx]
-    lam_P = 2.0 * np.linalg.eigvalsh(P)[:, -1] if pb.dmax else np.zeros(len(rows_idx))
-    a = pb.a[rows_idx]
-    c = pb.c[rows_idx]
-    # radius of each ball plus center offset bounds ||x - a'_j||
-    R = np.sqrt(c)[:, None] + np.linalg.norm(a[:, None, :] - pb.a_prime[rows_idx], axis=2)
-    mu = Ytilde[:, : pb.m]
-    hinge_max = np.maximum(mu + R**2 - pb.c_prime[rows_idx], 0.0)
-    curv_g = np.sum(4.0 * R**2 + 2.0 * hinge_max, axis=1)
-    B = pb.B[rows_idx]
-    BtB = np.einsum("rpd,rpe->rde", B, B)
-    lam_B = np.linalg.eigvalsh(BtB)[:, -1] if pb.dmax else np.zeros(len(rows_idx))
-    return lam_P + (curv_g + lam_B) / d_prime + alpha
+    """Per-row bound on the smooth part's Hessian norm over the ball.
+
+    Only the squared-hinge term depends on the round (through mu); the
+    problem's curvature bounds are computed once per problem.
+    """
+    R2 = pb.reach_sq[rows_idx]
+    hinge_max = np.maximum(Ytilde[:, : pb.m] + R2 - pb.c_prime[rows_idx], 0.0)
+    curv_g = np.sum(4.0 * R2 + 2.0 * hinge_max, axis=1)
+    return pb.curv_P[rows_idx] + (curv_g + pb.curv_B[rows_idx]) / d_prime + alpha
 
 
 def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
@@ -553,8 +548,7 @@ def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL,
     mu = np.broadcast_to(y[: pb.m], (pb.n_agents, pb.m))
     lam = np.broadcast_to(y[pb.m :], (pb.n_agents, pb.p))
     vg = _dual_value_and_grad(pb, rows_idx, mu, lam)
-    lam_P = 2.0 * np.linalg.eigvalsh(pb.P)[:, -1]
-    lip = lam_P + 2.0 * float(y[: pb.m].sum())
+    lip = pb.curv_P + 2.0 * float(y[: pb.m].sum())
     X, res, iters, done, vals, _ = _prox_grad_loop(
         vg, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight,
         np.maximum(lip, 1e-12), tol, max_iters,

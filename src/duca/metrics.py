@@ -1,8 +1,11 @@
 """Per-round diagnostics: error curves, theorem-bound slacks, Lyapunov checks.
 
 Everything here is a pure function of immutable state snapshots plus a
-:class:`Certificate` built once from the reference solution.  The bound
-formulas come in two families selected by the proximal weight alpha:
+:class:`Certificate` built once from the reference solution and the run's
+start.  The certificate owns x*, the bound constants and their evaluation,
+``cert.bounds(k)``; spectral constants come from the setting's
+``s.spectra``.  The bound formulas come in two families selected by the
+proximal weight alpha:
 
 alpha = 0 (plain):
     fe_bound(k)  = sqrt(N lam1(P_A))/k * (||y0-y*||_A + ||s0-s*||_G)
@@ -36,7 +39,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .engine import NetworkState, ergodic_point, eps_inner
+from .engine import NetworkState, eps_inner
 from .errors import (
     CertificateMissingError,
     InsufficientDataError,
@@ -44,15 +47,9 @@ from .errors import (
     InvariantBreachError,
 )
 from .graphs import ParamSetting, block_quadratic_norm
-from .localsolver import DEFAULT_TOL, dual_value_batch
+from .localsolver import DEFAULT_TOL
 from .oracle import CertificateCore
-from .problem import (
-    Problem,
-    StackedPoint,
-    coupled_violation_norm,
-    eval_objective,
-    gtilde_rows,
-)
+from .problem import Problem, coupled_violation_norm, eval_objective, gtilde_rows
 
 
 @dataclass
@@ -86,17 +83,15 @@ class Certificate:
     The constants C1/C2/R1/R2/R1_prime/R2_prime and ``bound_coefs`` are
     evaluated once for the run context (setting, x0, y0, v0=0) the
     certificate was built for; ``bound_coefs`` holds k times the three
-    bound values, which :func:`compute_row` divides by k.
-    :func:`theorem_bounds` can re-evaluate them for any other start.
+    bound values, which :meth:`bounds` divides by k.  A run from another
+    start needs its own certificate.  Spectral constants live on the
+    setting (``s.spectra``).
     """
 
-    x_star: StackedPoint
+    x_star_rows: np.ndarray  # (N, dmax) agent rows of x*
     f_star: float
     y_star: np.ndarray  # (m+p,)
     v_star: np.ndarray  # (N, m+p) agent rows
-    lam1_PA: float
-    lamNm1_PHtilde: float
-    pinv_PHtilde: np.ndarray
     C1: float
     C2: float
     R1: float
@@ -107,15 +102,27 @@ class Certificate:
     y0: np.ndarray  # (N, m+p)
     bound_coefs: dict  # {fe_bound, oe_lower, oe_upper} at k = 1
 
+    def bounds(self, k: int) -> dict:
+        """The three bound values at round k >= 1 for the certificate's start.
 
-def _bound_constants(n, s, lam1, pinv_PHt, x_star_rows, y_star, v_star,
-                     x0_rows, y0_rows, v0_rows):
-    """The certificate's bound fields for one run context; see module docstring."""
+        Returns {fe_bound, oe_lower, oe_upper} with the objective sandwich
+        -oe_lower <= f(xbar_k) - f* <= oe_upper.
+        """
+        if k < 1:
+            raise InsufficientDataError(f"bounds need k >= 1, got {k}")
+        return {key: c / k for key, c in self.bound_coefs.items()}
+
+
+def _bound_constants(n, s, x_star_rows, y_star, v_star, x0_rows, y0_rows):
+    """The certificate's bound fields for one run context; see module docstring.
+
+    The disagreement variable starts at v0 = 0, so ||v0 - v*||_Hdag = ||v*||_Hdag.
+    """
     y_stack = np.tile(y_star, (n, 1))
-    sq_nl = math.sqrt(n * lam1)
+    sq_nl = math.sqrt(n * s.spectra.lam1_PA)
     dy_A = block_quadratic_norm(s.P_A, y0_rows - y_stack)
     y0_A = block_quadratic_norm(s.P_A, y0_rows)
-    v_term = block_quadratic_norm(pinv_PHt, v0_rows - v_star)
+    v_term = block_quadratic_norm(s.spectra.pinv_PHtilde, v_star)
     s_G = math.sqrt(dy_A**2 + v_term**2 / s.rho)
     dx = float(np.linalg.norm(x0_rows - x_star_rows))
     C1 = sq_nl * float(np.linalg.norm(y_star))
@@ -154,13 +161,12 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     gt = gtilde_rows(pb, x_star_rows)
     v_star = gt - gt.mean(axis=0)[None, :]
 
-    spec = s.spectra
     block_sum = float(np.abs(v_star.sum(axis=0)).max()) if mp else 0.0
     if block_sum > 1e-8:
         raise InvariantBreachError(f"v* block sum {block_sum:.3e} is not zero")
     if mp:
         rng_err = float(
-            np.abs(s.P_Htilde @ (spec.pinv_PHtilde @ v_star) - v_star).max()
+            np.abs(s.P_Htilde @ (s.spectra.pinv_PHtilde @ v_star) - v_star).max()
         )
         if rng_err > 1e-8:
             raise InvariantBreachError(
@@ -173,55 +179,24 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
 
     x0_rows = np.zeros((n, pb.dmax)) if x0 is None else np.asarray(x0, dtype=float)
     y0_rows = np.zeros((n, mp)) if y0 is None else np.asarray(y0, dtype=float)
-    v0_rows = np.zeros((n, mp))
     return Certificate(
-        x_star=core.x_star,
+        x_star_rows=x_star_rows,
         f_star=core.f_star,
         y_star=core.y_star.copy(),
         v_star=v_star,
-        lam1_PA=spec.lam1_PA,
-        lamNm1_PHtilde=spec.lamNm1_PHtilde,
-        pinv_PHtilde=spec.pinv_PHtilde,
         x0=x0_rows.copy(),
         y0=y0_rows.copy(),
-        **_bound_constants(n, s, spec.lam1_PA, spec.pinv_PHtilde, x_star_rows,
-                           core.y_star, v_star, x0_rows, y0_rows, v0_rows),
+        **_bound_constants(n, s, x_star_rows, core.y_star, v_star, x0_rows, y0_rows),
     )
 
 
-def theorem_bounds(cert: Certificate, s: ParamSetting, y0, v0, x0, k: int):
-    """The three bound values at round k for an arbitrary start.
-
-    Returns {fe_bound, oe_lower, oe_upper} with the objective sandwich
-    -oe_lower <= f(xbar_k) - f* <= oe_upper.  A nonzero initial disagreement
-    variable leaves the closed forms unavailable; the bounds are then NaN.
-    """
-    if cert is None:
-        raise CertificateMissingError("theorem_bounds needs a certificate")
-    if k < 1:
-        raise InsufficientDataError(f"bounds need k >= 1, got {k}")
-    n = cert.v_star.shape[0]
-    y0 = np.asarray(y0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    x_star_rows = cert.x_star.rows(x0.shape[1] if x0.ndim == 2 else None)
-    if v0.size and float(np.abs(v0).max()) != 0.0:
-        return {"fe_bound": math.nan, "oe_lower": math.nan, "oe_upper": math.nan}
-    coefs = _bound_constants(
-        n, s, cert.lam1_PA, cert.pinv_PHtilde, x_star_rows, cert.y_star,
-        cert.v_star, x0, y0, v0,
-    )["bound_coefs"]
-    return {key: c / k for key, c in coefs.items()}
-
-
-def lyapunov_value(st: NetworkState, cert: Certificate, s: ParamSetting,
-                   pb: Problem) -> float:
+def lyapunov_value(st: NetworkState, cert: Certificate, s: ParamSetting) -> float:
     """V_k for one state snapshot (see module docstring)."""
-    x_star_rows = cert.x_star.rows(pb.dmax)
     val = 0.5 * block_quadratic_norm(s.P_A, st.Y) ** 2
-    val += block_quadratic_norm(cert.pinv_PHtilde, st.V - cert.v_star) ** 2 / (2.0 * s.rho)
+    v_dist = block_quadratic_norm(s.spectra.pinv_PHtilde, st.V - cert.v_star)
+    val += v_dist**2 / (2.0 * s.rho)
     if s.alpha > 0.0:
-        val += 0.5 * s.alpha * float(np.sum((st.X - x_star_rows) ** 2))
+        val += 0.5 * s.alpha * float(np.sum((st.X - cert.x_star_rows) ** 2))
     return val
 
 
@@ -246,27 +221,27 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
     """All diagnostics for one post-round state (st.k >= 1).
 
     The bounds come from the certificate's precomputed coefficients, so the
-    state must have started from the certificate's (x0, y0).
+    state must have started from the certificate's (x0, y0).  The ergodic
+    point is read as rows, ``sum_X / k``, whose padding stays exactly zero.
     """
     if cert is None:
         raise CertificateMissingError("compute_row needs a certificate")
     if not (np.array_equal(st.X0, cert.x0) and np.array_equal(st.Y0, cert.y0)):
         raise InvalidInitError(
             "state started from another (x0, y0) than its certificate; "
-            "use theorem_bounds for other starts"
+            "build a certificate for that start with make_certificate(..., x0=, y0=)"
         )
     k = st.k
-    xbar, _ = ergodic_point(st, pb)
-    xbar_rows = xbar.rows(pb.dmax)
+    xbar_rows = st.sum_X / k
     ybar_rows = st.sum_Y / k
 
     f_now = eval_objective(pb, st.X)
     f_bar = eval_objective(pb, xbar_rows)
     ergodic_oe = f_bar - cert.f_star
     fe = coupled_violation_norm(pb, xbar_rows)
-    bounds = {key: c / k for key, c in cert.bound_coefs.items()}
+    bounds = cert.bounds(k)
 
-    V_now = lyapunov_value(st, cert, s, pb)
+    V_now = lyapunov_value(st, cert, s)
     lyap_resid = math.nan
     if not math.isnan(lyapunov_prev):
         lyap_resid = (f_now - cert.f_star) - (lyapunov_prev - V_now)
@@ -312,7 +287,7 @@ class MetricsCollector:
 
     def __call__(self, st: NetworkState):
         if st.k == 0:
-            self._prev_V = lyapunov_value(st, self.cert, self.s, self.pb)
+            self._prev_V = lyapunov_value(st, self.cert, self.s)
             return
         row = compute_row(st, self.pb, self.s, self.cert,
                           lyapunov_prev=self._prev_V)
@@ -338,15 +313,6 @@ class MetricsCollector:
                 raise InvariantBreachError(
                     f"round {row.k}: ||y||_A = {y_A:.6e} exceeds C1+C2 = {radius:.6e}"
                 )
-
-
-def dual_value(st: NetworkState, pb: Problem, tol: float = DEFAULT_TOL) -> float:
-    """Sum of local dual functions at the consensus estimate of ybar."""
-    _, ybar = ergodic_point(st, pb)
-    vals, _, _, done = dual_value_batch(pb, ybar, tol=tol)
-    if not done.all():
-        raise InsufficientDataError("dual evaluation did not certify all agents")
-    return float(vals.sum())
 
 
 def loglog_slope(series, k_lo: int, k_hi: int) -> float:

@@ -14,6 +14,7 @@ coordinates carry zero data and stay exactly zero under every update.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "StackedPoint",
     "generate_example",
     "eval_objective",
-    "eval_gtilde",
     "gtilde_rows",
     "project_ball",
     "subgradient_f",
@@ -143,6 +143,24 @@ class Problem:
     def mp(self) -> int:
         """Width of one agent's coupled block [g_i; h_i]."""
         return self.m + self.p
+
+    # Per-agent curvature bounds of the local solvers, built on first use.
+
+    @cached_property
+    def curv_P(self) -> np.ndarray:
+        """(N,) 2*lambda_max(P_i), the Hessian norm of each quadratic cost."""
+        return 2.0 * np.linalg.eigvalsh(self.P)[:, -1]
+
+    @cached_property
+    def curv_B(self) -> np.ndarray:
+        """(N,) lambda_max(B_i^T B_i), the curvature of ||lam + h_i(x)||^2 / 2."""
+        return np.linalg.eigvalsh(np.einsum("rpd,rpe->rde", self.B, self.B))[:, -1]
+
+    @cached_property
+    def reach_sq(self) -> np.ndarray:
+        """(N, m) bound (sqrt(c_i) + ||a_i - a'_ij||)^2 on ||x - a'_ij||^2 over X_i."""
+        R = np.sqrt(self.c)[:, None] + np.linalg.norm(self.a[:, None] - self.a_prime, axis=2)
+        return R**2
 
     def agent_data(self, i: int) -> dict:
         """Trimmed (unpadded) data arrays for agent i."""
@@ -317,11 +335,6 @@ def gtilde_rows(pb: Problem, X: np.ndarray) -> np.ndarray:
     g = np.sum(diff**2, axis=2) - pb.c_prime
     h = np.einsum("npd,nd->np", pb.B, X) + pb.c_eq
     return np.concatenate([g, h], axis=1)
-
-
-def eval_gtilde(pb: Problem, x) -> np.ndarray:
-    """Interleaved stack [g_1; h_1; ...; g_N; h_N] of length N*(m+p)."""
-    return gtilde_rows(pb, _as_rows(pb, x)).ravel()
 
 
 def coupled_violation_norm(pb: Problem, x) -> float:

@@ -29,8 +29,6 @@ class DocWriter:
             self.lines.append(f"bool {name} {int(value)}")
         elif isinstance(value, (int, np.integer)):
             self.lines.append(f"int {name} {int(value)}")
-        elif isinstance(value, str):
-            self.lines.append(f"str {name} {value}")
         else:
             self.lines.append(f"float {name} {fmt_float(value)}")
         return self
@@ -87,9 +85,6 @@ class DocReader:
 
     def scalar_bool(self, name) -> bool:
         return bool(int(self._record("bool", name)))
-
-    def scalar_str(self, name) -> str:
-        return self._record("str", name)
 
     def scalar_float(self, name) -> float:
         return float(self._record("float", name))

@@ -23,7 +23,7 @@ from duca.cli import (
 from duca.engine import run
 from duca.errors import ConfigError, InvariantBreachError, NotConvergedError
 from duca.graphs import Variant, make_setting, random_connected_graph
-from duca.metrics import CSV_COLUMNS, csv_to_rows, make_certificate, theorem_bounds
+from duca.metrics import CSV_COLUMNS, csv_to_rows, make_certificate
 from duca.oracle import centralized_solve, load_certificate
 from duca.problem import generate_example
 
@@ -150,6 +150,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert rc == EXIT_ASSUMPTION
         assert "FAIL" in out and "PASS setting DUCA_I rho=1 alpha=0\n" in out
+
+    def test_settings_sharing_a_csv_name_refused_before_writing(self, tmp_path, capsys):
+        # (variant, alpha) names the CSV, so these two would overwrite one file
+        raw = base_config()
+        raw["setting"] = [{"variant": "DUCA_I", "rho": 1.0},
+                          {"variant": "DUCA_I", "rho": 2.0}]
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        rc = main(["run", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "setting[0] and setting[1]" in err and "DUCA_I__0.csv" in err
+        assert not out.exists()
+        assert main(["validate", "--config", cfg]) == EXIT_OK
 
     def test_invariant_breach_exits_4(self, tmp_path, monkeypatch):
         def breach(*args, **kwargs):
@@ -308,7 +322,7 @@ class TestBoundsCommand:
         x0 = np.zeros((6, pb.dmax))
         cert = make_certificate(core, pb, s, x0=x0, y0=y0)
         for k in (1, 10):
-            b = theorem_bounds(cert, s, y0, np.zeros_like(y0), x0, k)
+            b = cert.bounds(k)
             got = table[("DUCA_I", 0.0, k)]
             assert got[0] == pytest.approx(b["fe_bound"], rel=1e-5)
             assert got[1] == pytest.approx(b["oe_lower"], rel=1e-5, abs=1e-12)

@@ -70,7 +70,7 @@ def single_agent_setting(d_prime=2.0):
         variant=Variant.DUCA_I,
         P_H=zero,
         P_Htilde=zero.copy(),
-        P_D=np.array([[d_prime]]),
+        d_prime=np.array([d_prime]),
         rho=1.0,
     )
 
@@ -167,7 +167,7 @@ class TestMailbox:
         g = build_graph(3, [(0, 1), (1, 2)])
         P_H = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
         s = ParamSetting(variant=Variant.DUCA_I, P_H=P_H, P_Htilde=P_H.copy(),
-                         P_D=2.0 * np.eye(3), rho=1.0, graph=g)
+                         d_prime=np.full(3, 2.0), rho=1.0, graph=g)
         with pytest.raises(MailboxError):
             Mailbox(s)  # P_H weighs agents 0 and 2, which are not linked
 

@@ -228,7 +228,7 @@ class TestMakeSetting:
         M = metropolis_matrix(TRIANGLE)
         np.testing.assert_allclose(s.P_H, M)
         np.testing.assert_allclose(s.P_Htilde, M)
-        np.testing.assert_allclose(s.P_D, 2.0 * np.diag(np.diag(M)))
+        np.testing.assert_allclose(s.d_prime, 2.0 * np.diag(M))
         assert s.exchange_mode == "single"
 
     def test_duca_i_c_below_two_rejected(self):
@@ -240,12 +240,12 @@ class TestMakeSetting:
         M = metropolis_matrix(TRIANGLE)
         np.testing.assert_allclose(s.P_H, M / 2)
         np.testing.assert_allclose(s.P_Htilde, M / 2)
-        np.testing.assert_allclose(s.P_D, 2.0 * np.eye(3))
+        np.testing.assert_allclose(s.d_prime, [2.0, 2.0, 2.0])
 
     def test_pgc_path2_exact(self):
         s = make_setting(Variant.PGC, PATH2, rho=1.0, tuning={"rho_prime": 1.0})
         np.testing.assert_allclose(2 * s.P_H, [[2.0, -2.0], [-2.0, 2.0]])
-        np.testing.assert_allclose(s.P_D, np.diag([2.0, 2.0]))
+        np.testing.assert_allclose(s.d_prime, [2.0, 2.0])
         assert s.rho == 1.0
 
     def test_pgc_requires_rho_prime(self):
@@ -266,13 +266,13 @@ class TestMakeSetting:
         s = make_setting(Variant.DPGA, TRIANGLE, rho=1.0, tuning={"c": c})
         scale = np.sqrt(c / 2.0)
         assert s.P_H[0, 1] == pytest.approx(-scale / 2)
-        np.testing.assert_allclose(np.diag(s.P_D), 2 * scale)
+        np.testing.assert_allclose(s.d_prime, 2 * scale)
 
     def test_dist_admm_triangle_pd(self):
         s = make_default(Variant.DIST_ADMM, TRIANGLE)
         # each row of M has entries {2/3, -1/3, -1/3}; degrees all 2 so
         # d'_i = sum_j (deg_j + 1) M_ij^2 = 3*(4/9 + 1/9 + 1/9) = 2
-        np.testing.assert_allclose(np.diag(s.P_D), 2.0)
+        np.testing.assert_allclose(s.d_prime, 2.0)
         M = metropolis_matrix(TRIANGLE)
         np.testing.assert_allclose(s.P_H, M @ M)
         np.testing.assert_allclose(s.P_Htilde, M @ M)
@@ -325,7 +325,7 @@ def _hand_setting(**kw):
         variant=Variant.DUCA_I,
         P_H=M,
         P_Htilde=M.copy(),
-        P_D=2.0 * np.diag(np.diag(M)),
+        d_prime=2.0 * np.diag(M),
         rho=1.0,
     )
     base.update(kw)
@@ -335,7 +335,7 @@ def _hand_setting(**kw):
 class TestValidateSetting:
     def test_pd_too_small_fails_pa_psd(self):
         M = metropolis_matrix(TRIANGLE)
-        s = _hand_setting(P_D=0.1 * np.diag(np.diag(M)))
+        s = _hand_setting(d_prime=0.1 * np.diag(M))
         report = validate_setting(s)
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
@@ -350,7 +350,7 @@ class TestValidateSetting:
 
     def test_wrong_nullspace_detected(self):
         bad = np.diag([1.0, 1.0, 0.0])  # null direction e3, not ones
-        s = _hand_setting(P_H=bad, P_Htilde=bad, P_D=2 * np.eye(3))
+        s = _hand_setting(P_H=bad, P_Htilde=bad, d_prime=np.full(3, 2.0))
         report = validate_setting(s)
         failed = {c.name for c in report.checks if not c.passed}
         assert any("ones direction" in name for name in failed)
@@ -423,13 +423,13 @@ class TestSpectralQuantities:
         np.testing.assert_allclose(q.pinv_PHtilde @ s.P_Htilde, proj, atol=1e-9)
 
     def test_zero_pa_edge_case(self):
-        # A direct (unvalidated) setting with P_D = rho * P_H so P_A = 0.
+        # A direct (unvalidated) setting with diag(d') = rho * P_H so P_A = 0.
         M = metropolis_matrix(PATH2)
         s = ParamSetting(
             variant=Variant.DUCA_I,
             P_H=np.diag(np.diag(M)) * 2,  # diagonal "Laplacian" stand-in
             P_Htilde=M,
-            P_D=2.0 * np.diag(np.diag(M)),
+            d_prime=2.0 * np.diag(M),
             rho=1.0,
         )
         q = spectral_quantities(s)

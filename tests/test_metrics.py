@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duca.engine import NetworkState, eps_inner, run
+from duca.engine import NetworkState, eps_inner, ergodic_point, run
 from duca.errors import (
     CertificateMissingError,
     InsufficientDataError,
@@ -16,11 +16,13 @@ from duca.errors import (
     InvariantBreachError,
 )
 from duca.graphs import (
+    ParamSetting,
     Variant,
     block_quadratic_norm,
     make_setting,
     random_connected_graph,
     spectral_quantities,
+    validate_setting,
 )
 from duca.localsolver import dual_value_batch
 from duca.metrics import (
@@ -29,15 +31,14 @@ from duca.metrics import (
     MetricsRow,
     compute_row,
     csv_to_rows,
-    dual_value,
     loglog_slope,
     make_certificate,
     rows_to_csv,
-    theorem_bounds,
 )
 from duca.oracle import centralized_solve
 from duca.problem import (
     Problem,
+    StackedPoint,
     coupled_violation_norm,
     eval_objective,
     generate_example,
@@ -256,7 +257,59 @@ class TestSpectraOncePerSetting:
         coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
         run(pb, s, 3, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
         assert calls == [(6, 6)] * 4
-        assert cert.pinv_PHtilde is s.spectra.pinv_PHtilde
+
+
+class TestPerRunConstants:
+    @pytest.mark.parametrize("variant,alpha", [(Variant.DUCA_I, 0.1),
+                                               (Variant.DIST_ADMM, 0.0)])
+    def test_round_work_does_not_grow_with_rounds(self, variant, alpha, monkeypatch):
+        # Eigen-solves, stacked-point conversions and P_A constructions are
+        # per-run work: a checked run with the collector on does the same
+        # number of each whether it lasts 5 rounds or 25.
+        _, _, sol, _, x0, y0 = small_bundle()
+        g = _CACHE["g6"]
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(StackedPoint, "rows", counted("rows", StackedPoint.rows))
+        from_rows = StackedPoint.from_rows.__func__
+        monkeypatch.setattr(StackedPoint, "from_rows",
+                            classmethod(counted("from_rows", from_rows)))
+
+        class CountedP_A:
+            """Counts each evaluation of the wrapped P_A descriptor."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __get__(self, obj, owner=None):
+                if obj is None:
+                    return self
+                counts["P_A"] = counts.get("P_A", 0) + 1
+                return self.inner.__get__(obj, owner)
+
+        monkeypatch.setattr(ParamSetting, "P_A", CountedP_A(ParamSetting.__dict__["P_A"]))
+
+        def run_counted(rounds):
+            counts.clear()
+            pb = generate_example(6, 2, 2, 1, seed=3)
+            s = make_setting(variant, g, rho=1.0, alpha=alpha)
+            cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
+            coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
+            run(pb, s, rounds, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
+            assert len(coll.rows) == rounds
+            return dict(counts)
+
+        short, long = run_counted(5), run_counted(25)
+        assert short["P_A"] >= 1 and short["eigh"] >= 1
+        assert long == short
 
 
 class TestCertificate:
@@ -268,7 +321,7 @@ class TestCertificate:
 
     def test_v_star_in_range_of_consensus_form(self):
         pb, s, _, cert, _, _ = small_bundle()
-        recon = s.P_Htilde @ (cert.pinv_PHtilde @ cert.v_star)
+        recon = s.P_Htilde @ (s.spectra.pinv_PHtilde @ cert.v_star)
         assert np.abs(recon - cert.v_star).max() <= 1e-8
 
     def test_complementarity_at_reference_solution(self):
@@ -277,8 +330,8 @@ class TestCertificate:
         assert abs(float(np.dot(cert.y_star[: pb.m], total_g))) <= 1e-6
 
     def test_C1_formula(self):
-        pb, _, _, cert, _, _ = small_bundle()
-        expected = math.sqrt(pb.n_agents * cert.lam1_PA) * float(
+        pb, s, _, cert, _, _ = small_bundle()
+        expected = math.sqrt(pb.n_agents * s.spectra.lam1_PA) * float(
             np.linalg.norm(cert.y_star)
         )
         assert cert.C1 == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -296,9 +349,8 @@ class TestTheoremBounds:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_doubling_k_halves_every_bound(self, alpha):
         pb, s, sol, cert, x0, y0 = small_bundle(alpha)
-        v0 = np.zeros_like(y0)
-        at_k = theorem_bounds(cert, s, y0, v0, x0, 5)
-        at_2k = theorem_bounds(cert, s, y0, v0, x0, 10)
+        at_k = cert.bounds(5)
+        at_2k = cert.bounds(10)
         for key in ("fe_bound", "oe_lower", "oe_upper"):
             assert at_2k[key] == pytest.approx(at_k[key] / 2.0, rel=1e-12)
         # the lower constant carries a ||y*|| factor and vanishes here
@@ -306,20 +358,20 @@ class TestTheoremBounds:
         assert at_k["oe_lower"] >= 0.0
 
     def test_nondegenerate_multiplier_gives_positive_lower_bound(self):
-        pb, s, sol, cert = pair_bundle()
+        pb, s, sol, _ = pair_bundle()
         y0 = np.ones((pb.n_agents, pb.mp))
         zeros_x = np.zeros((pb.n_agents, pb.dmax))
-        b = theorem_bounds(cert, s, y0, np.zeros_like(y0), zeros_x, 2)
+        cert = make_certificate(sol, pb, s, x0=zeros_x, y0=y0)
+        b = cert.bounds(2)
         assert b["oe_lower"] > 0.0
-        at_2k = theorem_bounds(cert, s, y0, np.zeros_like(y0), zeros_x, 4)
+        at_2k = cert.bounds(4)
         assert at_2k["oe_lower"] == pytest.approx(b["oe_lower"] / 2.0, rel=1e-12)
 
     def test_nonincreasing_in_k(self):
         pb, s, sol, cert, x0, y0 = small_bundle()
-        v0 = np.zeros_like(y0)
-        prev = theorem_bounds(cert, s, y0, v0, x0, 1)
+        prev = cert.bounds(1)
         for k in range(2, 6):
-            cur = theorem_bounds(cert, s, y0, v0, x0, k)
+            cur = cert.bounds(k)
             assert cur["fe_bound"] < prev["fe_bound"]
             assert cur["oe_upper"] < prev["oe_upper"]
             assert cur["oe_lower"] <= prev["oe_lower"]
@@ -327,10 +379,9 @@ class TestTheoremBounds:
 
     def test_constants_match_certificate_fields(self):
         pb, s, sol, cert, x0, y0 = small_bundle(0.1)
-        v0 = np.zeros_like(y0)
-        b = theorem_bounds(cert, s, y0, v0, x0, 5)
+        b = cert.bounds(5)
         y0_A = block_quadratic_norm(s.P_A, y0)
-        coef = math.sqrt(pb.n_agents * cert.lam1_PA) * (y0_A + cert.C1 + cert.C2)
+        coef = math.sqrt(pb.n_agents * s.spectra.lam1_PA) * (y0_A + cert.C1 + cert.C2)
         assert b["fe_bound"] == pytest.approx(coef / 5.0, rel=1e-12)
         assert b["oe_lower"] == pytest.approx(cert.R1_prime / 5.0, rel=1e-12)
         assert b["oe_upper"] == pytest.approx(cert.R2_prime / 5.0, rel=1e-12)
@@ -342,48 +393,36 @@ class TestTheoremBounds:
         g = _CACHE["g6"]
         s = make_setting(Variant.DUCA_I, g, rho=1.0, alpha=0.5)
         cert = make_certificate(sol, pb, s)
-        zeros_y = np.zeros((pb.n_agents, pb.mp))
-        zeros_x = np.zeros((pb.n_agents, pb.dmax))
-        b = theorem_bounds(cert, s, zeros_y, zeros_y, zeros_x, 1)
-        v_term = block_quadratic_norm(cert.pinv_PHtilde, cert.v_star)
+        b = cert.bounds(1)
+        v_term = block_quadratic_norm(s.spectra.pinv_PHtilde, cert.v_star)
         x_term = float(np.sum(sol.x_star.rows(pb.dmax) ** 2))
         expected = v_term**2 / (2.0 * s.rho) + 0.5 * s.alpha * x_term
         assert b["oe_upper"] == pytest.approx(expected, rel=1e-12)
         assert cert.R2_prime == pytest.approx(expected, rel=1e-12)
 
-    def test_nonzero_initial_disagreement_yields_nan(self):
+    def test_bad_k_rejected(self):
         pb, s, sol, cert, x0, y0 = small_bundle()
-        b = theorem_bounds(cert, s, y0, np.ones_like(y0), x0, 3)
-        assert all(math.isnan(v) for v in b.values())
-
-    def test_missing_certificate_and_bad_k(self):
-        pb, s, sol, cert, x0, y0 = small_bundle()
-        with pytest.raises(CertificateMissingError):
-            theorem_bounds(None, s, y0, np.zeros_like(y0), x0, 3)
-        with pytest.raises(InsufficientDataError):
-            theorem_bounds(cert, s, y0, np.zeros_like(y0), x0, 0)
+        for k in (0, -3):
+            with pytest.raises(InsufficientDataError):
+                cert.bounds(k)
 
     def test_larger_consensus_form_shrinks_bounds(self):
-        # Doubling both coupling forms while growing the step matrix so the
-        # combined quadratic stays fixed halves the pseudo-inverse weight;
-        # every bound driven by the disagreement term must strictly decrease.
+        # Halving P_Htilde (still <= P_H) with P_A fixed doubles the
+        # pseudo-inverse weight, so the larger form of the two gives strictly
+        # smaller bounds wherever the disagreement term enters.
         pb, s, sol, cert, x0, y0 = small_bundle()
-        doubled = dataclasses.replace(
-            s,
-            P_H=2.0 * s.P_H,
-            P_Htilde=2.0 * s.P_Htilde,
-            P_D=s.P_D + s.rho * s.P_H,
+        halved = dataclasses.replace(s, P_Htilde=0.5 * s.P_Htilde)
+        assert validate_setting(halved).passed
+        assert np.array_equal(halved.P_A, s.P_A)
+        assert halved.spectra.lam1_PA == s.spectra.lam1_PA
+        assert halved.spectra.lamNm1_PHtilde == pytest.approx(
+            0.5 * s.spectra.lamNm1_PHtilde, rel=1e-10
         )
-        assert np.allclose(doubled.P_A, s.P_A, atol=1e-14)
-        cert2 = make_certificate(sol, pb, doubled, x0=x0, y0=y0)
-        assert cert2.lam1_PA == pytest.approx(cert.lam1_PA, rel=1e-10)
-        assert cert2.lamNm1_PHtilde == pytest.approx(2.0 * cert.lamNm1_PHtilde, rel=1e-10)
-        v0 = np.zeros_like(y0)
-        before = theorem_bounds(cert, s, y0, v0, x0, 4)
-        after = theorem_bounds(cert2, doubled, y0, v0, x0, 4)
+        cert2 = make_certificate(sol, pb, halved, x0=x0, y0=y0)
+        before, after = cert.bounds(4), cert2.bounds(4)
         for key in ("fe_bound", "oe_upper"):
-            assert after[key] < before[key] * (1.0 - 1e-9)
-        assert after["oe_lower"] <= before["oe_lower"]
+            assert after[key] > before[key] * (1.0 + 1e-9)
+        assert after["oe_lower"] >= before["oe_lower"]
 
 
 class TestLyapunov:
@@ -501,18 +540,26 @@ class TestComputeRow:
             compute_row(st, pb, s, None)
 
 
+def dual_sum_at_ergodic_point(st, pb):
+    """Sum of local dual functions at the consensus estimate of ybar."""
+    _, ybar = ergodic_point(st, pb)
+    vals, _, _, done = dual_value_batch(pb, ybar, tol=1e-10)
+    assert done.all()
+    return float(vals.sum())
+
+
 class TestDualValue:
     def test_at_dual_optimum_recovers_f_star(self):
         pb, s, sol, cert = pair_bundle()
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
         st = state_at(pb, np.zeros((2, 1)), Y, cert.v_star, k=4)
-        assert dual_value(st, pb, tol=1e-10) == pytest.approx(sol.f_star, abs=1e-6)
+        assert dual_sum_at_ergodic_point(st, pb) == pytest.approx(sol.f_star, abs=1e-6)
 
     def test_at_zero_recovers_sum_of_local_minima(self):
         # q(0) decouples into the ball-constrained minima: -1 and -2.
         pb, s, sol, cert = pair_bundle()
         st = state_at(pb, np.zeros((2, 1)), np.zeros((2, 1)), cert.v_star, k=2)
-        assert dual_value(st, pb, tol=1e-10) == pytest.approx(-3.0, abs=1e-6)
+        assert dual_sum_at_ergodic_point(st, pb) == pytest.approx(-3.0, abs=1e-6)
 
     def test_concave_along_segments(self):
         pb, _, _, _, _, _ = small_bundle()

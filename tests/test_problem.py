@@ -10,7 +10,6 @@ from duca.errors import AssumptionViolatedError, DimMismatchError
 from duca.problem import (
     Problem,
     StackedPoint,
-    eval_gtilde,
     eval_objective,
     generate_example,
     gtilde_rows,
@@ -150,22 +149,28 @@ class TestEvalObjective:
         assert eval_objective(SVI, pt) == pytest.approx(total, rel=1e-12)
 
 
+def svi_rows(x):
+    """Agent rows of a stacked point of SVI."""
+    return StackedPoint(x=x, dims=SVI.dims).rows()
+
+
 class TestEvalGtilde:
     def test_single_agent_example(self):
         pb = single_agent(
             P=[[0.0]], Q=[0.0], c=9.0,
             a_prime=[[0.0]], c_prime=[1.0], B=[[2.0]], c_eq=[0.0],
         )
-        out = eval_gtilde(pb, np.array([1.0]))
-        np.testing.assert_allclose(out, [0.0, 2.0])  # (1-0)^2 - 1 = 0; 2*1 = 2
+        out = gtilde_rows(pb, np.array([[1.0]]))
+        np.testing.assert_allclose(out, [[0.0, 2.0]])  # (1-0)^2 - 1 = 0; 2*1 = 2
 
     def test_interleaving_layout(self):
-        out = eval_gtilde(SVI, StackedPoint.zeros(SVI.dims))
-        assert out.shape == (20 * 6,)
-        rows = out.reshape(20, 6)
-        np.testing.assert_array_equal(
-            rows, gtilde_rows(SVI, np.zeros((20, 3)))
-        )
+        # row i is agent i's block [g_i; h_i], here at x = 0
+        rows = gtilde_rows(SVI, svi_rows(np.zeros(SVI.total_dim)))
+        assert rows.shape == (20, 6)
+        for i in range(20):
+            data = SVI.agent_data(i)
+            g = np.sum(data["a_prime"] ** 2, axis=1) - data["c_prime"]
+            np.testing.assert_array_equal(rows[i], np.concatenate([g, data["c_eq"]]))
 
     def test_permuting_agents_permutes_blocks(self):
         rng = np.random.default_rng(3)
@@ -177,10 +182,9 @@ class TestEvalGtilde:
             a_prime=SVI.a_prime[perm], c_prime=SVI.c_prime[perm],
             B=SVI.B[perm], c_eq=SVI.c_eq[perm],
         )
-        rows = eval_gtilde(SVI, x).reshape(20, 6)
-        x_rows = StackedPoint(x=x, dims=SVI.dims).rows()
-        x2 = StackedPoint.from_rows(x_rows[perm], SVI.dims)
-        rows2 = eval_gtilde(pb2, x2).reshape(20, 6)
+        x_rows = svi_rows(x)
+        rows = gtilde_rows(SVI, x_rows)
+        rows2 = gtilde_rows(pb2, x_rows[perm])
         np.testing.assert_allclose(rows2, rows[perm])
 
     def test_affine_equality_block(self):
@@ -188,10 +192,10 @@ class TestEvalGtilde:
         u = rng.normal(size=SVI.total_dim)
         w = rng.normal(size=SVI.total_dim)
         theta = 0.3
-        lhs = eval_gtilde(SVI, theta * u + (1 - theta) * w).reshape(20, 6)[:, 1:]
+        lhs = gtilde_rows(SVI, svi_rows(theta * u + (1 - theta) * w))[:, 1:]
         rhs = (
-            theta * eval_gtilde(SVI, u).reshape(20, 6)[:, 1:]
-            + (1 - theta) * eval_gtilde(SVI, w).reshape(20, 6)[:, 1:]
+            theta * gtilde_rows(SVI, svi_rows(u))[:, 1:]
+            + (1 - theta) * gtilde_rows(SVI, svi_rows(w))[:, 1:]
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -271,9 +275,9 @@ class TestConvexity:
             f_mid = eval_objective(SVI, mid)
             f_bound = theta * eval_objective(SVI, u) + (1 - theta) * eval_objective(SVI, w)
             assert f_mid <= f_bound + 1e-9
-            gu = eval_gtilde(SVI, u).reshape(20, 6)
-            gw = eval_gtilde(SVI, w).reshape(20, 6)
-            gm = eval_gtilde(SVI, mid).reshape(20, 6)
+            gu = gtilde_rows(SVI, svi_rows(u))
+            gw = gtilde_rows(SVI, svi_rows(w))
+            gm = gtilde_rows(SVI, svi_rows(mid))
             assert (gm[:, :1] <= theta * gu[:, :1] + (1 - theta) * gw[:, :1] + 1e-9).all()
             np.testing.assert_allclose(
                 gm[:, 1:], theta * gu[:, 1:] + (1 - theta) * gw[:, 1:], atol=1e-12
