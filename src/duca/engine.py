@@ -256,7 +256,7 @@ def _check_exact(st, pb, moreau, compl, check_vsum):
 
 def _cumulative_residual(st, s) -> float:
     """sum_l sum_i (gtilde_i + sigma_i) == column sums of P_A (Y - Y0)."""
-    rhs = (s.P_A.sum(axis=0)) @ (st.Y - st.Y0)
+    rhs = s.P_A_col_sums @ (st.Y - st.Y0)
     return float(np.abs(st.cum_gs - rhs).max())
 
 

@@ -76,6 +76,16 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbor_lists[i])
 
+    @cached_property
+    def metropolis(self) -> np.ndarray:
+        """The graph's :func:`metropolis_matrix`, built once and read-only."""
+        M = laplacian_from_weights(
+            _edge_weights(self, lambda i, j: 1.0 / (max(self.degree(i), self.degree(j)) + 1)),
+            self,
+        )
+        M.flags.writeable = False
+        return M
+
 
 def build_graph(n: int, edges) -> Graph:
     """Validate an edge list and return a connected Graph.
@@ -178,11 +188,10 @@ def metropolis_matrix(g: Graph) -> np.ndarray:
 
     Off-diagonals are -1/(max{deg_i, deg_j}+1) on edges and 0 otherwise; each
     diagonal entry is the negated off-diagonal row sum, so M @ 1 = 0 and M is
-    positive semidefinite with nullspace span(1) on a connected graph.
+    positive semidefinite with nullspace span(1) on a connected graph.  The
+    matrix is built once per graph and is read-only (:attr:`Graph.metropolis`).
     """
-    return laplacian_from_weights(
-        _edge_weights(g, lambda i, j: 1.0 / (max(g.degree(i), g.degree(j)) + 1)), g
-    )
+    return g.metropolis
 
 
 def _edge_weights(g: Graph, weight) -> np.ndarray:
@@ -203,7 +212,7 @@ def laplacian_from_weights(W: np.ndarray, g: Graph) -> np.ndarray:
     n = g.n_nodes
     if W.shape != (n, n):
         raise PatternMismatchError(f"weight matrix shape {W.shape} != ({n},{n})")
-    if not np.allclose(W, W.T, atol=1e-12, rtol=0.0):
+    if not np.abs(W - W.T).max() <= 1e-12:
         raise PatternMismatchError("weight matrix is not symmetric")
     on_edge = np.zeros((n, n), dtype=bool)
     if g.edges:
@@ -236,7 +245,7 @@ SINGLE_EXCHANGE = (Variant.DUCA_I, Variant.PEXTRA, Variant.PGC, Variant.DPGA)
 DOUBLE_EXCHANGE = (Variant.DIST_ADMM, Variant.ALT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamSetting:
     """One algorithm parameterization: the penalty matrices and scalars.
 
@@ -247,9 +256,10 @@ class ParamSetting:
     ``P_H = L @ M`` and ``P_Htilde = L @ L`` hold entrywise, where L is the
     Laplacian used for the second exchanged variable and M its companion.
 
-    Settings are frozen because :attr:`P_A` and :attr:`spectra` are computed
-    once per setting, on first use; derive a changed setting with
-    ``dataclasses.replace``.
+    Settings are frozen because :attr:`P_A`, its column sums and
+    :attr:`spectra` are computed once per setting, on first use; derive a
+    changed setting with ``dataclasses.replace``.  Settings compare and hash
+    by identity.
     """
 
     variant: Variant
@@ -272,6 +282,11 @@ class ParamSetting:
     def P_A(self) -> np.ndarray:
         """diag(d') - rho * P_H, built on first use."""
         return np.diag(self.d_prime) - self.rho * self.P_H
+
+    @cached_property
+    def P_A_col_sums(self) -> np.ndarray:
+        """Column sums of :attr:`P_A`, built on first use."""
+        return self.P_A.sum(axis=0)
 
     @cached_property
     def spectra(self) -> "SpectralQuantities":
@@ -483,7 +498,7 @@ def validate_setting(s: ParamSetting) -> ValidationReport:
         checks.append(
             Check(
                 f"{label} symmetric",
-                bool(np.allclose(M, M.T, atol=1e-12, rtol=0.0)),
+                bool(np.abs(M - M.T).max() <= 1e-12),
             )
         )
         checks.append(

@@ -42,6 +42,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 20000
+#: first step of every solve, in units of the row's worst-case step 1/L
+LONG_STEP = 16.0
+#: a row still uncertified after this many iterations drops to 1/L
+STALL_ITERS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,17 +151,22 @@ def _root_segment(base, slope, h, use, past):
     last) and the coordinates ``base + tau*slope`` at a tau inside it, which
     fix the piece's formula.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a kink beyond the float range is no kink; at a far finite one the
+    # terms of ``past`` may overflow to inf, which keeps their sign
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         knots = np.concatenate([(h - base) / slope, (-h - base) / slope], axis=1)
     usable = np.concatenate([use, use], axis=1) & (knots > 0.0)
     knots = np.sort(np.where(usable, knots, np.inf), axis=1)
     finite = np.isfinite(knots)
-    beyond = finite & past(np.where(finite, knots, 0.0))
+    with np.errstate(over="ignore"):
+        beyond = finite & past(np.where(finite, knots, 0.0))
     k = np.cumprod(beyond, axis=1).sum(axis=1)
     rows = np.arange(len(knots))
     lo = np.concatenate([np.zeros((len(rows), 1)), knots], axis=1)[rows, k]
     hi = np.concatenate([knots, np.full((len(rows), 1), np.inf)], axis=1)[rows, k]
-    inner = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * lo + 1.0)
+    with np.errstate(over="ignore"):
+        inner = np.where(np.isfinite(hi), 0.5 * lo + 0.5 * hi, 2.0 * lo + 1.0)
+    inner = np.minimum(inner, np.finfo(float).max)
     return lo, hi, base + inner[:, None] * slope
 
 
@@ -210,8 +219,11 @@ def _prox_l1_ball(V, thr, a, c):
         Vb, ab, thrb, cb = V[bad], a[bad], thr[bad, None], c[bad]
 
         def outside(T):
-            Z = _soft(Vb[:, None, :] + T[:, :, None] * ab[:, None, :], thrb[:, :, None])
-            Z /= 1.0 + T[:, :, None]
+            # x(T) scaled inside the soft-threshold, so that a far kink
+            # (T*a_j near the float range) cannot overflow to inf
+            s = 1.0 / (1.0 + T[:, :, None])
+            Z = _soft(Vb[:, None, :] * s + (T[:, :, None] * s) * ab[:, None, :],
+                      thrb[:, :, None] * s)
             return np.sum((Z - ab[:, None, :]) ** 2, axis=2) > cb[:, None]
 
         lo, hi, u = _root_segment(Vb, ab, thrb, ab != 0.0, outside)
@@ -322,11 +334,19 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters,
     row's per-step movement is small or on a periodic fallback; acceptance
     itself is always by certificate.  Returns (X, residual, iters, converged,
     composite values, history).
+
+    Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
+    the worst case over the ball, and backtracking shrinks it as needed.  The
+    certificate probes at ``min(eta, 1/L)``, never at a longer step: its gap
+    ``||x - proj(x - eta*s)|| / eta`` does not increase with eta, so
+    following the solver's step would loosen acceptance.  A row still
+    uncertified after ``STALL_ITERS`` iterations drops to ``min(eta, 1/L)``,
+    the step that is proven to converge.
     """
     X = _radial_clip(X0.copy(), a, c)
     rows = X.shape[0]
     eta0 = 1.0 / np.maximum(lip, 1e-300)
-    eta = eta0.copy()
+    eta = LONG_STEP * eta0
     iters = np.zeros(rows, dtype=int)
     done = np.zeros(rows, dtype=bool)
     residual = np.full(rows, np.inf)
@@ -355,18 +375,25 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters,
             eta[bad] *= 0.5
         return Xn, vn, gn
 
+    def certify(idx):
+        """Certificate of rows idx at a probe step of at most 1/L."""
+        probe = np.minimum(eta[idx], eta0[idx])
+        res_c = _certificate_residual(X[idx], grads[idx], probe, a[idx], c[idx], w)
+        residual[idx] = res_c
+        done[idx[res_c <= tol]] = True
+        return res_c
+
     next_check = np.zeros(rows, dtype=int)
     for it in range(max_iters):
         move = np.linalg.norm(X - Xprev, axis=1) / eta
         cand = (~done) & (it >= next_check) & ((move <= 100.0 * tol) | (it % 25 == 24))
         if cand.any():
             idx = np.where(cand)[0]
-            res_c = _certificate_residual(X[idx], grads[idx], eta[idx], a[idx], c[idx], w)
-            residual[idx] = res_c
-            done[idx[res_c <= tol]] = True
-            next_check[idx[res_c > tol]] = it + 3
+            next_check[idx[certify(idx) > tol]] = it + 3
         if done.all():
             break
+        if it == STALL_ITERS:
+            np.minimum(eta, eta0, out=eta, where=~done)
         act = ~done
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk**2))
         beta = (tk - 1.0) / tk_next
@@ -398,9 +425,7 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters,
     else:
         idx = np.where(~done)[0]
         if len(idx):
-            res_c = _certificate_residual(X[idx], grads[idx], eta[idx], a[idx], c[idx], w)
-            residual[idx] = res_c
-            done[idx[res_c <= tol]] = True
+            certify(idx)
     return X, residual, iters, done, comp, history
 
 

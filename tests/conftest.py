@@ -52,6 +52,7 @@ class SweepRun:
     cert: Certificate
     rows: list
     seconds: float
+    solver_failures: int
 
 
 @pytest.fixture(scope="session")
@@ -70,9 +71,10 @@ def bench():
         cert = make_certificate(core, pb, s, x0=x0, y0=y0)
         coll = MetricsCollector(pb, s, cert, tol_inner=tol, check=False)
         t0 = time.perf_counter()
-        run(pb, s, BENCH_ROUNDS, x0=x0, y0=y0, hook=coll, tol_inner=tol,
-            check=False)
-        return SweepRun(s, cert, coll.rows, time.perf_counter() - t0)
+        st = run(pb, s, BENCH_ROUNDS, x0=x0, y0=y0, hook=coll, tol_inner=tol,
+                 check=False)
+        return SweepRun(s, cert, coll.rows, time.perf_counter() - t0,
+                        st.solver_failures)
 
     runs = {}
     for v in Variant:

@@ -168,6 +168,23 @@ class TestMetropolis:
         if n > 1:
             assert vals[1] > 1e-10  # connected -> single zero eigenvalue
 
+    def test_built_once_per_graph_and_read_only(self, monkeypatch):
+        import duca.graphs as graphs
+
+        g = random_connected_graph(9, 14, seed=4)
+        calls = []
+        real = graphs.laplacian_from_weights
+        monkeypatch.setattr(graphs, "laplacian_from_weights",
+                            lambda W, gr: calls.append(W) or real(W, gr))
+        for variant in ALL_VARIANTS:
+            make_default(variant, g)
+        # one Metropolis matrix for the six settings, plus PGC's and DPGA's
+        assert len(calls) == 3
+        M = metropolis_matrix(g)
+        assert M is metropolis_matrix(g)
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
 
 class TestLaplacianFromWeights:
     def test_unit_weights_give_combinatorial_laplacian(self):
@@ -189,6 +206,11 @@ class TestLaplacianFromWeights:
     def test_rejects_asymmetric(self):
         W = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(PatternMismatchError):
+            laplacian_from_weights(W, PATH2)
+
+    def test_rejects_infinite_weights(self):
+        W = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(PatternMismatchError), np.errstate(invalid="ignore"):
             laplacian_from_weights(W, PATH2)
 
     def test_rejects_weight_off_graph(self):
@@ -375,6 +397,15 @@ class TestValidateSetting:
         s2 = dataclasses.replace(s, P_H=2.0 * s.P_H, P_Htilde=2.0 * s.P_Htilde)
         assert s2.spectra is not s.spectra
         assert s2.spectra.lamNm1_PHtilde == pytest.approx(2.0 * s.spectra.lamNm1_PHtilde)
+
+    def test_settings_compare_and_hash_by_identity(self):
+        # field-wise == would compare arrays and raise; hash would see an
+        # ndarray field and raise TypeError
+        s1 = make_default(Variant.DUCA_I, TRIANGLE)
+        s2 = make_default(Variant.DUCA_I, TRIANGLE)
+        assert s1 == s1 and s1 != s2
+        assert len({s1, s2, s1}) == 2
+        assert hash(s1) == hash(s1)
 
     def test_double_mode_factorization_checked(self):
         s = make_default(Variant.ALT, TRIANGLE)

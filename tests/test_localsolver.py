@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,6 +12,7 @@ from duca.localsolver import (
     _certificate_residual,
     _prox_l1_ball,
     _radial_clip,
+    _root_segment,
     composite_subgradient,
     dual_value_batch,
     local_objective,
@@ -78,7 +79,10 @@ def bisect_certificate_residual(X, grads, eta, a, c, w):
         return np.where(kink, np.clip(want, -w, w), fixed_sigma)
 
     def half_dphi(t):
-        resid = grads + sigma_at(t) + t[:, None] * diff
+        # sigma - want, not grads + sigma + t*diff: on a kink coordinate whose
+        # selection is interior the term is then exactly 0, so a flat piece
+        # of the derivative reads 0 and not rounding noise of either sign
+        resid = sigma_at(t) + (grads + t[:, None] * diff)
         return np.sum(resid * diff, axis=1)
 
     t = np.zeros(len(X))
@@ -313,6 +317,11 @@ class TestProxL1Ball:
 
     @given(rows=prox_rows())
     @settings(max_examples=300, deadline=None)
+    # a far breakpoint 2/a_j = 2^1023: evaluating x(nu) there overflowed, and
+    # the bracket landed beyond the root at nu = 2^1023
+    @example(rows=(np.array([[-1.0, -1.0], [-1.0, -1.0]]), np.array([1.0, 1.0]),
+                   np.array([[0.0, 0.0], [2.2250738585072014e-308, 2.0]]),
+                   np.array([1.0, 1.0])))
     def test_matches_bisection_and_kkt(self, rows):
         V, thr, a, c = rows
         X = _prox_l1_ball(V, thr, a, c)
@@ -338,6 +347,17 @@ class TestProxL1Ball:
             np.testing.assert_allclose(X[i], kkt, rtol=0.0, atol=1e-9)
             assert np.sum((X[i] - a[i]) ** 2) >= c[i] * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("root_before", [1.4e308, np.inf])
+    def test_root_segment_near_the_float_range(self, root_before):
+        # kinks at 1.2e308 and 1.6e308: the point inside the root's piece
+        # (between them, or past the last) must not overflow to inf or nan
+        base = np.array([[0.0, 0.0, 0.5]])
+        slope = np.array([[1.0, 0.75, 0.0]])
+        lo, hi, u = _root_segment(base, slope, np.array([[1.2e308]]),
+                                  slope != 0.0, lambda T: T < root_before)
+        assert np.isfinite(u).all() and u[0, 2] == 0.5
+        assert lo[0] < u[0, 0] and (u[0, 0] < hi[0] or np.isinf(hi[0]))
+
     def test_radial_clip_lands_inside(self):
         # before the clip kept shrinking, 268 of the 98,969 rows that start
         # outside stayed outside by up to 4.4e-16
@@ -358,6 +378,10 @@ class TestProxL1Ball:
 class TestCertificateResidual:
     @given(rows=certificate_rows())
     @settings(max_examples=300, deadline=None)
+    # psi == 0 on [0.3387, 2.37]: the gap is taken at the leftmost root
+    @example(rows=(np.array([[0.0, 0.0]]), np.array([[-2.0, 2.0]]), np.array([1.0]),
+                   np.array([[-1.4763953342272025, 0.0]]),
+                   np.array([2.179743182927853]), 1.5))
     def test_matches_bisection(self, rows):
         X, grads, eta, a, c, w = rows
         got = _certificate_residual(X, grads, eta, a, c, w)
@@ -449,6 +473,43 @@ class TestSolveLocal:
             assert out.value <= gv + 1e-6
             assert abs(out.value - gv) <= 1e-6
             assert np.linalg.norm(out.x - gx) <= 1e-3
+
+
+class TestLongStart:
+    def test_certificate_probes_at_worst_case_step(self, monkeypatch):
+        # the solver starts at LONG_STEP/L, but the certificate's gap does not
+        # increase with its step, so every probe must stay at or below 1/L
+        import duca.localsolver as ls
+
+        pb = SVI
+        rng = np.random.default_rng(19)
+        Yt = rng.normal(size=(20, 6))
+        d_prime = rng.uniform(0.5, 2.0, size=20)
+        anchor = rng.uniform(-0.2, 0.2, size=(20, 3))
+        inv_lip = 1.0 / np.maximum(
+            ls._round_lipschitz(pb, np.arange(20), Yt, d_prime, 0.1), 1e-300)
+
+        def agents(a_rows):
+            return np.argmax(np.all(a_rows[:, None, :] == pb.a[None], axis=2), axis=1)
+
+        probes, steps = [], []
+        real_cert, real_prox = ls._certificate_residual, ls._prox_l1_ball
+
+        def cert(X, grads, eta, a, c, w):
+            probes.append(eta / inv_lip[agents(a)])
+            return real_cert(X, grads, eta, a, c, w)
+
+        def prox(V, thr, a, c):
+            steps.append(thr / pb.l1_weight / inv_lip[agents(a)])
+            return real_prox(V, thr, a, c)
+
+        monkeypatch.setattr(ls, "_certificate_residual", cert)
+        monkeypatch.setattr(ls, "_prox_l1_ball", prox)
+        *_, done, _vals, _ = solve_local_batch(pb, Yt, d_prime, 0.1, anchor, tol=1e-9)
+        assert done.all()
+        assert len(np.unique(pb.a, axis=0)) == 20  # rows map to agents
+        assert max(p.max() for p in probes) <= 1.0
+        assert max(s.max() for s in steps) == ls.LONG_STEP
 
 
 class TestDualFunction:
