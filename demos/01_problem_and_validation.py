@@ -16,7 +16,6 @@ from duca import (
     Variant,
     generate_example,
     make_setting,
-    metropolis_matrix,
     random_connected_graph,
     slater_check,
     validate_setting,
@@ -30,7 +29,7 @@ print("degrees:", [g.degree(i) for i in range(g.n_nodes)])
 
 # The mixing matrix uses Metropolis weights: -1/(max degree pair + 1) per
 # edge, diagonal chosen so rows sum to zero.  It is symmetric and PSD.
-W = metropolis_matrix(g)
+W = g.metropolis
 print("row sums (all zero):", np.abs(W.sum(axis=1)).max())
 print("smallest eigenvalue:", np.linalg.eigvalsh(W)[0])
 

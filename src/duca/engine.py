@@ -10,7 +10,7 @@ column-sum conservation, the cumulative constraint identity, and the
 ergodic feasibility bound) are asserted as the simulation advances, and so
 is the certificate of every local solve.
 
-Single exchange (one broadcast of y per agent)::
+Single exchange (one broadcast of y per agent, W = H = P_H = P_Htilde)::
 
     ytilde_i = d'_i y_i - rho * sum_j W_ij y_j - v_i
     x_i+     = argmin_{X_i} f_i + (1/2d'_i)(||[mu~+g_i]_+||^2 + ||lam~+h_i||^2)
@@ -18,7 +18,10 @@ Single exchange (one broadcast of y per agent)::
     y_i+     = (1/d'_i) * Pi_K(ytilde_i + [g_i; h_i](x_i+))
     v_i+     = v_i + rho * sum_j W_ij y_j+
 
-Double exchange (broadcasts y then u)::
+The v-update applies P_Htilde, which a single-exchange setting has equal
+to P_H by construction (:class:`~duca.graphs.ParamSetting` stores one H).
+
+Double exchange (broadcasts y then u; P_H = L M, P_Htilde = L L)::
 
     ytilde_i = d'_i y_i - sum_j L_ij u_j
     ...same local solve and cone projection...
@@ -73,8 +76,8 @@ class Mailbox:
     Built once per run from ``s.graph`` or, for a setting without a graph,
     from the sparsity of its exchange matrices.  It keeps each agent's
     sorted neighbor indices and the weights of the setting's exchange
-    matrices: ``"H"`` (P_H) in single mode, ``"L"`` and ``"M"`` in double
-    mode.  Agent i's sum
+    matrices, ``s.exchange``: ``"H"`` in single mode, ``"L"`` and ``"M"`` in
+    double mode.  Agent i's sum
 
         W_ii * own_i + sum_j W_ij * x_j    (j over i's neighbors, ascending)
 
@@ -90,15 +93,11 @@ class Mailbox:
     def __init__(self, s: ParamSetting):
         #: the setting the table was built for; :func:`step` refuses others
         self.setting = s
-        if s.exchange_mode == "single":
-            mats = {"H": s.P_H}
-        else:
-            mats = {"L": s.L_matrix, "M": s.M_matrix}
         n = s.n_nodes
         if s.graph is not None:
             nbrs = s.graph.neighbor_lists
         else:
-            W = sum(np.abs(M) for M in mats.values())
+            W = sum(np.abs(M) for M in s.exchange.values())
             np.fill_diagonal(W, 0.0)
             nbrs = [tuple(np.flatnonzero(row)) for row in W]
         if len(nbrs) != n:
@@ -114,7 +113,7 @@ class Mailbox:
             rows = np.flatnonzero(deg > k)
             self._slots.append((rows, np.array([nbrs[i][k] for i in rows])))
         self._weights = {}
-        for name, W in mats.items():
+        for name, W in s.exchange.items():
             diag = np.diag(W).copy()
             slot_w = [W[rows, cols] for rows, cols in self._slots]
             on_table = np.count_nonzero(diag) + sum(np.count_nonzero(w) for w in slot_w)
@@ -202,7 +201,7 @@ def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
     )
     if s.exchange_mode == "double":
         st.Z = np.zeros((n, mp))
-        st.U = st.Z + s.rho * (s.M_matrix @ Y)
+        st.U = st.Z + s.rho * (s.exchange["M"] @ Y)
     return st
 
 
@@ -311,7 +310,7 @@ def step(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
         # breaks the P_H >= P_Htilde requirement (it is 0 >= L^2 when M = L).
         st.U = Z_new + rho * mb.weighted_sum("M", Y_new)
         st.Z = Z_new
-        st.V = s.L_matrix @ Z_new  # diagnostic mirror of the implicit disagreement variable
+        st.V = s.exchange["L"] @ Z_new  # diagnostic mirror of the implicit disagreement variable
     else:
         st.V = st.V + rho * mb.weighted_sum("H", Y_new)
     st.X, st.Y, st.SIG = X_new, Y_new, sig

@@ -3,13 +3,14 @@
 Builds the undirected communication graph, the Metropolis and related
 graph-Laplacian-type weight matrices, and the six named parameter settings
 (``P_H``, ``P_Htilde``, ``P_D = diag(d')``, ``rho``) consumed by the round
-engine.  A setting stores the diagonal of P_D as the vector ``d_prime``.
+engine.  A setting stores the matrices its agents exchange and the diagonal
+of P_D as the vector ``d_prime``; P_H and P_Htilde are derived from them.
 Also validates the positive-semidefiniteness / nullspace conditions that
 every setting must satisfy, and computes the spectral quantities that enter
 the convergence bounds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -32,7 +33,6 @@ __all__ = [
     "SpectralQuantities",
     "build_graph",
     "random_connected_graph",
-    "metropolis_matrix",
     "laplacian_from_weights",
     "make_setting",
     "validate_setting",
@@ -78,7 +78,13 @@ class Graph:
 
     @cached_property
     def metropolis(self) -> np.ndarray:
-        """The graph's :func:`metropolis_matrix`, built once and read-only."""
+        """Metropolis Laplacian-type matrix M, built once and read-only.
+
+        Off-diagonals are -1/(max{deg_i, deg_j}+1) on edges and 0 otherwise;
+        each diagonal entry is the negated off-diagonal row sum, so M @ 1 = 0
+        and M is positive semidefinite with nullspace span(1) on a connected
+        graph.
+        """
         M = laplacian_from_weights(
             _edge_weights(self, lambda i, j: 1.0 / (max(self.degree(i), self.degree(j)) + 1)),
             self,
@@ -183,17 +189,6 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def metropolis_matrix(g: Graph) -> np.ndarray:
-    """Metropolis Laplacian-type matrix M.
-
-    Off-diagonals are -1/(max{deg_i, deg_j}+1) on edges and 0 otherwise; each
-    diagonal entry is the negated off-diagonal row sum, so M @ 1 = 0 and M is
-    positive semidefinite with nullspace span(1) on a connected graph.  The
-    matrix is built once per graph and is read-only (:attr:`Graph.metropolis`).
-    """
-    return g.metropolis
-
-
 def _edge_weights(g: Graph, weight) -> np.ndarray:
     """Symmetric weight matrix with ``weight(i, j)`` on each edge, 0 elsewhere."""
     W = np.zeros((g.n_nodes, g.n_nodes))
@@ -247,36 +242,59 @@ DOUBLE_EXCHANGE = (Variant.DIST_ADMM, Variant.ALT)
 
 @dataclass(frozen=True, eq=False)
 class ParamSetting:
-    """One algorithm parameterization: the penalty matrices and scalars.
+    """One algorithm parameterization: the exchanged matrices and scalars.
 
-    The step matrix P_D is diagonal and is stored as its diagonal, the
-    (N,) vector ``d_prime``.  ``P_A = diag(d') - rho * P_H`` must be PSD,
-    d' positive, ``P_H >= P_Htilde`` in the PSD order, and both P_H and
-    P_Htilde must have nullspace exactly span(1).  In double-exchange mode
-    ``P_H = L @ M`` and ``P_Htilde = L @ L`` hold entrywise, where L is the
-    Laplacian used for the second exchanged variable and M its companion.
+    ``exchange`` holds the matrices whose weights agents exchange, keyed as
+    the engine's :class:`~duca.engine.Mailbox` reads them: ``{"H": H}`` for a
+    single-exchange family, ``{"L": L, "M": M}`` for a double-exchange one.
+    P_H and P_Htilde are derived: a single-exchange family has
+    ``P_H = P_Htilde = H`` (the same object) by construction, which is why
+    its disagreement update applies H; a double-exchange family has
+    ``P_H = L @ M`` and ``P_Htilde = L @ L``.  The step matrix P_D is
+    diagonal and is stored as its diagonal, the (N,) vector ``d_prime``.
+    ``P_A = diag(d') - rho * P_H`` must be PSD, d' positive,
+    ``P_H >= P_Htilde`` in the PSD order, and both P_H and P_Htilde must
+    have nullspace exactly span(1).
 
-    Settings are frozen because :attr:`P_A`, its column sums and
-    :attr:`spectra` are computed once per setting, on first use; derive a
-    changed setting with ``dataclasses.replace``.  Settings compare and hash
-    by identity.
+    Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums
+    and :attr:`spectra` are computed once per setting, on first use; derive
+    a changed setting with ``dataclasses.replace``.  Settings compare and
+    hash by identity.
     """
 
     variant: Variant
-    P_H: np.ndarray
-    P_Htilde: np.ndarray
+    exchange: dict
     d_prime: np.ndarray  # (N,) diagonal of P_D
     rho: float
     alpha: float = 0.0
-    exchange_mode: str = "single"  # "single" | "double"
-    L_matrix: np.ndarray | None = None
-    M_matrix: np.ndarray | None = None
-    tuning: dict = field(default_factory=dict)
     graph: "Graph | None" = None
+
+    def __post_init__(self):
+        if set(self.exchange) not in ({"H"}, {"L", "M"}):
+            raise AssumptionViolatedError(
+                f"exchange keys {sorted(self.exchange)} are neither ['H'] nor ['L', 'M']"
+            )
+
+    @property
+    def exchange_mode(self) -> str:
+        """``"single"`` (exchanges H) or ``"double"`` (exchanges L and M)."""
+        return "single" if "H" in self.exchange else "double"
 
     @property
     def n_nodes(self) -> int:
-        return self.P_H.shape[0]
+        return self.d_prime.shape[0]
+
+    @cached_property
+    def P_H(self) -> np.ndarray:
+        """H in single mode, L @ M in double mode."""
+        e = self.exchange
+        return e["H"] if "H" in e else e["L"] @ e["M"]
+
+    @cached_property
+    def P_Htilde(self) -> np.ndarray:
+        """H (the same object as :attr:`P_H`) in single mode, L @ L in double mode."""
+        e = self.exchange
+        return e["H"] if "H" in e else e["L"] @ e["L"]
 
     @cached_property
     def P_A(self) -> np.ndarray:
@@ -327,9 +345,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
     if alpha < 0:
         raise AssumptionViolatedError(f"alpha must be nonnegative, got {alpha}")
     n = g.n_nodes
-    MG = metropolis_matrix(g)
-    L_mat = None
-    M_mat = None
+    MG = g.metropolis
     used_keys = set()
 
     if variant == Variant.DUCA_I:
@@ -337,15 +353,11 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         used_keys.add("c")
         if c < 2.0:
             raise AssumptionViolatedError(f"DUCA_I needs c >= 2, got {c}")
-        P_H = MG
-        P_Ht = MG.copy()
+        exchange = {"H": MG}
         d_prime = c * rho * np.diag(MG)
-        mode = "single"
     elif variant == Variant.PEXTRA:
-        P_H = MG / 2.0
-        P_Ht = MG / 2.0
+        exchange = {"H": MG / 2.0}
         d_prime = np.full(n, float(rho))
-        mode = "single"
     elif variant == Variant.PGC:
         if "rho_prime" not in tuning:
             raise MissingTuningError("PGC needs tuning['rho_prime'] > 0")
@@ -356,10 +368,8 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         if rho != 1.0:
             raise AssumptionViolatedError("PGC fixes rho = 1; tune rho_prime instead")
         L1 = laplacian_from_weights(_edge_weights(g, lambda i, j: 2.0 * rho_prime), g)
-        P_H = L1 / 2.0
-        P_Ht = L1 / 2.0
+        exchange = {"H": L1 / 2.0}
         d_prime = np.diag(L1).copy()
-        mode = "single"
     elif variant == Variant.DPGA:
         if "c" not in tuning:
             raise MissingTuningError("DPGA needs tuning['c'] > 0")
@@ -371,26 +381,17 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
             raise AssumptionViolatedError("DPGA fixes rho = 1; tune c instead")
         s = _dpga_scale(g, c)
         L2 = laplacian_from_weights(_edge_weights(g, lambda i, j: s / 2.0), g)
-        P_H = L2
-        P_Ht = L2.copy()
+        exchange = {"H": L2}
         d_prime = s * np.array([float(g.degree(i)) for i in range(n)])
-        mode = "single"
     elif variant == Variant.DIST_ADMM:
-        L_mat = MG
-        M_mat = MG
-        P_H = MG @ MG
-        P_Ht = MG @ MG
+        exchange = {"L": MG, "M": MG}  # P_H = P_Htilde = MG @ MG
         deg1 = np.array([g.degree(j) + 1.0 for j in range(n)])
         d_prime = (MG**2) @ deg1
-        mode = "double"
     elif variant == Variant.ALT:
         W4 = np.eye(n) - MG / 2.0
-        L_mat = np.eye(n) - W4  # = MG / 2
-        M_mat = np.eye(n) + W4  # = 2I - L
-        P_H = L_mat @ M_mat  # = I - W4 @ W4
-        P_Ht = L_mat @ L_mat  # = (I - W4)^2
+        # L = MG / 2 and M = 2I - L: P_H = I - W4 @ W4, P_Htilde = (I - W4)^2
+        exchange = {"L": np.eye(n) - W4, "M": np.eye(n) + W4}
         d_prime = np.full(n, float(rho))
-        mode = "double"
     else:  # pragma: no cover
         raise AssumptionViolatedError(f"unknown variant {variant}")
 
@@ -398,19 +399,8 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
     if unknown:
         raise MissingTuningError(f"unknown tuning keys for {variant.value}: {sorted(unknown)}")
 
-    s = ParamSetting(
-        variant=variant,
-        P_H=P_H,
-        P_Htilde=P_Ht,
-        d_prime=d_prime,
-        rho=float(rho),
-        alpha=float(alpha),
-        exchange_mode=mode,
-        L_matrix=L_mat,
-        M_matrix=M_mat,
-        tuning={k: float(v) for k, v in tuning.items()},
-        graph=g,
-    )
+    s = ParamSetting(variant=variant, exchange=exchange, d_prime=d_prime,
+                     rho=float(rho), alpha=float(alpha), graph=g)
     report = validate_setting(s)
     if not report.passed:
         raise AssumptionViolatedError(
@@ -487,48 +477,31 @@ def _nullspace_is_ones(vals, align, n, checks, label):
 def validate_setting(s: ParamSetting) -> ValidationReport:
     """Report-style validation of every standing matrix assumption.
 
-    All eigenvalue checks read ``s.spectra``, so validating a setting and
-    later evaluating its bounds decompose each matrix once.
+    A single-exchange setting's H is both P_H and P_Htilde, so it is checked
+    once and the order P_H >= P_Htilde holds trivially.  All eigenvalue
+    checks read ``s.spectra``, so validating a setting and later evaluating
+    its bounds decompose each matrix once.
     """
     checks = []
     n = s.n_nodes
     sp = s.spectra
-    for label, M, vals in (("P_H", s.P_H, sp.eig_PH),
-                           ("P_Htilde", s.P_Htilde, sp.eig_PHtilde)):
-        checks.append(
-            Check(
-                f"{label} symmetric",
-                bool(np.abs(M - M.T).max() <= 1e-12),
-            )
-        )
-        checks.append(
-            Check(f"{label} PSD", vals[0] >= PSD_TOL, f"lam_min={vals[0]:.3e}")
-        )
+    forms = [("P_H", s.P_H, sp.eig_PH, sp.ones_align_PH)]
+    if s.exchange_mode == "double":
+        forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde, sp.ones_align_PHtilde))
+        checks.append(Check("P_H >= P_Htilde (PSD order)", sp.eig_order[0] >= PSD_TOL,
+                            f"lam_min={sp.eig_order[0]:.3e}"))
+    for label, M, vals, align in forms:
+        checks.append(Check(f"{label} symmetric", bool(np.abs(M - M.T).max() <= 1e-12)))
+        checks.append(Check(f"{label} PSD", vals[0] >= PSD_TOL, f"lam_min={vals[0]:.3e}"))
+        _nullspace_is_ones(vals, align, n, checks, label)
     dmin = float(s.d_prime.min()) if n else 0.0
     checks.append(Check("P_D positive", dmin > 0.0, f"min diag={dmin:.3e}"))
     checks.append(
         Check("P_A = P_D - rho*P_H PSD", sp.eig_PA[0] >= PSD_TOL,
               f"lam_min={sp.eig_PA[0]:.3e}")
     )
-    checks.append(
-        Check(
-            "P_H >= P_Htilde (PSD order)",
-            sp.eig_order[0] >= PSD_TOL,
-            f"lam_min={sp.eig_order[0]:.3e}",
-        )
-    )
-    _nullspace_is_ones(sp.eig_PH, sp.ones_align_PH, n, checks, "P_H")
-    _nullspace_is_ones(sp.eig_PHtilde, sp.ones_align_PHtilde, n, checks, "P_Htilde")
     checks.append(Check("rho positive", s.rho > 0, f"rho={s.rho}"))
     checks.append(Check("alpha nonnegative", s.alpha >= 0, f"alpha={s.alpha}"))
-    if s.exchange_mode == "double":
-        okL = s.L_matrix is not None and s.M_matrix is not None
-        checks.append(Check("double mode carries L and M", okL))
-        if okL:
-            errH = float(np.abs(s.P_H - s.L_matrix @ s.M_matrix).max())
-            errHt = float(np.abs(s.P_Htilde - s.L_matrix @ s.L_matrix).max())
-            checks.append(Check("P_H == L @ M", errH <= 1e-12, f"max err={errH:.3e}"))
-            checks.append(Check("P_Htilde == L @ L", errHt <= 1e-12, f"max err={errHt:.3e}"))
     return ValidationReport(checks)
 
 
@@ -550,7 +523,9 @@ class SpectralQuantities:
     :func:`validate_setting` reads the ascending eigenvalues of the
     symmetrized P_H, P_Htilde, P_A and P_H - P_Htilde (``eig_order``), and
     ``ones_align_*`` = |<v_0, 1/sqrt(N)>| for the bottom eigenvector of P_H
-    and of P_Htilde.
+    and of P_Htilde.  In single-exchange mode P_H and P_Htilde are one
+    matrix, so their entries come from one decomposition and ``eig_order``
+    is None.
     """
 
     lam1_PA: float
@@ -559,13 +534,15 @@ class SpectralQuantities:
     eig_PH: np.ndarray
     eig_PHtilde: np.ndarray
     eig_PA: np.ndarray
-    eig_order: np.ndarray
+    eig_order: "np.ndarray | None"
     ones_align_PH: float
     ones_align_PHtilde: float
 
 
 def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
-    """Decompose P_H, P_Htilde, P_A and P_H - P_Htilde once each.
+    """Decompose P_A and P_Htilde once each, and in double-exchange mode also
+    P_H and P_H - P_Htilde: two N x N eigensolves in single mode, four in
+    double mode.
 
     Eigenvalues below ``PINV_CUT`` times the largest magnitude are treated as
     zero when inverting P_Htilde (the only intended null direction is the
@@ -573,15 +550,20 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
     """
     n = s.n_nodes
     ones = np.ones(n) / np.sqrt(n)
-    # at most one N x N eigenvector matrix alive at a time keeps peak memory low
-    vals_H, vecs = _sym_eigs(s.P_H)
-    align_H = abs(float(vecs[:, 0] @ ones))
-    del vecs
+    double = s.exchange_mode == "double"
     vals_A = _sym_eigs(s.P_A)[0]
-    diff = s.P_H - s.P_Htilde
-    vals_order = np.linalg.eigvalsh(0.5 * (diff + diff.T))
-    del diff
+    # at most one N x N eigenvector matrix alive at a time keeps peak memory low
+    if double:
+        vals_H, vecs = _sym_eigs(s.P_H)
+        align_H = abs(float(vecs[:, 0] @ ones))
+        del vecs
+        diff = s.P_H - s.P_Htilde
+        vals_order = np.linalg.eigvalsh(0.5 * (diff + diff.T))
+        del diff
     vals, vecs = _sym_eigs(s.P_Htilde)
+    align = abs(float(vecs[:, 0] @ ones))
+    if not double:  # H is both P_H and P_Htilde: one decomposition serves both
+        vals_H, align_H, vals_order = vals, align, None
     scale = max(float(np.abs(vals).max()), 1.0)
     keep = np.abs(vals) > PINV_CUT * scale
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
@@ -594,5 +576,5 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
         eig_PA=vals_A,
         eig_order=vals_order,
         ones_align_PH=align_H,
-        ones_align_PHtilde=abs(float(vecs[:, 0] @ ones)),
+        ones_align_PHtilde=align,
     )

@@ -58,21 +58,26 @@ class SweepRun:
 @pytest.fixture(scope="session")
 def bench():
     """All benchmark runs: {(variant_name, alpha): SweepRun} plus a
-    loose-inner-tolerance negative control for the descent check."""
+    loose-inner-tolerance negative control for the descent check.
+
+    The tight-tolerance runs check as they go: the engine raises on an
+    uncertified solve, a broken identity or the per-round ergodic bound,
+    and the collector on the descent and radius checks.
+    """
     g = random_connected_graph(BENCH_NODES, BENCH_EDGES, seed=BENCH_SEED)
     pb = generate_example(BENCH_NODES, BENCH_D, BENCH_M, BENCH_P, seed=BENCH_SEED)
     core = centralized_solve(pb, tol=1e-10)
     y0 = np.ones((BENCH_NODES, pb.mp))
     x0 = np.zeros((BENCH_NODES, pb.dmax))
 
-    def sweep(variant, alpha=0.0, tol=1e-8):
+    def sweep(variant, alpha=0.0, tol=1e-8, check=True):
         s = make_setting(variant, g, rho=1.0, alpha=alpha,
                          tuning=BENCH_TUNING.get(variant))
         cert = make_certificate(core, pb, s, x0=x0, y0=y0)
-        coll = MetricsCollector(pb, s, cert, tol_inner=tol, check=False)
+        coll = MetricsCollector(pb, s, cert, tol_inner=tol, check=check)
         t0 = time.perf_counter()
         st = run(pb, s, BENCH_ROUNDS, x0=x0, y0=y0, hook=coll, tol_inner=tol,
-                 check=False)
+                 check=check)
         return SweepRun(s, cert, coll.rows, time.perf_counter() - t0,
                         st.solver_failures)
 
@@ -81,7 +86,8 @@ def bench():
         runs[(v.name, 0.0)] = sweep(v)
     for alpha in BENCH_ALPHAS:
         runs[("DUCA_I", alpha)] = sweep(Variant.DUCA_I, alpha=alpha)
-    loose = sweep(Variant.DUCA_I, tol=1e-2)
+    # unchecked: the control must be free to break descent
+    loose = sweep(Variant.DUCA_I, tol=1e-2, check=False)
     return SimpleNamespace(graph=g, pb=pb, core=core, x0=x0, y0=y0,
                            runs=runs, loose=loose)
 

@@ -65,11 +65,9 @@ def single_agent_problem():
 
 
 def single_agent_setting(d_prime=2.0):
-    zero = np.zeros((1, 1))
     return ParamSetting(
         variant=Variant.DUCA_I,
-        P_H=zero,
-        P_Htilde=zero.copy(),
+        exchange={"H": np.zeros((1, 1))},
         d_prime=np.array([d_prime]),
         rho=1.0,
     )
@@ -84,12 +82,6 @@ def brute_force_sums(W, nbrs, x):
             acc = acc + W[i, j] * x[j]
         out[i] = acc
     return out
-
-
-def exchange_matrices(s):
-    if s.exchange_mode == "single":
-        return {"H": s.P_H}
-    return {"L": s.L_matrix, "M": s.M_matrix}
 
 
 TUNING = {Variant.PGC: {"rho_prime": 0.5}, Variant.DPGA: {"c": 1.0}}
@@ -108,7 +100,7 @@ class TestMailbox:
         s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
         mb = Mailbox(s)
         x = np.random.default_rng(seed).standard_normal((n, 4))
-        for name, W in exchange_matrices(s).items():
+        for name, W in s.exchange.items():
             got = mb.weighted_sum(name, x)
             assert np.array_equal(got, brute_force_sums(W, g.neighbor_lists, x))
         assert mb.links == 2 * g.n_edges
@@ -141,12 +133,11 @@ class TestMailbox:
     def test_off_graph_weight_rejected(self, variant):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
-        name, W = next(iter(exchange_matrices(s).items()))
+        name, W = next(iter(s.exchange.items()))
         bad = W.copy()
         bad[0, 3] = bad[3, 0] = -0.01  # agents 0 and 3 are not linked
-        field = {"H": "P_H", "L": "L_matrix"}[name]
         with pytest.raises(MailboxError):
-            Mailbox(dataclasses.replace(s, **{field: bad}))
+            Mailbox(dataclasses.replace(s, exchange={**s.exchange, name: bad}))
 
 
     def test_roundtrip_and_counting(self):
@@ -166,7 +157,7 @@ class TestMailbox:
     def test_send_to_non_neighbor_refused(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         P_H = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
-        s = ParamSetting(variant=Variant.DUCA_I, P_H=P_H, P_Htilde=P_H.copy(),
+        s = ParamSetting(variant=Variant.DUCA_I, exchange={"H": P_H},
                          d_prime=np.full(3, 2.0), rho=1.0, graph=g)
         with pytest.raises(MailboxError):
             Mailbox(s)  # P_H weighs agents 0 and 2, which are not linked
@@ -235,7 +226,7 @@ class TestInit:
         # consensus y0: u_i0 = rho * (sum_j M_ij) * y-hat per agent
         y0 = np.tile(np.linspace(0.5, 2.5, pb.mp), (6, 1))
         st2 = init(pb, s, y0=y0)
-        expect = s.rho * s.M_matrix.sum(axis=1)[:, None] * y0[0][None, :]
+        expect = s.rho * s.exchange["M"].sum(axis=1)[:, None] * y0[0][None, :]
         assert np.allclose(st2.U, expect, atol=1e-14)
 
     def test_negative_mu_block_rejected(self):
@@ -329,7 +320,7 @@ class TestDoubleExchange:
         for variant in (Variant.DIST_ADMM, Variant.ALT):
             pb, s = small_case(variant=variant)
             st = run(pb, s, 12, y0=np.ones((6, pb.mp)))
-            gap = s.rho * (s.M_matrix @ st.Y)
+            gap = s.rho * (s.exchange["M"] @ st.Y)
             assert np.allclose(st.U - st.Z, gap, atol=1e-12)
             assert not np.array_equal(st.U, st.Z)
 
@@ -359,7 +350,7 @@ class TestDoubleExchange:
     def test_v_mirror_tracks_L_times_z(self):
         pb, s = small_case(variant=Variant.ALT)
         st = run(pb, s, 7, y0=np.ones((6, pb.mp)))
-        assert np.allclose(st.V, s.L_matrix @ st.Z, atol=1e-14)
+        assert np.allclose(st.V, s.exchange["L"] @ st.Z, atol=1e-14)
 
 
 class TestRun:

@@ -20,7 +20,6 @@ from duca.graphs import (
     build_graph,
     laplacian_from_weights,
     make_setting,
-    metropolis_matrix,
     random_connected_graph,
     spectral_quantities,
     validate_setting,
@@ -111,13 +110,13 @@ class TestRandomConnectedGraph:
 
 
 # ---------------------------------------------------------------------------
-# metropolis_matrix
+# Graph.metropolis
 # ---------------------------------------------------------------------------
 
 
 class TestMetropolis:
     def test_triangle_exact(self):
-        M = metropolis_matrix(TRIANGLE)
+        M = TRIANGLE.metropolis
         expected = np.array(
             [
                 [2 / 3, -1 / 3, -1 / 3],
@@ -128,13 +127,13 @@ class TestMetropolis:
         np.testing.assert_allclose(M, expected, atol=1e-15)
 
     def test_path2_exact(self):
-        M = metropolis_matrix(PATH2)
+        M = PATH2.metropolis
         np.testing.assert_allclose(M, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
     def test_uses_max_degree(self):
         # star: center degree 3, leaves degree 1 -> off-diag -1/4 everywhere
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        M = metropolis_matrix(g)
+        M = g.metropolis
         assert M[0, 1] == M[1, 0] == -1 / 4
         assert M[1, 1] == 1 / 4
         assert M[0, 0] == 3 / 4
@@ -142,12 +141,12 @@ class TestMetropolis:
 
     def test_zero_row_sums(self):
         g = random_connected_graph(20, 40, seed=3)
-        M = metropolis_matrix(g)
+        M = g.metropolis
         np.testing.assert_allclose(M @ np.ones(20), 0.0, atol=1e-14)
 
     def test_20_node_40_edge_pattern(self):
         g = random_connected_graph(20, 40, seed=3)
-        M = metropolis_matrix(g)
+        M = g.metropolis
         off = M - np.diag(np.diag(M))
         assert int((off < 0).sum()) == 80  # each of 40 edges twice
         assert int((off > 0).sum()) == 0
@@ -161,7 +160,7 @@ class TestMetropolis:
     def test_psd_with_ones_nullspace(self, n, extra, seed):
         n_edges = min(n - 1 + extra, n * (n - 1) // 2)
         g = random_connected_graph(n, n_edges, seed=seed)
-        M = metropolis_matrix(g)
+        M = g.metropolis
         vals = np.linalg.eigvalsh(M)
         assert vals[0] > -1e-12
         assert abs(vals[0]) < 1e-12
@@ -180,8 +179,8 @@ class TestMetropolis:
             make_default(variant, g)
         # one Metropolis matrix for the six settings, plus PGC's and DPGA's
         assert len(calls) == 3
-        M = metropolis_matrix(g)
-        assert M is metropolis_matrix(g)
+        M = g.metropolis
+        assert M is g.metropolis
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
 
@@ -247,7 +246,7 @@ class TestMakeSetting:
 
     def test_duca_i_matrices(self):
         s = make_default(Variant.DUCA_I, TRIANGLE)
-        M = metropolis_matrix(TRIANGLE)
+        M = TRIANGLE.metropolis
         np.testing.assert_allclose(s.P_H, M)
         np.testing.assert_allclose(s.P_Htilde, M)
         np.testing.assert_allclose(s.d_prime, 2.0 * np.diag(M))
@@ -259,7 +258,7 @@ class TestMakeSetting:
 
     def test_pextra_matrices(self):
         s = make_setting(Variant.PEXTRA, TRIANGLE, rho=2.0)
-        M = metropolis_matrix(TRIANGLE)
+        M = TRIANGLE.metropolis
         np.testing.assert_allclose(s.P_H, M / 2)
         np.testing.assert_allclose(s.P_Htilde, M / 2)
         np.testing.assert_allclose(s.d_prime, [2.0, 2.0, 2.0])
@@ -295,20 +294,67 @@ class TestMakeSetting:
         # each row of M has entries {2/3, -1/3, -1/3}; degrees all 2 so
         # d'_i = sum_j (deg_j + 1) M_ij^2 = 3*(4/9 + 1/9 + 1/9) = 2
         np.testing.assert_allclose(s.d_prime, 2.0)
-        M = metropolis_matrix(TRIANGLE)
+        M = TRIANGLE.metropolis
         np.testing.assert_allclose(s.P_H, M @ M)
         np.testing.assert_allclose(s.P_Htilde, M @ M)
         assert s.exchange_mode == "double"
 
     def test_alt_factorization(self):
         s = make_default(Variant.ALT, TRIANGLE)
-        M = metropolis_matrix(TRIANGLE)
+        M = TRIANGLE.metropolis
         W4 = np.eye(3) - M / 2
         np.testing.assert_allclose(s.P_H, np.eye(3) - W4 @ W4, atol=1e-14)
         np.testing.assert_allclose(s.P_Htilde, (np.eye(3) - W4) @ (np.eye(3) - W4), atol=1e-14)
-        np.testing.assert_allclose(s.L_matrix, M / 2)
-        np.testing.assert_allclose(s.M_matrix, 2 * np.eye(3) - M / 2)
+        np.testing.assert_allclose(s.exchange["L"], M / 2)
+        np.testing.assert_allclose(s.exchange["M"], 2 * np.eye(3) - M / 2)
         assert s.exchange_mode == "double"
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_exchange_keys_and_derived_forms(self, variant):
+        # P_H and P_Htilde are derived from the exchanged matrices, with the
+        # exact expressions the families are defined by
+        g = random_connected_graph(9, 14, seed=2)
+        s = make_default(variant, g)
+        MG = g.metropolis
+        W4 = np.eye(9) - MG / 2.0
+        rho_prime, c = default_tuning(Variant.PGC)["rho_prime"], default_tuning(Variant.DPGA)["c"]
+        scale = np.sqrt(c * 9 / (g.n_edges * min(g.degree(i) for i in range(9))))
+        edge = np.zeros((9, 9))
+        rows, cols = np.array(g.edges).T
+        edge[rows, cols] = edge[cols, rows] = 1.0
+        expected = {
+            Variant.DUCA_I: (MG, MG),
+            Variant.PEXTRA: (MG / 2.0, MG / 2.0),
+            Variant.PGC: ((laplacian_from_weights(2.0 * rho_prime * edge, g) / 2.0),) * 2,
+            Variant.DPGA: (laplacian_from_weights(scale / 2.0 * edge, g),) * 2,
+            Variant.DIST_ADMM: (MG @ MG, MG @ MG),
+            Variant.ALT: ((np.eye(9) - W4) @ (np.eye(9) + W4),
+                          (np.eye(9) - W4) @ (np.eye(9) - W4)),
+        }[variant]
+        if variant in (Variant.DIST_ADMM, Variant.ALT):
+            assert set(s.exchange) == {"L", "M"}
+            assert s.exchange_mode == "double"
+        else:
+            assert set(s.exchange) == {"H"}
+            assert s.exchange_mode == "single"
+            assert s.P_Htilde is s.P_H is s.exchange["H"]
+        assert np.array_equal(s.P_H, expected[0])
+        assert np.array_equal(s.P_Htilde, expected[1])
+
+    @pytest.mark.parametrize("keys", [(), ("L",), ("M",), ("H", "L"), ("H", "L", "M"),
+                                      ("P_H",)])
+    def test_exchange_with_wrong_keys_rejected(self, keys):
+        M = TRIANGLE.metropolis
+        with pytest.raises(AssumptionViolatedError, match="exchange keys"):
+            ParamSetting(variant=Variant.DUCA_I, exchange={k: M for k in keys},
+                         d_prime=np.full(3, 2.0), rho=1.0)
+
+    def test_single_mode_cannot_carry_a_separate_phtilde(self):
+        # the single-mode v-update applies H, which is P_Htilde only because
+        # the setting has no other P_Htilde to hold
+        s = make_default(Variant.PEXTRA, TRIANGLE)
+        with pytest.raises(TypeError):
+            dataclasses.replace(s, P_Htilde=0.5 * s.P_Htilde)
 
     def test_rejects_unknown_tuning_key(self):
         with pytest.raises(MissingTuningError):
@@ -342,11 +388,10 @@ class TestMakeSetting:
 
 
 def _hand_setting(**kw):
-    M = metropolis_matrix(TRIANGLE)
+    M = TRIANGLE.metropolis
     base = dict(
         variant=Variant.DUCA_I,
-        P_H=M,
-        P_Htilde=M.copy(),
+        exchange={"H": M},
         d_prime=2.0 * np.diag(M),
         rho=1.0,
     )
@@ -356,7 +401,7 @@ def _hand_setting(**kw):
 
 class TestValidateSetting:
     def test_pd_too_small_fails_pa_psd(self):
-        M = metropolis_matrix(TRIANGLE)
+        M = TRIANGLE.metropolis
         s = _hand_setting(d_prime=0.1 * np.diag(M))
         report = validate_setting(s)
         assert not report.passed
@@ -364,22 +409,24 @@ class TestValidateSetting:
         assert "P_A = P_D - rho*P_H PSD" in failed
 
     def test_phtilde_bigger_than_ph_fails_order(self):
-        M = metropolis_matrix(TRIANGLE)
-        s = _hand_setting(P_Htilde=2.0 * M)
+        # double mode with M = L/2: P_H - P_Htilde = L^2/2 - L^2 = -L^2/2
+        L = TRIANGLE.metropolis
+        s = _hand_setting(variant=Variant.DIST_ADMM, exchange={"L": L, "M": L / 2.0},
+                          d_prime=np.full(3, 2.0))
         report = validate_setting(s)
         failed = {c.name for c in report.checks if not c.passed}
         assert "P_H >= P_Htilde (PSD order)" in failed
 
     def test_wrong_nullspace_detected(self):
         bad = np.diag([1.0, 1.0, 0.0])  # null direction e3, not ones
-        s = _hand_setting(P_H=bad, P_Htilde=bad, d_prime=np.full(3, 2.0))
+        s = _hand_setting(exchange={"H": bad}, d_prime=np.full(3, 2.0))
         report = validate_setting(s)
         failed = {c.name for c in report.checks if not c.passed}
         assert any("ones direction" in name for name in failed)
 
     def test_indefinite_ph_detected(self):
         bad = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        s = _hand_setting(P_H=bad)
+        s = _hand_setting(exchange={"H": bad})
         report = validate_setting(s)
         assert not report.passed
 
@@ -393,8 +440,8 @@ class TestValidateSetting:
         # under them; a replaced setting gets its own
         s = make_default(Variant.DUCA_I, TRIANGLE)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            s.P_H = 2.0 * s.P_H
-        s2 = dataclasses.replace(s, P_H=2.0 * s.P_H, P_Htilde=2.0 * s.P_Htilde)
+            s.exchange = {"H": 2.0 * s.P_H}
+        s2 = dataclasses.replace(s, exchange={"H": 2.0 * s.P_H})
         assert s2.spectra is not s.spectra
         assert s2.spectra.lamNm1_PHtilde == pytest.approx(2.0 * s.spectra.lamNm1_PHtilde)
 
@@ -406,13 +453,6 @@ class TestValidateSetting:
         assert s1 == s1 and s1 != s2
         assert len({s1, s2, s1}) == 2
         assert hash(s1) == hash(s1)
-
-    def test_double_mode_factorization_checked(self):
-        s = make_default(Variant.ALT, TRIANGLE)
-        s = dataclasses.replace(s, P_H=s.P_H + 1e-6 * np.eye(3))
-        report = validate_setting(s)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "P_H == L @ M" in failed
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +495,10 @@ class TestSpectralQuantities:
 
     def test_zero_pa_edge_case(self):
         # A direct (unvalidated) setting with diag(d') = rho * P_H so P_A = 0.
-        M = metropolis_matrix(PATH2)
+        M = PATH2.metropolis
         s = ParamSetting(
             variant=Variant.DUCA_I,
-            P_H=np.diag(np.diag(M)) * 2,  # diagonal "Laplacian" stand-in
-            P_Htilde=M,
+            exchange={"H": np.diag(np.diag(M)) * 2},  # diagonal "Laplacian" stand-in
             d_prime=2.0 * np.diag(M),
             rho=1.0,
         )

@@ -237,9 +237,10 @@ class TestNormsAgainstDenseKron:
 
 class TestSpectraOncePerSetting:
     @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.ALT])
-    def test_four_network_eigensolves_per_setting(self, variant, monkeypatch):
+    def test_network_eigensolves_per_setting(self, variant, monkeypatch):
         # make_setting, make_certificate and run share one decomposition of
-        # each of P_H, P_Htilde, P_A and P_H - P_Htilde.
+        # each matrix: P_A and H (= P_H = P_Htilde) in single mode; P_A,
+        # P_H, P_Htilde and P_H - P_Htilde in double mode.
         pb, _, sol, _, x0, y0 = small_bundle()
         g = random_connected_graph(6, 9, seed=3)
         calls = []
@@ -256,7 +257,7 @@ class TestSpectraOncePerSetting:
         cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
         coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
         run(pb, s, 3, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
-        assert calls == [(6, 6)] * 4
+        assert calls == [(6, 6)] * (2 if variant == Variant.DUCA_I else 4)
 
 
 class TestPerRunConstants:
@@ -407,18 +408,25 @@ class TestTheoremBounds:
                 cert.bounds(k)
 
     def test_larger_consensus_form_shrinks_bounds(self):
-        # Halving P_Htilde (still <= P_H) with P_A fixed doubles the
-        # pseudo-inverse weight, so the larger form of the two gives strictly
-        # smaller bounds wherever the disagreement term enters.
-        pb, s, sol, cert, x0, y0 = small_bundle()
-        halved = dataclasses.replace(s, P_Htilde=0.5 * s.P_Htilde)
-        assert validate_setting(halved).passed
-        assert np.array_equal(halved.P_A, s.P_A)
-        assert halved.spectra.lam1_PA == s.spectra.lam1_PA
-        assert halved.spectra.lamNm1_PHtilde == pytest.approx(
-            0.5 * s.spectra.lamNm1_PHtilde, rel=1e-10
+        # Exchanging L/2 and 2M in place of L and M keeps P_H = L M and P_A
+        # bit for bit (powers of two scale exactly) but quarters
+        # P_Htilde = L L (still <= P_H), which quadruples the pseudo-inverse
+        # weight: the larger form of the two gives strictly smaller bounds
+        # wherever the disagreement term enters.
+        pb, _, sol, _, x0, y0 = small_bundle()
+        s = make_setting(Variant.DIST_ADMM, _CACHE["g6"], rho=1.0)
+        cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
+        L, M = s.exchange["L"], s.exchange["M"]
+        quartered = dataclasses.replace(s, exchange={"L": L / 2.0, "M": 2.0 * M})
+        assert validate_setting(quartered).passed
+        assert np.array_equal(quartered.P_H, s.P_H)
+        assert np.array_equal(quartered.P_A, s.P_A)
+        assert np.array_equal(quartered.P_Htilde, s.P_Htilde / 4.0)
+        assert quartered.spectra.lam1_PA == s.spectra.lam1_PA
+        assert quartered.spectra.lamNm1_PHtilde == pytest.approx(
+            0.25 * s.spectra.lamNm1_PHtilde, rel=1e-10
         )
-        cert2 = make_certificate(sol, pb, halved, x0=x0, y0=y0)
+        cert2 = make_certificate(sol, pb, quartered, x0=x0, y0=y0)
         before, after = cert.bounds(4), cert2.bounds(4)
         for key in ("fe_bound", "oe_upper"):
             assert after[key] > before[key] * (1.0 + 1e-9)
