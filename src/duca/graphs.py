@@ -10,6 +10,7 @@ every setting must satisfy, and computes the spectral quantities that enter
 the convergence bounds.
 """
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -159,29 +160,32 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
         tree = [(0, 1)]
     else:
         # Pruefer decode: every sequence over {0..n-1}^(n-2) maps to a tree.
+        # The heap holds the current leaves; each step joins the smallest.
         seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
         degree = [1] * n
         for v in seq:
             degree[v] += 1
+        leaves = [i for i in range(n) if degree[i] == 1]
         tree = []
         for v in seq:
-            leaf = min(i for i in range(n) if degree[i] == 1)
+            leaf = heapq.heappop(leaves)
             tree.append((min(leaf, v), max(leaf, v)))
-            degree[leaf] -= 1
             degree[v] -= 1
-        last = [i for i in range(n) if degree[i] == 1]
-        tree.append((last[0], last[1]))
-    have = set(tree)
-    # uniform extra edges among the absent pairs
-    absent = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in have
-    ]
-    extra = n_edges - len(have)
+            if degree[v] == 1:
+                heapq.heappush(leaves, v)
+        tree.append((min(leaves), max(leaves)))
+    edges = set(tree)
+    # uniform extra edges among the absent pairs, indexed in (i, j) order
+    in_tree = np.zeros((n, n), dtype=bool)
+    in_tree[tuple(np.array(tree).T)] = True
+    iu, ju = np.triu_indices(n, 1)
+    absent = ~in_tree[iu, ju]
+    iu, ju = iu[absent], ju[absent]
+    extra = n_edges - len(tree)
     if extra > 0:
-        pick = rng.choice(len(absent), size=extra, replace=False)
-        for idx in sorted(int(t) for t in pick):
-            have.add(absent[idx])
-    return build_graph(n, sorted(have))
+        pick = rng.choice(len(iu), size=extra, replace=False)
+        edges.update(zip(iu[pick].tolist(), ju[pick].tolist()))
+    return build_graph(n, sorted(edges))
 
 
 # ---------------------------------------------------------------------------

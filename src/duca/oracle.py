@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleProblemError, NotConvergedError, TooLargeError
 from .textdoc import DocReader, DocWriter
-from .localsolver import _certificate_residual, _prox_l1_ball, dual_value_batch
+from .localsolver import LONG_STEP, _certificate_residual, _prox_l1_ball, dual_value_batch
 from .problem import Problem, StackedPoint, gtilde_rows, objective_rows, slater_check
 
 __all__ = [
@@ -70,19 +70,16 @@ def _al_value_grad(pb: Problem, X, mu, lam, rho_c):
     )
     grad += 2.0 * np.einsum("m,nmd->nd", hinge, diff)
     grad += np.einsum("npd,p->nd", pb.B, lam + rho_c * H)
-    return val, grad, G, H, hinge
+    return val, grad
 
 
 def _al_lipschitz(pb: Problem, mu, rho_c):
     """Bound on the stacked AL Hessian norm over the product of balls."""
-    lam_P = 2.0 * float(np.linalg.eigvalsh(pb.P)[:, -1].max())
-    R = np.sqrt(pb.c)[:, None] + np.linalg.norm(
-        pb.a[:, None, :] - pb.a_prime, axis=2
-    )  # (N, m)
-    G_hi = np.sum(R**2 - pb.c_prime, axis=0)
+    lam_P = float(pb.curv_P.max())
+    G_hi = np.sum(pb.reach_sq - pb.c_prime, axis=0)
     hinge_hi = np.maximum(mu + rho_c * np.maximum(G_hi, 0.0), 0.0)
     # rank-one coupling rho_c * (grad G)(grad G)^T plus hinge * Hess g
-    curv = float(np.sum(rho_c * 4.0 * np.sum(R**2, axis=0) + 2.0 * hinge_hi))
+    curv = float(np.sum(rho_c * 4.0 * np.sum(pb.reach_sq, axis=0) + 2.0 * hinge_hi))
     if pb.p:
         B_flat = pb.B.transpose(1, 0, 2).reshape(pb.p, pb.n_agents * pb.dmax)
         lam_B = float(np.linalg.eigvalsh(B_flat @ B_flat.T).max())
@@ -96,29 +93,41 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
 
     Single stacked objective; the nonsmooth part (l1 + per-agent balls) keeps
     its exact row-wise prox.  Stops at prox fixed-point gap <= tol.
+
+    The solve starts at the long step ``LONG_STEP / L``, where ``L`` is the
+    worst-case AL curvature over the balls, and backtracking shrinks it as
+    needed.  The stop test runs at ``min(eta, 1/L)``, never at a longer step:
+    the gap ``||X - prox(X - eta*grad)|| / eta`` does not increase with eta,
+    so testing at the solver's step would loosen acceptance.  Unlike the
+    local solver there is no drop to 1/L after a stall: backtracking already
+    makes every step a descent step, and on slow, heavily penalized solves a
+    forced drop to 1/L multiplied the iteration count instead of rescuing
+    the solve.
     """
     w = pb.l1_weight
     lip = max(_al_lipschitz(pb, mu, rho_c), 1e-12)
-    eta = 1.0 / lip
+    eta0 = 1.0 / lip
+    eta = LONG_STEP * eta0
     X = _prox_l1_ball(X0.copy(), np.zeros(pb.n_agents), pb.a, pb.c)
-    val, grad = _al_value_grad(pb, X, mu, lam, rho_c)[:2]
+    val, grad = _al_value_grad(pb, X, mu, lam, rho_c)
     comp = val + w * float(np.abs(X).sum())
     Xprev = X.copy()
     tk = 1.0
     res = np.inf
     it = 0
     for it in range(max_iters):
-        step = _prox_l1_ball(X - eta * grad, np.full(pb.n_agents, eta * w), pb.a, pb.c)
-        res = float(np.linalg.norm(X - step)) / eta
+        probe = min(eta, eta0)
+        step = _prox_l1_ball(X - probe * grad, np.full(pb.n_agents, probe * w), pb.a, pb.c)
+        res = float(np.linalg.norm(X - step)) / probe
         if res <= tol:
             break
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / tk_next
         Z = X + beta * (X - Xprev)
-        vZ, gZ = _al_value_grad(pb, Z, mu, lam, rho_c)[:2]
+        vZ, gZ = _al_value_grad(pb, Z, mu, lam, rho_c)
         for _ in range(60):
             Xn = _prox_l1_ball(Z - eta * gZ, np.full(pb.n_agents, eta * w), pb.a, pb.c)
-            vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)[:2]
+            vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)
             dX = Xn - Z
             if vn <= vZ + float(np.sum(gZ * dX)) + float(np.sum(dX**2)) / (2 * eta) + 1e-12 * (
                 1 + abs(vZ)
@@ -130,7 +139,7 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
             # momentum overshoot: plain descent step from X, reset momentum
             for _ in range(60):
                 Xn = _prox_l1_ball(X - eta * grad, np.full(pb.n_agents, eta * w), pb.a, pb.c)
-                vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)[:2]
+                vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)
                 dX = Xn - X
                 if vn <= val + float(np.sum(grad * dX)) + float(np.sum(dX**2)) / (
                     2 * eta
@@ -160,7 +169,7 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
     feas_prev = np.inf
     for outer in range(1, max_outer + 1):
         inner_tol = max(0.01 * tol, min(1e-4, 0.05 * min(feas_prev, 1.0)))
-        X, inner_res, _ = _al_minimize(pb, X, mu, lam, rho_c, inner_tol)
+        X = _al_minimize(pb, X, mu, lam, rho_c, inner_tol)[0]
         G, H = _coupled_sums(pb, X)
         mu_eff = np.maximum(mu + rho_c * G, 0.0)
         lam_eff = lam + rho_c * H
@@ -171,7 +180,7 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
         compl = float(mu_eff @ G) if pb.m else 0.0
         if feas <= tol and abs(compl) <= 10.0 * tol:
             # certify stationarity of the plain Lagrangian at (mu_eff, lam_eff)
-            stat = _lagrangian_stationarity(pb, X, mu_eff, lam_eff, tol)
+            stat = _lagrangian_stationarity(pb, X, mu_eff, lam_eff)
             if stat <= tol:
                 f_star = float(objective_rows(pb, X).sum())
                 return CertificateCore(
@@ -192,7 +201,7 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
     )
 
 
-def _lagrangian_stationarity(pb: Problem, X, mu, lam, tol):
+def _lagrangian_stationarity(pb: Problem, X, mu, lam):
     """Certified per-agent fixed-point residual of the plain Lagrangian.
 
     At fixed multipliers the Lagrangian splits across agents, so stationarity
@@ -202,8 +211,7 @@ def _lagrangian_stationarity(pb: Problem, X, mu, lam, tol):
     diff = X[:, None, :] - pb.a_prime
     grad += 2.0 * np.einsum("m,nmd->nd", mu, diff)
     grad += np.einsum("npd,p->nd", pb.B, lam)
-    lam_P = 2.0 * np.linalg.eigvalsh(pb.P)[:, -1]
-    lip = np.maximum(lam_P + 2.0 * float(mu.sum()), 1e-12)
+    lip = np.maximum(pb.curv_P + 2.0 * float(mu.sum()), 1e-12)
     res = _certificate_residual(X, grad, 1.0 / lip, pb.a, pb.c, pb.l1_weight)
     return float(res.max())
 

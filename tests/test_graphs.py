@@ -80,7 +80,47 @@ class TestBuildGraph:
         assert g.n_nodes == 1 and g.n_edges == 0
 
 
+def _reference_random_edges(n, n_edges, seed):
+    """Edge list of the original quadratic-scan construction, kept as a reference.
+
+    Pruefer decode by scanning for the smallest leaf, then a uniform draw from
+    the explicitly enumerated absent pairs in (i, j) order.
+    """
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        tree = [(0, 1)]
+    else:
+        seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        tree = []
+        for v in seq:
+            leaf = min(i for i in range(n) if degree[i] == 1)
+            tree.append((min(leaf, v), max(leaf, v)))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        last = [i for i in range(n) if degree[i] == 1]
+        tree.append((last[0], last[1]))
+    have = set(tree)
+    absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in have]
+    extra = n_edges - len(have)
+    if extra > 0:
+        pick = rng.choice(len(absent), size=extra, replace=False)
+        for idx in sorted(int(t) for t in pick):
+            have.add(absent[idx])
+    return tuple(sorted(have))
+
+
 class TestRandomConnectedGraph:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 20, 57, 200])
+    def test_matches_reference_construction(self, n):
+        max_edges = n * (n - 1) // 2
+        for n_edges in sorted({n - 1, min(2 * n, max_edges), max_edges}):
+            for seed in range(20):
+                got = random_connected_graph(n, n_edges, seed=seed).edges
+                assert got == _reference_random_edges(n, n_edges, seed), (n, n_edges, seed)
+
     def test_deterministic(self):
         a = random_connected_graph(20, 40, seed=7)
         b = random_connected_graph(20, 40, seed=7)

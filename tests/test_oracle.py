@@ -1,10 +1,13 @@
 """Tests for the centralized reference solvers (method of multipliers + grid)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from duca import oracle
 from duca.errors import InfeasibleProblemError, TooLargeError
-from duca.localsolver import dual_value_batch
+from duca.localsolver import LONG_STEP, dual_value_batch
 from duca.oracle import (
     CertificateCore,
     centralized_solve,
@@ -68,6 +71,86 @@ def infeasible_single_agent():
         l1_weight=0.0,
         validate=False,
     )
+
+
+def active_coupling_instance():
+    """The seed-42 benchmark instance with Q scaled 4x: all six multipliers bind."""
+    pb = generate_example(20, 3, 1, 5, seed=42)
+    return dataclasses.replace(pb, Q=4.0 * pb.Q)
+
+
+@pytest.fixture(scope="module")
+def traced_active_solve():
+    """Solve the active instance once, recording every AL solve and prox step.
+
+    A prox call whose output is next handed to ``_al_value_grad`` is a descent
+    step; any other prox call with a nonzero step is a stop test.  Each prox
+    record carries the worst-case step 1/L of the AL solve it belongs to.
+    """
+    pb = active_coupling_instance()
+    trace = {"solves": [], "prox": [], "eta0": None}
+
+    def lipschitz(*args):
+        lip = real_lip(*args)
+        trace["eta0"] = 1.0 / max(lip, 1e-12)
+        return lip
+
+    def prox(V, thresh, a, c):
+        out = real_prox(V, thresh, a, c)
+        step = float(thresh[0]) / pb.l1_weight
+        trace["prox"].append({"step": step, "eta0": trace["eta0"], "out": out, "descent": False})
+        return out
+
+    def value_grad(pb_, X, *args):
+        if trace["prox"] and trace["prox"][-1]["out"] is X:
+            trace["prox"][-1]["descent"] = True
+        return real_vg(pb_, X, *args)
+
+    def minimize(*args):
+        out = real_min(*args)
+        trace["solves"].append({"res": out[1], "iters": out[2], "tol": args[5]})
+        return out
+
+    real_lip, real_prox = oracle._al_lipschitz, oracle._prox_l1_ball
+    real_vg, real_min = oracle._al_value_grad, oracle._al_minimize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_al_lipschitz", lipschitz)
+        mp.setattr(oracle, "_prox_l1_ball", prox)
+        mp.setattr(oracle, "_al_value_grad", value_grad)
+        mp.setattr(oracle, "_al_minimize", minimize)
+        core = centralized_solve(pb, tol=1e-9)
+    return pb, core, trace
+
+
+class TestLongStartReference:
+    def test_stop_test_never_exceeds_worst_case_step(self, traced_active_solve):
+        _, _, trace = traced_active_solve
+        stops = [r for r in trace["prox"] if not r["descent"] and r["step"] > 0.0]
+        descents = [r for r in trace["prox"] if r["descent"] and r["step"] > 0.0]
+        assert stops and descents
+        assert all(r["step"] <= r["eta0"] * (1.0 + 1e-12) for r in stops)
+        # the solver itself does take the long step
+        assert any(r["step"] == pytest.approx(LONG_STEP * r["eta0"], rel=1e-12)
+                   for r in descents)
+
+    def test_every_al_solve_certifies_within_budget(self, traced_active_solve):
+        _, _, trace = traced_active_solve
+        solves = trace["solves"]
+        # res <= tol only when the stop test ended the solve, not max_iters
+        assert solves
+        assert all(s["res"] <= s["tol"] for s in solves)
+        # 2,561 iterations when every solve started at 1/L
+        assert sum(s["iters"] for s in solves) <= 1000
+
+    def test_active_coupling_certificate(self, traced_active_solve):
+        pb, core, _ = traced_active_solve
+        assert core.y_star.shape == (6,)
+        assert np.all(np.abs(core.y_star) > 1e-3)
+        assert np.all(core.y_star[: pb.m] > 0.0)
+        assert core.stationarity <= 1e-9
+        assert core.feasibility <= 1e-9
+        # the dual function is evaluated by the local solver, not the AL loop
+        assert duality_gap_check(core, pb, tol=1e-9) <= 1e-8
 
 
 class TestCentralizedSolve:
