@@ -14,10 +14,10 @@ import numpy as np
 
 from duca import (
     LocalSubproblem,
+    Problem,
     composite_subgradient,
     generate_example,
     local_objective,
-    solve_local,
     solve_local_batch,
 )
 
@@ -33,16 +33,21 @@ sp = LocalSubproblem(
     alpha=0.0,
 )
 
-out = solve_local(sp, tol=1e-10)
-print(f"solution x = {out.x}")
-print(f"objective  = {out.value:.12f}")
-print(f"iterations = {out.iters}, converged = {out.converged}")
-print(f"certificate residual = {out.residual:.2e}  (projected subgradient norm)")
+# The solver takes one row per agent; a one-agent problem is a batch of one.
+X, res, iters, done, vals = solve_local_batch(
+    pb, sp.ytilde[None, :], np.array([sp.d_prime]), sp.alpha, sp.anchor[None, :],
+    tol=1e-10,
+)
+x, value = X[0], vals[0]
+print(f"solution x = {x}")
+print(f"objective  = {value:.12f}")
+print(f"iterations = {iters[0]}, converged = {done[0]}")
+print(f"certificate residual = {res[0]:.2e}  (projected subgradient norm)")
 
 # The certificate is independent of the descent loop: the minimal-norm
 # subgradient of the full composite objective, projected onto the ball's
 # feasible directions, must be small at a minimizer.
-grad = composite_subgradient(sp, out.x)
+grad = composite_subgradient(sp, x)
 print(f"subgradient at solution = {grad}")
 
 # ----------------------------------------------------------------------
@@ -51,23 +56,24 @@ print(f"subgradient at solution = {grad}")
 rng = np.random.default_rng(0)
 worse = 0
 for _ in range(200):
-    trial = out.x + rng.normal(scale=1e-4, size=2)
-    worse += local_objective(sp, trial) >= out.value - 1e-12
+    trial = x + rng.normal(scale=1e-4, size=2)
+    worse += local_objective(sp, trial) >= value - 1e-12
 print(f"\nrandom perturbations no better than solution: {worse}/200")
 
 # ----------------------------------------------------------------------
-# Whole-network rounds call the vectorized batch front end, which solves
-# every agent at once and returns bit-identical results to the per-agent
-# path (same operations in the same order).
+# Whole-network rounds solve every agent at once.  Each row is certified
+# at every iterate until it passes, then frozen, so a row's result does not
+# depend on the rest of the batch: agent 3 solved as a one-agent problem
+# gives the same bits.
 pb20 = generate_example(n=20, d=3, m=1, p=5, seed=42)
 Yt = rng.normal(size=(20, 6))
 d_prime = np.full(20, 2.0)
 anchor = np.zeros((20, 3))
-X, res, iters, done, vals, _ = solve_local_batch(pb20, Yt, d_prime, 0.0,
-                                                 anchor, tol=1e-9)
+X, res, iters, done, vals = solve_local_batch(pb20, Yt, d_prime, 0.0, anchor, tol=1e-9)
 print(f"\nbatch of 20 agents: all converged = {done.all()}, "
       f"max certificate residual = {res.max():.2e}")
-one = solve_local(LocalSubproblem(problem=pb20, agent=3, ytilde=Yt[3],
-                                  d_prime=2.0, alpha=0.0, anchor=anchor[3]),
-                  tol=1e-9)
-print(f"agent 3 solo == batch row: {np.array_equal(one.x, X[3])}")
+data = pb20.agent_data(3)
+solo = Problem.from_agent_data(**{k: [v] for k, v in data.items()},
+                               l1_weight=pb20.l1_weight)
+one = solve_local_batch(solo, Yt[3:4], d_prime[3:4], 0.0, anchor[3:4], tol=1e-9)
+print(f"agent 3 solo == batch row: {np.array_equal(one[0][0], X[3])}")

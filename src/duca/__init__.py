@@ -50,11 +50,9 @@ from .problem import (
 )
 from .localsolver import (
     LocalSubproblem,
-    SolveResult,
     composite_subgradient,
     dual_value_batch,
     local_objective,
-    solve_local,
     solve_local_batch,
 )
 from .oracle import (
@@ -136,10 +134,8 @@ __all__ = [
     "slater_check",
     # localsolver
     "LocalSubproblem",
-    "SolveResult",
     "composite_subgradient",
     "local_objective",
-    "solve_local",
     "solve_local_batch",
     "dual_value_batch",
     # oracle

@@ -297,7 +297,7 @@ def step(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
     else:
         ytilde = d[:, None] * st.Y - rho * mb.weighted_sum("H", st.Y) - st.V
 
-    X_new, _res, iters, done, _vals, _ = solve_local_batch(
+    X_new, _res, iters, done, _vals = solve_local_batch(
         pb, ytilde, d, s.alpha, st.X, tol=tol_inner, max_iters=max_iters
     )
     gt, Y_new, sig, moreau, compl = _dual_and_cone_update(pb, d, ytilde, X_new)

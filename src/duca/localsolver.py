@@ -32,10 +32,8 @@ from .problem import Problem, subgradient_f
 
 __all__ = [
     "LocalSubproblem",
-    "SolveResult",
     "composite_subgradient",
     "local_objective",
-    "solve_local",
     "solve_local_batch",
     "dual_value_batch",
 ]
@@ -78,16 +76,6 @@ class LocalSubproblem:
             raise DimMismatchError(
                 f"anchor has shape {self.anchor.shape}, expected ({d},)"
             )
-
-
-@dataclass
-class SolveResult:
-    x: np.ndarray
-    residual: float
-    iters: int
-    converged: bool
-    value: float
-    history: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +306,21 @@ def _certificate_residual(X, grads, eta, a, c, w):
 # ---------------------------------------------------------------------------
 
 
-def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters,
-                    collect_history=False):
+def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
     """Minimize rows of smooth(x) + w*||x||_1 over per-row balls.
 
     Accelerated proximal gradient with per-row backtracking and function-value
     restart: a row whose extrapolated step would increase the composite value
     falls back to a plain (guaranteed-descent) step and resets its momentum,
-    so the recorded objective history is nonincreasing.
+    so each row's composite value never increases from one iterate to the next.
 
     ``value_and_grad(X)`` returns per-row smooth values and gradients for the
     whole batch.  Rows freeze at their first certified residual <= tol, so
     batched and single-row solves agree.  The exact certificate is costly
     (it optimizes the subgradient selection), so it is only attempted when a
     row's per-step movement is small or on a periodic fallback; acceptance
-    itself is always by certificate.  Returns (X, residual, iters, converged,
-    composite values, history).
+    itself is always by certificate.  Returns (X, residual, iters, done,
+    composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
     the worst case over the ball, and backtracking shrinks it as needed.  The
@@ -352,7 +339,6 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters,
     residual = np.full(rows, np.inf)
     vals, grads = value_and_grad(X)
     comp = vals + w * np.abs(X).sum(axis=1)
-    history = [comp.copy()] if collect_history else None
     Xprev = X.copy()
     tk = np.ones(rows)
     slack = lambda v: 1e-12 * (1.0 + np.abs(v))
@@ -420,43 +406,35 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters,
         comp = np.where(act, comp_n, comp)
         tk = np.where(act, tk_next, tk)
         iters[act] += 1
-        if collect_history:
-            history.append(comp.copy())
     else:
         idx = np.where(~done)[0]
         if len(idx):
             certify(idx)
-    return X, residual, iters, done, comp, history
+    return X, residual, iters, done, comp
 
 
 # ---------------------------------------------------------------------------
-# Round subproblems (single agent and whole-network batch)
+# Round subproblems (whole-network batch)
 # ---------------------------------------------------------------------------
 
 
-def _round_value_and_grad(pb, rows_idx, Ytilde, d_prime, alpha, anchor):
-    """Closure over the round smooth part for a batch of agent rows."""
-    P = pb.P[rows_idx]
-    Q = pb.Q[rows_idx]
-    a_prime = pb.a_prime[rows_idx]
-    c_prime = pb.c_prime[rows_idx]
-    B = pb.B[rows_idx]
-    c_eq = pb.c_eq[rows_idx]
+def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
+    """Closure over the round smooth part, one row per agent."""
     mu = Ytilde[:, : pb.m]
     lam = Ytilde[:, pb.m :]
     inv_d = 1.0 / d_prime
 
     def value_and_grad(X):
-        quad = np.einsum("rd,rde,re->r", X, P, X)
-        lin = np.sum(Q * X, axis=1)
-        grad = 2.0 * np.einsum("rde,re->rd", P, X) + Q
-        diff = X[:, None, :] - a_prime
-        hinge = np.maximum(mu + np.sum(diff**2, axis=2) - c_prime, 0.0)
+        quad = np.einsum("rd,rde,re->r", X, pb.P, X)
+        lin = np.sum(pb.Q * X, axis=1)
+        grad = 2.0 * np.einsum("rde,re->rd", pb.P, X) + pb.Q
+        diff = X[:, None, :] - pb.a_prime
+        hinge = np.maximum(mu + np.sum(diff**2, axis=2) - pb.c_prime, 0.0)
         pen_g = 0.5 * inv_d * np.sum(hinge**2, axis=1)
         grad += (2.0 * inv_d)[:, None] * np.einsum("rm,rmd->rd", hinge, diff)
-        eq = lam + np.einsum("rpd,rd->rp", B, X) + c_eq
+        eq = lam + np.einsum("rpd,rd->rp", pb.B, X) + pb.c_eq
         pen_h = 0.5 * inv_d * np.sum(eq**2, axis=1)
-        grad += inv_d[:, None] * np.einsum("rpd,rp->rd", B, eq)
+        grad += inv_d[:, None] * np.einsum("rpd,rp->rd", pb.B, eq)
         dxa = X - anchor
         prox = 0.5 * alpha * np.sum(dxa**2, axis=1)
         grad += alpha * dxa
@@ -465,71 +443,36 @@ def _round_value_and_grad(pb, rows_idx, Ytilde, d_prime, alpha, anchor):
     return value_and_grad
 
 
-def _round_lipschitz(pb, rows_idx, Ytilde, d_prime, alpha):
-    """Per-row bound on the smooth part's Hessian norm over the ball.
+def _round_lipschitz(pb, Ytilde, d_prime, alpha):
+    """Per-agent bound on the smooth part's Hessian norm over the ball.
 
     Only the squared-hinge term depends on the round (through mu); the
     problem's curvature bounds are computed once per problem.
     """
-    R2 = pb.reach_sq[rows_idx]
-    hinge_max = np.maximum(Ytilde[:, : pb.m] + R2 - pb.c_prime[rows_idx], 0.0)
+    R2 = pb.reach_sq
+    hinge_max = np.maximum(Ytilde[:, : pb.m] + R2 - pb.c_prime, 0.0)
     curv_g = np.sum(4.0 * R2 + 2.0 * hinge_max, axis=1)
-    return pb.curv_P[rows_idx] + (curv_g + pb.curv_B[rows_idx]) / d_prime + alpha
+    return pb.curv_P + (curv_g + pb.curv_B) / d_prime + alpha
 
 
 def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
-                      tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-                      collect_history=False):
+                      tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """Solve all N agents' round subproblems at once.
 
     ``Ytilde``: (N, m+p) shifted duals; ``d_prime``: (N,) positive scales;
-    ``anchor``: (N, dmax) padded anchors (also the warm start).
+    ``anchor``: (N, dmax) padded anchors (also the warm start).  Returns
+    ``(X, residual, iters, done, values)``, one entry or row per agent.  Each
+    row equals the solve of that agent alone, as a one-agent problem, bit for
+    bit.
     """
     if tol <= 0:
         raise AssumptionViolatedError(f"tol must be positive, got {tol}")
-    rows_idx = np.arange(pb.n_agents)
     d_prime = np.asarray(d_prime, dtype=float)
     if (d_prime <= 0).any():
         raise AssumptionViolatedError("d_prime entries must be positive")
-    vg = _round_value_and_grad(pb, rows_idx, Ytilde, d_prime, alpha, anchor)
-    lip = _round_lipschitz(pb, rows_idx, Ytilde, d_prime, alpha)
-    X, res, iters, done, vals, hist = _prox_grad_loop(
-        vg, anchor, pb.a, pb.c, pb.l1_weight, lip, tol, max_iters,
-        collect_history=collect_history,
-    )
-    return X, res, iters, done, vals, hist
-
-
-def solve_local(sp: LocalSubproblem, warm=None, tol=DEFAULT_TOL,
-                max_iters=DEFAULT_MAX_ITERS, collect_history=False) -> SolveResult:
-    """Solve one agent's round subproblem; warm start defaults to the anchor."""
-    pb = sp.problem
-    i = sp.agent
-    d = pb.dims[i]
-    start = sp.anchor if warm is None else np.asarray(warm, dtype=float)
-    if start.shape != (d,):
-        raise DimMismatchError(f"warm start has shape {start.shape}, expected ({d},)")
-    rows_idx = np.array([i])
-    Yt = sp.ytilde[None, :]
-    dprime = np.array([sp.d_prime])
-    anchor = np.zeros((1, pb.dmax))
-    anchor[0, :d] = sp.anchor
-    X0 = np.zeros((1, pb.dmax))
-    X0[0, :d] = start
-    vg = _round_value_and_grad(pb, rows_idx, Yt, dprime, sp.alpha, anchor)
-    lip = _round_lipschitz(pb, rows_idx, Yt, dprime, sp.alpha)
-    X, res, iters, done, vals, hist = _prox_grad_loop(
-        vg, X0, pb.a[rows_idx], pb.c[rows_idx], pb.l1_weight, lip, tol,
-        max_iters, collect_history=collect_history,
-    )
-    return SolveResult(
-        x=X[0, :d].copy(),
-        residual=float(res[0]),
-        iters=int(iters[0]),
-        converged=bool(done[0]),
-        value=float(vals[0]),
-        history=None if hist is None else [float(h[0]) for h in hist],
-    )
+    vg = _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor)
+    lip = _round_lipschitz(pb, Ytilde, d_prime, alpha)
+    return _prox_grad_loop(vg, anchor, pb.a, pb.c, pb.l1_weight, lip, tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -537,25 +480,18 @@ def solve_local(sp: LocalSubproblem, warm=None, tol=DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 
-def _dual_value_and_grad(pb, rows_idx, mu, lam):
-    P = pb.P[rows_idx]
-    Q = pb.Q[rows_idx]
-    a_prime = pb.a_prime[rows_idx]
-    c_prime = pb.c_prime[rows_idx]
-    B = pb.B[rows_idx]
-    c_eq = pb.c_eq[rows_idx]
-
+def _dual_value_and_grad(pb, mu, lam):
     def value_and_grad(X):
-        quad = np.einsum("rd,rde,re->r", X, P, X)
-        lin = np.sum(Q * X, axis=1)
-        grad = 2.0 * np.einsum("rde,re->rd", P, X) + Q
-        diff = X[:, None, :] - a_prime
-        g = np.sum(diff**2, axis=2) - c_prime
+        quad = np.einsum("rd,rde,re->r", X, pb.P, X)
+        lin = np.sum(pb.Q * X, axis=1)
+        grad = 2.0 * np.einsum("rde,re->rd", pb.P, X) + pb.Q
+        diff = X[:, None, :] - pb.a_prime
+        g = np.sum(diff**2, axis=2) - pb.c_prime
         val_g = np.sum(mu * g, axis=1)
         grad += 2.0 * np.einsum("rm,rmd->rd", mu, diff)
-        h = np.einsum("rpd,rd->rp", B, X) + c_eq
+        h = np.einsum("rpd,rd->rp", pb.B, X) + pb.c_eq
         val_h = np.sum(lam * h, axis=1)
-        grad += np.einsum("rpd,rp->rd", B, lam)
+        grad += np.einsum("rpd,rp->rd", pb.B, lam)
         return quad + lin + val_g + val_h, grad
 
     return value_and_grad
@@ -569,12 +505,11 @@ def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL,
         raise DimMismatchError(f"y has shape {y.shape}, expected ({pb.mp},)")
     if pb.m and float(y[: pb.m].min()) < 0.0:
         raise AssumptionViolatedError("dual evaluation needs mu >= 0")
-    rows_idx = np.arange(pb.n_agents)
     mu = np.broadcast_to(y[: pb.m], (pb.n_agents, pb.m))
     lam = np.broadcast_to(y[pb.m :], (pb.n_agents, pb.p))
-    vg = _dual_value_and_grad(pb, rows_idx, mu, lam)
+    vg = _dual_value_and_grad(pb, mu, lam)
     lip = pb.curv_P + 2.0 * float(y[: pb.m].sum())
-    X, res, iters, done, vals, _ = _prox_grad_loop(
+    X, res, iters, done, vals = _prox_grad_loop(
         vg, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight,
         np.maximum(lip, 1e-12), tol, max_iters,
     )

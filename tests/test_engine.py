@@ -31,7 +31,7 @@ from duca.graphs import (
     make_setting,
     random_connected_graph,
 )
-from duca.localsolver import LocalSubproblem, solve_local
+from duca.localsolver import solve_local_batch
 from duca.problem import Problem, generate_example
 
 SEED_GRAPH = random_connected_graph(20, 40, seed=42)
@@ -270,9 +270,9 @@ class TestSingleExchange:
         step(st, pb, s)
         # With no neighbors and v = 0 the round is exactly one multiplier-
         # method step with penalty 1/d': same solve, then the cone update.
-        sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(1), d_prime=2.0)
-        ref = solve_local(sp)
-        assert np.allclose(st.X[0], ref.x, atol=1e-12)
+        ref = solve_local_batch(pb, np.zeros((1, 1)), np.array([2.0]), 0.0,
+                                np.zeros((1, 1)))[0]
+        assert np.allclose(st.X[0], ref[0], atol=1e-12)
         g_val = st.X[0, 0] ** 2 - 1.0
         assert st.Y[0, 0] == pytest.approx(max(g_val, 0.0) / 2.0, abs=1e-14)
         assert np.all(st.V == 0.0)

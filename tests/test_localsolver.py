@@ -8,15 +8,18 @@ from hypothesis.extra import numpy as hnp
 
 from duca.errors import AssumptionViolatedError, DimMismatchError, InvariantBreachError
 from duca.localsolver import (
+    DEFAULT_MAX_ITERS,
     LocalSubproblem,
     _certificate_residual,
+    _prox_grad_loop,
     _prox_l1_ball,
     _radial_clip,
     _root_segment,
+    _round_lipschitz,
+    _round_value_and_grad,
     composite_subgradient,
     dual_value_batch,
     local_objective,
-    solve_local,
     solve_local_batch,
 )
 from duca.problem import Problem, generate_example
@@ -164,6 +167,17 @@ def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
         P=[P], Q=[Q], a=[a], c=[c], a_prime=[a_prime], c_prime=[c_prime],
         B=[B], c_eq=[c_eq], l1_weight=l1_weight,
     )
+
+
+def solve_one(sp, **kw):
+    """A one-agent subproblem through the batch front end.
+
+    Returns row 0 of ``(X, residual, iters, done, values)``.
+    """
+    assert sp.problem.n_agents == 1
+    out = solve_local_batch(sp.problem, sp.ytilde[None, :], np.array([sp.d_prime]),
+                            sp.alpha, sp.anchor[None, :], **kw)
+    return tuple(v[0] for v in out)
 
 
 def grid_local(sp, levels=7, pts=81):
@@ -397,9 +411,9 @@ class TestSolveLocal:
         pb = single_agent(P=[[0.0]], Q=[0.0], c=1.0, B=[[1.0]], c_eq=[0.0],
                           l1_weight=0.0)
         sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(1), d_prime=1.0)
-        out = solve_local(sp)
-        assert out.converged
-        assert out.x[0] == pytest.approx(0.0, abs=1e-8)
+        x, _res, _iters, done, _val = solve_one(sp)
+        assert done
+        assert x[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_huge_alpha_returns_projected_anchor(self):
         rng = np.random.default_rng(14)
@@ -407,72 +421,101 @@ class TestSolveLocal:
         anchor = rng.normal(scale=2.0, size=3)
         sp = LocalSubproblem(problem=pb, agent=0, ytilde=rng.normal(size=3),
                              d_prime=1.5, alpha=1e6, anchor=anchor)
-        out = solve_local(sp)
+        x = solve_one(sp)[0]
         from duca.problem import project_ball
         target = project_ball(pb.a[0], float(pb.c[0]), anchor)
-        np.testing.assert_allclose(out.x, target, atol=1e-4)
+        np.testing.assert_allclose(x, target, atol=1e-4)
 
     def test_monotone_objective_along_iterates(self):
+        # a run capped at k iterations is a prefix of any longer run, so the
+        # values of the runs capped at 0, 1, ..., iters trace the iterates
         rng = np.random.default_rng(15)
         for _ in range(5):
             sp = random_subproblem(rng, d=3, m=1, p=2)
-            out = solve_local(sp, collect_history=True)
-            hist = np.array(out.history)
+            _x, _res, iters, done, value = solve_one(sp)
+            assert done
+            hist = np.array([solve_one(sp, max_iters=k)[4] for k in range(iters + 1)])
+            assert hist[-1] == value
             assert (np.diff(hist) <= 1e-10 * (1 + np.abs(hist[:-1]))).all()
 
     def test_certificate_residual_reported(self):
         sp = random_subproblem(np.random.default_rng(16), d=2)
-        out = solve_local(sp, tol=1e-9)
-        assert out.converged and out.residual <= 1e-9
+        _x, res, _iters, done, _val = solve_one(sp, tol=1e-9)
+        assert done and res <= 1e-9
 
     def test_strong_convexity_two_starts_agree(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
             pb = generate_example(1, 3, 1, 2, seed=int(rng.integers(1 << 30)))
             alpha = 0.5
-            sp = LocalSubproblem(
-                problem=pb, agent=0, ytilde=rng.normal(size=3), d_prime=2.0,
-                alpha=alpha, anchor=rng.uniform(-0.3, 0.3, size=3),
-            )
+            Yt = rng.normal(size=(1, 3))
+            d_prime = np.array([2.0])
+            anchor = rng.uniform(-0.3, 0.3, size=(1, 3))
+            vg = _round_value_and_grad(pb, Yt, d_prime, alpha, anchor)
+            lip = _round_lipschitz(pb, Yt, d_prime, alpha)
             tol = 1e-9
-            o1 = solve_local(sp, warm=pb.a[0] + 0.9 * np.sqrt(pb.c[0]) * np.array([1.0, 0, 0]), tol=tol)
-            o2 = solve_local(sp, warm=pb.a[0] - 0.9 * np.sqrt(pb.c[0]) * np.array([0, 1.0, 0]), tol=tol)
-            assert np.linalg.norm(o1.x - o2.x) <= 2 * tol / alpha
+            r = 0.9 * np.sqrt(pb.c[0])
+            x1, x2 = (
+                _prox_grad_loop(vg, (pb.a[0] + r * e)[None, :], pb.a, pb.c,
+                                pb.l1_weight, lip, tol, DEFAULT_MAX_ITERS)[0][0]
+                for e in (np.array([1.0, 0, 0]), np.array([0, -1.0, 0]))
+            )
+            assert np.linalg.norm(x1 - x2) <= 2 * tol / alpha
 
     def test_nonconverged_flagged(self):
         sp = random_subproblem(np.random.default_rng(18), d=3)
-        out = solve_local(sp, tol=1e-14, max_iters=2)
-        assert not out.converged
-        assert out.iters == 2
+        _x, _res, iters, done, _val = solve_one(sp, tol=1e-14, max_iters=2)
+        assert not done
+        assert iters == 2
 
-    def test_batch_matches_single(self):
-        pb = SVI
-        rng = np.random.default_rng(19)
-        Yt = rng.normal(size=(20, 6))
-        d_prime = rng.uniform(0.5, 2.0, size=20)
-        anchor = rng.uniform(-0.2, 0.2, size=(20, 3))
-        X, res, iters, done, vals, _ = solve_local_batch(
-            pb, Yt, d_prime, 0.1, anchor, tol=1e-9
+    @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
+           p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_single(self, n, d, m, p, alpha, seed):
+        # every batch row is the solve of its agent alone, bit for bit
+        pb = generate_example(n, d, m, p, seed=seed)
+        rng = np.random.default_rng(seed)
+        Yt = rng.normal(scale=2.0, size=(n, m + p))
+        d_prime = rng.uniform(0.5, 2.0, size=n)
+        anchor = rng.uniform(-0.5, 0.5, size=(n, d))
+        X, res, iters, done, vals = solve_local_batch(
+            pb, Yt, d_prime, alpha, anchor, tol=1e-9
         )
-        assert done.all()
-        for i in [0, 7, 19]:
-            sp = LocalSubproblem(problem=pb, agent=i, ytilde=Yt[i],
-                                 d_prime=float(d_prime[i]), alpha=0.1,
-                                 anchor=anchor[i])
-            solo = solve_local(sp, tol=1e-9)
-            np.testing.assert_array_equal(solo.x, X[i])  # bit-identical
-            assert solo.iters == iters[i]
+        for i in range(n):
+            solo = single_agent(**pb.agent_data(i), l1_weight=pb.l1_weight)
+            x1, _res1, it1, done1, val1 = solve_local_batch(
+                solo, Yt[i : i + 1], d_prime[i : i + 1], alpha, anchor[i : i + 1],
+                tol=1e-9,
+            )
+            np.testing.assert_array_equal(x1[0], X[i])
+            assert (it1[0], done1[0], val1[0]) == (iters[i], done[i], vals[i])
 
     def test_matches_grid_oracle_2d(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
             sp = random_subproblem(rng, d=2)
-            out = solve_local(sp, tol=1e-10)
-            assert out.converged
+            x, _res, _iters, done, value = solve_one(sp, tol=1e-10)
+            assert done
             gx, gv = grid_local(sp)
-            assert out.value <= gv + 1e-6
-            assert abs(out.value - gv) <= 1e-6
-            assert np.linalg.norm(out.x - gx) <= 1e-3
+            assert value <= gv + 1e-6
+            assert abs(value - gv) <= 1e-6
+            assert np.linalg.norm(x - gx) <= 1e-3
+
+
+def _round_batch():
+    """SVI with random round data: a 20-agent solve_local_batch input."""
+    rng = np.random.default_rng(19)
+    Yt = rng.normal(size=(20, 6))
+    d_prime = rng.uniform(0.5, 2.0, size=20)
+    anchor = rng.uniform(-0.2, 0.2, size=(20, 3))
+    return Yt, d_prime, anchor
+
+
+def _agents(a_rows):
+    """SVI agent of each row of a batch, read from its ball center."""
+    assert len(np.unique(SVI.a, axis=0)) == 20  # rows map to agents
+    return np.argmax(np.all(a_rows[:, None, :] == SVI.a[None], axis=2), axis=1)
 
 
 class TestLongStart:
@@ -482,32 +525,24 @@ class TestLongStart:
         import duca.localsolver as ls
 
         pb = SVI
-        rng = np.random.default_rng(19)
-        Yt = rng.normal(size=(20, 6))
-        d_prime = rng.uniform(0.5, 2.0, size=20)
-        anchor = rng.uniform(-0.2, 0.2, size=(20, 3))
-        inv_lip = 1.0 / np.maximum(
-            ls._round_lipschitz(pb, np.arange(20), Yt, d_prime, 0.1), 1e-300)
-
-        def agents(a_rows):
-            return np.argmax(np.all(a_rows[:, None, :] == pb.a[None], axis=2), axis=1)
+        Yt, d_prime, anchor = _round_batch()
+        inv_lip = 1.0 / np.maximum(ls._round_lipschitz(pb, Yt, d_prime, 0.1), 1e-300)
 
         probes, steps = [], []
         real_cert, real_prox = ls._certificate_residual, ls._prox_l1_ball
 
         def cert(X, grads, eta, a, c, w):
-            probes.append(eta / inv_lip[agents(a)])
+            probes.append(eta / inv_lip[_agents(a)])
             return real_cert(X, grads, eta, a, c, w)
 
         def prox(V, thr, a, c):
-            steps.append(thr / pb.l1_weight / inv_lip[agents(a)])
+            steps.append(thr / pb.l1_weight / inv_lip[_agents(a)])
             return real_prox(V, thr, a, c)
 
         monkeypatch.setattr(ls, "_certificate_residual", cert)
         monkeypatch.setattr(ls, "_prox_l1_ball", prox)
-        *_, done, _vals, _ = solve_local_batch(pb, Yt, d_prime, 0.1, anchor, tol=1e-9)
+        *_, done, _vals = solve_local_batch(pb, Yt, d_prime, 0.1, anchor, tol=1e-9)
         assert done.all()
-        assert len(np.unique(pb.a, axis=0)) == 20  # rows map to agents
         assert max(p.max() for p in probes) <= 1.0
         assert max(s.max() for s in steps) == ls.LONG_STEP
 
