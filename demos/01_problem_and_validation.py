@@ -59,7 +59,7 @@ for variant in Variant:
     ok = validate_setting(s).passed
     sq = s.spectra
     print(f"  {variant.name:10s} mode={s.exchange_mode:6s} valid={ok} "
-          f"lam1(P_A)={sq.lam1_PA:.3f} lam_{{N-1}}(P_Htilde)={sq.lamNm1_PHtilde:.3f}")
+          f"lam1(P_A)={sq.lam1_PA:.3f} lam_{{N-1}}(P_Htilde)={sq.eig_PHtilde[1]:.3f}")
 
 # A deliberately broken setting fails fast: the DUCA_I family needs its
 # diagonal scale c >= 2 for the step matrix to stay PSD.

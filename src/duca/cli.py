@@ -178,11 +178,6 @@ def load_config(path) -> tuple[dict, bytes]:
     return normalize_config(raw), blob
 
 
-def emit_config(cfg: dict) -> str:
-    """Canonical YAML text of a normalized config (a normalization fixed point)."""
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
-
-
 # ---------------------------------------------------------------------------
 # Shared build steps
 

@@ -523,17 +523,15 @@ def block_quadratic_norm(M: np.ndarray, rows: np.ndarray) -> float:
 class SpectralQuantities:
     """One setting's eigen-data, from one decomposition per matrix.
 
-    The bounds use ``lam1_PA``, ``lamNm1_PHtilde`` and ``pinv_PHtilde``.
-    :func:`validate_setting` reads the ascending eigenvalues of the
-    symmetrized P_H, P_Htilde, P_A and P_H - P_Htilde (``eig_order``), and
-    ``ones_align_*`` = |<v_0, 1/sqrt(N)>| for the bottom eigenvector of P_H
-    and of P_Htilde.  In single-exchange mode P_H and P_Htilde are one
-    matrix, so their entries come from one decomposition and ``eig_order``
-    is None.
+    The bounds use ``lam1_PA`` and ``pinv_PHtilde``.  :func:`validate_setting`
+    reads the ascending eigenvalues of the symmetrized P_H, P_Htilde, P_A
+    and P_H - P_Htilde (``eig_order``), and ``ones_align_*`` =
+    |<v_0, 1/sqrt(N)>| for the bottom eigenvector of P_H and of P_Htilde.
+    In single-exchange mode P_H and P_Htilde are one matrix, so their
+    entries come from one decomposition and ``eig_order`` is None.
     """
 
     lam1_PA: float
-    lamNm1_PHtilde: float
     pinv_PHtilde: np.ndarray
     eig_PH: np.ndarray
     eig_PHtilde: np.ndarray
@@ -573,7 +571,6 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     return SpectralQuantities(
         lam1_PA=max(float(vals_A[-1]), 0.0),
-        lamNm1_PHtilde=float(vals[1]) if n > 1 else float("nan"),
         pinv_PHtilde=(vecs * inv) @ vecs.T,
         eig_PH=vals_H,
         eig_PHtilde=vals,

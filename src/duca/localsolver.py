@@ -19,8 +19,9 @@ ball-normal multiplier on active rows, found by the same kind of breakpoint
 solve) minimizes the gap.  The certificate is valid regardless of how the
 iterate was produced.
 
-All routines are batched over rows (agents); a row is frozen as soon as its
-residual passes the tolerance, so batched results match row-by-row solves.
+All routines are batched over rows (agents): every row not yet frozen is
+certified at each iteration, and freezes at its first residual within the
+tolerance, so a batch row matches the same agent solved alone.
 """
 
 from dataclasses import dataclass
@@ -236,13 +237,13 @@ def _prox_l1_ball(V, thr, a, c):
 
 
 def _project_rows(X, a, c):
+    """Radial projection of the rows outside their balls; rows inside are kept."""
     diff = X - a
     n2 = np.sum(diff**2, axis=1)
     out = n2 > c
     if out.any():
-        t = np.ones_like(n2)
-        t[out] = np.sqrt(c[out] / n2[out])
-        X = a + t[:, None] * diff
+        X = X.copy()
+        X[out] = a[out] + np.sqrt(c[out] / n2[out])[:, None] * diff[out]
     return X
 
 
@@ -315,11 +316,12 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
     so each row's composite value never increases from one iterate to the next.
 
     ``value_and_grad(X)`` returns per-row smooth values and gradients for the
-    whole batch.  Rows freeze at their first certified residual <= tol, so
-    batched and single-row solves agree.  The exact certificate is costly
-    (it optimizes the subgradient selection), so it is only attempted when a
-    row's per-step movement is small or on a periodic fallback; acceptance
-    itself is always by certificate.  Returns (X, residual, iters, done,
+    whole batch.  At the start of every iteration each row not yet done is
+    certified at its current iterate, and it freezes at the first iterate
+    whose residual is <= tol, after ``iters`` steps; a row that uses up
+    ``max_iters`` is certified once more at its last iterate.  No row's
+    arithmetic depends on another's, so a batch row equals the same row
+    solved alone, bit for bit.  Returns (X, residual, iters, done,
     composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
@@ -361,22 +363,14 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
             eta[bad] *= 0.5
         return Xn, vn, gn
 
-    def certify(idx):
-        """Certificate of rows idx at a probe step of at most 1/L."""
+    for it in range(max_iters + 1):
+        # certify every unfrozen row at its current iterate, at a probe step
+        # of at most 1/L; a row freezes at its first passing certificate
+        idx = np.flatnonzero(~done)
         probe = np.minimum(eta[idx], eta0[idx])
-        res_c = _certificate_residual(X[idx], grads[idx], probe, a[idx], c[idx], w)
-        residual[idx] = res_c
-        done[idx[res_c <= tol]] = True
-        return res_c
-
-    next_check = np.zeros(rows, dtype=int)
-    for it in range(max_iters):
-        move = np.linalg.norm(X - Xprev, axis=1) / eta
-        cand = (~done) & (it >= next_check) & ((move <= 100.0 * tol) | (it % 25 == 24))
-        if cand.any():
-            idx = np.where(cand)[0]
-            next_check[idx[certify(idx) > tol]] = it + 3
-        if done.all():
+        residual[idx] = _certificate_residual(X[idx], grads[idx], probe, a[idx], c[idx], w)
+        done[idx] = residual[idx] <= tol
+        if done.all() or it == max_iters:
             break
         if it == STALL_ITERS:
             np.minimum(eta, eta0, out=eta, where=~done)
@@ -406,10 +400,6 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
         comp = np.where(act, comp_n, comp)
         tk = np.where(act, tk_next, tk)
         iters[act] += 1
-    else:
-        idx = np.where(~done)[0]
-        if len(idx):
-            certify(idx)
     return X, residual, iters, done, comp
 
 
@@ -425,9 +415,12 @@ def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
     inv_d = 1.0 / d_prime
 
     def value_and_grad(X):
-        quad = np.einsum("rd,rde,re->r", X, pb.P, X)
+        # every reduction runs over one axis: einsum's order of summation
+        # over two axes depends on the batch size, and a row must not
+        PX = np.einsum("rde,re->rd", pb.P, X)
+        quad = np.sum(X * PX, axis=1)
         lin = np.sum(pb.Q * X, axis=1)
-        grad = 2.0 * np.einsum("rde,re->rd", pb.P, X) + pb.Q
+        grad = 2.0 * PX + pb.Q
         diff = X[:, None, :] - pb.a_prime
         hinge = np.maximum(mu + np.sum(diff**2, axis=2) - pb.c_prime, 0.0)
         pen_g = 0.5 * inv_d * np.sum(hinge**2, axis=1)
@@ -482,9 +475,10 @@ def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
 
 def _dual_value_and_grad(pb, mu, lam):
     def value_and_grad(X):
-        quad = np.einsum("rd,rde,re->r", X, pb.P, X)
+        PX = np.einsum("rde,re->rd", pb.P, X)  # one-axis reductions only
+        quad = np.sum(X * PX, axis=1)
         lin = np.sum(pb.Q * X, axis=1)
-        grad = 2.0 * np.einsum("rde,re->rd", pb.P, X) + pb.Q
+        grad = 2.0 * PX + pb.Q
         diff = X[:, None, :] - pb.a_prime
         g = np.sum(diff**2, axis=2) - pb.c_prime
         val_g = np.sum(mu * g, axis=1)

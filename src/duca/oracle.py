@@ -157,7 +157,9 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
     """Reference primal-dual solution by the method of multipliers.
 
     Stops when coupled feasibility and Lagrangian stationarity are <= tol and
-    complementarity <= 10*tol; otherwise raises NotConvergedError.
+    complementarity <= 10*tol.  Raises NotConvergedError when the outer
+    rounds run out, or when an augmented-Lagrangian solve uses up its
+    iterations without passing its stop test.
     """
     report = slater_check(pb)
     if not report.passed:
@@ -169,7 +171,12 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
     feas_prev = np.inf
     for outer in range(1, max_outer + 1):
         inner_tol = max(0.01 * tol, min(1e-4, 0.05 * min(feas_prev, 1.0)))
-        X = _al_minimize(pb, X, mu, lam, rho_c, inner_tol)[0]
+        X, res, it = _al_minimize(pb, X, mu, lam, rho_c, inner_tol)
+        if res > inner_tol:
+            raise NotConvergedError(
+                f"outer iteration {outer}: augmented-Lagrangian solve stopped "
+                f"after {it + 1} iterations at residual {res:.1e} > {inner_tol:.1e}"
+            )
         G, H = _coupled_sums(pb, X)
         mu_eff = np.maximum(mu + rho_c * G, 0.0)
         lam_eff = lam + rho_c * H

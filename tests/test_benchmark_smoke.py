@@ -1,0 +1,37 @@
+"""Each benchmark workload runs once and passes its own output checks.
+
+The benchmark wraps duca functions by name (``engine.solve_local_batch``,
+``cli._solve_reference``, ``cli.MetricsCollector``, ``cli.run``, ...), so a
+renamed or deleted function breaks every benchmark run.  These runs catch
+that in the test suite.  Each runs in a copy of ``perfbench/`` under a
+temporary directory, with ``src`` and ``demos`` linked in, so the
+checkout's ``.perfbench_runs/results.jsonl`` is left alone.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["shipped-config", "active-coupling", "settled-wide"])
+def test_workload_runs_correct(workload, tmp_path):
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    for name in ("src", "demos"):
+        (tmp_path / name).symlink_to(ROOT / name, target_is_directory=True)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "0.1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0 and result["attempted"] > 0

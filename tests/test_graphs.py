@@ -483,7 +483,7 @@ class TestValidateSetting:
             s.exchange = {"H": 2.0 * s.P_H}
         s2 = dataclasses.replace(s, exchange={"H": 2.0 * s.P_H})
         assert s2.spectra is not s.spectra
-        assert s2.spectra.lamNm1_PHtilde == pytest.approx(2.0 * s.spectra.lamNm1_PHtilde)
+        assert s2.spectra.eig_PHtilde[1] == pytest.approx(2.0 * s.spectra.eig_PHtilde[1])
 
     def test_settings_compare_and_hash_by_identity(self):
         # field-wise == would compare arrays and raise; hash would see an
@@ -505,7 +505,7 @@ class TestSpectralQuantities:
         s = make_setting(Variant.PEXTRA, PATH2, rho=1.0)
         # P_Htilde = M/2 = [[1/4, -1/4], [-1/4, 1/4]]; eigen 0 and 1/2
         q = spectral_quantities(s)
-        assert q.lamNm1_PHtilde == pytest.approx(0.5)
+        assert q.eig_PHtilde[1] == pytest.approx(0.5)
         np.testing.assert_allclose(q.pinv_PHtilde, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
     def test_path2_laplacian_pinv(self):
@@ -514,7 +514,7 @@ class TestSpectralQuantities:
         s = make_setting(Variant.PGC, PATH2, rho=1.0, tuning={"rho_prime": 1.0})
         np.testing.assert_allclose(s.P_Htilde, [[1.0, -1.0], [-1.0, 1.0]])
         q = spectral_quantities(s)
-        assert q.lamNm1_PHtilde == pytest.approx(2.0)
+        assert q.eig_PHtilde[1] == pytest.approx(2.0)
         np.testing.assert_allclose(
             q.pinv_PHtilde, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12
         )
@@ -523,7 +523,7 @@ class TestSpectralQuantities:
         # On the triangle the Metropolis matrix is I - J/3: eigenvalues {0, 1, 1}.
         s = make_setting(Variant.DUCA_I, TRIANGLE, rho=1.0)
         q = spectral_quantities(s)
-        assert q.lamNm1_PHtilde == pytest.approx(1.0)
+        assert q.eig_PHtilde[1] == pytest.approx(1.0)
 
     def test_pinv_identity_on_range(self):
         g = random_connected_graph(8, 12, seed=5)

@@ -471,7 +471,7 @@ class TestSolveLocal:
     @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
            p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),
            seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_batch_matches_single(self, n, d, m, p, alpha, seed):
         # every batch row is the solve of its agent alone, bit for bit
         pb = generate_example(n, d, m, p, seed=seed)
@@ -484,12 +484,12 @@ class TestSolveLocal:
         )
         for i in range(n):
             solo = single_agent(**pb.agent_data(i), l1_weight=pb.l1_weight)
-            x1, _res1, it1, done1, val1 = solve_local_batch(
+            x1, res1, it1, done1, val1 = solve_local_batch(
                 solo, Yt[i : i + 1], d_prime[i : i + 1], alpha, anchor[i : i + 1],
                 tol=1e-9,
             )
             np.testing.assert_array_equal(x1[0], X[i])
-            assert (it1[0], done1[0], val1[0]) == (iters[i], done[i], vals[i])
+            assert (res1[0], it1[0], done1[0], val1[0]) == (res[i], iters[i], done[i], vals[i])
 
     def test_matches_grid_oracle_2d(self):
         rng = np.random.default_rng(20)
@@ -547,6 +547,29 @@ class TestLongStart:
         assert max(s.max() for s in steps) == ls.LONG_STEP
 
 
+class TestCertificateSchedule:
+    @pytest.mark.parametrize("tol, max_iters", [(1e-9, DEFAULT_MAX_ITERS), (1e-14, 5)])
+    def test_every_unfrozen_row_certified_at_every_iterate(self, monkeypatch, tol,
+                                                           max_iters):
+        # a row is probed at the start of each of its iterations and, if the
+        # cap ends it uncertified, once more at its last iterate: iters + 1
+        import duca.localsolver as ls
+
+        Yt, d_prime, anchor = _round_batch()
+        probes = np.zeros(20, dtype=int)
+        real_cert = ls._certificate_residual
+
+        def cert(X, grads, eta, a, c, w):
+            np.add.at(probes, _agents(a), 1)
+            return real_cert(X, grads, eta, a, c, w)
+
+        monkeypatch.setattr(ls, "_certificate_residual", cert)
+        _X, _res, iters, done, _vals = solve_local_batch(
+            SVI, Yt, d_prime, 0.1, anchor, tol=tol, max_iters=max_iters)
+        assert done.all() == (max_iters == DEFAULT_MAX_ITERS)
+        np.testing.assert_array_equal(probes, iters + 1)
+
+
 class TestDualFunction:
     def test_zero_dual_gives_min_over_ball(self):
         pb = single_agent(P=[[1.0]], Q=[0.0], c=1.0, l1_weight=0.0)
@@ -583,7 +606,8 @@ class TestDualFunction:
         y = np.array([0.2, 0.1, -0.3, 0.4, 0.0, -0.1])
         vals, X, res, done = dual_value_batch(SVI, y, tol=1e-10)
         assert done.all()
-        for i in [0, 5, 19]:
+        for i in range(SVI.n_agents):
             solo = single_agent(**SVI.agent_data(i), l1_weight=SVI.l1_weight)
-            assert dual_value_batch(solo, y, tol=1e-10)[0][0] == pytest.approx(
-                vals[i], abs=1e-12)
+            v1, X1, res1, _ = dual_value_batch(solo, y, tol=1e-10)
+            np.testing.assert_array_equal(X1[0], X[i])
+            assert (v1[0], res1[0]) == (vals[i], res[i])

@@ -423,8 +423,8 @@ class TestTheoremBounds:
         assert np.array_equal(quartered.P_A, s.P_A)
         assert np.array_equal(quartered.P_Htilde, s.P_Htilde / 4.0)
         assert quartered.spectra.lam1_PA == s.spectra.lam1_PA
-        assert quartered.spectra.lamNm1_PHtilde == pytest.approx(
-            0.25 * s.spectra.lamNm1_PHtilde, rel=1e-10
+        assert quartered.spectra.eig_PHtilde[1] == pytest.approx(
+            0.25 * s.spectra.eig_PHtilde[1], rel=1e-10
         )
         cert2 = make_certificate(sol, pb, quartered, x0=x0, y0=y0)
         before, after = cert.bounds(4), cert2.bounds(4)

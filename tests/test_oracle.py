@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from duca import oracle
-from duca.errors import InfeasibleProblemError, TooLargeError
+from duca.errors import InfeasibleProblemError, NotConvergedError, TooLargeError
 from duca.localsolver import LONG_STEP, dual_value_batch
 from duca.oracle import (
     CertificateCore,
@@ -198,6 +198,14 @@ class TestCentralizedSolve:
             assert core.f_star == pytest.approx(0.0, abs=1e-10)
             assert np.max(np.abs(core.x_star.x)) <= 1e-9
             assert np.max(np.abs(core.y_star)) <= 1e-9
+
+    def test_exhausted_al_solve_raises(self, monkeypatch):
+        # the degenerate generated instances pass their first stop test at
+        # iteration 0, so only an active instance can use up the iterations
+        real = oracle._al_minimize
+        monkeypatch.setattr(oracle, "_al_minimize", lambda *args: real(*args, max_iters=2))
+        with pytest.raises(NotConvergedError, match=r"^outer iteration 1: .* > 1\.0e-04$"):
+            centralized_solve(active_coupling_instance(), tol=1e-9)
 
     def test_infeasible_instance_raises(self):
         with pytest.raises(InfeasibleProblemError):
