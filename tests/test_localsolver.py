@@ -548,9 +548,10 @@ class TestLongStart:
 
 
 class TestCertificateSchedule:
-    @pytest.mark.parametrize("tol, max_iters", [(1e-9, DEFAULT_MAX_ITERS), (1e-14, 5)])
+    @pytest.mark.parametrize("tol, max_iters, all_done",
+                             [(1e-9, DEFAULT_MAX_ITERS, True), (1e-14, 5, False)])
     def test_every_unfrozen_row_certified_at_every_iterate(self, monkeypatch, tol,
-                                                           max_iters):
+                                                           max_iters, all_done):
         # a row is probed at the start of each of its iterations and, if the
         # cap ends it uncertified, once more at its last iterate: iters + 1
         import duca.localsolver as ls
@@ -566,7 +567,7 @@ class TestCertificateSchedule:
         monkeypatch.setattr(ls, "_certificate_residual", cert)
         _X, _res, iters, done, _vals = solve_local_batch(
             SVI, Yt, d_prime, 0.1, anchor, tol=tol, max_iters=max_iters)
-        assert done.all() == (max_iters == DEFAULT_MAX_ITERS)
+        assert done.all() == all_done
         np.testing.assert_array_equal(probes, iters + 1)
 
 
