@@ -40,9 +40,10 @@ pb = generate_example(n=8, d=3, m=2, p=2, seed=7)
 print(f"\nproblem: N={pb.n_agents}, dims={pb.dims}, m={pb.m}, p={pb.p}, "
       f"l1 weight={pb.l1_weight}")
 
-# slater_check verifies the standing assumptions: interior points exist
-# for the private balls and the summed constraints admit a strictly
-# feasible point, so strong duality holds and multipliers exist.
+# Every Problem checks its data when built, including that 0 is interior
+# to each private ball; slater_check verifies that the summed constraints
+# admit a strictly feasible point, so strong duality holds and multipliers
+# exist.
 report = slater_check(pb)
 print("\nstanding assumptions:")
 print(report)

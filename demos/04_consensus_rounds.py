@@ -6,8 +6,8 @@ Agents keep local copies of the global multiplier vector and mix them with
 their neighbors once (single-exchange families) or twice (double-exchange
 families) per round.  Every family runs the same round, ``step``; the
 setting's exchange mode picks the exchange term.  Neighbor sums go through
-a ``Mailbox``, a neighbor table built once per run that refuses weights
-between agents that are not linked.  Two algebraic identities hold
+the setting's neighbor table, ``s.mailbox``, built once per setting from
+its graph, which refuses weights between agents that are not linked.  Two algebraic identities hold
 *exactly* every round, independent of how accurately the inner problems are
 solved, and the engine verifies them by default: the dual update's cone
 split (projection plus polar-cone part reassembles the pre-projection
@@ -19,7 +19,6 @@ if a local solve ends without its certificate.
 import numpy as np
 
 from duca import (
-    Mailbox,
     Variant,
     dump_state,
     ergodic_point,
@@ -65,11 +64,10 @@ print(f"double-exchange reals after 60 rounds: {st2.comm_total}")
 # ----------------------------------------------------------------------
 # States serialize to structured text and resume exactly: running 60
 # rounds straight equals 30 + snapshot-roundtrip + 30 more, stepping the
-# resumed state round by round through one neighbor table.
+# resumed state round by round.
 st_a = run(pb, s, 30, y0=y0)
 resumed = load_state(dump_state(st_a))
-mb = Mailbox(s)
 for _ in range(30):
-    step(resumed, pb, s, mailbox=mb)
+    step(resumed, pb, s)
 print(f"\nsplit 30+30 equals straight 60: "
       f"{np.array_equal(resumed.Y, st.Y) and np.array_equal(resumed.X, st.X)}")

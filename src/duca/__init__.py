@@ -27,6 +27,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    Mailbox,
     ParamSetting,
     SpectralQuantities,
     ValidationReport,
@@ -64,7 +65,6 @@ from .oracle import (
     load_certificate,
 )
 from .engine import (
-    Mailbox,
     NetworkState,
     cone_split,
     dump_state,
@@ -115,6 +115,7 @@ __all__ = [
     "Graph",
     "Variant",
     "ParamSetting",
+    "Mailbox",
     "ValidationReport",
     "SpectralQuantities",
     "build_graph",
@@ -146,7 +147,6 @@ __all__ = [
     "dump_certificate",
     "load_certificate",
     # engine
-    "Mailbox",
     "NetworkState",
     "eps_inner",
     "init",

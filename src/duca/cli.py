@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -99,6 +100,10 @@ _SETTING_SCHEMA = {
     "tuning": (dict, {}),
 }
 _INIT_CHOICES = {"x0": ("zeros", "gauss"), "y0": ("zeros", "ones", "gauss")}
+#: range checks run before any work: (section, key, least value), and the
+#: values that must be finite and positive
+_INT_FLOORS = (("run", "rounds", 1), ("problem", "d", 1), ("problem", "m", 0), ("problem", "p", 0))
+_POSITIVE_FLOATS = (("run", "tol_inner"), ("oracle", "tol"))
 
 
 def _coerce(section, key, want, value):
@@ -162,6 +167,12 @@ def normalize_config(raw) -> dict:
             raise ConfigError(
                 f"run.{key} must be one of {', '.join(choices)}; got {cfg['run'][key]!r}"
             )
+    for section, key, least in _INT_FLOORS:
+        if (value := cfg[section][key]) < least:
+            raise ConfigError(f"{section}.{key} must be >= {least}, got {value}")
+    for section, key in _POSITIVE_FLOATS:
+        if not 0.0 < (value := cfg[section][key]) < math.inf:
+            raise ConfigError(f"{section}.{key} must be finite and positive, got {value}")
     return cfg
 
 
@@ -403,8 +414,8 @@ def _apply_overrides(cfg, args):
             raise ConfigError("--rounds must be >= 1")
         cfg["run"]["rounds"] = args.rounds
     if getattr(args, "tol_inner", None) is not None:
-        if not args.tol_inner > 0:
-            raise ConfigError("--tol-inner must be positive")
+        if not 0.0 < args.tol_inner < math.inf:
+            raise ConfigError("--tol-inner must be finite and positive")
         cfg["run"]["tol_inner"] = args.tol_inner
     return cfg
 

@@ -3,12 +3,12 @@
 Every family runs the same bulk-synchronous round, :func:`step`, over a
 fixed undirected graph: one local solve per agent, one cone projection, and
 one or two neighbor exchanges.  The setting's exchange mode picks the
-exchange term and the disagreement update.  Cross-agent reads go through a
-per-run :class:`Mailbox`, a neighbor table that refuses weights between
-agents that are not neighbors.  Per-round algebraic identities (cone split,
-column-sum conservation, the cumulative constraint identity, and the
-ergodic feasibility bound) are asserted as the simulation advances, and so
-is the certificate of every local solve.
+exchange term and the disagreement update.  Cross-agent reads go through
+the setting's neighbor table, ``s.mailbox`` (a :class:`~duca.graphs.Mailbox`),
+which refuses weights between agents that are not neighbors.  Per-round
+algebraic identities (cone split, column-sum conservation, the cumulative
+constraint identity, and the ergodic feasibility bound) are asserted as the
+simulation advances, and so is the certificate of every local solve.
 
 Single exchange (one broadcast of y per agent, W = H = P_H = P_Htilde)::
 
@@ -46,11 +46,11 @@ from .errors import (
     InsufficientDataError,
     InvalidInitError,
     InvariantBreachError,
-    MailboxError,
 )
-from .graphs import ParamSetting, block_quadratic_norm
+# Mailbox is imported for readers of ``duca.engine.Mailbox`` (perfbench's tracer)
+from .graphs import Mailbox, ParamSetting, block_quadratic_norm
 from .localsolver import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve_local_batch
-from .problem import Problem, StackedPoint, coupled_violation_norm, gtilde_rows
+from .problem import Problem, coupled_violation_norm, gtilde_rows
 from .textdoc import DocReader, DocWriter
 
 #: exact-identity tolerance for the Moreau split and its complementarity
@@ -68,74 +68,6 @@ EPS_INNER_FACTOR = 100.0
 def eps_inner(tol_inner: float) -> float:
     """Slack absorbed by bound checks for certified-inexact local solves."""
     return EPS_INNER_FACTOR * tol_inner
-
-
-class Mailbox:
-    """Per-run neighbor table for the round's weighted neighbor sums.
-
-    Built once per run from ``s.graph`` or, for a setting without a graph,
-    from the sparsity of its exchange matrices.  It keeps each agent's
-    sorted neighbor indices and the weights of the setting's exchange
-    matrices, ``s.exchange``: ``"H"`` in single mode, ``"L"`` and ``"M"`` in
-    double mode.  Agent i's sum
-
-        W_ii * own_i + sum_j W_ij * x_j    (j over i's neighbors, ascending)
-
-    reads only rows that i's neighbors sent.  It is evaluated over degree
-    slots: the own term first, then slot k adds each agent's k-th neighbor
-    for the agents that have one.  Every agent thus adds its terms in the
-    order of a per-agent loop and gets the same bits; a dense ``W @ x``
-    would sum in another order.  A matrix with weight between two agents
-    that are not neighbors raises :class:`MailboxError`, and so does a read
-    of a matrix the table does not carry.
-    """
-
-    def __init__(self, s: ParamSetting):
-        #: the setting the table was built for; :func:`step` refuses others
-        self.setting = s
-        n = s.n_nodes
-        if s.graph is not None:
-            nbrs = s.graph.neighbor_lists
-        else:
-            W = sum(np.abs(M) for M in s.exchange.values())
-            np.fill_diagonal(W, 0.0)
-            nbrs = [tuple(np.flatnonzero(row)) for row in W]
-        if len(nbrs) != n:
-            raise MailboxError(f"neighbor table has {len(nbrs)} agents, setting has {n}")
-        for i, ns in enumerate(nbrs):
-            if any(j == i or not 0 <= j < n for j in ns):
-                raise MailboxError(f"invalid neighbor list for agent {i}: {ns}")
-        deg = np.array([len(ns) for ns in nbrs])
-        #: directed links; every exchange sends m+p reals over each
-        self.links = int(deg.sum())
-        self._slots = []
-        for k in range(int(deg.max(initial=0))):
-            rows = np.flatnonzero(deg > k)
-            self._slots.append((rows, np.array([nbrs[i][k] for i in rows])))
-        self._weights = {}
-        for name, W in s.exchange.items():
-            diag = np.diag(W).copy()
-            slot_w = [W[rows, cols] for rows, cols in self._slots]
-            on_table = np.count_nonzero(diag) + sum(np.count_nonzero(w) for w in slot_w)
-            if np.count_nonzero(W) != on_table:
-                raise MailboxError(
-                    f"exchange matrix {name} has weight between agents that are "
-                    "not neighbors"
-                )
-            self._weights[name] = (diag, slot_w)
-
-    def weighted_sum(self, name: str, x: np.ndarray) -> np.ndarray:
-        """Rows ``W_ii x_i + sum_j W_ij x_j`` for exchange matrix ``name``."""
-        try:
-            diag, slot_w = self._weights[name]
-        except KeyError:
-            raise MailboxError(
-                f"no exchange matrix {name!r} in this table (has {sorted(self._weights)})"
-            ) from None
-        acc = diag[:, None] * x
-        for (rows, cols), w in zip(self._slots, slot_w):
-            acc[rows] += w[:, None] * x[cols]
-        return acc
 
 
 @dataclass
@@ -182,6 +114,8 @@ def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
         raise InvalidInitError(f"x0 must have shape {(n, pb.dmax)}, got {X.shape}")
     if Y.shape != (n, mp):
         raise InvalidInitError(f"y0 must have shape {(n, mp)}, got {Y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidInitError("x0 and y0 must be finite")
     for i in range(n):
         if np.any(X[i, pb.dims[i] :] != 0.0):
             raise InvalidInitError(f"x0 row {i} has nonzero padding beyond d_i")
@@ -271,16 +205,13 @@ def _check_ergodic_bound(st, pb, s, tol_inner):
         )
 
 
-def step(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
-         max_iters=DEFAULT_MAX_ITERS, check=True):
+def step(st, pb, s, tol_inner=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, check=True):
     """One synchronous round of the setting's exchange scheme (in place).
 
-    ``mailbox`` is the run's :class:`Mailbox`; without one the neighbor
-    table is built for this round.  A state of the other exchange mode
-    raises :class:`ConfigError`, a mailbox built for another setting
-    :class:`MailboxError`.  With ``check=True`` the round raises
-    :class:`InvariantBreachError` on an uncertified local solve or a broken
-    identity.
+    Neighbor sums go through the setting's table, ``s.mailbox``.  A state
+    of the other exchange mode raises :class:`ConfigError`.  With
+    ``check=True`` the round raises :class:`InvariantBreachError` on an
+    uncertified local solve or a broken identity.
     """
     double = s.exchange_mode == "double"
     if (st.U is not None) != double:
@@ -288,9 +219,7 @@ def step(st, pb, s, mailbox=None, tol_inner=DEFAULT_TOL,
             f"the setting is {s.exchange_mode}-exchange but the state "
             f"{'carries' if st.U is not None else 'lacks'} the double-exchange u and z"
         )
-    mb = Mailbox(s) if mailbox is None else mailbox
-    if mb.setting is not s:
-        raise MailboxError("mailbox was built for another setting")
+    mb = s.mailbox
     rho, d = s.rho, s.d_prime
     if double:
         ytilde = d[:, None] * st.Y - mb.weighted_sum("L", st.U)
@@ -352,19 +281,17 @@ def run(pb, s, rounds, x0=None, y0=None, hook=None, tol_inner=DEFAULT_TOL,
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     st = init(pb, s, x0=x0, y0=y0)
-    mb = Mailbox(s)
     if hook is not None:
         hook(st)
     for _ in range(rounds):
-        step(st, pb, s, mailbox=mb, tol_inner=tol_inner, max_iters=max_iters,
-             check=check)
+        step(st, pb, s, tol_inner=tol_inner, max_iters=max_iters, check=check)
         if hook is not None:
             hook(st)
     return st
 
 
 def ergodic_point(st: NetworkState, pb: Problem):
-    """Running averages: (stacked x-average, consensus estimate of y).
+    """Running averages: (x-average as padded (N, dmax) rows, consensus y).
 
     The consensus estimate is the mean across agents of each agent's running
     y-average -- the projection of the stacked average onto the consensus
@@ -372,9 +299,7 @@ def ergodic_point(st: NetworkState, pb: Problem):
     """
     if st.k < 1:
         raise InsufficientDataError("ergodic averages need at least one round")
-    xbar = StackedPoint.from_rows(st.sum_X / st.k, pb.dims)
-    ybar = (st.sum_Y / st.k).mean(axis=0)
-    return xbar, ybar
+    return st.sum_X / st.k, (st.sum_Y / st.k).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ engine.  A setting stores the matrices its agents exchange and the diagonal
 of P_D as the vector ``d_prime``; P_H and P_Htilde are derived from them.
 Also validates the positive-semidefiniteness / nullspace conditions that
 every setting must satisfy, and computes the spectral quantities that enter
-the convergence bounds.
+the convergence bounds.  Each setting owns its neighbor table,
+:class:`Mailbox`, through which the round engine reads every cross-agent
+sum.
 """
 
 import heapq
@@ -21,6 +23,7 @@ from .errors import (
     AssumptionViolatedError,
     DisconnectedError,
     InvalidEdgeError,
+    MailboxError,
     MissingTuningError,
     PatternMismatchError,
 )
@@ -29,6 +32,7 @@ __all__ = [
     "Graph",
     "Variant",
     "ParamSetting",
+    "Mailbox",
     "Check",
     "ValidationReport",
     "SpectralQuantities",
@@ -248,9 +252,10 @@ DOUBLE_EXCHANGE = (Variant.DIST_ADMM, Variant.ALT)
 class ParamSetting:
     """One algorithm parameterization: the exchanged matrices and scalars.
 
-    ``exchange`` holds the matrices whose weights agents exchange, keyed as
-    the engine's :class:`~duca.engine.Mailbox` reads them: ``{"H": H}`` for a
-    single-exchange family, ``{"L": L, "M": M}`` for a double-exchange one.
+    ``graph`` is the communication graph and ``exchange`` holds the
+    matrices whose weights agents exchange over it, keyed as the setting's
+    :attr:`mailbox` reads them: ``{"H": H}`` for a single-exchange family,
+    ``{"L": L, "M": M}`` for a double-exchange one.
     P_H and P_Htilde are derived: a single-exchange family has
     ``P_H = P_Htilde = H`` (the same object) by construction, which is why
     its disagreement update applies H; a double-exchange family has
@@ -260,18 +265,18 @@ class ParamSetting:
     ``P_H >= P_Htilde`` in the PSD order, and both P_H and P_Htilde must
     have nullspace exactly span(1).
 
-    Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums
-    and :attr:`spectra` are computed once per setting, on first use; derive
-    a changed setting with ``dataclasses.replace``.  Settings compare and
-    hash by identity.
+    Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
+    :attr:`spectra` and :attr:`mailbox` are computed once per setting, on
+    first use; derive a changed setting with ``dataclasses.replace``.
+    Settings compare and hash by identity.
     """
 
     variant: Variant
+    graph: Graph
     exchange: dict
     d_prime: np.ndarray  # (N,) diagonal of P_D
     rho: float
     alpha: float = 0.0
-    graph: "Graph | None" = None
 
     def __post_init__(self):
         if set(self.exchange) not in ({"H"}, {"L", "M"}):
@@ -314,6 +319,72 @@ class ParamSetting:
     def spectra(self) -> "SpectralQuantities":
         """The setting's :func:`spectral_quantities`, computed on first use."""
         return spectral_quantities(self)
+
+    @cached_property
+    def mailbox(self) -> "Mailbox":
+        """The setting's neighbor table, built on first use."""
+        return Mailbox(self)
+
+
+class Mailbox:
+    """Neighbor table for a setting's weighted neighbor sums.
+
+    Built from ``s.graph``, it keeps each agent's sorted neighbor indices
+    and the weights of the setting's exchange matrices, ``s.exchange``:
+    ``"H"`` in single mode, ``"L"`` and ``"M"`` in double mode.  Agent i's
+    sum
+
+        W_ii * own_i + sum_j W_ij * x_j    (j over i's neighbors, ascending)
+
+    reads only rows that i's neighbors sent.  It is evaluated over degree
+    slots: the own term first, then slot k adds each agent's k-th neighbor
+    for the agents that have one.  Every agent thus adds its terms in the
+    order of a per-agent loop and gets the same bits; a dense ``W @ x``
+    would sum in another order.  A matrix with weight between two agents
+    that are not neighbors raises :class:`MailboxError`, and so does a read
+    of a matrix the table does not carry.  Use ``s.mailbox``, the table
+    cached on the setting.
+    """
+
+    def __init__(self, s: ParamSetting):
+        n = s.n_nodes
+        nbrs = s.graph.neighbor_lists
+        if len(nbrs) != n:
+            raise MailboxError(f"neighbor table has {len(nbrs)} agents, setting has {n}")
+        for i, ns in enumerate(nbrs):
+            if any(j == i or not 0 <= j < n for j in ns):
+                raise MailboxError(f"invalid neighbor list for agent {i}: {ns}")
+        deg = np.array([len(ns) for ns in nbrs])
+        #: directed links; every exchange sends m+p reals over each
+        self.links = int(deg.sum())
+        self._slots = []
+        for k in range(int(deg.max(initial=0))):
+            rows = np.flatnonzero(deg > k)
+            self._slots.append((rows, np.array([nbrs[i][k] for i in rows])))
+        self._weights = {}
+        for name, W in s.exchange.items():
+            diag = np.diag(W).copy()
+            slot_w = [W[rows, cols] for rows, cols in self._slots]
+            on_table = np.count_nonzero(diag) + sum(np.count_nonzero(w) for w in slot_w)
+            if np.count_nonzero(W) != on_table:
+                raise MailboxError(
+                    f"exchange matrix {name} has weight between agents that are "
+                    "not neighbors"
+                )
+            self._weights[name] = (diag, slot_w)
+
+    def weighted_sum(self, name: str, x: np.ndarray) -> np.ndarray:
+        """Rows ``W_ii x_i + sum_j W_ij x_j`` for exchange matrix ``name``."""
+        try:
+            diag, slot_w = self._weights[name]
+        except KeyError:
+            raise MailboxError(
+                f"no exchange matrix {name!r} in this table (has {sorted(self._weights)})"
+            ) from None
+        acc = diag[:, None] * x
+        for (rows, cols), w in zip(self._slots, slot_w):
+            acc[rows] += w[:, None] * x[cols]
+        return acc
 
 
 def _dpga_scale(g: Graph, c: float) -> float:
@@ -403,8 +474,8 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
     if unknown:
         raise MissingTuningError(f"unknown tuning keys for {variant.value}: {sorted(unknown)}")
 
-    s = ParamSetting(variant=variant, exchange=exchange, d_prime=d_prime,
-                     rho=float(rho), alpha=float(alpha), graph=g)
+    s = ParamSetting(variant=variant, graph=g, exchange=exchange, d_prime=d_prime,
+                     rho=float(rho), alpha=float(alpha))
     report = validate_setting(s)
     if not report.passed:
         raise AssumptionViolatedError(

@@ -292,7 +292,10 @@ def _certificate_residual(X, grads, eta, a, c, w):
             sig = np.where(kk, -w * np.sign(u), fs)
             C = np.sum(np.where(on, (g + sig) * dd, 0.0), axis=1)
             S = np.sum(np.where(on, dd**2, 0.0), axis=1)
-            t[need] = np.clip(-C / np.maximum(S, np.finfo(float).tiny), lo, hi)
+            # S underflows to 0 on a piece whose slope is below the float
+            # range; psi < 0 there puts the root at the piece's right end
+            root = -C / np.maximum(S, np.finfo(float).tiny)
+            t[need] = np.clip(np.where((S == 0.0) & (C < 0.0), hi, root), lo, hi)
     want = -(grads + t[:, None] * diff)
     s = grads + np.where(kink, np.clip(want, -w, w), fixed_sigma)
     snorm = np.linalg.norm(s, axis=1)
@@ -458,7 +461,7 @@ def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
     row equals the solve of that agent alone, as a one-agent problem, bit for
     bit.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise AssumptionViolatedError(f"tol must be positive, got {tol}")
     d_prime = np.asarray(d_prime, dtype=float)
     if (d_prime <= 0).any():

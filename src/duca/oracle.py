@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProblemError, NotConvergedError, TooLargeError
+from .errors import (AssumptionViolatedError, InfeasibleProblemError, NotConvergedError,
+                     TooLargeError)
 from .textdoc import DocReader, DocWriter
-from .localsolver import LONG_STEP, _certificate_residual, _prox_l1_ball, dual_value_batch
+from .localsolver import (LONG_STEP, _certificate_residual, _dual_value_and_grad,
+                          _prox_l1_ball, dual_value_batch)
 from .problem import Problem, StackedPoint, gtilde_rows, objective_rows, slater_check
 
 __all__ = [
@@ -115,6 +117,21 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
     tk = 1.0
     res = np.inf
     it = 0
+
+    def descend(Y, vY, gY):
+        """Prox step from Y, halving eta until the quadratic majorization holds."""
+        nonlocal eta
+        for _ in range(60):
+            Xn = _prox_l1_ball(Y - eta * gY, np.full(pb.n_agents, eta * w), pb.a, pb.c)
+            vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)
+            dX = Xn - Y
+            if vn <= vY + float(np.sum(gY * dX)) + float(np.sum(dX**2)) / (2 * eta) + 1e-12 * (
+                1 + abs(vY)
+            ):
+                break
+            eta *= 0.5
+        return Xn, vn, gn
+
     for it in range(max_iters):
         probe = min(eta, eta0)
         step = _prox_l1_ball(X - probe * grad, np.full(pb.n_agents, probe * w), pb.a, pb.c)
@@ -124,28 +141,11 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / tk_next
         Z = X + beta * (X - Xprev)
-        vZ, gZ = _al_value_grad(pb, Z, mu, lam, rho_c)
-        for _ in range(60):
-            Xn = _prox_l1_ball(Z - eta * gZ, np.full(pb.n_agents, eta * w), pb.a, pb.c)
-            vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)
-            dX = Xn - Z
-            if vn <= vZ + float(np.sum(gZ * dX)) + float(np.sum(dX**2)) / (2 * eta) + 1e-12 * (
-                1 + abs(vZ)
-            ):
-                break
-            eta *= 0.5
+        Xn, vn, gn = descend(Z, *_al_value_grad(pb, Z, mu, lam, rho_c))
         comp_n = vn + w * float(np.abs(Xn).sum())
         if comp_n > comp + 1e-12 * (1 + abs(comp)):
             # momentum overshoot: plain descent step from X, reset momentum
-            for _ in range(60):
-                Xn = _prox_l1_ball(X - eta * grad, np.full(pb.n_agents, eta * w), pb.a, pb.c)
-                vn, gn = _al_value_grad(pb, Xn, mu, lam, rho_c)
-                dX = Xn - X
-                if vn <= val + float(np.sum(grad * dX)) + float(np.sum(dX**2)) / (
-                    2 * eta
-                ) + 1e-12 * (1 + abs(val)):
-                    break
-                eta *= 0.5
+            Xn, vn, gn = descend(X, val, grad)
             comp_n = vn + w * float(np.abs(Xn).sum())
             tk_next = 1.0
         Xprev, X = X, Xn
@@ -161,6 +161,8 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
     rounds run out, or when an augmented-Lagrangian solve uses up its
     iterations without passing its stop test.
     """
+    if not tol > 0:
+        raise AssumptionViolatedError(f"tol must be positive, got {tol}")
     report = slater_check(pb)
     if not report.passed:
         raise InfeasibleProblemError(f"standing assumptions fail:\n{report}")
@@ -214,10 +216,8 @@ def _lagrangian_stationarity(pb: Problem, X, mu, lam):
     At fixed multipliers the Lagrangian splits across agents, so stationarity
     is the worst per-row projected-subgradient gap.
     """
-    grad = 2.0 * np.einsum("nde,ne->nd", pb.P, X) + pb.Q
-    diff = X[:, None, :] - pb.a_prime
-    grad += 2.0 * np.einsum("m,nmd->nd", mu, diff)
-    grad += np.einsum("npd,p->nd", pb.B, lam)
+    _, grad = _dual_value_and_grad(pb, np.broadcast_to(mu, (pb.n_agents, pb.m)),
+                                   np.broadcast_to(lam, (pb.n_agents, pb.p)))(X)
     lip = np.maximum(pb.curv_P + 2.0 * float(mu.sum()), 1e-12)
     res = _certificate_residual(X, grad, 1.0 / lip, pb.a, pb.c, pb.l1_weight)
     return float(res.max())
@@ -232,7 +232,7 @@ def _lipschitz_estimates(pb: Problem):
     r = np.sqrt(pb.c)
     xmax = np.linalg.norm(pb.a, axis=1) + r
     lip_f = float(
-        np.sum(2.0 * np.linalg.eigvalsh(pb.P)[:, -1] * xmax + np.linalg.norm(pb.Q, axis=1))
+        np.sum(pb.curv_P * xmax + np.linalg.norm(pb.Q, axis=1))
     ) + pb.l1_weight * np.sqrt(pb.dmax) * pb.n_agents
     R = np.sqrt(pb.c)[:, None] + np.linalg.norm(pb.a[:, None, :] - pb.a_prime, axis=2)
     lip_g = float(2.0 * R.sum(axis=0).max()) if pb.m else 0.0
@@ -251,7 +251,6 @@ def grid_oracle(pb: Problem, resolution=1e-5, pts=41):
     if total > 4:
         raise TooLargeError(f"grid search limited to total dimension 4, got {total}")
     offsets = np.cumsum([0] + list(pb.dims))
-    a_flat = np.concatenate([pb.a[i, : pb.dims[i]] for i in range(pb.n_agents)])
     r = np.sqrt(pb.c)
     lo = np.concatenate([pb.a[i, : pb.dims[i]] - r[i] for i in range(pb.n_agents)])
     hi = np.concatenate([pb.a[i, : pb.dims[i]] + r[i] for i in range(pb.n_agents)])

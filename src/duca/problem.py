@@ -74,7 +74,6 @@ class Problem:
     B: np.ndarray
     c_eq: np.ndarray
     l1_weight: float = 1.0
-    validate: bool = True
 
     def __post_init__(self):
         n, m, p = self.n_agents, self.m, self.p
@@ -96,8 +95,10 @@ class Problem:
         for name, (arr, want) in shapes.items():
             if arr.shape != want:
                 raise DimMismatchError(f"{name} has shape {arr.shape}, expected {want}")
-        if self.l1_weight < 0:
-            raise AssumptionViolatedError("l1_weight must be nonnegative")
+            if not np.isfinite(arr).all():
+                raise AssumptionViolatedError(f"{name} has non-finite entries")
+        if not 0.0 <= self.l1_weight < np.inf:
+            raise AssumptionViolatedError("l1_weight must be finite and nonnegative")
         for i, d in enumerate(self.dims):
             if not (1 <= d <= dmax):
                 raise DimMismatchError(f"agent {i} has invalid dimension {d}")
@@ -110,8 +111,6 @@ class Problem:
                     raise DimMismatchError(
                         f"{name}[{i}] has nonzero entries beyond dimension {d}"
                     )
-        if not self.validate:
-            return  # structural checks only; assumption checks skipped
         sym_err = float(np.abs(self.P - np.transpose(self.P, (0, 2, 1))).max())
         if sym_err > 1e-12:
             raise AssumptionViolatedError(f"P not symmetric (max err {sym_err:.3e})")
@@ -232,10 +231,6 @@ class StackedPoint:
                 f"stacked vector has shape {self.x.shape}, dims sum to {sum(self.dims)}"
             )
 
-    def agent(self, i: int) -> np.ndarray:
-        off = int(sum(self.dims[:i]))
-        return self.x[off : off + self.dims[i]]
-
     def rows(self, dmax=None) -> np.ndarray:
         """Zero-padded (N, dmax) view of the per-agent blocks."""
         dmax = dmax or max(self.dims)
@@ -250,10 +245,6 @@ class StackedPoint:
     def from_rows(cls, rows: np.ndarray, dims) -> "StackedPoint":
         parts = [rows[i, :d] for i, d in enumerate(dims)]
         return cls(x=np.concatenate(parts), dims=tuple(dims))
-
-    @classmethod
-    def zeros(cls, dims) -> "StackedPoint":
-        return cls(x=np.zeros(int(sum(dims))), dims=tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +290,16 @@ def generate_example(n: int, d: int, m: int, p: int, seed: int) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _as_rows(pb: Problem, x) -> np.ndarray:
-    if isinstance(x, StackedPoint):
-        if tuple(x.dims) != tuple(pb.dims):
-            raise DimMismatchError("point dims do not match problem dims")
-        return x.rows(pb.dmax)
-    x = np.asarray(x, dtype=float)
-    if x.shape == (pb.total_dim,):
-        return StackedPoint(x=x, dims=pb.dims).rows(pb.dmax)
-    if x.shape == (pb.n_agents, pb.dmax):
-        return x
-    raise DimMismatchError(f"cannot interpret shape {x.shape} as a network point")
+def _check_rows(pb: Problem, X) -> np.ndarray:
+    """A network point as padded (N, dmax) agent rows; other shapes raise."""
+    if np.shape(X) != (pb.n_agents, pb.dmax):
+        raise DimMismatchError(f"network point has shape {np.shape(X)}, not (N, dmax) rows")
+    return np.asarray(X, dtype=float)
 
 
-def eval_objective(pb: Problem, x) -> float:
-    """Total cost sum_i f_i(x_i)."""
-    X = _as_rows(pb, x)
+def eval_objective(pb: Problem, X) -> float:
+    """Total cost sum_i f_i(x_i) at padded (N, dmax) rows X."""
+    X = _check_rows(pb, X)
     quad = np.einsum("nd,nde,ne->", X, pb.P, X)
     lin = float(np.sum(pb.Q * X))
     l1 = pb.l1_weight * float(np.abs(X).sum())
@@ -337,9 +322,9 @@ def gtilde_rows(pb: Problem, X: np.ndarray) -> np.ndarray:
     return np.concatenate([g, h], axis=1)
 
 
-def coupled_violation_norm(pb: Problem, x) -> float:
-    """Norm of [max(sum_i g_i, 0); sum_i h_i] at a stacked point."""
-    tot = gtilde_rows(pb, _as_rows(pb, x)).sum(axis=0)
+def coupled_violation_norm(pb: Problem, X) -> float:
+    """Norm of [max(sum_i g_i, 0); sum_i h_i] at padded (N, dmax) rows X."""
+    tot = gtilde_rows(pb, _check_rows(pb, X)).sum(axis=0)
     viol = np.concatenate([np.maximum(tot[: pb.m], 0.0), tot[pb.m :]])
     return float(np.linalg.norm(viol))
 
@@ -368,8 +353,9 @@ def subgradient_f(pb: Problem, i: int, x_i: np.ndarray) -> np.ndarray:
 def slater_check(pb: Problem) -> ValidationReport:
     """Strict feasibility report at the candidate point x_i = 0.
 
-    Passes when every coupled inequality sum is strictly negative, the
-    equality sums vanish, and 0 is interior to every agent's ball.
+    Passes when every coupled inequality sum is strictly negative and the
+    equality sums vanish.  That 0 is interior to every agent's ball is
+    checked by :class:`Problem` itself.
     """
     checks = []
     zero = np.zeros((pb.n_agents, pb.dmax))
@@ -388,9 +374,4 @@ def slater_check(pb: Problem) -> ValidationReport:
             Check("coupled equality sums vanish at 0", hnorm <= 1e-10,
                   f"||sum h|| = {hnorm:.3e}")
         )
-    gap = pb.c - np.sum(pb.a**2, axis=1)
-    checks.append(
-        Check("0 interior to every local ball", float(gap.min()) > 0.0,
-              f"min c - ||a||^2 = {float(gap.min()):.6g}")
-    )
     return ValidationReport(checks)

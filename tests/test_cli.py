@@ -163,6 +163,33 @@ class TestExitCodes:
         assert not out.exists()
         assert main(["validate", "--config", cfg]) == EXIT_OK
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "rounds", 0), ("problem", "d", 0), ("problem", "m", -1),
+        ("problem", "p", -1), ("run", "tol_inner", float("nan")),
+        ("run", "tol_inner", 0.0), ("run", "tol_inner", float("inf")),
+        ("oracle", "tol", float("nan")), ("oracle", "tol", -1e-9),
+    ])
+    def test_out_of_range_value_refused_before_any_work(self, tmp_path, capsys,
+                                                        section, key, value):
+        raw = base_config()
+        raw[section][key] = value
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count(f"config error: {section}.{key} must be") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--rounds", "0"), ("--tol-inner", "0"),
+                                            ("--tol-inner", "nan"), ("--tol-inner", "inf")])
+    def test_out_of_range_override_refused_before_any_work(self, tmp_path, capsys,
+                                                           flag, value):
+        out = tmp_path / "o"
+        rc = main(["run", "--config", write_config(tmp_path), "--out", str(out), flag, value])
+        assert rc == EXIT_CONFIG
+        assert f"config error: {flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_breach_exits_4(self, tmp_path, monkeypatch):
         def breach(*args, **kwargs):
             raise InvariantBreachError("round 1: synthetic breach")

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from duca.engine import (
-    Mailbox,
     cone_split,
     dump_state,
     ergodic_point,
@@ -25,6 +24,7 @@ from duca.errors import (
     MailboxError,
 )
 from duca.graphs import (
+    Mailbox,
     ParamSetting,
     Variant,
     build_graph,
@@ -67,6 +67,7 @@ def single_agent_problem():
 def single_agent_setting(d_prime=2.0):
     return ParamSetting(
         variant=Variant.DUCA_I,
+        graph=build_graph(1, []),
         exchange={"H": np.zeros((1, 1))},
         d_prime=np.array([d_prime]),
         rho=1.0,
@@ -98,7 +99,7 @@ class TestMailbox:
     def test_sums_match_per_agent_loop(self, n, extra, seed, variant):
         g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
         s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
-        mb = Mailbox(s)
+        mb = s.mailbox
         x = np.random.default_rng(seed).standard_normal((n, 4))
         for name, W in s.exchange.items():
             got = mb.weighted_sum(name, x)
@@ -113,21 +114,10 @@ class TestMailbox:
         pb = generate_example(5, 2, 1, 1, seed=seed)
         s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
         st = init(pb, s, y0=np.ones((5, pb.mp)))
-        mb = Mailbox(s)
         exchanges = 2 if s.exchange_mode == "double" else 1
         for k in range(1, 4):
-            step(st, pb, s, mailbox=mb)
+            step(st, pb, s)
             assert st.comm_total == k * exchanges * 2 * g.n_edges * pb.mp
-
-    def test_graph_free_setting_uses_matrix_sparsity(self):
-        g = random_connected_graph(4, 3, seed=1)
-        s = dataclasses.replace(make_setting(Variant.PEXTRA, g, rho=1.0), graph=None)
-        nbrs = [tuple(np.flatnonzero((s.P_H[i] != 0) & (np.arange(4) != i)))
-                for i in range(4)]
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        mb = Mailbox(s)
-        assert np.array_equal(mb.weighted_sum("H", x), brute_force_sums(s.P_H, nbrs, x))
-        assert mb.links == sum(len(ns) for ns in nbrs)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_off_graph_weight_rejected(self, variant):
@@ -137,13 +127,23 @@ class TestMailbox:
         bad = W.copy()
         bad[0, 3] = bad[3, 0] = -0.01  # agents 0 and 3 are not linked
         with pytest.raises(MailboxError):
-            Mailbox(dataclasses.replace(s, exchange={**s.exchange, name: bad}))
+            dataclasses.replace(s, exchange={**s.exchange, name: bad}).mailbox
 
+    def test_table_built_once_per_setting(self, monkeypatch):
+        pb, s = small_case()
+        built = []
+        build = Mailbox.__init__
+        monkeypatch.setattr(Mailbox, "__init__",
+                            lambda table, setting: built.append(setting) or build(table, setting))
+        run(pb, s, 3)
+        step(run(pb, s, 2), pb, s)
+        assert built == [s]
+        assert s.mailbox is s.mailbox
 
     def test_roundtrip_and_counting(self):
         g = build_graph(2, [(0, 1)])
         s = make_setting(Variant.PEXTRA, g, rho=1.0)
-        mb = Mailbox(s)
+        mb = s.mailbox
         x = np.array([[1.0, 2.0], [3.0, 5.0]])
         W = s.P_H
         assert np.array_equal(mb.weighted_sum("H", x)[0], W[0, 0] * x[0] + W[0, 1] * x[1])
@@ -151,7 +151,7 @@ class TestMailbox:
         assert mb.links == 2
         pb = generate_example(2, 2, 1, 1, seed=0)
         st = init(pb, s, y0=np.ones((2, pb.mp)))
-        step(st, pb, s, mailbox=mb)
+        step(st, pb, s)
         assert st.comm_total == 2 * pb.mp
 
     def test_send_to_non_neighbor_refused(self):
@@ -160,25 +160,17 @@ class TestMailbox:
         s = ParamSetting(variant=Variant.DUCA_I, exchange={"H": P_H},
                          d_prime=np.full(3, 2.0), rho=1.0, graph=g)
         with pytest.raises(MailboxError):
-            Mailbox(s)  # P_H weighs agents 0 and 2, which are not linked
+            s.mailbox  # P_H weighs agents 0 and 2, which are not linked
 
     def test_missing_message(self):
         pb, s = small_case()
-        mb = Mailbox(s)
+        mb = s.mailbox
         with pytest.raises(MailboxError):
             mb.weighted_sum("L", np.zeros((6, pb.mp)))  # single mode exchanges only H
 
-    def test_stale_round_detected(self):
-        pb, s = small_case()
-        other = make_setting(Variant.PEXTRA, s.graph, rho=1.0)
-        st = init(pb, s)
-        with pytest.raises(MailboxError):
-            step(st, pb, s, mailbox=Mailbox(other))  # table of another setting
-        assert st.k == 0
-
     def test_messages_are_copies(self):
         _, s = small_case()
-        mb = Mailbox(s)
+        mb = s.mailbox
         x = np.random.default_rng(0).standard_normal((6, 3))
         x_before = x.copy()
         got = mb.weighted_sum("H", x)
@@ -236,6 +228,17 @@ class TestInit:
         with pytest.raises(InvalidInitError):
             init(pb, s, y0=y0)
 
+    def test_non_finite_start_rejected(self):
+        pb, s = small_case()
+        x0 = np.zeros((6, pb.dmax))
+        x0[1, 0] = np.inf
+        y0 = np.zeros((6, pb.mp))
+        y0[4, 2] = np.nan
+        with pytest.raises(InvalidInitError, match="finite"):
+            init(pb, s, x0=x0)
+        with pytest.raises(InvalidInitError, match="finite"):
+            init(pb, s, y0=y0)
+
     def test_wrong_shapes_rejected(self):
         pb, s = small_case()
         with pytest.raises(InvalidInitError):
@@ -288,11 +291,10 @@ class TestSingleExchange:
     def test_comm_count_matches_topology(self):
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         st = init(SEED_PROBLEM, s, y0=ONES_Y0)
-        mb = Mailbox(s)
         assert st.comm_total == 0
-        step(st, SEED_PROBLEM, s, mailbox=mb)
+        step(st, SEED_PROBLEM, s)
         assert st.comm_total == 480  # 2 * |E| * (m+p) = 2 * 40 * 6
-        step(st, SEED_PROBLEM, s, mailbox=mb)
+        step(st, SEED_PROBLEM, s)
         assert st.comm_total == 960
 
     def test_mode_mismatch_rejected(self):
@@ -327,11 +329,10 @@ class TestDoubleExchange:
     def test_dist_admm_u_gap_is_last_z_increment(self):
         pb, s = small_case(variant=Variant.DIST_ADMM)
         st = init(pb, s, y0=np.ones((6, pb.mp)))
-        mb = Mailbox(s)
         prev_Z = st.Z.copy()
         for _ in range(8):
             prev_Z = st.Z.copy()
-            step(st, pb, s, mailbox=mb)
+            step(st, pb, s)
         assert np.allclose(st.U, 2.0 * st.Z - prev_Z, atol=1e-12)
 
     def test_comm_count_doubles(self):
@@ -414,14 +415,14 @@ class TestErgodicPoint:
         pb, s = small_case()
         st = run(pb, s, 1, y0=np.ones((6, pb.mp)))
         xbar, ybar = ergodic_point(st, pb)
-        assert np.array_equal(xbar.rows(pb.dmax), st.X)
+        assert np.array_equal(xbar, st.X)
         assert np.allclose(ybar, st.Y.mean(axis=0), atol=1e-15)
 
     def test_constant_trajectory_average(self):
         pb, s = small_case()
         st = run(pb, s, 6)  # zero start stays put
         xbar, _ = ergodic_point(st, pb)
-        assert np.all(xbar.x == 0.0)
+        assert xbar.shape == (6, pb.dmax) and np.all(xbar == 0.0)
 
     def test_matches_direct_history_average(self):
         pb, s = small_case(seed=9)
@@ -434,7 +435,7 @@ class TestErgodicPoint:
 
         st = run(pb, s, 10, y0=np.ones((6, pb.mp)), hook=hook)
         xbar, ybar = ergodic_point(st, pb)
-        assert np.allclose(xbar.rows(pb.dmax), np.mean(hist_x, axis=0), atol=1e-14)
+        assert np.allclose(xbar, np.mean(hist_x, axis=0), atol=1e-14)
         assert np.allclose(ybar, np.mean(hist_y, axis=0).mean(axis=0), atol=1e-14)
 
     def test_requires_at_least_one_round(self):
@@ -459,9 +460,8 @@ class TestCheckpoint:
 
         part = run(pb, s, 5, y0=y0)
         resumed = load_state(dump_state(part))
-        mb = Mailbox(s)
         for _ in range(3):
-            step(resumed, pb, s, mailbox=mb)
+            step(resumed, pb, s)
         assert dump_state(resumed) == dump_state(full)
 
     def test_double_mode_round_trip(self):

@@ -386,7 +386,13 @@ class TestMakeSetting:
     def test_exchange_with_wrong_keys_rejected(self, keys):
         M = TRIANGLE.metropolis
         with pytest.raises(AssumptionViolatedError, match="exchange keys"):
-            ParamSetting(variant=Variant.DUCA_I, exchange={k: M for k in keys},
+            ParamSetting(variant=Variant.DUCA_I, graph=TRIANGLE,
+                         exchange={k: M for k in keys}, d_prime=np.full(3, 2.0), rho=1.0)
+
+    def test_graph_is_required(self):
+        # the neighbor table reads the graph; there is no matrix-sparsity fallback
+        with pytest.raises(TypeError, match="graph"):
+            ParamSetting(variant=Variant.DUCA_I, exchange={"H": TRIANGLE.metropolis},
                          d_prime=np.full(3, 2.0), rho=1.0)
 
     def test_single_mode_cannot_carry_a_separate_phtilde(self):
@@ -431,6 +437,7 @@ def _hand_setting(**kw):
     M = TRIANGLE.metropolis
     base = dict(
         variant=Variant.DUCA_I,
+        graph=TRIANGLE,
         exchange={"H": M},
         d_prime=2.0 * np.diag(M),
         rho=1.0,
@@ -538,6 +545,7 @@ class TestSpectralQuantities:
         M = PATH2.metropolis
         s = ParamSetting(
             variant=Variant.DUCA_I,
+            graph=PATH2,
             exchange={"H": np.diag(np.diag(M)) * 2},  # diagonal "Laplacian" stand-in
             d_prime=2.0 * np.diag(M),
             rho=1.0,

@@ -180,12 +180,29 @@ def solve_one(sp, **kw):
     return tuple(v[0] for v in out)
 
 
+def local_objective_grid(sp, X):
+    """``local_objective`` at every row of X (K, d), in one broadcast."""
+    pb = sp.problem
+    data = pb.agent_data(sp.agent)
+    mu = sp.ytilde[: pb.m]
+    lam = sp.ytilde[pb.m :]
+    f = (np.einsum("kd,de,ke->k", X, data["P"], X) + X @ data["Q"]
+         + pb.l1_weight * np.abs(X).sum(axis=1))
+    diff = X[:, None, :] - data["a_prime"]
+    hinge = np.maximum(mu + np.sum(diff**2, axis=2) - data["c_prime"], 0.0)
+    eq = lam + X @ data["B"].T + data["c_eq"]
+    pen = (np.sum(hinge**2, axis=1) + np.sum(eq**2, axis=1)) / (2.0 * sp.d_prime)
+    prox = 0.5 * sp.alpha * np.sum((X - sp.anchor) ** 2, axis=1)
+    return f + pen + prox
+
+
 def grid_local(sp, levels=7, pts=81):
     """Multilevel grid minimization of the round objective over the ball.
 
     Pure exhaustive search with zooming; axes always include the exact l1
     kink coordinate 0 when it lies in the window.  Independent of the
-    solver's descent machinery.
+    solver's descent machinery.  Each level's grid is evaluated in one
+    broadcast, and its best point is valued by ``local_objective``.
     """
     pb = sp.problem
     d = pb.dims[sp.agent]
@@ -210,10 +227,10 @@ def grid_local(sp, levels=7, pts=81):
             center = a.copy()
             half *= 0.5
             continue
-        vals = np.array([local_objective(sp, x) for x in X])
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_v:
-            best_v = float(vals[idx])
+        idx = int(np.argmin(local_objective_grid(sp, X)))
+        val = local_objective(sp, X[idx])
+        if val < best_v:
+            best_v = val
             best_x = X[idx].copy()
         center = X[idx].copy()
         half = np.maximum(half * (2.0 / (pts - 1)) * 2.5, 1e-12)
@@ -396,6 +413,10 @@ class TestCertificateResidual:
     @example(rows=(np.array([[0.0, 0.0]]), np.array([[-2.0, 2.0]]), np.array([1.0]),
                    np.array([[-1.4763953342272025, 0.0]]),
                    np.array([2.179743182927853]), 1.5))
+    # psi ~ -2.2e-308 on (0.99, 1.01), where the piece's slope underflows
+    # to 0: the leftmost root is the piece's right end, t = 1.01
+    @example(rows=(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), np.array([1.0]),
+                   np.array([[1.0, 2.2250738585072014e-308]]), np.array([1.0]), 0.01))
     def test_matches_bisection(self, rows):
         X, grads, eta, a, c, w = rows
         got = _certificate_residual(X, grads, eta, a, c, w)
@@ -490,6 +511,16 @@ class TestSolveLocal:
             )
             np.testing.assert_array_equal(x1[0], X[i])
             assert (res1[0], it1[0], done1[0], val1[0]) == (res[i], iters[i], done[i], vals[i])
+
+    def test_grid_values_match_reference(self):
+        # the broadcast that grid_local searches with equals local_objective
+        rng = np.random.default_rng(21)
+        for i in range(12):
+            sp = random_subproblem(rng, d=1 + i % 3, m=i % 3, p=(i + 1) % 3)
+            pb = sp.problem
+            X = pb.a[0] + rng.uniform(-1.0, 1.0, size=(40, pb.dmax)) * np.sqrt(pb.c[0])
+            ref = np.array([local_objective(sp, x) for x in X])
+            np.testing.assert_allclose(local_objective_grid(sp, X), ref, rtol=1e-12, atol=1e-12)
 
     def test_matches_grid_oracle_2d(self):
         rng = np.random.default_rng(20)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from duca import oracle
-from duca.errors import InfeasibleProblemError, NotConvergedError, TooLargeError
+from duca.errors import (
+    AssumptionViolatedError,
+    InfeasibleProblemError,
+    NotConvergedError,
+    TooLargeError,
+)
 from duca.localsolver import LONG_STEP, dual_value_batch
 from duca.oracle import (
     CertificateCore,
@@ -54,22 +59,21 @@ def linear_pair_with_equality():
 
 
 def infeasible_single_agent():
-    """Ball around 0, coupled inequality centered far away: empty feasible set."""
+    """Ball |x| <= 1, coupled equality x + 10 = 0 outside it: empty feasible set."""
     return Problem(
         n_agents=1,
         dims=(1,),
-        m=1,
-        p=0,
+        m=0,
+        p=1,
         P=np.zeros((1, 1, 1)),
         Q=np.zeros((1, 1)),
         a=np.zeros((1, 1)),
         c=np.array([1.0]),
-        a_prime=np.full((1, 1, 1), 10.0),
-        c_prime=np.ones((1, 1)),
-        B=np.zeros((1, 0, 1)),
-        c_eq=np.zeros((1, 0)),
+        a_prime=np.zeros((1, 0, 1)),
+        c_prime=np.zeros((1, 0)),
+        B=np.ones((1, 1, 1)),
+        c_eq=np.full((1, 1), 10.0),
         l1_weight=0.0,
-        validate=False,
     )
 
 
@@ -210,6 +214,11 @@ class TestCentralizedSolve:
     def test_infeasible_instance_raises(self):
         with pytest.raises(InfeasibleProblemError):
             centralized_solve(infeasible_single_agent())
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(AssumptionViolatedError, match="tol must be positive"):
+            centralized_solve(quadratic_single_agent(m=1), tol=tol)
 
 
 class TestGridOracle:

@@ -10,6 +10,7 @@ from duca.errors import AssumptionViolatedError, DimMismatchError
 from duca.problem import (
     Problem,
     StackedPoint,
+    coupled_violation_norm,
     eval_objective,
     generate_example,
     gtilde_rows,
@@ -59,8 +60,7 @@ class TestGenerateExample:
         assert slack > 0
 
     def test_slater_point_at_zero(self):
-        zero = StackedPoint.zeros(SVI.dims)
-        gt = gtilde_rows(SVI, zero.rows())
+        gt = gtilde_rows(SVI, np.zeros((SVI.n_agents, SVI.dmax)))
         assert (gt[:, : SVI.m].sum(axis=0) < 0).all()
         np.testing.assert_allclose(gt[:, SVI.m :].sum(axis=0), 0.0, atol=1e-14)
         interior = SVI.c - np.sum(SVI.a**2, axis=1)
@@ -82,6 +82,29 @@ class TestProblemValidation:
     def test_rejects_ball_excluding_zero(self):
         with pytest.raises(AssumptionViolatedError):
             single_agent(P=[[1.0]], Q=[0.0], a=[3.0], c=4.0)  # ||a||^2 = 9 > 4
+        pb = generate_example(3, 2, 1, 1, seed=0)
+        with pytest.raises(AssumptionViolatedError, match="0 is interior"):
+            Problem(
+                n_agents=3, dims=pb.dims, m=1, p=1,
+                P=pb.P, Q=pb.Q, a=pb.a, c=np.sum(pb.a**2, axis=1) * 0.5,
+                a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq,
+            )
+
+    @pytest.mark.parametrize("name", ["P", "Q", "a", "c", "a_prime", "c_prime", "B", "c_eq"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, name, bad):
+        pb = generate_example(3, 2, 1, 1, seed=0)
+        arr = getattr(pb, name).copy()
+        arr.flat[0] = bad
+        fields = {k: getattr(pb, k) for k in ("P", "Q", "a", "c", "a_prime", "c_prime",
+                                              "B", "c_eq")}
+        with pytest.raises(AssumptionViolatedError, match=f"{name} has non-finite"):
+            Problem(n_agents=3, dims=pb.dims, m=1, p=1, **{**fields, name: arr})
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_l1_weight(self, w):
+        with pytest.raises(AssumptionViolatedError, match="l1_weight"):
+            single_agent(P=[[1.0]], Q=[0.0], l1_weight=w)
 
     def test_rejects_nonpositive_coupling_slack(self):
         with pytest.raises(AssumptionViolatedError):
@@ -104,12 +127,9 @@ class TestProblemValidation:
 class TestStackedPoint:
     def test_views_and_rows_round_trip(self):
         pt = StackedPoint(x=np.arange(6.0), dims=(2, 1, 3))
-        np.testing.assert_array_equal(pt.agent(0), [0.0, 1.0])
-        np.testing.assert_array_equal(pt.agent(1), [2.0])
-        np.testing.assert_array_equal(pt.agent(2), [3.0, 4.0, 5.0])
         rows = pt.rows()
-        assert rows.shape == (3, 3)
-        np.testing.assert_array_equal(rows[1], [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(rows, [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0],
+                                             [3.0, 4.0, 5.0]])
         back = StackedPoint.from_rows(rows, (2, 1, 3))
         np.testing.assert_array_equal(back.x, pt.x)
 
@@ -120,33 +140,33 @@ class TestStackedPoint:
 
 class TestEvalObjective:
     def test_zero_point_gives_zero(self):
-        assert eval_objective(SVI, StackedPoint.zeros(SVI.dims)) == 0.0
+        assert eval_objective(SVI, np.zeros((SVI.n_agents, SVI.dmax))) == 0.0
 
     def test_identity_quadratic_example(self):
         pb = single_agent(P=np.eye(2), Q=np.zeros(2), c=9.0)
-        val = eval_objective(pb, np.array([1.0, -1.0]))
+        val = eval_objective(pb, np.array([[1.0, -1.0]]))
         assert val == pytest.approx(4.0)  # 2 (quad) + 0 (lin) + 2 (l1)
 
-    def test_accepts_stacked_point_and_raw_vector(self):
-        x = np.linspace(-1, 1, SVI.total_dim)
-        v1 = eval_objective(SVI, x)
-        v2 = eval_objective(SVI, StackedPoint(x=x, dims=SVI.dims))
-        assert v1 == v2
-
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            eval_objective(SVI, np.zeros(7))
+        # a network point is padded (N, dmax) rows; flat vectors and
+        # StackedPoints are refused
+        x = np.linspace(-1, 1, SVI.total_dim)
+        for bad in (np.zeros(7), x, StackedPoint(x=x, dims=SVI.dims),
+                    np.zeros((SVI.dmax, SVI.n_agents))):
+            with pytest.raises(DimMismatchError):
+                eval_objective(SVI, bad)
+            with pytest.raises(DimMismatchError):
+                coupled_violation_norm(SVI, bad)
 
     def test_matches_per_agent_formula(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=SVI.total_dim)
-        pt = StackedPoint(x=x, dims=SVI.dims)
+        X = svi_rows(rng.normal(size=SVI.total_dim))
         total = 0.0
         for i in range(SVI.n_agents):
             data = SVI.agent_data(i)
-            xi = pt.agent(i)
+            xi = X[i, : SVI.dims[i]]
             total += xi @ data["P"] @ xi + data["Q"] @ xi + np.abs(xi).sum()
-        assert eval_objective(SVI, pt) == pytest.approx(total, rel=1e-12)
+        assert eval_objective(SVI, X) == pytest.approx(total, rel=1e-12)
 
 
 def svi_rows(x):
@@ -272,8 +292,9 @@ class TestConvexity:
             w = rng.normal(size=SVI.total_dim)
             theta = float(rng.uniform(0.05, 0.95))
             mid = theta * u + (1 - theta) * w
-            f_mid = eval_objective(SVI, mid)
-            f_bound = theta * eval_objective(SVI, u) + (1 - theta) * eval_objective(SVI, w)
+            f_mid = eval_objective(SVI, svi_rows(mid))
+            f_bound = (theta * eval_objective(SVI, svi_rows(u))
+                       + (1 - theta) * eval_objective(SVI, svi_rows(w)))
             assert f_mid <= f_bound + 1e-9
             gu = gtilde_rows(SVI, svi_rows(u))
             gw = gtilde_rows(SVI, svi_rows(w))
@@ -287,18 +308,6 @@ class TestConvexity:
 class TestSlaterCheck:
     def test_generated_instance_passes(self):
         assert slater_check(SVI).passed
-
-    def test_fails_when_zero_outside_ball(self):
-        pb = generate_example(3, 2, 1, 1, seed=0)
-        bad = Problem(
-            n_agents=3, dims=pb.dims, m=1, p=1,
-            P=pb.P, Q=pb.Q, a=pb.a, c=np.sum(pb.a**2, axis=1) * 0.5,
-            a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq,
-            validate=False,
-        )
-        report = slater_check(bad)
-        failed = [c.name for c in report.checks if not c.passed]
-        assert "0 interior to every local ball" in failed
 
     def test_fails_on_shifted_equalities(self):
         pb = generate_example(3, 2, 1, 1, seed=0)
@@ -314,4 +323,4 @@ class TestSlaterCheck:
 
     def test_report_lines_render(self):
         text = str(slater_check(SVI))
-        assert text.count("[PASS]") == 3
+        assert text.count("[PASS]") == 2
