@@ -82,13 +82,6 @@ class TestProblemValidation:
     def test_rejects_ball_excluding_zero(self):
         with pytest.raises(AssumptionViolatedError):
             single_agent(P=[[1.0]], Q=[0.0], a=[3.0], c=4.0)  # ||a||^2 = 9 > 4
-        pb = generate_example(3, 2, 1, 1, seed=0)
-        with pytest.raises(AssumptionViolatedError, match="0 is interior"):
-            Problem(
-                n_agents=3, dims=pb.dims, m=1, p=1,
-                P=pb.P, Q=pb.Q, a=pb.a, c=np.sum(pb.a**2, axis=1) * 0.5,
-                a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq,
-            )
 
     @pytest.mark.parametrize("name", ["P", "Q", "a", "c", "a_prime", "c_prime", "B", "c_eq"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -146,6 +139,21 @@ class TestEvalObjective:
         pb = single_agent(P=np.eye(2), Q=np.zeros(2), c=9.0)
         val = eval_objective(pb, np.array([[1.0, -1.0]]))
         assert val == pytest.approx(4.0)  # 2 (quad) + 0 (lin) + 2 (l1)
+
+    def test_accepts_stacked_point_and_raw_vector(self):
+        # a raw stacked vector and its StackedPoint enter as the same padded
+        # rows, and give the block-diagonal objective of the raw vector
+        x = np.linspace(-1, 1, SVI.total_dim)
+        v1 = eval_objective(SVI, StackedPoint(x=x, dims=SVI.dims).rows())
+        v2 = eval_objective(SVI, svi_rows(x))
+        assert v1 == v2
+        total, off = 0.0, 0
+        for i, di in enumerate(SVI.dims):
+            data = SVI.agent_data(i)
+            xi = x[off : off + di]
+            off += di
+            total += xi @ data["P"] @ xi + data["Q"] @ xi + np.abs(xi).sum()
+        assert v1 == pytest.approx(total, rel=1e-12)
 
     def test_dim_mismatch(self):
         # a network point is padded (N, dmax) rows; flat vectors and
@@ -308,6 +316,17 @@ class TestConvexity:
 class TestSlaterCheck:
     def test_generated_instance_passes(self):
         assert slater_check(SVI).passed
+
+    def test_fails_when_zero_outside_ball(self):
+        # 0 outside a local ball breaks the Slater point; Problem refuses it
+        # before slater_check can see it
+        pb = generate_example(3, 2, 1, 1, seed=0)
+        with pytest.raises(AssumptionViolatedError, match="0 is interior"):
+            Problem(
+                n_agents=3, dims=pb.dims, m=1, p=1,
+                P=pb.P, Q=pb.Q, a=pb.a, c=np.sum(pb.a**2, axis=1) * 0.5,
+                a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq,
+            )
 
     def test_fails_on_shifted_equalities(self):
         pb = generate_example(3, 2, 1, 1, seed=0)
