@@ -102,7 +102,8 @@ _SETTING_SCHEMA = {
 _INIT_CHOICES = {"x0": ("zeros", "gauss"), "y0": ("zeros", "ones", "gauss")}
 #: range checks run before any work: (section, key, least value), and the
 #: values that must be finite and positive
-_INT_FLOORS = (("run", "rounds", 1), ("problem", "d", 1), ("problem", "m", 0), ("problem", "p", 0))
+_INT_FLOORS = (("graph", "n_nodes", 1), ("graph", "n_edges", 0), ("run", "rounds", 1),
+               ("problem", "d", 1), ("problem", "m", 0), ("problem", "p", 0))
 _POSITIVE_FLOATS = (("run", "tol_inner"), ("oracle", "tol"))
 
 
@@ -224,14 +225,9 @@ def _initial_points(cfg, pb):
     return x0, y0
 
 
-def _setting_from_entry(entry, g, alpha=None):
-    return make_setting(
-        Variant[entry["variant"]],
-        g,
-        rho=entry["rho"],
-        alpha=entry["alpha"] if alpha is None else alpha,
-        tuning=entry["tuning"] or None,
-    )
+def _setting_from_entry(entry, g):
+    return make_setting(Variant[entry["variant"]], g, rho=entry["rho"],
+                        alpha=entry["alpha"], tuning=entry["tuning"] or None)
 
 
 def _csv_name(entry) -> str:
@@ -278,6 +274,21 @@ def _solve_reference(cfg, pb):
     return centralized_solve(pb, tol=cfg["oracle"]["tol"])
 
 
+def _certified_settings(cfg, g, pb, core, x0, y0):
+    """Yield each configured (entry, setting, certificate), built in order."""
+    for entry in cfg["setting"]:
+        s = _setting_from_entry(entry, g)
+        try:
+            cert = make_certificate(core, pb, s, x0=x0, y0=y0)
+        except InvariantBreachError as exc:
+            # a reference that fails its own optimality checks is an oracle
+            # problem, not a run-time invariant breach
+            raise NotConvergedError(
+                f"reference solution fails certificate checks: {exc}"
+            ) from exc
+        yield entry, s, cert
+
+
 def cmd_run(cfg, raw_bytes: bytes, out_dir, strict: bool) -> int:
     names = [_csv_name(entry) for entry in cfg["setting"]]
     for i, name in enumerate(names):
@@ -294,16 +305,7 @@ def cmd_run(cfg, raw_bytes: bytes, out_dir, strict: bool) -> int:
 
     written = []
     solver_failures = {}
-    for entry in cfg["setting"]:
-        s = _setting_from_entry(entry, g)
-        try:
-            cert = make_certificate(core, pb, s, x0=x0, y0=y0)
-        except InvariantBreachError as exc:
-            # a reference that fails its own optimality checks is an oracle
-            # problem, not a run-time invariant breach
-            raise NotConvergedError(
-                f"reference solution fails certificate checks: {exc}"
-            ) from exc
+    for entry, s, cert in _certified_settings(cfg, g, pb, core, x0, y0):
         coll = MetricsCollector(pb, s, cert, tol_inner=tol_inner, check=strict)
         st = run(pb, s, rounds, x0=x0, y0=y0, hook=coll, tol_inner=tol_inner,
                  check=strict)
@@ -348,9 +350,7 @@ def cmd_bounds(cfg, k_list) -> int:
     x0, y0 = _initial_points(cfg, pb)
     header = f"{'variant':<12} {'alpha':>6} {'k':>6} {'fe_bound':>14} {'oe_lower':>14} {'oe_upper':>14}"
     print(header)
-    for entry in cfg["setting"]:
-        s = _setting_from_entry(entry, g)
-        cert = make_certificate(core, pb, s, x0=x0, y0=y0)
+    for entry, _s, cert in _certified_settings(cfg, g, pb, core, x0, y0):
         for k in k_list:
             b = cert.bounds(k)
             print(

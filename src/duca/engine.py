@@ -49,7 +49,7 @@ from .errors import (
 )
 # Mailbox is imported for readers of ``duca.engine.Mailbox`` (perfbench's tracer)
 from .graphs import Mailbox, ParamSetting, block_quadratic_norm
-from .localsolver import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve_local_batch
+from .localsolver import DEFAULT_TOL, solve_local_batch
 from .problem import Problem, coupled_violation_norm, gtilde_rows
 from .textdoc import DocReader, DocWriter
 
@@ -205,7 +205,7 @@ def _check_ergodic_bound(st, pb, s, tol_inner):
         )
 
 
-def step(st, pb, s, tol_inner=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, check=True):
+def step(st, pb, s, tol_inner=DEFAULT_TOL, check=True):
     """One synchronous round of the setting's exchange scheme (in place).
 
     Neighbor sums go through the setting's table, ``s.mailbox``.  A state
@@ -226,9 +226,8 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, check=Tr
     else:
         ytilde = d[:, None] * st.Y - rho * mb.weighted_sum("H", st.Y) - st.V
 
-    X_new, _res, iters, done, _vals = solve_local_batch(
-        pb, ytilde, d, s.alpha, st.X, tol=tol_inner, max_iters=max_iters
-    )
+    X_new, _res, iters, done, _vals = solve_local_batch(pb, ytilde, d, s.alpha, st.X,
+                                                        tol=tol_inner)
     gt, Y_new, sig, moreau, compl = _dual_and_cone_update(pb, d, ytilde, X_new)
 
     if double:
@@ -257,8 +256,7 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, check=Tr
     if check:
         if uncertified:
             raise InvariantBreachError(
-                f"round {st.k}: {uncertified} of {pb.n_agents} local solves "
-                f"uncertified after max_iters={max_iters}"
+                f"round {st.k}: {uncertified} of {pb.n_agents} local solves uncertified"
             )
         _check_exact(st, pb, moreau, compl, not double)
         bar = CUMULATIVE_TOL * max(1.0, st.k / 1000.0)
@@ -271,8 +269,7 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, check=Tr
     return st
 
 
-def run(pb, s, rounds, x0=None, y0=None, hook=None, tol_inner=DEFAULT_TOL,
-        max_iters=DEFAULT_MAX_ITERS, check=True):
+def run(pb, s, rounds, x0=None, y0=None, hook=None, tol_inner=DEFAULT_TOL, check=True):
     """Run ``rounds`` synchronous rounds from a fresh state.
 
     ``hook(st)`` is invoked once on the initial state (k=0) and then after
@@ -284,7 +281,7 @@ def run(pb, s, rounds, x0=None, y0=None, hook=None, tol_inner=DEFAULT_TOL,
     if hook is not None:
         hook(st)
     for _ in range(rounds):
-        step(st, pb, s, tol_inner=tol_inner, max_iters=max_iters, check=check)
+        step(st, pb, s, tol_inner=tol_inner, check=check)
         if hook is not None:
             hook(st)
     return st
@@ -314,7 +311,7 @@ _STATE_ARRAYS = ("X", "Y", "V", "SIG", "X0", "Y0", "sum_X", "sum_Y", "cum_gs")
 
 def dump_state(st: NetworkState) -> str:
     """Serialize a state to structured text; bit-exact round trip."""
-    w = DocWriter("netstate", 1)
+    w = DocWriter("netstate")
     for name in _STATE_INTS + _STATE_FLOATS:
         w.scalar(name, getattr(st, name))
     w.scalar("double_mode", st.Z is not None)

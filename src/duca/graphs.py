@@ -150,6 +150,8 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
 
     Deterministic for a fixed seed.  Requires n-1 <= n_edges <= n(n-1)/2.
     """
+    if n < 1:
+        raise InvalidEdgeError(f"need at least one node, got n={n}")
     if n == 1:
         if n_edges != 0:
             raise InvalidEdgeError("a single node admits no edges")

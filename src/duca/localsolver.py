@@ -349,7 +349,7 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
     slack = lambda v: 1e-12 * (1.0 + np.abs(v))
 
     def descent_step(base_mask, Y, vY, gY):
-        """Backtracked prox step from Y on base_mask rows; returns full-batch arrays."""
+        """Backtracked prox step from Y on base_mask rows; the other rows keep X."""
         nonlocal eta
         for _ in range(60):
             Xn = X.copy()
@@ -385,23 +385,18 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
             vZ, gZ = value_and_grad(Z)
         else:
             Z, vZ, gZ = X, vals, grads
+        # frozen rows come back from descent_step as they were, and their
+        # composite value is recomputed from the same bits
         Xn, vn, gn = descent_step(act, Z, vZ, gZ)
         comp_n = vn + w * np.abs(Xn).sum(axis=1)
         worse = act & (comp_n > comp + slack(comp))
         if worse.any():
             # momentum overshoot: plain step from X and momentum reset
             X2, v2, g2 = descent_step(worse, X, vals, grads)
-            Xn = np.where(worse[:, None], X2, Xn)
-            vn = np.where(worse, v2, vn)
-            gn = np.where(worse[:, None], g2, gn)
-            comp_n = np.where(worse, v2 + w * np.abs(X2).sum(axis=1), comp_n)
-            tk_next = np.where(worse, 1.0, tk_next)
-        Xprev = np.where(act[:, None], X, Xprev)
-        X = np.where(act[:, None], Xn, X)
-        vals = np.where(act, vn, vals)
-        grads = np.where(act[:, None], gn, grads)
-        comp = np.where(act, comp_n, comp)
-        tk = np.where(act, tk_next, tk)
+            Xn[worse], vn[worse], gn[worse] = X2[worse], v2[worse], g2[worse]
+            comp_n[worse] = (v2 + w * np.abs(X2).sum(axis=1))[worse]
+            tk_next[worse] = 1.0
+        Xprev, X, vals, grads, comp, tk = X, Xn, vn, gn, comp_n, tk_next
         iters[act] += 1
     return X, residual, iters, done, comp
 
@@ -411,6 +406,19 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
 # ---------------------------------------------------------------------------
 
 
+def _smooth_terms(pb, X):
+    """Per-row x'Px + Q'x, its gradient 2Px + Q, x - a'_j, ||x - a'_j||^2 and Bx.
+
+    Every reduction runs over one axis: einsum's order of summation over two
+    axes depends on the batch size, and a row must not.
+    """
+    PX = np.einsum("rde,re->rd", pb.P, X)
+    fq = np.sum(X * PX, axis=1) + np.sum(pb.Q * X, axis=1)
+    diff = X[:, None, :] - pb.a_prime
+    BX = np.einsum("rpd,rd->rp", pb.B, X)
+    return fq, 2.0 * PX + pb.Q, diff, np.sum(diff**2, axis=2), BX
+
+
 def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
     """Closure over the round smooth part, one row per agent."""
     mu = Ytilde[:, : pb.m]
@@ -418,23 +426,17 @@ def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
     inv_d = 1.0 / d_prime
 
     def value_and_grad(X):
-        # every reduction runs over one axis: einsum's order of summation
-        # over two axes depends on the batch size, and a row must not
-        PX = np.einsum("rde,re->rd", pb.P, X)
-        quad = np.sum(X * PX, axis=1)
-        lin = np.sum(pb.Q * X, axis=1)
-        grad = 2.0 * PX + pb.Q
-        diff = X[:, None, :] - pb.a_prime
-        hinge = np.maximum(mu + np.sum(diff**2, axis=2) - pb.c_prime, 0.0)
+        fq, grad, diff, dist2, BX = _smooth_terms(pb, X)
+        hinge = np.maximum(mu + dist2 - pb.c_prime, 0.0)
         pen_g = 0.5 * inv_d * np.sum(hinge**2, axis=1)
         grad += (2.0 * inv_d)[:, None] * np.einsum("rm,rmd->rd", hinge, diff)
-        eq = lam + np.einsum("rpd,rd->rp", pb.B, X) + pb.c_eq
+        eq = lam + BX + pb.c_eq
         pen_h = 0.5 * inv_d * np.sum(eq**2, axis=1)
         grad += inv_d[:, None] * np.einsum("rpd,rp->rd", pb.B, eq)
         dxa = X - anchor
         prox = 0.5 * alpha * np.sum(dxa**2, axis=1)
         grad += alpha * dxa
-        return quad + lin + pen_g + pen_h + prox, grad
+        return fq + pen_g + pen_h + prox, grad
 
     return value_and_grad
 
@@ -478,24 +480,17 @@ def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
 
 def _dual_value_and_grad(pb, mu, lam):
     def value_and_grad(X):
-        PX = np.einsum("rde,re->rd", pb.P, X)  # one-axis reductions only
-        quad = np.sum(X * PX, axis=1)
-        lin = np.sum(pb.Q * X, axis=1)
-        grad = 2.0 * PX + pb.Q
-        diff = X[:, None, :] - pb.a_prime
-        g = np.sum(diff**2, axis=2) - pb.c_prime
-        val_g = np.sum(mu * g, axis=1)
+        fq, grad, diff, dist2, BX = _smooth_terms(pb, X)
+        val_g = np.sum(mu * (dist2 - pb.c_prime), axis=1)
         grad += 2.0 * np.einsum("rm,rmd->rd", mu, diff)
-        h = np.einsum("rpd,rd->rp", pb.B, X) + pb.c_eq
-        val_h = np.sum(lam * h, axis=1)
+        val_h = np.sum(lam * (BX + pb.c_eq), axis=1)
         grad += np.einsum("rpd,rp->rd", pb.B, lam)
-        return quad + lin + val_g + val_h, grad
+        return fq + val_g + val_h, grad
 
     return value_and_grad
 
 
-def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL,
-                     max_iters=DEFAULT_MAX_ITERS):
+def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL):
     """All agents' dual-function values and minimizers at a shared y."""
     y = np.asarray(y, dtype=float)
     if y.shape != (pb.mp,):
@@ -508,6 +503,6 @@ def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL,
     lip = pb.curv_P + 2.0 * float(y[: pb.m].sum())
     X, res, iters, done, vals = _prox_grad_loop(
         vg, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight,
-        np.maximum(lip, 1e-12), tol, max_iters,
+        np.maximum(lip, 1e-12), tol, DEFAULT_MAX_ITERS,
     )
     return vals, X, res, done

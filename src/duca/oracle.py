@@ -33,6 +33,11 @@ __all__ = [
     "load_certificate",
 ]
 
+#: outer rounds of the method of multipliers before it gives up
+MAX_OUTER = 120
+#: grid nodes per axis at each zoom level of the exhaustive search
+GRID_PTS = 41
+
 
 @dataclass
 class CertificateCore:
@@ -153,7 +158,7 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
     return X, res, it
 
 
-def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
+def centralized_solve(pb: Problem, tol=1e-9) -> CertificateCore:
     """Reference primal-dual solution by the method of multipliers.
 
     Stops when coupled feasibility and Lagrangian stationarity are <= tol and
@@ -171,7 +176,7 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
     rho_c = 1.0
     X = np.zeros((pb.n_agents, pb.dmax))
     feas_prev = np.inf
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         inner_tol = max(0.01 * tol, min(1e-4, 0.05 * min(feas_prev, 1.0)))
         X, res, it = _al_minimize(pb, X, mu, lam, rho_c, inner_tol)
         if res > inner_tol:
@@ -206,7 +211,7 @@ def centralized_solve(pb: Problem, tol=1e-9, max_outer=120) -> CertificateCore:
             rho_c = min(rho_c * 4.0, 1e10)
         feas_prev = feas
     raise NotConvergedError(
-        f"method of multipliers: feasibility {feas:.3e} after {max_outer} outer rounds"
+        f"method of multipliers: feasibility {feas:.3e} after {MAX_OUTER} outer rounds"
     )
 
 
@@ -240,7 +245,7 @@ def _lipschitz_estimates(pb: Problem):
     return lip_f, lip_g, lip_h
 
 
-def grid_oracle(pb: Problem, resolution=1e-5, pts=41):
+def grid_oracle(pb: Problem, resolution=1e-5):
     """Zooming exhaustive search over the product of balls.
 
     Coupled constraints are enforced with a slack proportional to the current
@@ -280,13 +285,13 @@ def grid_oracle(pb: Problem, resolution=1e-5, pts=41):
     while True:
         axes = []
         for j in range(total):
-            ax = np.linspace(center[j] - half[j], center[j] + half[j], pts)
+            ax = np.linspace(center[j] - half[j], center[j] + half[j], GRID_PTS)
             if ax[0] < 0.0 < ax[-1]:
                 ax = np.sort(np.append(ax, 0.0))
             axes.append(np.clip(ax, lo[j], hi[j]))
         mesh = np.meshgrid(*axes, indexing="ij")
         Xflat = np.stack([mm.ravel() for mm in mesh], axis=1)
-        spacing = max(float(half.max()) * 2.0 / (pts - 1), 1e-14)
+        spacing = max(float(half.max()) * 2.0 / (GRID_PTS - 1), 1e-14)
         slack_g = spacing * max(lip_g, 1.0)
         slack_h = spacing * max(lip_h, 1.0)
         level_best, level_x = np.inf, None
@@ -318,9 +323,9 @@ def grid_oracle(pb: Problem, resolution=1e-5, pts=41):
     return {"x_best": level_x, "f_best": level_best}
 
 
-def duality_gap_check(core: CertificateCore, pb: Problem, tol=1e-9) -> float:
+def duality_gap_check(core: CertificateCore, pb: Problem) -> float:
     """|f* - sum_i q_i(y*)|: strong duality makes this vanish at the optimum."""
-    vals, _, _, done = dual_value_batch(pb, core.y_star, tol=min(tol, 1e-9))
+    vals, _, _, done = dual_value_batch(pb, core.y_star, tol=1e-9)
     if not done.all():
         raise NotConvergedError("dual function evaluation did not converge")
     return abs(core.f_star - float(vals.sum()))
@@ -335,7 +340,7 @@ _PROBLEM_ARRAYS = ("P", "Q", "a", "c", "a_prime", "c_prime", "B", "c_eq")
 
 def dump_certificate(pb: Problem, core: CertificateCore, oracle_tol: float) -> str:
     """Render problem data + reference solution as one structured-text doc."""
-    w = DocWriter("problemcert", 1)
+    w = DocWriter("problemcert")
     w.scalar("n_agents", pb.n_agents)
     w.intlist("dims", pb.dims)
     w.scalar("m", pb.m)

@@ -21,8 +21,8 @@ def fmt_float(x) -> str:
 class DocWriter:
     """Accumulates records for one structured-text document."""
 
-    def __init__(self, kind: str, version: int = 1):
-        self.lines = [f"#doc {kind} v{version}"]
+    def __init__(self, kind: str):
+        self.lines = [f"#doc {kind} v1"]
 
     def scalar(self, name, value):
         if isinstance(value, (bool, np.bool_)):
@@ -42,13 +42,9 @@ class DocWriter:
         a = np.asarray(arr, dtype=float)
         shape = " ".join(str(s) for s in a.shape)
         self.lines.append(f"array {name} {a.ndim} {shape}".rstrip())
-        flat = a.reshape(-1) if a.ndim else a.reshape(1)
-        rows = a.reshape(a.shape[0], -1) if a.ndim >= 1 and a.size else None
-        if a.ndim == 0 or a.size == 0:
-            self.lines.append(" ".join(fmt_float(v) for v in flat))
-        else:
-            for row in rows:
-                self.lines.append(" ".join(fmt_float(v) for v in row))
+        # one line per leading index; a scalar or an empty array takes one line
+        rows = a.reshape(a.shape[0], -1) if a.ndim and a.size else [a.reshape(-1)]
+        self.lines.extend(" ".join(fmt_float(v) for v in row) for row in rows)
         return self
 
     def text(self) -> str:

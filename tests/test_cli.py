@@ -20,7 +20,7 @@ from duca.cli import (
     main,
     normalize_config,
 )
-from duca.engine import run
+from duca.localsolver import solve_local_batch
 from duca.errors import ConfigError, InvariantBreachError, NotConvergedError
 from duca.graphs import Variant, make_setting, random_connected_graph
 from duca.metrics import CSV_COLUMNS, csv_to_rows, make_certificate
@@ -164,6 +164,7 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == EXIT_OK
 
     @pytest.mark.parametrize("section,key,value", [
+        ("graph", "n_nodes", 0), ("graph", "n_edges", -1),
         ("run", "rounds", 0), ("problem", "d", 0), ("problem", "m", -1),
         ("problem", "p", -1), ("run", "tol_inner", float("nan")),
         ("run", "tol_inner", 0.0), ("run", "tol_inner", float("inf")),
@@ -178,6 +179,16 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.count(f"config error: {section}.{key} must be") == 2
+        assert not out.exists()
+
+    def test_empty_graph_refused_before_any_work(self, tmp_path, capsys):
+        raw = base_config()
+        raw["graph"].update(n_nodes=0, n_edges=0)
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("config error: graph.n_nodes must be >= 1") == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--rounds", "0"), ("--tol-inner", "0"),
@@ -207,6 +218,21 @@ class TestExitCodes:
         rc = main(["run", "--config", write_config(tmp_path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_ORACLE
+
+    @pytest.mark.parametrize("command", [["run", "--out", "o"], ["bounds"]],
+                             ids=["run", "bounds"])
+    def test_bad_certificate_is_an_oracle_failure(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        # a reference failing the certificate's optimality checks exits 5 from
+        # both subcommands, not 4 (reserved for strict runs)
+        def breach(*args, **kwargs):
+            raise InvariantBreachError("reference stationarity 1e-3")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("duca.cli.make_certificate", breach)
+        rc = main([command[0], "--config", write_config(tmp_path), *command[1:]])
+        assert rc == EXIT_ORACLE
+        assert "reference solution fails certificate checks" in capsys.readouterr().err
 
     def test_bad_k_list_exits_config(self, tmp_path):
         rc = main(["bounds", "--config", write_config(tmp_path), "--k", "1,zap"])
@@ -263,7 +289,8 @@ class TestRunArtifacts:
 
     def test_uncertified_solves_recorded_when_not_strict(self, tmp_path, monkeypatch):
         # one inner iteration per solve leaves local solves uncertified
-        monkeypatch.setattr("duca.cli.run", functools.partial(run, max_iters=1))
+        monkeypatch.setattr("duca.engine.solve_local_batch",
+                            functools.partial(solve_local_batch, max_iters=1))
         out = tmp_path / "runs"
         rc = main(["run", "--config", write_config(tmp_path), "--out", str(out)])
         assert rc == EXIT_OK
@@ -271,7 +298,8 @@ class TestRunArtifacts:
         assert manifest["solver_failures"]["DUCA_I__0.csv"] > 0
 
     def test_uncertified_solve_fails_strict_run(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("duca.cli.run", functools.partial(run, max_iters=1))
+        monkeypatch.setattr("duca.engine.solve_local_batch",
+                            functools.partial(solve_local_batch, max_iters=1))
         rc = main(["run", "--config", write_config(tmp_path),
                    "--out", str(tmp_path / "o"), "--strict"])
         assert rc == EXIT_INVARIANT

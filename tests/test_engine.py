@@ -1,6 +1,7 @@
 """Tests for the synchronous message-passing engine."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -373,15 +374,17 @@ class TestRun:
         st2 = run(pb, s, 25, y0=y0)
         assert dump_state(st1) == dump_state(st2)
 
-    def test_uncertified_solve_raises_when_checked(self):
+    def test_uncertified_solve_raises_when_checked(self, monkeypatch):
         # One inner iteration is too few on the shipped instance: 19 of the
         # 20 agents end round 1 without a certificate, 83 over five rounds.
         pb = generate_example(20, 3, 1, 5, seed=42)
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         x0, y0 = np.zeros((20, pb.dmax)), np.ones((20, pb.mp))
+        monkeypatch.setattr("duca.engine.solve_local_batch",
+                            functools.partial(solve_local_batch, max_iters=1))
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
-            run(pb, s, 5, x0, y0, max_iters=1, check=True)
-        st = run(pb, s, 5, x0, y0, max_iters=1, check=False)
+            run(pb, s, 5, x0, y0, check=True)
+        st = run(pb, s, 5, x0, y0, check=False)
         assert st.solver_failures == 83
 
     def test_long_start_needs_the_stall_guard(self, monkeypatch):
@@ -395,11 +398,13 @@ class TestRun:
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         x0, y0 = np.zeros((20, pb.dmax)), np.ones((20, pb.mp))
         monkeypatch.setattr(ls, "LONG_STEP", 32.0)
-        st = run(pb, s, 300, x0, y0, max_iters=1000, check=True)
+        monkeypatch.setattr("duca.engine.solve_local_batch",
+                            functools.partial(solve_local_batch, max_iters=1000))
+        st = run(pb, s, 300, x0, y0, check=True)
         assert st.solver_failures == 0
         monkeypatch.setattr(ls, "STALL_ITERS", 1000)  # never reached
         with pytest.raises(InvariantBreachError, match="round 216: 1 of 20"):
-            run(pb, s, 300, x0, y0, max_iters=1000, check=True)
+            run(pb, s, 300, x0, y0, check=True)
 
     def test_zero_start_is_a_fixed_point_here(self):
         # The generated family minimizes at the origin with slack coupled

@@ -137,6 +137,11 @@ class TestRandomConnectedGraph:
         with pytest.raises(InvalidEdgeError):
             random_connected_graph(5, 11, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_nodes_refused(self, n):
+        with pytest.raises(InvalidEdgeError, match="at least one node"):
+            random_connected_graph(n, 0, seed=0)
+
     @given(
         n=st.integers(min_value=2, max_value=12),
         extra=st.integers(min_value=0, max_value=10),

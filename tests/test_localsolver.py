@@ -494,15 +494,19 @@ class TestSolveLocal:
            seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_single(self, n, d, m, p, alpha, seed):
-        # every batch row is the solve of its agent alone, bit for bit
+        # every batch row is the solve of its agent alone, bit for bit: the
+        # round subproblems and the dual function at a shared y
         pb = generate_example(n, d, m, p, seed=seed)
         rng = np.random.default_rng(seed)
         Yt = rng.normal(scale=2.0, size=(n, m + p))
         d_prime = rng.uniform(0.5, 2.0, size=n)
         anchor = rng.uniform(-0.5, 0.5, size=(n, d))
+        y = rng.normal(scale=2.0, size=m + p)
+        y[:m] = np.abs(y[:m])
         X, res, iters, done, vals = solve_local_batch(
             pb, Yt, d_prime, alpha, anchor, tol=1e-9
         )
+        q, Xq, res_q, done_q = dual_value_batch(pb, y, tol=1e-9)
         for i in range(n):
             solo = single_agent(**pb.agent_data(i), l1_weight=pb.l1_weight)
             x1, res1, it1, done1, val1 = solve_local_batch(
@@ -511,6 +515,9 @@ class TestSolveLocal:
             )
             np.testing.assert_array_equal(x1[0], X[i])
             assert (res1[0], it1[0], done1[0], val1[0]) == (res[i], iters[i], done[i], vals[i])
+            q1, xq1, res_q1, done_q1 = dual_value_batch(solo, y, tol=1e-9)
+            np.testing.assert_array_equal(xq1[0], Xq[i])
+            assert (q1[0], res_q1[0], done_q1[0]) == (q[i], res_q[i], done_q[i])
 
     def test_grid_values_match_reference(self):
         # the broadcast that grid_local searches with equals local_objective
