@@ -20,9 +20,9 @@ from duca.cli import (
     main,
     normalize_config,
 )
-from duca.localsolver import solve_local_batch
 from duca.errors import ConfigError, InvariantBreachError, NotConvergedError
 from duca.graphs import Variant, make_setting, random_connected_graph
+from duca.localsolver import solve_local_batch
 from duca.metrics import CSV_COLUMNS, csv_to_rows, make_certificate
 from duca.oracle import centralized_solve, load_certificate
 from duca.problem import generate_example
@@ -179,16 +179,6 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.count(f"config error: {section}.{key} must be") == 2
-        assert not out.exists()
-
-    def test_empty_graph_refused_before_any_work(self, tmp_path, capsys):
-        raw = base_config()
-        raw["graph"].update(n_nodes=0, n_edges=0)
-        cfg = write_config(tmp_path, raw)
-        out = tmp_path / "o"
-        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.count("config error: graph.n_nodes must be >= 1") == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--rounds", "0"), ("--tol-inner", "0"),
