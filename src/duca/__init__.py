@@ -30,14 +30,12 @@ from .graphs import (
     Mailbox,
     ParamSetting,
     SpectralQuantities,
-    ValidationReport,
     Variant,
     build_graph,
     laplacian_from_weights,
     make_setting,
     random_connected_graph,
     spectral_quantities,
-    validate_setting,
 )
 from .problem import (
     Problem,
@@ -116,13 +114,11 @@ __all__ = [
     "Variant",
     "ParamSetting",
     "Mailbox",
-    "ValidationReport",
     "SpectralQuantities",
     "build_graph",
     "random_connected_graph",
     "laplacian_from_weights",
     "make_setting",
-    "validate_setting",
     "spectral_quantities",
     # problem
     "Problem",

@@ -258,12 +258,7 @@ def cmd_validate(cfg) -> int:
         return EXIT_ASSUMPTION
     g, pb = holder["gp"]
 
-    def slater():
-        rep = slater_check(pb)
-        if not rep.passed:
-            raise AssumptionViolatedError(str(rep))
-
-    report("constraint qualification (interior point)", slater)
+    report("constraint qualification (interior point)", lambda: slater_check(pb))
     for entry in cfg["setting"]:
         label = f"setting {entry['variant']} rho={entry['rho']:g} alpha={entry['alpha']:g}"
         report(label, lambda e=entry: _setting_from_entry(e, g))
@@ -406,18 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
+    """Set the overridden keys and re-run the config checks on the result."""
     if args.seed is not None:
-        cfg["graph"]["seed"] = args.seed
-        cfg["problem"]["seed"] = args.seed
-    if getattr(args, "rounds", None) is not None:
-        if args.rounds < 1:
-            raise ConfigError("--rounds must be >= 1")
-        cfg["run"]["rounds"] = args.rounds
-    if getattr(args, "tol_inner", None) is not None:
-        if not 0.0 < args.tol_inner < math.inf:
-            raise ConfigError("--tol-inner must be finite and positive")
-        cfg["run"]["tol_inner"] = args.tol_inner
-    return cfg
+        cfg["graph"]["seed"] = cfg["problem"]["seed"] = args.seed
+    for key in ("rounds", "tol_inner"):
+        if (value := getattr(args, key, None)) is not None:
+            cfg["run"][key] = value
+    return normalize_config(cfg)
 
 
 def main(argv=None) -> int:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AssumptionViolatedError,
     ConfigError,
     DimMismatchError,
     InsufficientDataError,
@@ -106,8 +105,6 @@ def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
     n, mp = pb.n_agents, pb.mp
     if s.n_nodes != n:
         raise DimMismatchError(f"setting is for {s.n_nodes} nodes, problem has {n}")
-    if (s.d_prime <= 0).any():
-        raise AssumptionViolatedError("P_D diagonal must be positive")
     X = np.zeros((n, pb.dmax)) if x0 is None else np.array(x0, dtype=float)
     Y = np.zeros((n, mp)) if y0 is None else np.array(y0, dtype=float)
     if X.shape != (n, pb.dmax):

@@ -18,7 +18,7 @@ class PatternMismatchError(DucaError):
 
 
 class AssumptionViolatedError(DucaError):
-    """A parameter setting fails one of the standing matrix assumptions."""
+    """A parameter setting fails one of its standing assumptions."""
 
 
 class MissingTuningError(DucaError):
@@ -38,7 +38,7 @@ class InvariantBreachError(DucaError):
 
 
 class MailboxError(DucaError):
-    """A neighbor table is invalid, or an exchange matrix weighs non-neighbors."""
+    """A neighbor table is invalid, or a sum reads a matrix the table lacks."""
 
 
 class CertificateMissingError(DucaError):

@@ -5,14 +5,15 @@ graph-Laplacian-type weight matrices, and the six named parameter settings
 (``P_H``, ``P_Htilde``, ``P_D = diag(d')``, ``rho``) consumed by the round
 engine.  A setting stores the matrices its agents exchange and the diagonal
 of P_D as the vector ``d_prime``; P_H and P_Htilde are derived from them.
-Also validates the positive-semidefiniteness / nullspace conditions that
-every setting must satisfy, and computes the spectral quantities that enter
-the convergence bounds.  Each setting owns its neighbor table,
+Every setting checks the standing positive-semidefiniteness / nullspace
+conditions when it is built, and computes the spectral quantities that
+enter the convergence bounds.  Each setting owns its neighbor table,
 :class:`Mailbox`, through which the round engine reads every cross-agent
 sum.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -33,14 +34,11 @@ __all__ = [
     "Variant",
     "ParamSetting",
     "Mailbox",
-    "Check",
-    "ValidationReport",
     "SpectralQuantities",
     "build_graph",
     "random_connected_graph",
     "laplacian_from_weights",
     "make_setting",
-    "validate_setting",
     "spectral_quantities",
 ]
 
@@ -96,6 +94,19 @@ class Graph:
         )
         M.flags.writeable = False
         return M
+
+    @cached_property
+    def unlinked(self) -> np.ndarray:
+        """(N, N) boolean mask, True for two distinct agents with no edge; read-only.
+
+        No weight matrix on the graph may be nonzero where it is True.
+        """
+        U = ~np.eye(self.n_nodes, dtype=bool)
+        if self.edges:
+            rows, cols = np.array(self.edges).T
+            U[rows, cols] = U[cols, rows] = False
+        U.flags.writeable = False
+        return U
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -219,14 +230,11 @@ def laplacian_from_weights(W: np.ndarray, g: Graph) -> np.ndarray:
         raise PatternMismatchError(f"weight matrix shape {W.shape} != ({n},{n})")
     if not np.abs(W - W.T).max() <= 1e-12:
         raise PatternMismatchError("weight matrix is not symmetric")
-    on_edge = np.zeros((n, n), dtype=bool)
-    if g.edges:
-        rows, cols = np.array(g.edges).T
-        on_edge[rows, cols] = on_edge[cols, rows] = True
+    on_edge = ~g.unlinked
+    np.fill_diagonal(on_edge, False)
     for bad, what in ((np.diag(W) < 0, "negative self-weight at node"),
                       (on_edge & (W <= 0), "non-positive weight on edge"),
-                      (~on_edge & (W != 0) & ~np.eye(n, dtype=bool),
-                       "nonzero weight off the graph at")):
+                      ((W != 0) & g.unlinked, "nonzero weight off the graph at")):
         if bad.any():
             raise PatternMismatchError(f"{what} {np.argwhere(bad)[0].tolist()}")
     return np.diag(W.sum(axis=1)) - W
@@ -263,9 +271,18 @@ class ParamSetting:
     its disagreement update applies H; a double-exchange family has
     ``P_H = L @ M`` and ``P_Htilde = L @ L``.  The step matrix P_D is
     diagonal and is stored as its diagonal, the (N,) vector ``d_prime``.
-    ``P_A = diag(d') - rho * P_H`` must be PSD, d' positive,
-    ``P_H >= P_Htilde`` in the PSD order, and both P_H and P_Htilde must
-    have nullspace exactly span(1).
+
+    Every setting checks the standing assumptions of the convergence
+    theorems when it is built, however it is built (directly,
+    :func:`make_setting` or ``dataclasses.replace``): the shapes agree with
+    the graph's N, every entry is finite, rho > 0, alpha >= 0, d' > 0, no
+    exchange matrix weighs two unlinked agents, P_H and P_Htilde are
+    symmetric PSD with nullspace exactly span(1), ``P_H >= P_Htilde`` in the
+    PSD order and ``P_A = diag(d') - rho * P_H`` is PSD.  A setting that
+    fails raises one :class:`AssumptionViolatedError` naming every failed
+    condition with its value.  The eigenvalue checks read :attr:`spectra`,
+    so checking a setting and later evaluating its bounds decompose each
+    matrix once.
 
     Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
     :attr:`spectra` and :attr:`mailbox` are computed once per setting, on
@@ -284,6 +301,29 @@ class ParamSetting:
         if set(self.exchange) not in ({"H"}, {"L", "M"}):
             raise AssumptionViolatedError(
                 f"exchange keys {sorted(self.exchange)} are neither ['H'] nor ['L', 'M']"
+            )
+        n = self.graph.n_nodes
+        arrays = [("d_prime", self.d_prime, (n,)),
+                  *((name, W, (n, n)) for name, W in self.exchange.items())]
+        misshapen = [f"{name} {np.shape(v)}" for name, v, want in arrays if np.shape(v) != want]
+        nonfinite = [name for name, v, _ in arrays if not np.isfinite(v).all()]
+        nonfinite += [name for name in ("rho", "alpha") if not math.isfinite(getattr(self, name))]
+        # the remaining checks decompose the matrices, which needs both
+        self._refuse([
+            ("graph, exchange and d_prime shapes agree", not misshapen, "N={}: {}",
+             (n, ", ".join(misshapen))),
+            ("entries finite", not nonfinite, "not finite: {}", (", ".join(nonfinite),)),
+        ])
+        self._refuse(_standing_checks(self))
+
+    def _refuse(self, checks):
+        """Raise naming each failed ``(name, passed, detail format, its args)``."""
+        failed = [name + (f" ({fmt.format(*args)})" if fmt else "")
+                  for name, passed, fmt, args in checks if not passed]
+        if failed:
+            raise AssumptionViolatedError(
+                f"{Variant(self.variant).value} setting violates its standing "
+                "assumptions:\n  " + "\n  ".join(failed)
             )
 
     @property
@@ -342,10 +382,10 @@ class Mailbox:
     slots: the own term first, then slot k adds each agent's k-th neighbor
     for the agents that have one.  Every agent thus adds its terms in the
     order of a per-agent loop and gets the same bits; a dense ``W @ x``
-    would sum in another order.  A matrix with weight between two agents
-    that are not neighbors raises :class:`MailboxError`, and so does a read
-    of a matrix the table does not carry.  Use ``s.mailbox``, the table
-    cached on the setting.
+    would sum in another order.  The setting has refused any weight between
+    agents that are not neighbors, so the table carries every weight.  A
+    read of a matrix the table does not carry raises :class:`MailboxError`.
+    Use ``s.mailbox``, the table cached on the setting.
     """
 
     def __init__(self, s: ParamSetting):
@@ -363,17 +403,10 @@ class Mailbox:
         for k in range(int(deg.max(initial=0))):
             rows = np.flatnonzero(deg > k)
             self._slots.append((rows, np.array([nbrs[i][k] for i in rows])))
-        self._weights = {}
-        for name, W in s.exchange.items():
-            diag = np.diag(W).copy()
-            slot_w = [W[rows, cols] for rows, cols in self._slots]
-            on_table = np.count_nonzero(diag) + sum(np.count_nonzero(w) for w in slot_w)
-            if np.count_nonzero(W) != on_table:
-                raise MailboxError(
-                    f"exchange matrix {name} has weight between agents that are "
-                    "not neighbors"
-                )
-            self._weights[name] = (diag, slot_w)
+        self._weights = {
+            name: (np.diag(W).copy(), [W[rows, cols] for rows, cols in self._slots])
+            for name, W in s.exchange.items()
+        }
 
     def weighted_sum(self, name: str, x: np.ndarray) -> np.ndarray:
         """Rows ``W_ii x_i + sum_j W_ij x_j`` for exchange matrix ``name``."""
@@ -395,7 +428,7 @@ def _dpga_scale(g: Graph, c: float) -> float:
 
 
 def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None) -> ParamSetting:
-    """Construct and validate one named parameter setting on graph g.
+    """Construct one named parameter setting on graph g (checked as it is built).
 
     Parameters
     ----------
@@ -417,10 +450,6 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
     """
     variant = Variant(variant)
     tuning = dict(tuning or {})
-    if rho <= 0:
-        raise AssumptionViolatedError(f"rho must be positive, got {rho}")
-    if alpha < 0:
-        raise AssumptionViolatedError(f"alpha must be nonnegative, got {alpha}")
     n = g.n_nodes
     MG = g.metropolis
     used_keys = set()
@@ -476,42 +505,13 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
     if unknown:
         raise MissingTuningError(f"unknown tuning keys for {variant.value}: {sorted(unknown)}")
 
-    s = ParamSetting(variant=variant, graph=g, exchange=exchange, d_prime=d_prime,
-                     rho=float(rho), alpha=float(alpha))
-    report = validate_setting(s)
-    if not report.passed:
-        raise AssumptionViolatedError(
-            f"{variant.value} setting fails validation:\n{report}"
-        )
-    return s
+    return ParamSetting(variant=variant, graph=g, exchange=exchange, d_prime=d_prime,
+                        rho=float(rho), alpha=float(alpha))
 
 
 # ---------------------------------------------------------------------------
-# Validation and spectral quantities
+# Standing assumptions and spectral quantities
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def __str__(self):
-        flag = "PASS" if self.passed else "FAIL"
-        return f"[{flag}] {self.name}" + (f" ({self.detail})" if self.detail else "")
-
-
-@dataclass
-class ValidationReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self):
-        return "\n".join(str(c) for c in self.checks)
 
 
 def _sym_eigs(M):
@@ -520,66 +520,49 @@ def _sym_eigs(M):
     return np.linalg.eigh(S)
 
 
-def _nullspace_is_ones(vals, align, n, checks, label):
-    """Append checks that the nullspace is exactly span(1).
-
-    ``vals`` are the ascending eigenvalues, ``align`` is |<v_0, 1/sqrt(N)>|
-    for the bottom eigenvector.
-    """
-    scale = max(abs(vals[-1]), 1.0)
-    checks.append(
-        Check(
-            f"{label} smallest eigenvalue ~ 0",
-            abs(vals[0]) < NULL_TOL * scale,
-            f"lam_min={vals[0]:.3e}",
-        )
-    )
-    checks.append(
-        Check(
-            f"{label} null eigenvector is the ones direction",
-            align > 1.0 - 1e-8,
-            f"|<v0, 1/sqrt(N)>|={align:.12f}",
-        )
-    )
-    if n > 1:
-        checks.append(
-            Check(
-                f"{label} second-smallest eigenvalue > 0",
-                vals[1] > NULL_TOL * scale,
-                f"lam_2={vals[1]:.3e}",
-            )
-        )
-
-
-def validate_setting(s: ParamSetting) -> ValidationReport:
-    """Report-style validation of every standing matrix assumption.
+def _standing_checks(s: ParamSetting) -> list:
+    """``(name, passed, detail format, its args)`` for each standing
+    assumption of a setting whose shapes agree and whose entries are finite.
 
     A single-exchange setting's H is both P_H and P_Htilde, so it is checked
-    once and the order P_H >= P_Htilde holds trivially.  All eigenvalue
-    checks read ``s.spectra``, so validating a setting and later evaluating
-    its bounds decompose each matrix once.
+    once and the order P_H >= P_Htilde holds trivially.  A nullspace of
+    exactly span(1) means the smallest eigenvalue is ~0 with the ones
+    direction as its eigenvector, and (for N > 1) the second is > 0.  A
+    detail is formatted only for a failed check.
     """
-    checks = []
-    n = s.n_nodes
     sp = s.spectra
+    checks = []
     forms = [("P_H", s.P_H, sp.eig_PH, sp.ones_align_PH)]
     if s.exchange_mode == "double":
         forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde, sp.ones_align_PHtilde))
-        checks.append(Check("P_H >= P_Htilde (PSD order)", sp.eig_order[0] >= PSD_TOL,
-                            f"lam_min={sp.eig_order[0]:.3e}"))
+        checks.append(("P_H >= P_Htilde (PSD order)", sp.eig_order[0] >= PSD_TOL,
+                       "lam_min={:.3e}", (sp.eig_order[0],)))
     for label, M, vals, align in forms:
-        checks.append(Check(f"{label} symmetric", bool(np.abs(M - M.T).max() <= 1e-12)))
-        checks.append(Check(f"{label} PSD", vals[0] >= PSD_TOL, f"lam_min={vals[0]:.3e}"))
-        _nullspace_is_ones(vals, align, n, checks, label)
-    dmin = float(s.d_prime.min()) if n else 0.0
-    checks.append(Check("P_D positive", dmin > 0.0, f"min diag={dmin:.3e}"))
-    checks.append(
-        Check("P_A = P_D - rho*P_H PSD", sp.eig_PA[0] >= PSD_TOL,
-              f"lam_min={sp.eig_PA[0]:.3e}")
-    )
-    checks.append(Check("rho positive", s.rho > 0, f"rho={s.rho}"))
-    checks.append(Check("alpha nonnegative", s.alpha >= 0, f"alpha={s.alpha}"))
-    return ValidationReport(checks)
+        zero = NULL_TOL * max(abs(vals[-1]), 1.0)
+        checks += [
+            (label + " symmetric", np.abs(M - M.T).max() <= 1e-12, "", ()),
+            (label + " PSD", vals[0] >= PSD_TOL, "lam_min={:.3e}", (vals[0],)),
+            (label + " smallest eigenvalue ~ 0", abs(vals[0]) < zero,
+             "lam_min={:.3e}", (vals[0],)),
+            (label + " null eigenvector is the ones direction", align > 1.0 - 1e-8,
+             "|<v0, 1/sqrt(N)>|={:.12f}", (align,)),
+        ]
+        if s.n_nodes > 1:
+            checks.append((label + " second-smallest eigenvalue > 0", vals[1] > zero,
+                           "lam_2={:.3e}", (vals[1],)))
+    dmin = s.d_prime.min()
+    checks += [
+        ("P_D positive", dmin > 0.0, "min diag={:.3e}", (dmin,)),
+        ("P_A = P_D - rho*P_H PSD", sp.eig_PA[0] >= PSD_TOL, "lam_min={:.3e}", (sp.eig_PA[0],)),
+        ("rho positive", s.rho > 0, "rho={}", (s.rho,)),
+        ("alpha nonnegative", s.alpha >= 0, "alpha={}", (s.alpha,)),
+    ]
+    for name, W in s.exchange.items():
+        off = (W != 0) & s.graph.unlinked
+        passed = not off.any()
+        checks.append((name + " weighs no unlinked agents", passed, "weight at {}",
+                       () if passed else (np.argwhere(off)[0].tolist(),)))
+    return checks
 
 
 def block_quadratic_norm(M: np.ndarray, rows: np.ndarray) -> float:
@@ -596,8 +579,8 @@ def block_quadratic_norm(M: np.ndarray, rows: np.ndarray) -> float:
 class SpectralQuantities:
     """One setting's eigen-data, from one decomposition per matrix.
 
-    The bounds use ``lam1_PA`` and ``pinv_PHtilde``.  :func:`validate_setting`
-    reads the ascending eigenvalues of the symmetrized P_H, P_Htilde, P_A
+    The bounds use ``lam1_PA`` and ``pinv_PHtilde``.  A setting's checks
+    read the ascending eigenvalues of the symmetrized P_H, P_Htilde, P_A
     and P_H - P_Htilde (``eig_order``), and ``ones_align_*`` =
     |<v_0, 1/sqrt(N)>| for the bottom eigenvector of P_H and of P_Htilde.
     In single-exchange mode P_H and P_Htilde are one matrix, so their

@@ -354,17 +354,27 @@ def rows_to_csv(rows) -> str:
 
 
 def csv_to_rows(text: str) -> list[MetricsRow]:
-    """Parse CSV text produced by rows_to_csv back into MetricsRows."""
+    """Parse CSV text produced by rows_to_csv back into MetricsRows.
+
+    Raises InsufficientDataError for a wrong header, or naming the line of a
+    row with the wrong number of cells or a cell that is not a number.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if tuple(header) != CSV_COLUMNS:
         raise InsufficientDataError(f"unexpected CSV header: {header}")
     int_cols = {"k", "comm_total", "inner_iters_total"}
     out = []
     for cells in reader:
-        kwargs = {
-            col: (int(cell) if col in int_cols else float(cell))
-            for col, cell in zip(CSV_COLUMNS, cells)
-        }
-        out.append(MetricsRow(**kwargs))
+        if len(cells) != len(CSV_COLUMNS):
+            raise InsufficientDataError(
+                f"CSV line {reader.line_num}: {len(cells)} cells, expected {len(CSV_COLUMNS)}"
+            )
+        try:
+            out.append(MetricsRow(**{
+                col: (int(cell) if col in int_cols else float(cell))
+                for col, cell in zip(CSV_COLUMNS, cells)
+            }))
+        except ValueError as exc:
+            raise InsufficientDataError(f"CSV line {reader.line_num}: {exc}") from None
     return out

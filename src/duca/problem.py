@@ -13,13 +13,12 @@ evaluation and the inner solver can run batched over agents; padded
 coordinates carry zero data and stay exactly zero under every update.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionViolatedError, DimMismatchError
-from .graphs import Check, ValidationReport
+from .errors import AssumptionViolatedError, DimMismatchError, InfeasibleProblemError
 
 __all__ = [
     "Problem",
@@ -350,28 +349,20 @@ def subgradient_f(pb: Problem, i: int, x_i: np.ndarray) -> np.ndarray:
     return 2.0 * data["P"] @ x_i + data["Q"] + pb.l1_weight * np.sign(x_i)
 
 
-def slater_check(pb: Problem) -> ValidationReport:
-    """Strict feasibility report at the candidate point x_i = 0.
+def slater_check(pb: Problem) -> None:
+    """Refuse a problem that is not strictly feasible at x_i = 0.
 
-    Passes when every coupled inequality sum is strictly negative and the
-    equality sums vanish.  That 0 is interior to every agent's ball is
-    checked by :class:`Problem` itself.
+    Every coupled inequality sum must be strictly negative and the equality
+    sums must vanish there; otherwise raises :class:`InfeasibleProblemError`
+    naming each failed condition with its value.  That 0 is interior to
+    every agent's ball is checked by :class:`Problem` itself.
     """
-    checks = []
-    zero = np.zeros((pb.n_agents, pb.dmax))
-    gt = gtilde_rows(pb, zero)
-    gsum = gt[:, : pb.m].sum(axis=0)
-    hsum = gt[:, pb.m :].sum(axis=0)
-    if pb.m:
-        worst = float(gsum.max())
-        checks.append(
-            Check("coupled inequality sums strictly negative at 0", worst < 0.0,
-                  f"max sum g_j = {worst:.6g}")
-        )
-    if pb.p:
-        hnorm = float(np.linalg.norm(hsum))
-        checks.append(
-            Check("coupled equality sums vanish at 0", hnorm <= 1e-10,
-                  f"||sum h|| = {hnorm:.3e}")
-        )
-    return ValidationReport(checks)
+    gt = gtilde_rows(pb, np.zeros((pb.n_agents, pb.dmax)))
+    failed = []
+    if pb.m and not (worst := float(gt[:, : pb.m].sum(axis=0).max())) < 0.0:
+        failed.append(f"coupled inequality sums strictly negative at 0 "
+                      f"(max sum g_j = {worst:.6g})")
+    if pb.p and not (hnorm := float(np.linalg.norm(gt[:, pb.m :].sum(axis=0)))) <= 1e-10:
+        failed.append(f"coupled equality sums vanish at 0 (||sum h|| = {hnorm:.3e})")
+    if failed:
+        raise InfeasibleProblemError("standing assumptions fail: " + "; ".join(failed))

@@ -18,6 +18,7 @@ from duca.engine import (
     step,
 )
 from duca.errors import (
+    AssumptionViolatedError,
     ConfigError,
     InsufficientDataError,
     InvalidInitError,
@@ -127,8 +128,10 @@ class TestMailbox:
         name, W = next(iter(s.exchange.items()))
         bad = W.copy()
         bad[0, 3] = bad[3, 0] = -0.01  # agents 0 and 3 are not linked
-        with pytest.raises(MailboxError):
-            dataclasses.replace(s, exchange={**s.exchange, name: bad}).mailbox
+        # the setting refuses it, so no table is ever built from it
+        with pytest.raises(AssumptionViolatedError,
+                           match=rf"{name} weighs no unlinked agents \(weight at \[0, 3\]\)"):
+            dataclasses.replace(s, exchange={**s.exchange, name: bad})
 
     def test_table_built_once_per_setting(self, monkeypatch):
         pb, s = small_case()
@@ -158,10 +161,10 @@ class TestMailbox:
     def test_send_to_non_neighbor_refused(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         P_H = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
-        s = ParamSetting(variant=Variant.DUCA_I, exchange={"H": P_H},
+        # P_H weighs agents 0 and 2, which are not linked
+        with pytest.raises(AssumptionViolatedError, match=r"weight at \[0, 2\]"):
+            ParamSetting(variant=Variant.DUCA_I, exchange={"H": P_H},
                          d_prime=np.full(3, 2.0), rho=1.0, graph=g)
-        with pytest.raises(MailboxError):
-            s.mailbox  # P_H weighs agents 0 and 2, which are not linked
 
     def test_missing_message(self):
         pb, s = small_case()
@@ -413,6 +416,18 @@ class TestRun:
         st = run(pb, s, 3)
         assert np.all(st.X == 0.0)
         assert np.all(st.Y == 0.0)
+
+    @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.DIST_ADMM])
+    def test_zero_start_moves_when_the_coupling_binds(self, variant):
+        # Q x4 on the seed-42 instance makes every multiplier nonzero, so the
+        # origin is no longer optimal and the same zero start must move
+        base = generate_example(20, 3, 1, 5, seed=42)
+        pb = dataclasses.replace(base, Q=4.0 * base.Q)
+        s = make_setting(variant, SEED_GRAPH, rho=1.0)
+        st = run(pb, s, 3, check=True)
+        assert np.any(st.X != 0.0)
+        assert np.any(st.Y != 0.0)
+        assert st.solver_failures == 0
 
 
 class TestErgodicPoint:

@@ -1,6 +1,7 @@
 """Graphs, weight matrices, and parameter settings."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from duca.graphs import (
     make_setting,
     random_connected_graph,
     spectral_quantities,
-    validate_setting,
 )
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -285,9 +285,9 @@ class TestLaplacianFromWeights:
 class TestMakeSetting:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_all_variants_validate_on_svi_graph(self, variant):
+        # a setting checks every standing assumption as it is built
         g = random_connected_graph(20, 40, seed=3)
-        s = make_default(variant, g)
-        assert validate_setting(s).passed
+        assert make_default(variant, g).variant is variant
 
     def test_duca_i_matrices(self):
         s = make_default(Variant.DUCA_I, TRIANGLE)
@@ -434,7 +434,7 @@ class TestMakeSetting:
 
 
 # ---------------------------------------------------------------------------
-# validate_setting on hand-built bad settings
+# standing assumptions, checked as every setting is built
 # ---------------------------------------------------------------------------
 
 
@@ -451,41 +451,115 @@ def _hand_setting(**kw):
     return ParamSetting(**base)
 
 
+SEED42 = random_connected_graph(20, 40, seed=42)
+BROKEN_SEED42 = ["rho=5", "19-entry d_prime", "off-graph weight"]
+
+
+def _unlinked_pair(g):
+    return next((i, j) for i in range(g.n_nodes) for j in range(i + 1, g.n_nodes)
+                if j not in g.neighbor_lists[i])
+
+
+def _broken_seed42(case):
+    """The seed-42 DUCA_I setting, the fields that break it, and the named failure."""
+    s = make_setting(Variant.DUCA_I, SEED42, rho=1.0)
+    if case == "rho=5":
+        return s, {"rho": 5.0}, "P_A = P_D - rho*P_H PSD (lam_min=-4.688e+00)"
+    if case == "19-entry d_prime":
+        return (s, {"d_prime": s.d_prime[:19]},
+                "graph, exchange and d_prime shapes agree (N=20: d_prime (19,))")
+    i, j = _unlinked_pair(SEED42)
+    H = s.P_H.copy()
+    H[i, j] = H[j, i] = -0.01
+    return s, {"exchange": {"H": H}}, f"H weighs no unlinked agents (weight at [{i}, {j}])"
+
+
+def _graph_with_stale_metropolis(case):
+    """A 20-node graph whose cached Metropolis matrix belongs to another graph.
+
+    make_setting builds its matrices from ``g.metropolis``, so this is how a
+    caller of make_setting can hand it the 19-entry or the off-graph case.
+    """
+    if case == "19-entry d_prime":
+        g, stale = SEED42, random_connected_graph(19, 38, seed=42).metropolis
+    else:  # drop one edge that keeps the graph connected, keep its weights
+        for drop in SEED42.edges:
+            try:
+                g = build_graph(20, [e for e in SEED42.edges if e != drop])
+                break
+            except DisconnectedError:
+                continue
+        stale = SEED42.metropolis
+    g = dataclasses.replace(g)  # a fresh object, so SEED42's own cache stays right
+    g.__dict__["metropolis"] = stale
+    return g
+
+
 class TestValidateSetting:
+    @pytest.mark.parametrize("case", BROKEN_SEED42)
+    def test_broken_setting_refused_when_built_or_replaced(self, case):
+        s, bad, named = _broken_seed42(case)
+        fields = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+        with pytest.raises(AssumptionViolatedError, match=re.escape(named)):
+            ParamSetting(**{**fields, **bad})
+        with pytest.raises(AssumptionViolatedError, match=re.escape(named)):
+            dataclasses.replace(s, **bad)
+
+    @pytest.mark.parametrize("case", BROKEN_SEED42)
+    def test_make_setting_refuses_the_broken_setting(self, case):
+        if case == "rho=5":
+            # d' = c rho diag(M): the rho=5 setting is c = 0.4, below the family's c >= 2
+            with pytest.raises(AssumptionViolatedError, match="DUCA_I needs c >= 2, got 0.4"):
+                make_setting(Variant.DUCA_I, SEED42, rho=5.0, tuning={"c": 0.4})
+            return
+        named = {"19-entry d_prime": "shapes agree (N=20: d_prime (19,), H (19, 19))",
+                 "off-graph weight": "H weighs no unlinked agents"}[case]
+        with pytest.raises(AssumptionViolatedError, match=re.escape(named)):
+            make_setting(Variant.DUCA_I, _graph_with_stale_metropolis(case), rho=1.0)
+
     def test_pd_too_small_fails_pa_psd(self):
         M = TRIANGLE.metropolis
-        s = _hand_setting(d_prime=0.1 * np.diag(M))
-        report = validate_setting(s)
-        assert not report.passed
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "P_A = P_D - rho*P_H PSD" in failed
+        with pytest.raises(AssumptionViolatedError,
+                           match=re.escape("P_A = P_D - rho*P_H PSD (lam_min=-")):
+            _hand_setting(d_prime=0.1 * np.diag(M))
 
     def test_phtilde_bigger_than_ph_fails_order(self):
         # double mode with M = L/2: P_H - P_Htilde = L^2/2 - L^2 = -L^2/2
         L = TRIANGLE.metropolis
-        s = _hand_setting(variant=Variant.DIST_ADMM, exchange={"L": L, "M": L / 2.0},
+        with pytest.raises(AssumptionViolatedError,
+                           match=re.escape("P_H >= P_Htilde (PSD order)")):
+            _hand_setting(variant=Variant.DIST_ADMM, exchange={"L": L, "M": L / 2.0},
                           d_prime=np.full(3, 2.0))
-        report = validate_setting(s)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "P_H >= P_Htilde (PSD order)" in failed
 
     def test_wrong_nullspace_detected(self):
         bad = np.diag([1.0, 1.0, 0.0])  # null direction e3, not ones
-        s = _hand_setting(exchange={"H": bad}, d_prime=np.full(3, 2.0))
-        report = validate_setting(s)
-        failed = {c.name for c in report.checks if not c.passed}
-        assert any("ones direction" in name for name in failed)
+        with pytest.raises(AssumptionViolatedError,
+                           match="P_H null eigenvector is the ones direction"):
+            _hand_setting(exchange={"H": bad}, d_prime=np.full(3, 2.0))
 
     def test_indefinite_ph_detected(self):
         bad = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        s = _hand_setting(exchange={"H": bad})
-        report = validate_setting(s)
-        assert not report.passed
+        with pytest.raises(AssumptionViolatedError, match=re.escape("P_H PSD (lam_min=-")):
+            _hand_setting(exchange={"H": bad})
 
-    def test_report_renders_pass_fail_lines(self):
-        s = make_default(Variant.PEXTRA, TRIANGLE)
-        text = str(validate_setting(s))
-        assert "[PASS]" in text and "[FAIL]" not in text
+    def test_every_failed_condition_named_with_its_value(self):
+        # rho < 0 and d' < 0 fail three conditions; one error names them all
+        with pytest.raises(AssumptionViolatedError) as exc:
+            _hand_setting(d_prime=np.full(3, -1.0), rho=-1.0, alpha=-0.5)
+        lines = str(exc.value).splitlines()[1:]
+        assert [line.strip() for line in lines] == [
+            "P_D positive (min diag=-1.000e+00)",
+            "P_A = P_D - rho*P_H PSD (lam_min=-1.000e+00)",
+            "rho positive (rho=-1.0)",
+            "alpha nonnegative (alpha=-0.5)",
+        ]
+
+    @pytest.mark.parametrize("field,value", [("rho", np.nan), ("alpha", np.inf),
+                                             ("d_prime", np.array([2.0, np.nan, 2.0]))])
+    def test_non_finite_entries_refused_before_decomposing(self, field, value, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)  # any eigensolve would raise TypeError
+        with pytest.raises(AssumptionViolatedError, match=f"entries finite .not finite: {field}"):
+            _hand_setting(**{field: value})
 
     def test_setting_is_frozen_and_replace_recomputes_spectra(self):
         # the spectra are cached per setting, so a setting cannot change
@@ -493,7 +567,8 @@ class TestValidateSetting:
         s = make_default(Variant.DUCA_I, TRIANGLE)
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.exchange = {"H": 2.0 * s.P_H}
-        s2 = dataclasses.replace(s, exchange={"H": 2.0 * s.P_H})
+        # doubling d' with H keeps P_A PSD (it doubles too)
+        s2 = dataclasses.replace(s, exchange={"H": 2.0 * s.P_H}, d_prime=2.0 * s.d_prime)
         assert s2.spectra is not s.spectra
         assert s2.spectra.eig_PHtilde[1] == pytest.approx(2.0 * s.spectra.eig_PHtilde[1])
 
@@ -544,19 +619,6 @@ class TestSpectralQuantities:
         n = 8
         proj = np.eye(n) - np.ones((n, n)) / n
         np.testing.assert_allclose(q.pinv_PHtilde @ s.P_Htilde, proj, atol=1e-9)
-
-    def test_zero_pa_edge_case(self):
-        # A direct (unvalidated) setting with diag(d') = rho * P_H so P_A = 0.
-        M = PATH2.metropolis
-        s = ParamSetting(
-            variant=Variant.DUCA_I,
-            graph=PATH2,
-            exchange={"H": np.diag(np.diag(M)) * 2},  # diagonal "Laplacian" stand-in
-            d_prime=2.0 * np.diag(M),
-            rho=1.0,
-        )
-        q = spectral_quantities(s)
-        assert q.lam1_PA == 0.0
 
     def test_lam1_pa_matches_eigh(self):
         g = random_connected_graph(12, 20, seed=9)

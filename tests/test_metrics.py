@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from duca.graphs import (
     make_setting,
     random_connected_graph,
     spectral_quantities,
-    validate_setting,
 )
 from duca.localsolver import dual_value_batch
 from duca.metrics import (
@@ -181,6 +181,22 @@ class TestCSVSerialization:
         rows = [self._row(k, 1.0 / k) for k in range(1, 6)]
         parsed = csv_to_rows(rows_to_csv(rows))
         assert [r.k for r in parsed] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("breakage,named", [
+        (lambda cells: cells + ["0"], "CSV line 3: 15 cells, expected 14"),
+        (lambda cells: cells[:-1], "CSV line 3: 13 cells, expected 14"),
+        (lambda cells: [*cells[:5], "fast", *cells[6:]], "CSV line 3: could not convert"),
+        (lambda cells: [*cells[:-1], "1.5"], "CSV line 3: invalid literal for int()"),
+    ], ids=["extra-cell", "short-row", "non-number", "non-integer"])
+    def test_malformed_row_refused_naming_its_line(self, breakage, named):
+        header, first, second = rows_to_csv([self._row(1, 0.5), self._row(2, 0.25)]).splitlines()
+        text = "\n".join([header, first, ",".join(breakage(second.split(",")))]) + "\n"
+        with pytest.raises(InsufficientDataError, match=re.escape(named)):
+            csv_to_rows(text)
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(InsufficientDataError, match="unexpected CSV header"):
+            csv_to_rows("")
 
 
 class TestLoglogSlope:
@@ -418,7 +434,6 @@ class TestTheoremBounds:
         cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
         L, M = s.exchange["L"], s.exchange["M"]
         quartered = dataclasses.replace(s, exchange={"L": L / 2.0, "M": 2.0 * M})
-        assert validate_setting(quartered).passed
         assert np.array_equal(quartered.P_H, s.P_H)
         assert np.array_equal(quartered.P_A, s.P_A)
         assert np.array_equal(quartered.P_Htilde, s.P_Htilde / 4.0)

@@ -1,4 +1,4 @@
-"""Problem instances: generator, evaluation, projection, Slater report."""
+"""Problem instances: generator, evaluation, projection, Slater check."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from duca.errors import AssumptionViolatedError, DimMismatchError
+from duca.errors import AssumptionViolatedError, DimMismatchError, InfeasibleProblemError
 from duca.problem import (
     Problem,
     StackedPoint,
@@ -315,7 +315,7 @@ class TestConvexity:
 
 class TestSlaterCheck:
     def test_generated_instance_passes(self):
-        assert slater_check(SVI).passed
+        slater_check(SVI)  # raises on failure
 
     def test_fails_when_zero_outside_ball(self):
         # 0 outside a local ball breaks the Slater point; Problem refuses it
@@ -335,11 +335,6 @@ class TestSlaterCheck:
             P=pb.P, Q=pb.Q, a=pb.a, c=pb.c, a_prime=pb.a_prime,
             c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq + 1.0,
         )
-        report = slater_check(shifted)
-        assert not report.passed
-        failed = [c.name for c in report.checks if not c.passed]
-        assert "coupled equality sums vanish at 0" in failed
-
-    def test_report_lines_render(self):
-        text = str(slater_check(SVI))
-        assert text.count("[PASS]") == 2
+        with pytest.raises(InfeasibleProblemError,
+                           match=r"coupled equality sums vanish at 0 \(\|\|sum h\|\| = "):
+            slater_check(shifted)
