@@ -19,11 +19,20 @@ ball-normal multiplier on active rows, found by the same kind of breakpoint
 solve) minimizes the gap.  The certificate is valid regardless of how the
 iterate was produced.
 
-All routines are batched over rows (agents): every row not yet frozen is
-certified at each iteration, and freezes at its first residual within the
-tolerance, so a batch row matches the same agent solved alone.
+That is what lets a second-order step finish a row: after each iteration's
+certificate, every row not yet certified gets a Newton candidate on the face
+its iterate shows (zero coordinates fixed, the other signs fixed, the ball
+held with equality when the row is on its sphere), and the row ends there
+only when the same certificate passes at the candidate.  A refused
+candidate leaves no trace, so such a row takes the gradient step it would
+take without it.
+
+All routines are batched over rows (agents) and run on a working set that
+shrinks as rows certify; no row's arithmetic reads another row, so a batch
+row matches the same agent solved alone.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +54,8 @@ DEFAULT_MAX_ITERS = 20000
 LONG_STEP = 16.0
 #: a row still uncertified after this many iterations drops to 1/L
 STALL_ITERS = 100
+#: chained Newton steps in each candidate of the Newton finish
+NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +180,7 @@ def _radial_clip(X, a, c):
     after that means bad data (``c < 0`` or non-finite entries) and raises.
     """
     diff = X - a
-    n2 = np.sum(diff**2, axis=1)
+    n2 = (diff**2).sum(axis=1)
     out = n2 > c
     if not out.any():
         return X
@@ -178,7 +189,7 @@ def _radial_clip(X, a, c):
     for _ in range(64):
         t = np.nextafter(np.sqrt(c[out] / n2[out]) * max(1.0 - rel, 0.0), 0.0)
         X[out] = a[out] + t[:, None] * diff[out]
-        out[out] = ~(np.sum((X[out] - a[out]) ** 2, axis=1) <= c[out])
+        out[out] = ~(((X[out] - a[out]) ** 2).sum(axis=1) <= c[out])
         if not out.any():
             return X
         rel = max(2.0 * rel, np.finfo(float).eps)
@@ -202,7 +213,7 @@ def _prox_l1_ball(V, thr, a, c):
     by ulps of ``1 + nu`` until ``x(nu)`` lies in the ball exactly.
     """
     X = _soft(V, thr[:, None])
-    gap = np.sum((X - a) ** 2, axis=1) - c
+    gap = ((X - a) ** 2).sum(axis=1) - c
     bad = gap > 0.0
     if bad.any():
         Vb, ab, thrb, cb = V[bad], a[bad], thr[bad, None], c[bad]
@@ -213,17 +224,17 @@ def _prox_l1_ball(V, thr, a, c):
             s = 1.0 / (1.0 + T[:, :, None])
             Z = _soft(Vb[:, None, :] * s + (T[:, :, None] * s) * ab[:, None, :],
                       thrb[:, :, None] * s)
-            return np.sum((Z - ab[:, None, :]) ** 2, axis=2) > cb[:, None]
+            return ((Z - ab[:, None, :]) ** 2).sum(axis=2) > cb[:, None]
 
         lo, hi, u = _root_segment(Vb, ab, thrb, ab != 0.0, outside)
         on = np.abs(u) > thrb
-        A = np.sum(np.where(on, (Vb - np.sign(u) * thrb - ab) ** 2, 0.0), axis=1)
-        B = np.sum(np.where(on, 0.0, ab**2), axis=1)
+        A = np.where(on, (Vb - np.sign(u) * thrb - ab) ** 2, 0.0).sum(axis=1)
+        B = np.where(on, 0.0, ab**2).sum(axis=1)
         one_nu = np.sqrt(A / np.maximum(cb - B, np.finfo(float).tiny))
         nu = np.clip(one_nu - 1.0, lo, hi)
         for _ in range(8):
             Xb = _soft(Vb + nu[:, None] * ab, thrb) / (1.0 + nu[:, None])
-            out = np.sum((Xb - ab) ** 2, axis=1) > cb
+            out = ((Xb - ab) ** 2).sum(axis=1) > cb
             if not out.any():
                 break
             nu[out] = np.nextafter(1.0 + nu[out], np.inf) - 1.0
@@ -239,7 +250,7 @@ def _prox_l1_ball(V, thr, a, c):
 def _project_rows(X, a, c):
     """Radial projection of the rows outside their balls; rows inside are kept."""
     diff = X - a
-    n2 = np.sum(diff**2, axis=1)
+    n2 = (diff**2).sum(axis=1)
     out = n2 > c
     if out.any():
         X = X.copy()
@@ -268,7 +279,7 @@ def _certificate_residual(X, grads, eta, a, c, w):
     regardless of optimality.
     """
     diff = X - a
-    n2 = np.sum(diff**2, axis=1)
+    n2 = (diff**2).sum(axis=1)
     active = n2 >= c * (1.0 - 1e-10)
     # with w = 0 a kink coordinate's selection is fixed at 0 like any other
     kink = (X == 0.0) & (w != 0.0)
@@ -278,7 +289,7 @@ def _certificate_residual(X, grads, eta, a, c, w):
         """psi at multipliers T (rows, n) for rows with data g, dd, kk, fs."""
         want = -(g[:, None, :] + T[:, :, None] * dd[:, None, :])
         sigma = np.where(kk[:, None, :], np.clip(want, -w, w), fs[:, None, :])
-        return np.sum((sigma - want) * dd[:, None, :], axis=2)
+        return ((sigma - want) * dd[:, None, :]).sum(axis=2)
 
     t = np.zeros(len(X))
     if active.any():
@@ -290,8 +301,8 @@ def _certificate_residual(X, grads, eta, a, c, w):
             )
             on = ~kk | (np.abs(u) > w)
             sig = np.where(kk, -w * np.sign(u), fs)
-            C = np.sum(np.where(on, (g + sig) * dd, 0.0), axis=1)
-            S = np.sum(np.where(on, dd**2, 0.0), axis=1)
+            C = np.where(on, (g + sig) * dd, 0.0).sum(axis=1)
+            S = np.where(on, dd**2, 0.0).sum(axis=1)
             # S underflows to 0 on a piece whose slope is below the float
             # range; psi < 0 there puts the root at the piece's right end
             root = -C / np.maximum(S, np.finfo(float).tiny)
@@ -306,11 +317,228 @@ def _certificate_residual(X, grads, eta, a, c, w):
 
 
 # ---------------------------------------------------------------------------
-# Generic batched projected proximal-gradient loop
+# Smooth parts of the row problems
 # ---------------------------------------------------------------------------
 
 
-def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
+class _SmoothPart:
+    """Smooth part of a batch of row problems, one row per agent.
+
+    Calling it on rows X returns their values and gradients.  The per-row
+    data are the constructor's keyword arguments (scalars are shared), and
+    ``take(keep)`` builds the part of a subset of the rows.  No row's
+    arithmetic reads another row, so a row keeps its bits in any subset.
+    """
+
+    def __init__(self, **data):
+        self.data = data
+        self.__dict__.update(data)
+
+    def take(self, keep):
+        return type(self)(**{k: v[keep] if np.ndim(v) else v for k, v in self.data.items()})
+
+    def _terms(self, X):
+        """Per-row x'Px + Q'x, its gradient 2Px + Q, x - a'_j, ||x - a'_j||^2 and Bx.
+
+        Every reduction runs over one axis: einsum's order of summation over
+        two axes depends on the batch size, and a row must not.
+        """
+        PX = np.einsum("rde,re->rd", self.P, X)
+        fq = (X * PX).sum(axis=1) + (self.Q * X).sum(axis=1)
+        diff = X[:, None, :] - self.a_prime
+        BX = np.einsum("rpd,rd->rp", self.B, X)
+        return fq, 2.0 * PX + self.Q, diff, (diff**2).sum(axis=2), BX
+
+
+class _RoundPart(_SmoothPart):
+    """Round smooth part: the quadratic, the two penalties and the prox term."""
+
+    def __init__(self, **data):
+        super().__init__(**data)
+        self.half_inv_d = 0.5 * self.inv_d
+        self.two_inv_d = (2.0 * self.inv_d)[:, None]
+        self.inv_d_col = self.inv_d[:, None]
+        self.half_alpha = 0.5 * self.alpha
+
+    def __call__(self, X):
+        fq, grad, diff, dist2, BX = self._terms(X)
+        hinge = np.maximum(self.mu + dist2 - self.c_prime, 0.0)
+        pen_g = self.half_inv_d * (hinge**2).sum(axis=1)
+        grad += self.two_inv_d * np.einsum("rm,rmd->rd", hinge, diff)
+        eq = self.lam + BX + self.c_eq
+        pen_h = self.half_inv_d * (eq**2).sum(axis=1)
+        grad += self.inv_d_col * np.einsum("rpd,rp->rd", self.B, eq)
+        dxa = X - self.anchor
+        prox = self.half_alpha * (dxa**2).sum(axis=1)
+        grad += self.alpha * dxa
+        return fq + pen_g + pen_h + prox, grad
+
+    def hessian(self, X):
+        """Per-row Hessian; a squared hinge curves only where it is positive."""
+        diff = X[:, None, :] - self.a_prime
+        hinge = np.maximum(self.mu + (diff**2).sum(axis=2) - self.c_prime, 0.0)
+        on = (hinge > 0.0)[:, :, None, None]
+        outer = (on * 4.0 * diff[:, :, :, None] * diff[:, :, None, :]).sum(axis=1)
+        H = 2.0 * self.P + self.inv_d[:, None, None] * (self.BtB + outer)
+        diag = self.alpha + self.two_inv_d[:, 0] * hinge.sum(axis=1)
+        return H + diag[:, None, None] * np.eye(X.shape[1])
+
+
+class _DualPart(_SmoothPart):
+    """Lagrangian smooth part at fixed multipliers (mu, lam)."""
+
+    def __call__(self, X):
+        fq, grad, diff, dist2, BX = self._terms(X)
+        val_g = (self.mu * (dist2 - self.c_prime)).sum(axis=1)
+        grad += 2.0 * np.einsum("rm,rmd->rd", self.mu, diff)
+        val_h = (self.lam * (BX + self.c_eq)).sum(axis=1)
+        grad += np.einsum("rpd,rp->rd", self.B, self.lam)
+        return fq + val_g + val_h, grad
+
+    def hessian(self, X):
+        """Per-row Hessian: 2P plus 2*sum(mu) on the diagonal."""
+        return 2.0 * self.P + (2.0 * self.mu.sum(axis=1))[:, None, None] * np.eye(X.shape[1])
+
+
+def _problem_rows(pb):
+    return dict(P=pb.P, Q=pb.Q, a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq)
+
+
+def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
+    """The round smooth part, one row per agent."""
+    return _RoundPart(**_problem_rows(pb), BtB=pb.BtB, mu=Ytilde[:, : pb.m],
+                      lam=Ytilde[:, pb.m :], inv_d=1.0 / d_prime, alpha=alpha, anchor=anchor)
+
+
+def _dual_value_and_grad(pb, mu, lam):
+    """The Lagrangian smooth part at (N, m) and (N, p) multiplier rows."""
+    return _DualPart(**_problem_rows(pb), mu=mu, lam=lam)
+
+
+# ---------------------------------------------------------------------------
+# Batched projected proximal-gradient loop over a shrinking working set
+# ---------------------------------------------------------------------------
+
+
+def _slack(v):
+    return 1e-12 * (1.0 + np.abs(v))
+
+
+def _descent_step(smooth, Y, vY, gY, eta, a, c, w):
+    """Backtracked prox step from each row of Y; halves ``eta`` in place.
+
+    A row whose new value breaks the quadratic majorization at its step
+    halves the step and is stepped again; only those rows are recomputed.
+    """
+    Xn, vn, gn = np.empty_like(Y), np.empty_like(vY), np.empty_like(gY)
+    pend = np.arange(len(Y))
+    for _ in range(60):
+        Yp, gp = Y[pend], gY[pend]
+        Xp = _prox_l1_ball(Yp - eta[pend, None] * gp, eta[pend] * w, a[pend], c[pend])
+        vp, gnp = smooth(Xp)
+        dX = Xp - Yp
+        bound = vY[pend] + (gp * dX).sum(axis=1) + 0.5 / eta[pend] * (dX**2).sum(axis=1)
+        bad = vp > bound + _slack(vY[pend])
+        Xn[pend], vn[pend], gn[pend] = Xp, vp, gnp
+        if not bad.any():
+            break
+        pend = pend[bad]
+        eta[pend] *= 0.5
+        smooth = smooth.take(bad)
+    return Xn, vn, gn
+
+
+def _solve_rows(K, rhs):
+    """Each row's solution of ``K x = rhs``; NaN on a row whose K is singular."""
+    try:
+        return np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i in range(len(K)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(K[i], rhs[i][:, None])[:, 0]
+        return out
+
+
+def _onto_sphere(X, a, c, rows):
+    """Scale the nonzero coordinates of the given rows about a onto their spheres.
+
+    Zero coordinates stay zero.  A row that rounding leaves outside shrinks
+    its scale by a few ulps, and whatever is still outside after four tries
+    is left to ``_radial_clip``.
+    """
+    free = X != 0.0
+    e = X - a
+    fixed = np.where(free, 0.0, e**2).sum(axis=1)
+    moving = np.where(free, e**2, 0.0).sum(axis=1)
+    rows = rows & (moving > 0.0) & (fixed < c)
+    if not rows.any():
+        return X
+    t = np.sqrt((c[rows] - fixed[rows]) / moving[rows])
+    Xr, ar, er, fr = X[rows], a[rows], e[rows], free[rows]
+    for k in range(4):
+        Y = np.where(fr, ar + t[:, None] * er, Xr)
+        out = ((Y - ar) ** 2).sum(axis=1) > c[rows]
+        if not out.any():
+            break
+        t[out] *= 1.0 - 2.0**k * np.finfo(float).eps
+    X = X.copy()
+    X[rows] = Y
+    return X
+
+
+def _newton_candidate(smooth, X, grads, a, c, w):
+    """Chained Newton steps on the face each row's iterate shows.
+
+    The face keeps the zero coordinates at zero and the signs of the others,
+    so the l1 term is linear on it, and it holds the ball with equality when
+    the row lies on its sphere (``||x - a||^2 >= c*(1 - 1e-10)``, as in the
+    certificate) and the multiplier estimate
+    ``nu = -<g, x - a> / (2*||x - a||^2)`` over the free coordinates is
+    positive, where g is the gradient plus ``w*sign(x)``.  A step solves the
+    face's KKT system: ``(H + 2*nu*I) dx + 2*(x - a)*nu' = -g`` with the
+    linearized sphere ``2*<x - a, dx> = c - ||x - a||^2`` bordering it on
+    ball rows, H being ``smooth.hessian``.  A coordinate that crosses zero
+    is set to zero, a ball row is put back onto its sphere, and a row still
+    outside its ball is clipped into it, so every candidate lies in its ball.  ``NEWTON_STEPS`` steps are
+    chained, each on the face the last one reached.  Returns the candidate
+    rows and a mask of the usable ones: a row is usable when it has a
+    nonzero coordinate and every step kept ``||x - a||^2`` finite.  Whether
+    a candidate is kept is for the certificate to decide.
+    """
+    n, d = X.shape
+    eye = np.eye(d)
+    ok = (X != 0.0).any(axis=1)
+    for step in range(NEWTON_STEPS):
+        if step:
+            grads = smooth(X)[1]
+        free = X != 0.0
+        sgn = np.sign(X)
+        g = np.where(free, grads + w * sgn, 0.0)
+        e = X - a
+        ef = np.where(free, e, 0.0)
+        n2 = (e**2).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu = -(g * ef).sum(axis=1) / (2.0 * (ef**2).sum(axis=1))
+        ball = (n2 >= c * (1.0 - 1e-10)) & (nu > 0.0)
+        nu = np.where(ball, nu, 0.0)
+        K = np.empty((n, d + 1, d + 1))
+        K[:, :d, :d] = np.where(free[:, :, None] & free[:, None, :],
+                                smooth.hessian(X) + (2.0 * nu)[:, None, None] * eye, eye)
+        K[:, :d, d] = K[:, d, :d] = np.where(ball[:, None], 2.0 * ef, 0.0)
+        K[:, d, d] = ~ball
+        rhs = np.concatenate([-g, np.where(ball, c - n2, 0.0)[:, None]], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xn = np.where(free, X + _solve_rows(K, rhs)[:, :d], 0.0)
+            finite = np.isfinite(((Xn - a) ** 2).sum(axis=1))
+        ok &= finite
+        Xn[~finite] = X[~finite]
+        Xn[np.sign(Xn) != sgn] = 0.0
+        X = _radial_clip(_onto_sphere(Xn, a, c, ball), a, c)
+    return X, ok
+
+
+def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     """Minimize rows of smooth(x) + w*||x||_1 over per-row balls.
 
     Accelerated proximal gradient with per-row backtracking and function-value
@@ -318,11 +546,20 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
     falls back to a plain (guaranteed-descent) step and resets its momentum,
     so each row's composite value never increases from one iterate to the next.
 
-    ``value_and_grad(X)`` returns per-row smooth values and gradients for the
-    whole batch.  At the start of every iteration each row not yet done is
-    certified at its current iterate, and it freezes at the first iterate
-    whose residual is <= tol, after ``iters`` steps; a row that uses up
-    ``max_iters`` is certified once more at its last iterate.  No row's
+    ``smooth(X)`` returns per-row smooth values and gradients,
+    ``smooth.hessian(X)`` their Hessians, and ``smooth.take(keep)`` the
+    smooth part of a subset of the rows.  At the start of every iteration
+    each row of the working set is certified at its current iterate; a row
+    leaves the set at its first iterate whose residual is <= tol, after
+    ``iters`` steps, and the set's per-row arrays and smooth part are
+    compacted to the rows left.  A row that uses up ``max_iters`` is
+    certified once more at its last iterate.
+
+    Every row left then gets a Newton candidate (``_newton_candidate``),
+    certified at the same probe step.  A row leaves with its candidate, which
+    counts as one more iteration, when the candidate passes and does not
+    raise the composite value; every other row takes the accelerated step
+    below as if there were no candidate.  No row's
     arithmetic depends on another's, so a batch row equals the same row
     solved alone, bit for bit.  Returns (X, residual, iters, done,
     composite values).
@@ -337,108 +574,80 @@ def _prox_grad_loop(value_and_grad, X0, a, c, w, lip, tol, max_iters):
     """
     X = _radial_clip(X0.copy(), a, c)
     rows = X.shape[0]
-    eta0 = 1.0 / np.maximum(lip, 1e-300)
-    eta = LONG_STEP * eta0
+    X_out = np.empty_like(X)
     iters = np.zeros(rows, dtype=int)
     done = np.zeros(rows, dtype=bool)
     residual = np.full(rows, np.inf)
-    vals, grads = value_and_grad(X)
+    values = np.empty(rows)
+    live = np.arange(rows)
+    eta0 = 1.0 / np.maximum(lip, 1e-300)
+    eta = LONG_STEP * eta0
+    vals, grads = smooth(X)
     comp = vals + w * np.abs(X).sum(axis=1)
-    Xprev = X.copy()
+    Xprev = X
     tk = np.ones(rows)
-    slack = lambda v: 1e-12 * (1.0 + np.abs(v))
 
-    def descent_step(base_mask, Y, vY, gY):
-        """Backtracked prox step from Y on base_mask rows; the other rows keep X."""
-        nonlocal eta
-        for _ in range(60):
-            Xn = X.copy()
-            Xn[base_mask] = _prox_l1_ball(
-                Y[base_mask] - eta[base_mask, None] * gY[base_mask],
-                eta[base_mask] * w, a[base_mask], c[base_mask],
-            )
-            vn, gn = value_and_grad(Xn)
-            dX = Xn - Y
-            bound = vY + np.sum(gY * dX, axis=1) + 0.5 / eta * np.sum(dX**2, axis=1)
-            bad = base_mask & (vn > bound + slack(vY))
-            if not bad.any():
-                return Xn, vn, gn
-            eta[bad] *= 0.5
-        return Xn, vn, gn
+    def leave(out, Xl, res, comp_l, n_iters):
+        """Record the ``out`` rows' results and compact the working set; True if empty."""
+        nonlocal X, Xprev, vals, grads, comp, tk, eta, eta0, probe, a, c, live, smooth
+        rows_out = live[out]
+        X_out[rows_out], residual[rows_out], values[rows_out] = Xl[out], res[out], comp_l[out]
+        iters[rows_out], done[rows_out] = n_iters, res[out] <= tol
+        keep = ~out
+        if not keep.any():
+            return True
+        X, Xprev, vals, grads, comp, tk, eta, eta0, probe, a, c, live = (
+            v[keep] for v in (X, Xprev, vals, grads, comp, tk, eta, eta0, probe, a, c, live))
+        smooth = smooth.take(keep)
+        return False
 
     for it in range(max_iters + 1):
-        # certify every unfrozen row at its current iterate, at a probe step
-        # of at most 1/L; a row freezes at its first passing certificate
-        idx = np.flatnonzero(~done)
-        probe = np.minimum(eta[idx], eta0[idx])
-        residual[idx] = _certificate_residual(X[idx], grads[idx], probe, a[idx], c[idx], w)
-        done[idx] = residual[idx] <= tol
-        if done.all() or it == max_iters:
+        # certify every row of the working set at its current iterate, at a
+        # probe step of at most 1/L; a row leaves at its first pass
+        probe = np.minimum(eta, eta0)
+        res = _certificate_residual(X, grads, probe, a, c, w)
+        out = (res <= tol) | (it == max_iters)
+        if out.any() and leave(out, X, res, comp, it):
             break
+        # Newton finish: a row leaves with its candidate when the candidate
+        # certifies and does not raise the composite value
+        Xc, ok = _newton_candidate(smooth, X, grads, a, c, w)
+        if ok.any():
+            vc, gc = smooth(Xc)
+            comp_c = vc + w * np.abs(Xc).sum(axis=1)
+            res_c = np.full(len(X), np.inf)
+            res_c[ok] = _certificate_residual(Xc[ok], gc[ok], probe[ok], a[ok], c[ok], w)
+            out = (res_c <= tol) & (comp_c <= comp + _slack(comp))
+            if out.any() and leave(out, Xc, res_c, comp_c, it + 1):
+                break
         if it == STALL_ITERS:
-            np.minimum(eta, eta0, out=eta, where=~done)
-        act = ~done
+            np.minimum(eta, eta0, out=eta)
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk**2))
         beta = (tk - 1.0) / tk_next
-        if np.any(beta[act] != 0.0):
+        if np.any(beta != 0.0):
             Z = X + beta[:, None] * (X - Xprev)
-            vZ, gZ = value_and_grad(Z)
+            vZ, gZ = smooth(Z)
         else:
             Z, vZ, gZ = X, vals, grads
-        # frozen rows come back from descent_step as they were, and their
-        # composite value is recomputed from the same bits
-        Xn, vn, gn = descent_step(act, Z, vZ, gZ)
+        Xn, vn, gn = _descent_step(smooth, Z, vZ, gZ, eta, a, c, w)
         comp_n = vn + w * np.abs(Xn).sum(axis=1)
-        worse = act & (comp_n > comp + slack(comp))
+        worse = comp_n > comp + _slack(comp)
         if worse.any():
             # momentum overshoot: plain step from X and momentum reset
-            X2, v2, g2 = descent_step(worse, X, vals, grads)
-            Xn[worse], vn[worse], gn[worse] = X2[worse], v2[worse], g2[worse]
-            comp_n[worse] = (v2 + w * np.abs(X2).sum(axis=1))[worse]
+            eta_w = eta[worse]
+            X2, v2, g2 = _descent_step(smooth.take(worse), X[worse], vals[worse],
+                                       grads[worse], eta_w, a[worse], c[worse], w)
+            eta[worse] = eta_w
+            Xn[worse], vn[worse], gn[worse] = X2, v2, g2
+            comp_n[worse] = v2 + w * np.abs(X2).sum(axis=1)
             tk_next[worse] = 1.0
         Xprev, X, vals, grads, comp, tk = X, Xn, vn, gn, comp_n, tk_next
-        iters[act] += 1
-    return X, residual, iters, done, comp
+    return X_out, residual, iters, done, values
 
 
 # ---------------------------------------------------------------------------
 # Round subproblems (whole-network batch)
 # ---------------------------------------------------------------------------
-
-
-def _smooth_terms(pb, X):
-    """Per-row x'Px + Q'x, its gradient 2Px + Q, x - a'_j, ||x - a'_j||^2 and Bx.
-
-    Every reduction runs over one axis: einsum's order of summation over two
-    axes depends on the batch size, and a row must not.
-    """
-    PX = np.einsum("rde,re->rd", pb.P, X)
-    fq = np.sum(X * PX, axis=1) + np.sum(pb.Q * X, axis=1)
-    diff = X[:, None, :] - pb.a_prime
-    BX = np.einsum("rpd,rd->rp", pb.B, X)
-    return fq, 2.0 * PX + pb.Q, diff, np.sum(diff**2, axis=2), BX
-
-
-def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
-    """Closure over the round smooth part, one row per agent."""
-    mu = Ytilde[:, : pb.m]
-    lam = Ytilde[:, pb.m :]
-    inv_d = 1.0 / d_prime
-
-    def value_and_grad(X):
-        fq, grad, diff, dist2, BX = _smooth_terms(pb, X)
-        hinge = np.maximum(mu + dist2 - pb.c_prime, 0.0)
-        pen_g = 0.5 * inv_d * np.sum(hinge**2, axis=1)
-        grad += (2.0 * inv_d)[:, None] * np.einsum("rm,rmd->rd", hinge, diff)
-        eq = lam + BX + pb.c_eq
-        pen_h = 0.5 * inv_d * np.sum(eq**2, axis=1)
-        grad += inv_d[:, None] * np.einsum("rpd,rp->rd", pb.B, eq)
-        dxa = X - anchor
-        prox = 0.5 * alpha * np.sum(dxa**2, axis=1)
-        grad += alpha * dxa
-        return fq + pen_g + pen_h + prox, grad
-
-    return value_and_grad
 
 
 def _round_lipschitz(pb, Ytilde, d_prime, alpha):
@@ -449,7 +658,7 @@ def _round_lipschitz(pb, Ytilde, d_prime, alpha):
     """
     R2 = pb.reach_sq
     hinge_max = np.maximum(Ytilde[:, : pb.m] + R2 - pb.c_prime, 0.0)
-    curv_g = np.sum(4.0 * R2 + 2.0 * hinge_max, axis=1)
+    curv_g = (4.0 * R2 + 2.0 * hinge_max).sum(axis=1)
     return pb.curv_P + (curv_g + pb.curv_B) / d_prime + alpha
 
 
@@ -468,26 +677,14 @@ def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
     d_prime = np.asarray(d_prime, dtype=float)
     if (d_prime <= 0).any():
         raise AssumptionViolatedError("d_prime entries must be positive")
-    vg = _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor)
+    smooth = _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor)
     lip = _round_lipschitz(pb, Ytilde, d_prime, alpha)
-    return _prox_grad_loop(vg, anchor, pb.a, pb.c, pb.l1_weight, lip, tol, max_iters)
+    return _prox_grad_loop(smooth, anchor, pb.a, pb.c, pb.l1_weight, lip, tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
 # Local dual function q_i(y) = inf over the ball of f_i + <mu, g_i> + <lam, h_i>
 # ---------------------------------------------------------------------------
-
-
-def _dual_value_and_grad(pb, mu, lam):
-    def value_and_grad(X):
-        fq, grad, diff, dist2, BX = _smooth_terms(pb, X)
-        val_g = np.sum(mu * (dist2 - pb.c_prime), axis=1)
-        grad += 2.0 * np.einsum("rm,rmd->rd", mu, diff)
-        val_h = np.sum(lam * (BX + pb.c_eq), axis=1)
-        grad += np.einsum("rpd,rp->rd", pb.B, lam)
-        return fq + val_g + val_h, grad
-
-    return value_and_grad
 
 
 def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL):
@@ -499,10 +696,10 @@ def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL):
         raise AssumptionViolatedError("dual evaluation needs mu >= 0")
     mu = np.broadcast_to(y[: pb.m], (pb.n_agents, pb.m))
     lam = np.broadcast_to(y[pb.m :], (pb.n_agents, pb.p))
-    vg = _dual_value_and_grad(pb, mu, lam)
+    smooth = _dual_value_and_grad(pb, mu, lam)
     lip = pb.curv_P + 2.0 * float(y[: pb.m].sum())
     X, res, iters, done, vals = _prox_grad_loop(
-        vg, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight,
+        smooth, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight,
         np.maximum(lip, 1e-12), tol, DEFAULT_MAX_ITERS,
     )
     return vals, X, res, done

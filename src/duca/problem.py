@@ -150,9 +150,14 @@ class Problem:
         return 2.0 * np.linalg.eigvalsh(self.P)[:, -1]
 
     @cached_property
+    def BtB(self) -> np.ndarray:
+        """(N, dmax, dmax) B_i^T B_i, the Hessian of ||lam + h_i(x)||^2 / 2."""
+        return np.einsum("rpd,rpe->rde", self.B, self.B)
+
+    @cached_property
     def curv_B(self) -> np.ndarray:
         """(N,) lambda_max(B_i^T B_i), the curvature of ||lam + h_i(x)||^2 / 2."""
-        return np.linalg.eigvalsh(np.einsum("rpd,rpe->rde", self.B, self.B))[:, -1]
+        return np.linalg.eigvalsh(self.BtB)[:, -1]
 
     @cached_property
     def reach_sq(self) -> np.ndarray:

@@ -36,6 +36,8 @@ from duca.graphs import (
 from duca.localsolver import solve_local_batch
 from duca.problem import Problem, generate_example
 
+from test_localsolver import without_newton
+
 SEED_GRAPH = random_connected_graph(20, 40, seed=42)
 SEED_PROBLEM = generate_example(20, 3, 3, 3, seed=42)
 ONES_Y0 = np.ones((20, 6))
@@ -379,7 +381,10 @@ class TestRun:
 
     def test_uncertified_solve_raises_when_checked(self, monkeypatch):
         # One inner iteration is too few on the shipped instance: 19 of the
-        # 20 agents end round 1 without a certificate, 83 over five rounds.
+        # 20 agents end round 1 without a certificate, 39 over five rounds.
+        # Round 1 starts at x = 0, where the Newton finish has no free
+        # coordinate; from round 2 on it certifies some warm-started solves,
+        # and without it 83 solves end uncertified.
         pb = generate_example(20, 3, 1, 5, seed=42)
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         x0, y0 = np.zeros((20, pb.dmax)), np.ones((20, pb.mp))
@@ -388,13 +393,20 @@ class TestRun:
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
         st = run(pb, s, 5, x0, y0, check=False)
+        assert st.solver_failures == 39
+        without_newton(monkeypatch)
+        with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
+            run(pb, s, 5, x0, y0, check=True)
+        st = run(pb, s, 5, x0, y0, check=False)
         assert st.solver_failures == 83
 
     def test_long_start_needs_the_stall_guard(self, monkeypatch):
-        # From a start at 32/L one DUCA_I solve stalls in round 216: there
-        # the backtracking test sits inside its rounding slack and accepts a
-        # step that is too long.  The stall guard's drop to 1/L certifies it;
-        # without the guard it stays uncertified (also at max_iters=20000).
+        # From a start at 32/L, with the Newton finish off, one DUCA_I solve
+        # stalls in round 216: there the backtracking test sits inside its
+        # rounding slack and accepts a step that is too long.  The stall
+        # guard's drop to 1/L certifies it; without the guard it stays
+        # uncertified (also at max_iters=20000).  With the Newton finish on,
+        # every solve certifies even without the guard.
         import duca.localsolver as ls
 
         pb = generate_example(20, 3, 1, 5, seed=42)
@@ -403,9 +415,14 @@ class TestRun:
         monkeypatch.setattr(ls, "LONG_STEP", 32.0)
         monkeypatch.setattr("duca.engine.solve_local_batch",
                             functools.partial(solve_local_batch, max_iters=1000))
+        monkeypatch.setattr(ls, "STALL_ITERS", 1000)  # never reached
         st = run(pb, s, 300, x0, y0, check=True)
         assert st.solver_failures == 0
-        monkeypatch.setattr(ls, "STALL_ITERS", 1000)  # never reached
+        without_newton(monkeypatch)
+        monkeypatch.setattr(ls, "STALL_ITERS", 100)
+        st = run(pb, s, 300, x0, y0, check=True)
+        assert st.solver_failures == 0
+        monkeypatch.setattr(ls, "STALL_ITERS", 1000)
         with pytest.raises(InvariantBreachError, match="round 216: 1 of 20"):
             run(pb, s, 300, x0, y0, check=True)
 

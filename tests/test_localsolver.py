@@ -1,5 +1,7 @@
 """Inner solver: subgradients, prox, certificates, and grid-oracle agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +182,14 @@ def solve_one(sp, **kw):
     return tuple(v[0] for v in out)
 
 
+def without_newton(monkeypatch):
+    """Turn the solver's Newton finish off: no candidate is ever usable."""
+    import duca.localsolver as ls
+
+    monkeypatch.setattr(ls, "_newton_candidate",
+                        lambda smooth, X, grads, a, c, w: (X, np.zeros(len(X), dtype=bool)))
+
+
 def local_objective_grid(sp, X):
     """``local_objective`` at every row of X (K, d), in one broadcast."""
     pb = sp.problem
@@ -221,12 +231,13 @@ def grid_local(sp, levels=7, pts=81):
             axes.append(ax)
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([mm.ravel() for mm in mesh], axis=1)
-        keep = np.sum((X - a) ** 2, axis=1) <= c
-        X = X[keep]
-        if not len(X):
-            center = a.copy()
-            half *= 0.5
-            continue
+        # nodes outside the ball are pulled radially to just inside its
+        # sphere, so that an optimum on the sphere is searched as densely as
+        # one inside: dropping them left the zoom windows off that optimum
+        n2 = np.sum((X - a) ** 2, axis=1)
+        out = n2 > c
+        X[out] = a + (np.sqrt(c / n2[out]) * (1.0 - 1e-15))[:, None] * (X[out] - a)
+        X = X[np.sum((X - a) ** 2, axis=1) <= c]
         idx = int(np.argmin(local_objective_grid(sp, X)))
         val = local_objective(sp, X[idx])
         if val < best_v:
@@ -238,11 +249,14 @@ def grid_local(sp, levels=7, pts=81):
 
 
 def random_subproblem(rng, d=2, m=1, p=1):
+    """One agent's round subproblem with random duals, scale, anchor and
+    equality offsets (c_eq is 0 in every generated problem)."""
     pb = generate_example(1, d, m, p, seed=int(rng.integers(0, 2**31)))
     ytilde = rng.normal(scale=2.0, size=m + p)
     d_prime = float(rng.uniform(0.5, 3.0))
     alpha = float(rng.choice([0.0, 0.3]))
     anchor = rng.uniform(-0.5, 0.5, size=d)
+    pb = dataclasses.replace(pb, c_eq=rng.uniform(-1.0, 1.0, size=(1, p)))
     return LocalSubproblem(problem=pb, agent=0, ytilde=ytilde,
                            d_prime=d_prime, alpha=alpha, anchor=anchor)
 
@@ -484,10 +498,13 @@ class TestSolveLocal:
             assert np.linalg.norm(x1 - x2) <= 2 * tol / alpha
 
     def test_nonconverged_flagged(self):
-        sp = random_subproblem(np.random.default_rng(18), d=3)
-        _x, _res, iters, done, _val = solve_one(sp, tol=1e-14, max_iters=2)
-        assert not done
-        assert iters == 2
+        # from x = 0 the Newton finish has no free coordinate, so the one
+        # iteration allowed is a gradient step, which does not certify
+        sp = dataclasses.replace(random_subproblem(np.random.default_rng(18), d=3),
+                                 anchor=np.zeros(3))
+        _x, res, iters, done, _val = solve_one(sp, tol=1e-14, max_iters=1)
+        assert not done and res > 1e-14
+        assert iters == 1
 
     @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
            p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),
@@ -541,6 +558,92 @@ class TestSolveLocal:
             assert np.linalg.norm(x - gx) <= 1e-3
 
 
+class TestNewtonFinish:
+    def test_garbage_candidate_refused_by_the_certificate(self, monkeypatch):
+        # a candidate of X + 1 must fail its certificate on every row, and
+        # every row then keeps the gradient path's bits
+        import duca.localsolver as ls
+
+        Yt, d_prime, anchor = _round_batch()
+        with pytest.MonkeyPatch.context() as mp:
+            without_newton(mp)
+            want = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
+        probed = []
+        after_garbage = [False]
+        real_cert = ls._certificate_residual
+
+        def garbage(smooth, X, grads, a, c, w):
+            after_garbage[0] = True
+            return X + 1.0, np.ones(len(X), dtype=bool)
+
+        def cert(X, grads, eta, a, c, w):
+            res = real_cert(X, grads, eta, a, c, w)
+            if after_garbage[0]:
+                probed.append(res)
+            after_garbage[0] = False
+            return res
+
+        monkeypatch.setattr(ls, "_newton_candidate", garbage)
+        monkeypatch.setattr(ls, "_certificate_residual", cert)
+        got = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
+        assert probed and all((res > 1e-9).all() for res in probed)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_ball_face_finishes_within_two_iterations(self, monkeypatch):
+        # x'Px + Q'x + ||x||_1 pulls far outside the unit ball, so the
+        # optimum lies on the sphere (at angle 0.838 about the center) with
+        # both coordinates positive.  Started on that face 0.1 rad away,
+        # Newton finishes within 2 iterations, where the gradient path needs
+        # more.  A multiplier estimate without its factor 2 converges only
+        # linearly and needs about 10.
+        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-6.0, -8.0], a=[0.2, 0.1], c=1.0)
+        a, c = pb.a[0], pb.c[0]
+        start = a + np.array([np.cos(0.94), np.sin(0.94)])
+        assert (start > 0).all() and abs(np.sum((start - a) ** 2) - c) <= 1e-15
+        sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(0), d_prime=1.0,
+                             anchor=start)
+        x, _res, iters, done, _val = solve_one(sp)
+        assert done and iters <= 2
+        assert (x > 0).all() and np.sum((x - a) ** 2) >= c * (1.0 - 1e-10)
+        without_newton(monkeypatch)
+        x_g, _res, iters_g, done_g, _val = solve_one(sp)
+        assert done_g and iters_g > 2
+        np.testing.assert_allclose(x, x_g, rtol=0.0, atol=1e-6)
+
+    @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
+           p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_active_subproblems_certified_and_agree(self, n, d, m, p, alpha, seed):
+        # Q x4 and nonzero equality offsets, so that balls and hinges bind:
+        # every row certifies, matches the grid search as in [09] for d <= 2,
+        # and, when alpha > 0 makes the rows strongly convex, lies within
+        # 2*tol/alpha of the gradient path's solve
+        base = generate_example(n, d, m, p, seed=seed)
+        rng = np.random.default_rng(seed)
+        pb = dataclasses.replace(base, Q=4.0 * base.Q, c_eq=rng.uniform(-1.0, 1.0, size=(n, p)))
+        Yt = rng.normal(scale=2.0, size=(n, m + p))
+        d_prime = rng.uniform(0.5, 2.0, size=n)
+        anchor = rng.uniform(-0.5, 0.5, size=(n, d))
+        tol = 1e-10
+        X, res, _iters, done, vals = solve_local_batch(pb, Yt, d_prime, alpha, anchor, tol=tol)
+        assert done.all() and (res <= tol).all()
+        if d <= 2:
+            for i in range(n):
+                solo = single_agent(**pb.agent_data(i), l1_weight=pb.l1_weight)
+                sp = LocalSubproblem(problem=solo, agent=0, ytilde=Yt[i], d_prime=d_prime[i],
+                                     alpha=alpha, anchor=anchor[i])
+                assert abs(vals[i] - grid_local(sp)[1]) <= 1e-6
+        if alpha > 0.0:
+            with pytest.MonkeyPatch.context() as mp:
+                without_newton(mp)
+                X_g, _res, _iters, done_g, _vals = solve_local_batch(
+                    pb, Yt, d_prime, alpha, anchor, tol=tol)
+            assert done_g.all()
+            assert (np.linalg.norm(X - X_g, axis=1) <= 2.0 * tol / alpha).all()
+
+
 def _round_batch():
     """SVI with random round data: a 20-agent solve_local_batch input."""
     rng = np.random.default_rng(19)
@@ -592,21 +695,43 @@ class TestCertificateSchedule:
                                                            max_iters, all_done):
         # a row is probed at the start of each of its iterations and, if the
         # cap ends it uncertified, once more at its last iterate: iters + 1
+        # entry probes.  A Newton candidate is probed after the entry probe
+        # of its iteration, at most once per iteration, and a row that
+        # leaves with its candidate has no entry probe at that last iterate.
         import duca.localsolver as ls
 
         Yt, d_prime, anchor = _round_batch()
-        probes = np.zeros(20, dtype=int)
-        real_cert = ls._certificate_residual
+        entry = np.zeros(20, dtype=int)
+        newton = np.zeros(20, dtype=int)
+        newton_pass = np.zeros(20, dtype=bool)
+        next_is_newton = [False]
+        real_cert, real_candidate = ls._certificate_residual, ls._newton_candidate
+
+        def candidate(smooth, X, grads, a, c, w):
+            Xc, ok = real_candidate(smooth, X, grads, a, c, w)
+            next_is_newton[0] = ok.any()
+            return Xc, ok
 
         def cert(X, grads, eta, a, c, w):
-            np.add.at(probes, _agents(a), 1)
-            return real_cert(X, grads, eta, a, c, w)
+            res = real_cert(X, grads, eta, a, c, w)
+            rows = _agents(a)
+            if next_is_newton[0]:
+                np.add.at(newton, rows, 1)
+                newton_pass[rows] |= res <= tol
+            else:
+                np.add.at(entry, rows, 1)
+            next_is_newton[0] = False
+            return res
 
         monkeypatch.setattr(ls, "_certificate_residual", cert)
-        _X, _res, iters, done, _vals = solve_local_batch(
+        monkeypatch.setattr(ls, "_newton_candidate", candidate)
+        _X, res, iters, done, _vals = solve_local_batch(
             SVI, Yt, d_prime, 0.1, anchor, tol=tol, max_iters=max_iters)
         assert done.all() == all_done
-        np.testing.assert_array_equal(probes, iters + 1)
+        assert newton.sum() > 0
+        np.testing.assert_array_equal(entry + newton_pass, iters + 1)
+        assert (newton <= iters).all()
+        assert (res[newton_pass] <= tol).all()
 
 
 class TestDualFunction:
