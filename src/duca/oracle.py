@@ -2,11 +2,14 @@
 
 ``centralized_solve`` runs a classical method of multipliers on the coupled
 constraints: one augmented Lagrangian over the full stacked variable, an
-accelerated proximal-gradient inner solve, multiplier updates
-``mu <- [mu + rho_c * G(x)]_+``, ``lam <- lam + rho_c * H(x)``, and adaptive
-penalty growth.  Its iteration structure shares nothing with the per-agent
-dual-consensus rounds, so agreement between the two is evidence, not
-tautology.
+accelerated proximal-gradient inner solve finished by a stacked Newton step,
+multiplier updates ``mu <- [mu + rho_c * G(x)]_+``,
+``lam <- lam + rho_c * H(x)``, and adaptive penalty growth.  The augmented
+Lagrangian couples every agent's row through the sums G(x) and H(x), so the
+Newton step is one system over all rows, solved by per-row blocks and a
+low-rank correction.  Its iteration structure shares nothing with the
+per-agent dual-consensus rounds, so agreement between the two is evidence,
+not tautology.
 
 ``grid_oracle`` is a zooming exhaustive search over the product of balls for
 tiny instances, and ``duality_gap_check`` evaluates the dual function at the
@@ -21,7 +24,7 @@ from .errors import (AssumptionViolatedError, InfeasibleProblemError, NotConverg
                      TooLargeError)
 from .textdoc import DocReader, DocWriter
 from .localsolver import (LONG_STEP, _certificate_residual, _dual_value_and_grad,
-                          _prox_l1_ball, dual_value_batch)
+                          _onto_sphere, _prox_l1_ball, _radial_clip, dual_value_batch)
 from .problem import Problem, StackedPoint, gtilde_rows, objective_rows, slater_check
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
 MAX_OUTER = 120
 #: grid nodes per axis at each zoom level of the exhaustive search
 GRID_PTS = 41
+#: chained Newton steps in each candidate of the AL solve's Newton finish
+NEWTON_STEPS = 2
 
 
 @dataclass
@@ -87,12 +92,85 @@ def _al_lipschitz(pb: Problem, mu, rho_c):
     hinge_hi = np.maximum(mu + rho_c * np.maximum(G_hi, 0.0), 0.0)
     # rank-one coupling rho_c * (grad G)(grad G)^T plus hinge * Hess g
     curv = float(np.sum(rho_c * 4.0 * np.sum(pb.reach_sq, axis=0) + 2.0 * hinge_hi))
-    if pb.p:
-        B_flat = pb.B.transpose(1, 0, 2).reshape(pb.p, pb.n_agents * pb.dmax)
-        lam_B = float(np.linalg.eigvalsh(B_flat @ B_flat.T).max())
-    else:
-        lam_B = 0.0
-    return lam_P + curv + rho_c * lam_B
+    return lam_P + curv + rho_c * pb.curv_H
+
+
+def _al_newton_step(pb: Problem, X, grad, mu, rho_c):
+    """Newton step of the AL on the face X shows; returns (dX, ball rows).
+
+    The face keeps the zero coordinates at zero and the signs of the others,
+    so the l1 term is linear on it, and it holds a row's ball with equality
+    when the row lies on its sphere (``||x - a||^2 >= c*(1 - 1e-10)``) and
+    the multiplier estimate ``nu = -<g, x - a> / (2*||x - a||^2)`` over the
+    free coordinates is positive, where g is the gradient plus
+    ``w*sign(x)``.  The step solves the face's KKT system with the exact AL
+    Hessian ``D + rho_c*U U^T``: D is block diagonal,
+    ``2P_i + 2*(sum_j hinge_j + nu_i)*I``, and U holds the columns
+    ``2*vec(x_i - a'_ij)`` of the positive hinges and the rows of the stacked
+    B.  Each row's block of D, bordered by the linearized sphere
+    ``2*<x - a, dx> = c - ||x - a||^2`` on ball rows, is a (d+1)x(d+1)
+    system, and the rank-(m+p) term is added back by the Woodbury identity,
+    so the (N*d)^2 matrix is never formed.  Raises ``LinAlgError`` when a
+    block or the capacitance matrix is singular.
+    """
+    n, d = X.shape
+    free = X != 0.0
+    g = np.where(free, grad + pb.l1_weight * np.sign(X), 0.0)
+    e = X - pb.a
+    ef = np.where(free, e, 0.0)
+    n2 = (e**2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = -(g * ef).sum(axis=1) / (2.0 * (ef**2).sum(axis=1))
+    ball = (n2 >= pb.c * (1.0 - 1e-10)) & (nu > 0.0)
+    nu = np.where(ball, nu, 0.0)
+    diff = X[:, None, :] - pb.a_prime  # (N, m, dmax)
+    G = np.sum(np.sum(diff**2, axis=2) - pb.c_prime, axis=0)
+    hinge = np.maximum(mu + rho_c * G, 0.0)
+    eye = np.eye(d)
+    M = np.empty((n, d + 1, d + 1))
+    M[:, :d, :d] = np.where(free[:, :, None] & free[:, None, :],
+                            2.0 * pb.P + (2.0 * (hinge.sum() + nu))[:, None, None] * eye, eye)
+    M[:, :d, d] = M[:, d, :d] = np.where(ball[:, None], 2.0 * ef, 0.0)
+    M[:, d, d] = ~ball
+    cols = np.concatenate([2.0 * diff[:, hinge > 0.0], pb.B], axis=1)  # (N, r, dmax)
+    r = cols.shape[1]
+    U = np.zeros((n, d + 1, r))
+    U[:, :d] = np.where(free[:, :, None], cols.transpose(0, 2, 1), 0.0)
+    rhs = np.concatenate([-g, np.where(ball, pb.c - n2, 0.0)[:, None]], axis=1)
+    S = np.linalg.solve(M, np.concatenate([rhs[:, :, None], U], axis=2))
+    z, W = S[:, :, 0], S[:, :, 1:]
+    if r:
+        cap = np.eye(r) / rho_c + np.einsum("nkr,nks->rs", U, W)
+        z = z - W @ np.linalg.solve(cap, np.einsum("nkr,nk->r", U, z))
+    return np.where(free, z[:, :d], 0.0), ball
+
+
+def _al_newton_candidate(pb: Problem, X, grad, mu, lam, rho_c):
+    """Chained Newton steps of the AL, each on the face the last one reached.
+
+    A coordinate that crosses zero is set to zero, a ball row is put back
+    onto its sphere, and a row still outside its ball is clipped into it, so
+    the candidate lies in the product of balls.  Returns the candidate and
+    whether it is usable: X has a nonzero coordinate, and every step solved
+    and kept ``||X - a||^2`` finite.  Whether it is kept is for the stop test
+    to decide.
+    """
+    if not X.any():
+        return X, False
+    for step in range(NEWTON_STEPS):
+        if step:
+            grad = _al_value_grad(pb, X, mu, lam, rho_c)[1]
+        try:
+            dX, ball = _al_newton_step(pb, X, grad, mu, rho_c)
+        except np.linalg.LinAlgError:
+            return X, False
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xn = X + dX
+            if not np.isfinite(((Xn - pb.a) ** 2).sum()):
+                return X, False
+        Xn[np.sign(Xn) != np.sign(X)] = 0.0
+        X = _radial_clip(_onto_sphere(Xn, pb.a, pb.c, ball), pb.a, pb.c)
+    return X, True
 
 
 def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
@@ -110,6 +188,15 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
     makes every step a descent step, and on slow, heavily penalized solves a
     forced drop to 1/L multiplied the iteration count instead of rescuing
     the solve.
+
+    After every failed stop test the iterate gets a Newton candidate
+    (``_al_newton_candidate``).  The solve ends there, counting it as one
+    more iteration, when the same stop test at the same probe step passes at
+    the candidate and the composite value does not rise; otherwise the
+    candidate leaves no trace and the accelerated step runs as without it.
+    No working set is kept, unlike the local loop: the AL couples every row
+    through G(x) and H(x), so fixing one row would change the others'
+    gradients.  Returns ``(X, residual, iterations)``.
     """
     w = pb.l1_weight
     lip = max(_al_lipschitz(pb, mu, rho_c), 1e-12)
@@ -137,12 +224,25 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
             eta *= 0.5
         return Xn, vn, gn
 
+    def gap(Y, gY, probe):
+        """The stop test's prox fixed-point gap at Y, probed at ``probe``."""
+        step = _prox_l1_ball(Y - probe * gY, np.full(pb.n_agents, probe * w), pb.a, pb.c)
+        return float(np.linalg.norm(Y - step)) / probe
+
     for it in range(max_iters):
         probe = min(eta, eta0)
-        step = _prox_l1_ball(X - probe * grad, np.full(pb.n_agents, probe * w), pb.a, pb.c)
-        res = float(np.linalg.norm(X - step)) / probe
+        res = gap(X, grad, probe)
         if res <= tol:
             break
+        # Newton finish: the solve ends at the candidate when it passes the
+        # same stop test and does not raise the composite value
+        Xc, ok = _al_newton_candidate(pb, X, grad, mu, lam, rho_c)
+        if ok:
+            vc, gc = _al_value_grad(pb, Xc, mu, lam, rho_c)
+            if vc + w * float(np.abs(Xc).sum()) <= comp + 1e-12 * (1 + abs(comp)):
+                res_c = gap(Xc, gc, probe)
+                if res_c <= tol:
+                    return Xc, res_c, it + 1
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / tk_next
         Z = X + beta * (X - Xprev)

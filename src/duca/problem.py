@@ -142,7 +142,7 @@ class Problem:
         """Width of one agent's coupled block [g_i; h_i]."""
         return self.m + self.p
 
-    # Per-agent curvature bounds of the local solvers, built on first use.
+    # Curvature bounds of the local solvers and the oracle, built on first use.
 
     @cached_property
     def curv_P(self) -> np.ndarray:
@@ -158,6 +158,14 @@ class Problem:
     def curv_B(self) -> np.ndarray:
         """(N,) lambda_max(B_i^T B_i), the curvature of ||lam + h_i(x)||^2 / 2."""
         return np.linalg.eigvalsh(self.BtB)[:, -1]
+
+    @cached_property
+    def curv_H(self) -> float:
+        """lambda_max(B B^T) over the stacked B, the curvature of ||H(x)||^2 / 2."""
+        if not self.p:
+            return 0.0
+        B_flat = self.B.transpose(1, 0, 2).reshape(self.p, self.n_agents * self.dmax)
+        return float(np.linalg.eigvalsh(B_flat @ B_flat.T).max())
 
     @cached_property
     def reach_sq(self) -> np.ndarray:
