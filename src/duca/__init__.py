@@ -43,17 +43,9 @@ from .problem import (
     eval_objective,
     generate_example,
     gtilde_rows,
-    project_ball,
     slater_check,
-    subgradient_f,
 )
-from .localsolver import (
-    LocalSubproblem,
-    composite_subgradient,
-    dual_value_batch,
-    local_objective,
-    solve_local_batch,
-)
+from .localsolver import dual_value_batch, solve_local_batch
 from .oracle import (
     CertificateCore,
     centralized_solve,
@@ -81,7 +73,6 @@ from .metrics import (
     compute_row,
     constraint_violation_composite,
     csv_to_rows,
-    local_ball_violation,
     loglog_slope,
     lyapunov_value,
     make_certificate,
@@ -126,13 +117,8 @@ __all__ = [
     "generate_example",
     "eval_objective",
     "gtilde_rows",
-    "project_ball",
-    "subgradient_f",
     "slater_check",
     # localsolver
-    "LocalSubproblem",
-    "composite_subgradient",
-    "local_objective",
     "solve_local_batch",
     "dual_value_batch",
     # oracle
@@ -158,7 +144,6 @@ __all__ = [
     "Certificate",
     "make_certificate",
     "lyapunov_value",
-    "local_ball_violation",
     "constraint_violation_composite",
     "compute_row",
     "MetricsCollector",

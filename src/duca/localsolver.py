@@ -33,20 +33,13 @@ row matches the same agent solved alone.
 """
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionViolatedError, DimMismatchError, InvariantBreachError
-from .problem import Problem, subgradient_f
+from .problem import Problem
 
-__all__ = [
-    "LocalSubproblem",
-    "composite_subgradient",
-    "local_objective",
-    "solve_local_batch",
-    "dual_value_batch",
-]
+__all__ = ["solve_local_batch", "dual_value_batch"]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 20000
@@ -56,78 +49,6 @@ LONG_STEP = 16.0
 STALL_ITERS = 100
 #: chained Newton steps in each candidate of the Newton finish
 NEWTON_STEPS = 2
-
-
-@dataclass(frozen=True, eq=False)
-class LocalSubproblem:
-    """One agent's round subproblem: dual shift, scale, proximal anchor."""
-
-    problem: Problem
-    agent: int
-    ytilde: np.ndarray  # (m+p,)
-    d_prime: float
-    alpha: float = 0.0
-    anchor: np.ndarray | None = None  # (d,), zeros if omitted
-
-    def __post_init__(self):
-        pb = self.problem
-        if not (0 <= self.agent < pb.n_agents):
-            raise DimMismatchError(f"agent index {self.agent} out of range")
-        if self.ytilde.shape != (pb.mp,):
-            raise DimMismatchError(
-                f"ytilde has shape {self.ytilde.shape}, expected ({pb.mp},)"
-            )
-        if self.d_prime <= 0:
-            raise AssumptionViolatedError(f"d_prime must be positive, got {self.d_prime}")
-        if self.alpha < 0:
-            raise AssumptionViolatedError(f"alpha must be nonnegative, got {self.alpha}")
-        d = pb.dims[self.agent]
-        if self.anchor is None:
-            object.__setattr__(self, "anchor", np.zeros(d))
-        elif self.anchor.shape != (d,):
-            raise DimMismatchError(
-                f"anchor has shape {self.anchor.shape}, expected ({d},)"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Composite subgradient and objective (per-agent reference formulas)
-# ---------------------------------------------------------------------------
-
-
-def composite_subgradient(sp: LocalSubproblem, x: np.ndarray) -> np.ndarray:
-    """Subgradient of the round objective at x with the sign(0)=0 selection."""
-    pb = sp.problem
-    x = np.asarray(x, dtype=float)
-    d = pb.dims[sp.agent]
-    if x.shape != (d,):
-        raise DimMismatchError(f"x has shape {x.shape}, expected ({d},)")
-    data = pb.agent_data(sp.agent)
-    mu = sp.ytilde[: pb.m]
-    lam = sp.ytilde[pb.m :]
-    s = subgradient_f(pb, sp.agent, x)
-    diff = x[None, :] - data["a_prime"]  # (m, d)
-    hinge = np.maximum(mu + np.sum(diff**2, axis=1) - data["c_prime"], 0.0)
-    s = s + (2.0 / sp.d_prime) * hinge @ diff
-    eq = lam + data["B"] @ x + data["c_eq"]
-    s = s + data["B"].T @ eq / sp.d_prime
-    return s + sp.alpha * (x - sp.anchor)
-
-
-def local_objective(sp: LocalSubproblem, x: np.ndarray) -> float:
-    """Round objective value at x (without the ball indicator)."""
-    pb = sp.problem
-    data = pb.agent_data(sp.agent)
-    x = np.asarray(x, dtype=float)
-    mu = sp.ytilde[: pb.m]
-    lam = sp.ytilde[pb.m :]
-    f = x @ data["P"] @ x + data["Q"] @ x + pb.l1_weight * np.abs(x).sum()
-    diff = x[None, :] - data["a_prime"]
-    hinge = np.maximum(mu + np.sum(diff**2, axis=1) - data["c_prime"], 0.0)
-    eq = lam + data["B"] @ x + data["c_eq"]
-    pen = (float(hinge @ hinge) + float(eq @ eq)) / (2.0 * sp.d_prime)
-    prox = 0.5 * sp.alpha * float(np.sum((x - sp.anchor) ** 2))
-    return float(f) + pen + prox
 
 
 # ---------------------------------------------------------------------------

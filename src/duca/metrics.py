@@ -200,17 +200,15 @@ def lyapunov_value(st: NetworkState, cert: Certificate, s: ParamSetting) -> floa
     return val
 
 
-def local_ball_violation(pb: Problem, X_rows: np.ndarray) -> float:
-    """sum_i max(||x_i - a_i||^2 - c_i, 0) over agent rows."""
-    d2 = np.sum((X_rows - pb.a) ** 2, axis=1)
-    return float(np.maximum(d2 - pb.c, 0.0).sum())
-
-
 def constraint_violation_composite(pb: Problem, X_rows: np.ndarray) -> float:
-    """Local ball excess + positive coupled-inequality excess + equality norm."""
+    """Local ball excess + positive coupled-inequality excess + equality norm.
+
+    The ball excess is sum_i max(||x_i - a_i||^2 - c_i, 0) over agent rows.
+    """
+    d2 = np.sum((X_rows - pb.a) ** 2, axis=1)
     tot = gtilde_rows(pb, X_rows).sum(axis=0)
     return (
-        local_ball_violation(pb, X_rows)
+        float(np.maximum(d2 - pb.c, 0.0).sum())
         + float(np.maximum(tot[: pb.m], 0.0).sum())
         + float(np.linalg.norm(tot[pb.m :]))
     )

@@ -26,8 +26,6 @@ __all__ = [
     "generate_example",
     "eval_objective",
     "gtilde_rows",
-    "project_ball",
-    "subgradient_f",
     "slater_check",
 ]
 
@@ -172,20 +170,6 @@ class Problem:
         """(N, m) bound (sqrt(c_i) + ||a_i - a'_ij||)^2 on ||x - a'_ij||^2 over X_i."""
         R = np.sqrt(self.c)[:, None] + np.linalg.norm(self.a[:, None] - self.a_prime, axis=2)
         return R**2
-
-    def agent_data(self, i: int) -> dict:
-        """Trimmed (unpadded) data arrays for agent i."""
-        d = self.dims[i]
-        return {
-            "P": self.P[i, :d, :d],
-            "Q": self.Q[i, :d],
-            "a": self.a[i, :d],
-            "c": float(self.c[i]),
-            "a_prime": self.a_prime[i, :, :d],
-            "c_prime": self.c_prime[i],
-            "B": self.B[i, :, :d],
-            "c_eq": self.c_eq[i],
-        }
 
     @classmethod
     def from_agent_data(cls, P, Q, a, c, a_prime, c_prime, B, c_eq, l1_weight=1.0):
@@ -339,27 +323,6 @@ def coupled_violation_norm(pb: Problem, X) -> float:
     tot = gtilde_rows(pb, _check_rows(pb, X)).sum(axis=0)
     viol = np.concatenate([np.maximum(tot[: pb.m], 0.0), tot[pb.m :]])
     return float(np.linalg.norm(viol))
-
-
-def project_ball(a: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of x onto {z : ||z - a||^2 <= c}."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    diff = x - a
-    n2 = float(diff @ diff)
-    if n2 <= c:
-        return x.copy()
-    return a + diff * (np.sqrt(c) / np.sqrt(n2))
-
-
-def subgradient_f(pb: Problem, i: int, x_i: np.ndarray) -> np.ndarray:
-    """2 P_i x_i + Q_i + w * sign(x_i), with sign(0) taken as 0."""
-    d = pb.dims[i]
-    x_i = np.asarray(x_i, dtype=float)
-    if x_i.shape != (d,):
-        raise DimMismatchError(f"agent {i} expects dimension {d}, got {x_i.shape}")
-    data = pb.agent_data(i)
-    return 2.0 * data["P"] @ x_i + data["Q"] + pb.l1_weight * np.sign(x_i)
 
 
 def slater_check(pb: Problem) -> None:

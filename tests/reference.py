@@ -1,0 +1,132 @@
+"""Reference formulas and problem helpers for the local-solver tests.
+
+The round objective here is written apart from the solver's batched smooth
+parts, and ``grid_local`` searches it by brute force, so the two agreeing
+counts as evidence that the solver minimizes the right function.
+"""
+
+import dataclasses
+from typing import NamedTuple
+
+import numpy as np
+
+from duca.localsolver import solve_local_batch
+from duca.problem import Problem, generate_example
+
+
+def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
+                 c_eq=None, l1_weight=1.0):
+    """A one-agent problem from unpadded data; omitted blocks are empty."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    d = P.shape[0]
+    a = np.zeros(d) if a is None else np.asarray(a, dtype=float)
+    a_prime = np.zeros((0, d)) if a_prime is None else np.asarray(a_prime, dtype=float)
+    m = a_prime.shape[0]
+    c_prime = np.zeros(m) if c_prime is None else np.asarray(c_prime, dtype=float)
+    B = np.zeros((0, d)) if B is None else np.asarray(B, dtype=float)
+    p = B.shape[0]
+    c_eq = np.zeros(p) if c_eq is None else np.asarray(c_eq, dtype=float)
+    return Problem.from_agent_data(
+        P=[P], Q=[Q], a=[a], c=[c], a_prime=[a_prime], c_prime=[c_prime],
+        B=[B], c_eq=[c_eq], l1_weight=l1_weight,
+    )
+
+
+def one_agent(pb, i):
+    """Agent i of pb alone, as a one-agent problem."""
+    d = pb.dims[i]
+    return single_agent(P=pb.P[i, :d, :d], Q=pb.Q[i, :d], a=pb.a[i, :d], c=pb.c[i],
+                        a_prime=pb.a_prime[i, :, :d], c_prime=pb.c_prime[i],
+                        B=pb.B[i, :, :d], c_eq=pb.c_eq[i], l1_weight=pb.l1_weight)
+
+
+class Subproblem(NamedTuple):
+    """One agent's round subproblem, posed on a one-agent problem."""
+
+    problem: Problem
+    ytilde: np.ndarray  # (m+p,)
+    d_prime: float
+    alpha: float
+    anchor: np.ndarray  # (d,), also the warm start
+
+
+def random_subproblem(rng, d=2, m=1, p=1):
+    """One agent's round subproblem with random duals, scale, anchor and
+    equality offsets (c_eq is 0 in every generated problem)."""
+    pb = generate_example(1, d, m, p, seed=int(rng.integers(0, 2**31)))
+    ytilde = rng.normal(scale=2.0, size=m + p)
+    d_prime = float(rng.uniform(0.5, 3.0))
+    alpha = float(rng.choice([0.0, 0.3]))
+    anchor = rng.uniform(-0.5, 0.5, size=d)
+    pb = dataclasses.replace(pb, c_eq=rng.uniform(-1.0, 1.0, size=(1, p)))
+    return Subproblem(pb, ytilde, d_prime, alpha, anchor)
+
+
+def solve_one(sp, **kw):
+    """A one-agent subproblem through the batch front end.
+
+    Returns row 0 of ``(X, residual, iters, done, values)``.
+    """
+    assert sp.problem.n_agents == 1
+    out = solve_local_batch(sp.problem, sp.ytilde[None, :], np.array([sp.d_prime]),
+                            sp.alpha, sp.anchor[None, :], **kw)
+    return tuple(v[0] for v in out)
+
+
+def round_objective(sp, X):
+    """The round objective, without the ball indicator, at every row of X (K, d):
+
+    f(x) + (||[mu + g(x)]_+||^2 + ||lam + h(x)||^2) / (2 d') + (alpha/2)||x - anchor||^2
+    """
+    pb = sp.problem
+    P, Q, a_prime, c_prime = pb.P[0], pb.Q[0], pb.a_prime[0], pb.c_prime[0]
+    B, c_eq = pb.B[0], pb.c_eq[0]
+    mu = sp.ytilde[: pb.m]
+    lam = sp.ytilde[pb.m :]
+    f = (np.einsum("kd,de,ke->k", X, P, X) + X @ Q
+         + pb.l1_weight * np.abs(X).sum(axis=1))
+    diff = X[:, None, :] - a_prime
+    hinge = np.maximum(mu + np.sum(diff**2, axis=2) - c_prime, 0.0)
+    eq = lam + X @ B.T + c_eq
+    pen = (np.sum(hinge**2, axis=1) + np.sum(eq**2, axis=1)) / (2.0 * sp.d_prime)
+    prox = 0.5 * sp.alpha * np.sum((X - sp.anchor) ** 2, axis=1)
+    return f + pen + prox
+
+
+def grid_local(sp, levels=7, pts=81):
+    """Multilevel grid minimization of the round objective over the ball.
+
+    Pure exhaustive search with zooming; axes always include the exact l1
+    kink coordinate 0 when it lies in the window.  Independent of the
+    solver's descent machinery.  Each level's grid is evaluated in one
+    broadcast.  Returns the best point and its value.
+    """
+    pb = sp.problem
+    a, c = pb.a[0], float(pb.c[0])
+    center = a.copy()
+    half = np.full(pb.dmax, np.sqrt(c))
+    best_x, best_v = None, np.inf
+    for _ in range(levels):
+        axes = []
+        for lo, hi in zip(center - half, center + half):
+            ax = np.linspace(lo, hi, pts)
+            if ax[0] < 0.0 < ax[-1]:
+                ax = np.sort(np.append(ax, 0.0))
+            axes.append(ax)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        X = np.stack([mm.ravel() for mm in mesh], axis=1)
+        # nodes outside the ball are pulled radially to just inside its
+        # sphere, so that an optimum on the sphere is searched as densely as
+        # one inside: dropping them left the zoom windows off that optimum
+        n2 = np.sum((X - a) ** 2, axis=1)
+        out = n2 > c
+        X[out] = a + (np.sqrt(c / n2[out]) * (1.0 - 1e-15))[:, None] * (X[out] - a)
+        X = X[np.sum((X - a) ** 2, axis=1) <= c]
+        vals = round_objective(sp, X)
+        idx = int(np.argmin(vals))
+        if vals[idx] < best_v:
+            best_v = vals[idx]
+            best_x = X[idx].copy()
+        center = X[idx].copy()
+        half = np.maximum(half * (2.0 / (pts - 1)) * 2.5, 1e-12)
+    return best_x, float(best_v)

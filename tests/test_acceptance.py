@@ -25,7 +25,7 @@ from duca import (
 from duca.cli import main as cli_main
 from duca.graphs import DOUBLE_EXCHANGE, SINGLE_EXCHANGE
 
-from test_localsolver import grid_local, random_subproblem, solve_one
+from reference import grid_local, random_subproblem, solve_one
 
 EXPERIMENT_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "configs" / "experiment.yaml"
 

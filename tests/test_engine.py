@@ -360,6 +360,42 @@ class TestDoubleExchange:
         assert np.allclose(st.V, s.exchange["L"] @ st.Z, atol=1e-14)
 
 
+BENCH_PROBLEM = generate_example(20, 3, 1, 5, seed=42)
+
+
+def disagreement_identity_errors(s, errors):
+    """A run hook appending each state's worst error in the exact identities
+    of the disagreement variables, computed apart from the mailbox path with
+    dense N x N products: ``V == rho * P_Htilde @ sum_Y`` in single mode
+    (v0 = 0), ``Z == rho * L @ sum_Y`` and ``U == Z + rho * M @ Y`` in double
+    mode."""
+
+    def hook(st):
+        if s.exchange_mode == "single":
+            errors.append(np.abs(st.V - s.rho * s.P_Htilde @ st.sum_Y).max())
+        else:
+            L, M = s.exchange["L"], s.exchange["M"]
+            errors.append(max(np.abs(st.Z - s.rho * L @ st.sum_Y).max(),
+                              np.abs(st.U - (st.Z + s.rho * M @ st.Y)).max()))
+
+    return hook
+
+
+class TestDisagreementIdentities:
+    @pytest.mark.parametrize("q_scale", [1.0, 4.0], ids=["degenerate", "active"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_exact_at_every_round(self, variant, q_scale):
+        # seed-42 benchmark instance (x* = 0) and its Q x4 twin, where all
+        # six multipliers are nonzero.  A v-update at 0.9*rho and a u built
+        # from the stale z pass every in-run check, yet break these at round 1.
+        pb = dataclasses.replace(BENCH_PROBLEM, Q=q_scale * BENCH_PROBLEM.Q)
+        s = make_setting(variant, SEED_GRAPH, rho=1.0, tuning=TUNING.get(variant))
+        errors = []
+        run(pb, s, 50, y0=ONES_Y0, hook=disagreement_identity_errors(s, errors))
+        assert len(errors) == 51
+        assert max(errors) <= 1e-10
+
+
 class TestRun:
     def test_zero_rounds_rejected(self):
         pb, s = small_case()

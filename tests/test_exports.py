@@ -1,9 +1,15 @@
-"""The package and module export lists name only objects that exist."""
+"""The package and module export lists name only objects that exist, and
+every package export is used outside the tests."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import duca
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "duca"
 
 
 def test_every_export_resolves():
@@ -13,3 +19,22 @@ def test_every_export_resolves():
                for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert len(duca.__all__) > 1
     assert missing == []
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a name counts as used when the library (past its export lists, the
+    # package's re-exports and the name's own definition), a demo, the
+    # README or the benchmark names it: public API only tests call goes
+    library = "\n".join(re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
+                        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py")
+    others = "\n".join(path.read_text() for path in [
+        *sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md",
+        *sorted((ROOT / "perfbench").rglob("*.py"))])
+    unused = []
+    for name in duca.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^\s*(?:def|class)\s+{re.escape(name)}\b|^{re.escape(name)}\s*[:=]")
+        lines = [line for line in library.splitlines() if not definition.match(line)]
+        if not (word.search("\n".join(lines)) or word.search(others)):
+            unused.append(name)
+    assert unused == []

@@ -8,23 +8,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from duca.errors import AssumptionViolatedError, DimMismatchError, InvariantBreachError
+from duca.errors import AssumptionViolatedError, InvariantBreachError
 from duca.localsolver import (
     DEFAULT_MAX_ITERS,
-    LocalSubproblem,
     _certificate_residual,
+    _dual_value_and_grad,
     _prox_grad_loop,
     _prox_l1_ball,
     _radial_clip,
     _root_segment,
     _round_lipschitz,
     _round_value_and_grad,
-    composite_subgradient,
     dual_value_batch,
-    local_objective,
     solve_local_batch,
 )
-from duca.problem import Problem, generate_example
+from duca.problem import generate_example
+
+from reference import (
+    Subproblem,
+    grid_local,
+    one_agent,
+    random_subproblem,
+    single_agent,
+    solve_one,
+)
 
 SVI = generate_example(20, 3, 1, 5, seed=42)
 
@@ -154,34 +161,6 @@ def certificate_rows(draw):
     return X[keep], grads[keep], eta[keep], a[keep], c[keep], w
 
 
-def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
-                 c_eq=None, l1_weight=1.0):
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    d = P.shape[0]
-    a = np.zeros(d) if a is None else np.asarray(a, dtype=float)
-    a_prime = np.zeros((0, d)) if a_prime is None else np.asarray(a_prime, dtype=float)
-    m = a_prime.shape[0]
-    c_prime = np.zeros(m) if c_prime is None else np.asarray(c_prime, dtype=float)
-    B = np.zeros((0, d)) if B is None else np.asarray(B, dtype=float)
-    p = B.shape[0]
-    c_eq = np.zeros(p) if c_eq is None else np.asarray(c_eq, dtype=float)
-    return Problem.from_agent_data(
-        P=[P], Q=[Q], a=[a], c=[c], a_prime=[a_prime], c_prime=[c_prime],
-        B=[B], c_eq=[c_eq], l1_weight=l1_weight,
-    )
-
-
-def solve_one(sp, **kw):
-    """A one-agent subproblem through the batch front end.
-
-    Returns row 0 of ``(X, residual, iters, done, values)``.
-    """
-    assert sp.problem.n_agents == 1
-    out = solve_local_batch(sp.problem, sp.ytilde[None, :], np.array([sp.d_prime]),
-                            sp.alpha, sp.anchor[None, :], **kw)
-    return tuple(v[0] for v in out)
-
-
 def without_newton(monkeypatch):
     """Turn the solver's Newton finish off: no candidate is ever usable."""
     import duca.localsolver as ls
@@ -190,89 +169,22 @@ def without_newton(monkeypatch):
                         lambda smooth, X, grads, a, c, w: (X, np.zeros(len(X), dtype=bool)))
 
 
-def local_objective_grid(sp, X):
-    """``local_objective`` at every row of X (K, d), in one broadcast."""
-    pb = sp.problem
-    data = pb.agent_data(sp.agent)
-    mu = sp.ytilde[: pb.m]
-    lam = sp.ytilde[pb.m :]
-    f = (np.einsum("kd,de,ke->k", X, data["P"], X) + X @ data["Q"]
-         + pb.l1_weight * np.abs(X).sum(axis=1))
-    diff = X[:, None, :] - data["a_prime"]
-    hinge = np.maximum(mu + np.sum(diff**2, axis=2) - data["c_prime"], 0.0)
-    eq = lam + X @ data["B"].T + data["c_eq"]
-    pen = (np.sum(hinge**2, axis=1) + np.sum(eq**2, axis=1)) / (2.0 * sp.d_prime)
-    prox = 0.5 * sp.alpha * np.sum((X - sp.anchor) ** 2, axis=1)
-    return f + pen + prox
-
-
-def grid_local(sp, levels=7, pts=81):
-    """Multilevel grid minimization of the round objective over the ball.
-
-    Pure exhaustive search with zooming; axes always include the exact l1
-    kink coordinate 0 when it lies in the window.  Independent of the
-    solver's descent machinery.  Each level's grid is evaluated in one
-    broadcast, and its best point is valued by ``local_objective``.
-    """
-    pb = sp.problem
-    d = pb.dims[sp.agent]
-    data = pb.agent_data(sp.agent)
-    a, c = data["a"], data["c"]
-    r = np.sqrt(c)
-    center = a.copy()
-    half = np.full(d, r)
-    best_x, best_v = None, np.inf
-    for _ in range(levels):
-        axes = []
-        for j in range(d):
-            ax = np.linspace(center[j] - half[j], center[j] + half[j], pts)
-            if ax[0] < 0.0 < ax[-1]:
-                ax = np.sort(np.append(ax, 0.0))
-            axes.append(ax)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([mm.ravel() for mm in mesh], axis=1)
-        # nodes outside the ball are pulled radially to just inside its
-        # sphere, so that an optimum on the sphere is searched as densely as
-        # one inside: dropping them left the zoom windows off that optimum
-        n2 = np.sum((X - a) ** 2, axis=1)
-        out = n2 > c
-        X[out] = a + (np.sqrt(c / n2[out]) * (1.0 - 1e-15))[:, None] * (X[out] - a)
-        X = X[np.sum((X - a) ** 2, axis=1) <= c]
-        idx = int(np.argmin(local_objective_grid(sp, X)))
-        val = local_objective(sp, X[idx])
-        if val < best_v:
-            best_v = val
-            best_x = X[idx].copy()
-        center = X[idx].copy()
-        half = np.maximum(half * (2.0 / (pts - 1)) * 2.5, 1e-12)
-    return best_x, best_v
-
-
-def random_subproblem(rng, d=2, m=1, p=1):
-    """One agent's round subproblem with random duals, scale, anchor and
-    equality offsets (c_eq is 0 in every generated problem)."""
-    pb = generate_example(1, d, m, p, seed=int(rng.integers(0, 2**31)))
-    ytilde = rng.normal(scale=2.0, size=m + p)
-    d_prime = float(rng.uniform(0.5, 3.0))
-    alpha = float(rng.choice([0.0, 0.3]))
-    anchor = rng.uniform(-0.5, 0.5, size=d)
-    pb = dataclasses.replace(pb, c_eq=rng.uniform(-1.0, 1.0, size=(1, p)))
-    return LocalSubproblem(problem=pb, agent=0, ytilde=ytilde,
-                           d_prime=d_prime, alpha=alpha, anchor=anchor)
-
-
 class TestLocalSubproblem:
     def test_validation(self):
-        with pytest.raises(AssumptionViolatedError):
-            LocalSubproblem(problem=SVI, agent=0, ytilde=np.zeros(6), d_prime=0.0)
-        with pytest.raises(DimMismatchError):
-            LocalSubproblem(problem=SVI, agent=0, ytilde=np.zeros(4), d_prime=1.0)
-        with pytest.raises(DimMismatchError):
-            LocalSubproblem(problem=SVI, agent=25, ytilde=np.zeros(6), d_prime=1.0)
+        # the batch front end refuses a nonpositive scale or tolerance
+        Yt, d_prime, anchor = _round_batch()
+        with pytest.raises(AssumptionViolatedError, match="d_prime"):
+            solve_local_batch(SVI, Yt, np.where(np.arange(20) == 3, 0.0, d_prime), 0.0, anchor)
+        with pytest.raises(AssumptionViolatedError, match="tol"):
+            solve_local_batch(SVI, Yt, d_prime, 0.0, anchor, tol=0.0)
 
-    def test_anchor_defaults_to_zero(self):
-        sp = LocalSubproblem(problem=SVI, agent=3, ytilde=np.zeros(6), d_prime=2.0)
-        np.testing.assert_array_equal(sp.anchor, np.zeros(3))
+
+def round_subgradient(pb, ytilde, d_prime, x):
+    """The round objective's subgradient at one agent's x as the solver forms
+    it: the smooth part's gradient plus the l1 selection w*sign(x)."""
+    smooth = _round_value_and_grad(pb, ytilde[None, :], np.array([d_prime]), 0.0,
+                                   np.zeros((1, len(x))))
+    return smooth(x[None, :])[1][0] + pb.l1_weight * np.sign(x)
 
 
 class TestCompositeSubgradient:
@@ -284,12 +196,11 @@ class TestCompositeSubgradient:
         )
         d_prime = 2.0
         lam = np.array([0.3, -0.4])
-        sp = LocalSubproblem(problem=pb, agent=0,
-                             ytilde=np.concatenate([[0.0], lam]), d_prime=d_prime)
         x = np.array([0.7, -1.2])
         B = np.array([[1.0, 0.0], [0.0, 2.0]])
         expected = np.sign(x) + B.T @ (lam + B @ x) / d_prime
-        np.testing.assert_allclose(composite_subgradient(sp, x), expected, atol=1e-14)
+        got = round_subgradient(pb, np.concatenate([[0.0], lam]), d_prime, x)
+        np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_one_dim_hinge_contribution(self):
         # g(x) = x^2 - 1, mu-tilde = 0, x = 2: hinge adds [3]_+ * 2*(2-0) = 12
@@ -297,25 +208,45 @@ class TestCompositeSubgradient:
             P=[[0.0]], Q=[0.0], c=9.0, a_prime=[[0.0]], c_prime=[1.0],
             l1_weight=0.0,
         )
-        sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(1), d_prime=1.0)
-        np.testing.assert_allclose(composite_subgradient(sp, np.array([2.0])), [12.0])
+        np.testing.assert_allclose(round_subgradient(pb, np.zeros(1), 1.0, np.array([2.0])),
+                                   [12.0])
 
     def test_finite_difference_away_from_kinks(self):
+        # gradients of both smooth parts against central differences of their
+        # values, and their Hessians against central differences of the
+        # gradients.  The smooth parts carry no l1 term; a row is checked
+        # only away from the hinge kinks mu + ||x - a'_j||^2 = c'_j, across
+        # which the Hessian of a squared hinge jumps.
         rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 50:
-            sp = random_subproblem(rng, d=2)
-            x = rng.uniform(-1.0, 1.0, size=2)
-            if np.abs(x).min() < 5e-3:
-                continue
-            s = composite_subgradient(sp, x)
-            h = 1e-6
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                fd = (local_objective(sp, x + e) - local_objective(sp, x - e)) / (2 * h)
-                assert s[j] == pytest.approx(fd, abs=1e-5)
-            checked += 1
+        h = 1e-6
+        checked = hinged = 0
+        for k in range(24):
+            n, d, m, p = 6, 1 + k % 3, k % 3, 1 + k % 2
+            base = generate_example(n, d, m, p, seed=int(rng.integers(1 << 30)))
+            pb = dataclasses.replace(base, c_eq=rng.uniform(-1.0, 1.0, size=(n, p)))
+            round_part = _round_value_and_grad(
+                pb, rng.normal(scale=2.0, size=(n, m + p)), rng.uniform(0.5, 2.0, size=n),
+                0.3, rng.uniform(-0.5, 0.5, size=(n, d)))
+            dual_part = _dual_value_and_grad(pb, np.abs(rng.normal(size=(n, m))),
+                                             rng.normal(size=(n, p)))
+            X = rng.uniform(-1.0, 1.0, size=(n, d))
+            arg = round_part.mu + ((X[:, None, :] - round_part.a_prime) ** 2).sum(axis=2)
+            arg -= round_part.c_prime
+            keep = (np.abs(arg) > 1e-3).all(axis=1)
+            checked += int(keep.sum())
+            hinged += int((keep & (arg > 0.0).any(axis=1)).sum())
+            for part in (round_part, dual_part):
+                _val, grad = part(X)
+                hess = part.hessian(X)
+                for j in range(d):
+                    E = np.zeros_like(X)
+                    E[:, j] = h
+                    (vp, gp), (vm, gm) = part(X + E), part(X - E)
+                    np.testing.assert_allclose(((vp - vm) / (2 * h))[keep], grad[keep, j],
+                                               rtol=1e-6, atol=1e-6)
+                    np.testing.assert_allclose(((gp - gm) / (2 * h))[keep], hess[keep, :, j],
+                                               rtol=1e-6, atol=1e-6)
+        assert checked >= 100 and hinged >= 20
 
 
 class TestProxL1Ball:
@@ -445,8 +376,7 @@ class TestSolveLocal:
         # f = 0, no inequality, h(x) = x, d' = 1: minimize x^2/2 on [-1, 1]
         pb = single_agent(P=[[0.0]], Q=[0.0], c=1.0, B=[[1.0]], c_eq=[0.0],
                           l1_weight=0.0)
-        sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(1), d_prime=1.0)
-        x, _res, _iters, done, _val = solve_one(sp)
+        x, _res, _iters, done, _val = solve_one(Subproblem(pb, np.zeros(1), 1.0, 0.0, np.zeros(1)))
         assert done
         assert x[0] == pytest.approx(0.0, abs=1e-8)
 
@@ -454,11 +384,9 @@ class TestSolveLocal:
         rng = np.random.default_rng(14)
         pb = generate_example(1, 3, 1, 2, seed=5)
         anchor = rng.normal(scale=2.0, size=3)
-        sp = LocalSubproblem(problem=pb, agent=0, ytilde=rng.normal(size=3),
-                             d_prime=1.5, alpha=1e6, anchor=anchor)
-        x = solve_one(sp)[0]
-        from duca.problem import project_ball
-        target = project_ball(pb.a[0], float(pb.c[0]), anchor)
+        x = solve_one(Subproblem(pb, rng.normal(size=3), 1.5, 1e6, anchor))[0]
+        diff = anchor - pb.a[0]
+        target = pb.a[0] + diff * min(1.0, np.sqrt(pb.c[0]) / np.linalg.norm(diff))
         np.testing.assert_allclose(x, target, atol=1e-4)
 
     def test_monotone_objective_along_iterates(self):
@@ -500,8 +428,7 @@ class TestSolveLocal:
     def test_nonconverged_flagged(self):
         # from x = 0 the Newton finish has no free coordinate, so the one
         # iteration allowed is a gradient step, which does not certify
-        sp = dataclasses.replace(random_subproblem(np.random.default_rng(18), d=3),
-                                 anchor=np.zeros(3))
+        sp = random_subproblem(np.random.default_rng(18), d=3)._replace(anchor=np.zeros(3))
         _x, res, iters, done, _val = solve_one(sp, tol=1e-14, max_iters=1)
         assert not done and res > 1e-14
         assert iters == 1
@@ -525,7 +452,7 @@ class TestSolveLocal:
         )
         q, Xq, res_q, done_q = dual_value_batch(pb, y, tol=1e-9)
         for i in range(n):
-            solo = single_agent(**pb.agent_data(i), l1_weight=pb.l1_weight)
+            solo = one_agent(pb, i)
             x1, res1, it1, done1, val1 = solve_local_batch(
                 solo, Yt[i : i + 1], d_prime[i : i + 1], alpha, anchor[i : i + 1],
                 tol=1e-9,
@@ -535,16 +462,6 @@ class TestSolveLocal:
             q1, xq1, res_q1, done_q1 = dual_value_batch(solo, y, tol=1e-9)
             np.testing.assert_array_equal(xq1[0], Xq[i])
             assert (q1[0], res_q1[0], done_q1[0]) == (q[i], res_q[i], done_q[i])
-
-    def test_grid_values_match_reference(self):
-        # the broadcast that grid_local searches with equals local_objective
-        rng = np.random.default_rng(21)
-        for i in range(12):
-            sp = random_subproblem(rng, d=1 + i % 3, m=i % 3, p=(i + 1) % 3)
-            pb = sp.problem
-            X = pb.a[0] + rng.uniform(-1.0, 1.0, size=(40, pb.dmax)) * np.sqrt(pb.c[0])
-            ref = np.array([local_objective(sp, x) for x in X])
-            np.testing.assert_allclose(local_objective_grid(sp, X), ref, rtol=1e-12, atol=1e-12)
 
     def test_matches_grid_oracle_2d(self):
         rng = np.random.default_rng(20)
@@ -601,8 +518,7 @@ class TestNewtonFinish:
         a, c = pb.a[0], pb.c[0]
         start = a + np.array([np.cos(0.94), np.sin(0.94)])
         assert (start > 0).all() and abs(np.sum((start - a) ** 2) - c) <= 1e-15
-        sp = LocalSubproblem(problem=pb, agent=0, ytilde=np.zeros(0), d_prime=1.0,
-                             anchor=start)
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, start)
         x, _res, iters, done, _val = solve_one(sp)
         assert done and iters <= 2
         assert (x > 0).all() and np.sum((x - a) ** 2) >= c * (1.0 - 1e-10)
@@ -631,9 +547,7 @@ class TestNewtonFinish:
         assert done.all() and (res <= tol).all()
         if d <= 2:
             for i in range(n):
-                solo = single_agent(**pb.agent_data(i), l1_weight=pb.l1_weight)
-                sp = LocalSubproblem(problem=solo, agent=0, ytilde=Yt[i], d_prime=d_prime[i],
-                                     alpha=alpha, anchor=anchor[i])
+                sp = Subproblem(one_agent(pb, i), Yt[i], d_prime[i], alpha, anchor[i])
                 assert abs(vals[i] - grid_local(sp)[1]) <= 1e-6
         if alpha > 0.0:
             with pytest.MonkeyPatch.context() as mp:
@@ -771,7 +685,7 @@ class TestDualFunction:
         vals, X, res, done = dual_value_batch(SVI, y, tol=1e-10)
         assert done.all()
         for i in range(SVI.n_agents):
-            solo = single_agent(**SVI.agent_data(i), l1_weight=SVI.l1_weight)
+            solo = one_agent(SVI, i)
             v1, X1, res1, _ = dual_value_batch(solo, y, tol=1e-10)
             np.testing.assert_array_equal(X1[0], X[i])
             assert (v1[0], res1[0]) == (vals[i], res[i])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from duca.errors import AssumptionViolatedError, DimMismatchError, InfeasibleProblemError
+from duca.localsolver import _project_rows
 from duca.problem import (
     Problem,
     StackedPoint,
@@ -14,29 +15,12 @@ from duca.problem import (
     eval_objective,
     generate_example,
     gtilde_rows,
-    project_ball,
     slater_check,
-    subgradient_f,
 )
 
+from reference import single_agent
+
 SVI = generate_example(20, 3, 1, 5, seed=42)
-
-
-def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
-                 c_eq=None, l1_weight=1.0):
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    d = P.shape[0]
-    a = np.zeros(d) if a is None else np.asarray(a, dtype=float)
-    a_prime = np.zeros((0, d)) if a_prime is None else np.asarray(a_prime, dtype=float)
-    m = a_prime.shape[0]
-    c_prime = np.zeros(m) if c_prime is None else np.asarray(c_prime, dtype=float)
-    B = np.zeros((0, d)) if B is None else np.asarray(B, dtype=float)
-    p = B.shape[0]
-    c_eq = np.zeros(p) if c_eq is None else np.asarray(c_eq, dtype=float)
-    return Problem.from_agent_data(
-        P=[P], Q=[Q], a=[a], c=[c], a_prime=[a_prime], c_prime=[c_prime],
-        B=[B], c_eq=[c_eq], l1_weight=l1_weight,
-    )
 
 
 class TestGenerateExample:
@@ -149,10 +133,9 @@ class TestEvalObjective:
         assert v1 == v2
         total, off = 0.0, 0
         for i, di in enumerate(SVI.dims):
-            data = SVI.agent_data(i)
             xi = x[off : off + di]
             off += di
-            total += xi @ data["P"] @ xi + data["Q"] @ xi + np.abs(xi).sum()
+            total += xi @ SVI.P[i] @ xi + SVI.Q[i] @ xi + np.abs(xi).sum()
         assert v1 == pytest.approx(total, rel=1e-12)
 
     def test_dim_mismatch(self):
@@ -171,9 +154,8 @@ class TestEvalObjective:
         X = svi_rows(rng.normal(size=SVI.total_dim))
         total = 0.0
         for i in range(SVI.n_agents):
-            data = SVI.agent_data(i)
-            xi = X[i, : SVI.dims[i]]
-            total += xi @ data["P"] @ xi + data["Q"] @ xi + np.abs(xi).sum()
+            xi = X[i]
+            total += xi @ SVI.P[i] @ xi + SVI.Q[i] @ xi + np.abs(xi).sum()
         assert eval_objective(SVI, X) == pytest.approx(total, rel=1e-12)
 
 
@@ -196,9 +178,8 @@ class TestEvalGtilde:
         rows = gtilde_rows(SVI, svi_rows(np.zeros(SVI.total_dim)))
         assert rows.shape == (20, 6)
         for i in range(20):
-            data = SVI.agent_data(i)
-            g = np.sum(data["a_prime"] ** 2, axis=1) - data["c_prime"]
-            np.testing.assert_array_equal(rows[i], np.concatenate([g, data["c_eq"]]))
+            g = np.sum(SVI.a_prime[i] ** 2, axis=1) - SVI.c_prime[i]
+            np.testing.assert_array_equal(rows[i], np.concatenate([g, SVI.c_eq[i]]))
 
     def test_permuting_agents_permutes_blocks(self):
         rng = np.random.default_rng(3)
@@ -226,6 +207,12 @@ class TestEvalGtilde:
             + (1 - theta) * gtilde_rows(SVI, svi_rows(w))[:, 1:]
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def project_ball(a, c, x):
+    """One row through the solver's radial projection onto {||z - a||^2 <= c}."""
+    return _project_rows(np.asarray(x, dtype=float)[None, :], np.asarray(a)[None, :],
+                         np.array([c]))[0]
 
 
 class TestProjectBall:
@@ -262,34 +249,6 @@ class TestProjectBall:
         px = project_ball(a, c, data[0])
         py = project_ball(a, c, data[1])
         assert np.linalg.norm(px - py) <= np.linalg.norm(data[0] - data[1]) + 1e-12
-
-
-class TestSubgradient:
-    def test_sign_convention(self):
-        pb = single_agent(P=np.zeros((3, 3)), Q=np.zeros(3), c=1.0)
-        out = subgradient_f(pb, 0, np.array([1.0, -2.0, 0.0]))
-        np.testing.assert_array_equal(out, [1.0, -1.0, 0.0])
-
-    def test_linear_term(self):
-        q = np.ones(3)
-        pb = single_agent(P=np.eye(3), Q=q, c=1.0)
-        np.testing.assert_array_equal(subgradient_f(pb, 0, np.zeros(3)), q)
-
-    def test_finite_difference_smooth_part(self):
-        i = 4
-        data = SVI.agent_data(i)
-        rng = np.random.default_rng(6)
-        x = rng.uniform(0.2, 1.0, size=3)  # away from the l1 kinks
-        grad = subgradient_f(SVI, i, x)
-        h = 1e-6
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            fp = x + e
-            fm = x - e
-            smooth = lambda z: z @ data["P"] @ z + data["Q"] @ z + np.abs(z).sum()
-            fd = (smooth(fp) - smooth(fm)) / (2 * h)
-            assert grad[k] == pytest.approx(fd, abs=1e-5)
 
 
 class TestConvexity:
