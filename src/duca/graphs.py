@@ -269,7 +269,8 @@ class ParamSetting:
     P_H and P_Htilde are derived: a single-exchange family has
     ``P_H = P_Htilde = H`` (the same object) by construction, which is why
     its disagreement update applies H; a double-exchange family has
-    ``P_H = L @ M`` and ``P_Htilde = L @ L``.  The step matrix P_D is
+    ``P_H = L @ M`` and ``P_Htilde = L @ L``, one object when L equals M
+    (DIST_ADMM).  The step matrix P_D is
     diagonal and is stored as its diagonal, the (N,) vector ``d_prime``.
 
     Every setting checks the standing assumptions of the convergence
@@ -282,7 +283,7 @@ class ParamSetting:
     fails raises one :class:`AssumptionViolatedError` naming every failed
     condition with its value.  The eigenvalue checks read :attr:`spectra`,
     so checking a setting and later evaluating its bounds decompose each
-    matrix once.
+    distinct matrix once, and only P_Htilde with eigenvectors.
 
     Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
     :attr:`spectra` and :attr:`mailbox` are computed once per setting, on
@@ -343,9 +344,13 @@ class ParamSetting:
 
     @cached_property
     def P_Htilde(self) -> np.ndarray:
-        """H (the same object as :attr:`P_H`) in single mode, L @ L in double mode."""
+        """H in single mode, L @ L in double mode; :attr:`P_H` itself (the
+        same object) in single mode and when L equals M, since L @ M is then
+        that product."""
         e = self.exchange
-        return e["H"] if "H" in e else e["L"] @ e["L"]
+        if "H" in e or np.array_equal(e["L"], e["M"]):
+            return self.P_H
+        return e["L"] @ e["L"]
 
     @cached_property
     def P_A(self) -> np.ndarray:
@@ -514,10 +519,9 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
 # ---------------------------------------------------------------------------
 
 
-def _sym_eigs(M):
-    """Eigenvalues (ascending) and vectors of the symmetrized matrix."""
-    S = 0.5 * (M + M.T)
-    return np.linalg.eigh(S)
+def _sym(M):
+    """The symmetric part of M, which every eigensolve here decomposes."""
+    return 0.5 * (M + M.T)
 
 
 def _standing_checks(s: ParamSetting) -> list:
@@ -527,25 +531,34 @@ def _standing_checks(s: ParamSetting) -> list:
     A single-exchange setting's H is both P_H and P_Htilde, so it is checked
     once and the order P_H >= P_Htilde holds trivially.  A nullspace of
     exactly span(1) means the smallest eigenvalue is ~0 with the ones
-    direction as its eigenvector, and (for N > 1) the second is > 0.  A
-    detail is formatted only for a failed check.
+    direction as its eigenvector, and (for N > 1) the second is > 0.  The
+    ones direction is read from P_Htilde's bottom eigenvector, and from P_H's
+    residual when P_H is a matrix of its own (see :class:`SpectralQuantities`).
+    A detail is formatted only for a failed check.
     """
     sp = s.spectra
     checks = []
-    forms = [("P_H", s.P_H, sp.eig_PH, sp.ones_align_PH)]
+    forms = [("P_H", s.P_H, sp.eig_PH)]
     if s.exchange_mode == "double":
-        forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde, sp.ones_align_PHtilde))
+        forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde))
         checks.append(("P_H >= P_Htilde (PSD order)", sp.eig_order[0] >= PSD_TOL,
                        "lam_min={:.3e}", (sp.eig_order[0],)))
-    for label, M, vals, align in forms:
+    for label, M, vals in forms:
         zero = NULL_TOL * max(abs(vals[-1]), 1.0)
+        if label == "P_H" and sp.ones_resid_PH is not None:
+            # the residual bound of SpectralQuantities says nothing unless lam_2 > 0
+            lam2 = vals[1] if s.n_nodes > 1 else math.inf
+            ones = (lam2 > zero and sp.ones_resid_PH <= 1e-4 * lam2,
+                    "||P_H 1/sqrt(N)||={:.3e}, lam_2={:.3e}", (sp.ones_resid_PH, lam2))
+        else:
+            ones = (sp.ones_align_PHtilde > 1.0 - 1e-8, "|<v0, 1/sqrt(N)>|={:.12f}",
+                    (sp.ones_align_PHtilde,))
         checks += [
             (label + " symmetric", np.abs(M - M.T).max() <= 1e-12, "", ()),
             (label + " PSD", vals[0] >= PSD_TOL, "lam_min={:.3e}", (vals[0],)),
             (label + " smallest eigenvalue ~ 0", abs(vals[0]) < zero,
              "lam_min={:.3e}", (vals[0],)),
-            (label + " null eigenvector is the ones direction", align > 1.0 - 1e-8,
-             "|<v0, 1/sqrt(N)>|={:.12f}", (align,)),
+            (label + " null eigenvector is the ones direction", *ones),
         ]
         if s.n_nodes > 1:
             checks.append((label + " second-smallest eigenvalue > 0", vals[1] > zero,
@@ -577,14 +590,21 @@ def block_quadratic_norm(M: np.ndarray, rows: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpectralQuantities:
-    """One setting's eigen-data, from one decomposition per matrix.
+    """One setting's eigen-data, from one decomposition per distinct matrix.
 
     The bounds use ``lam1_PA`` and ``pinv_PHtilde``.  A setting's checks
     read the ascending eigenvalues of the symmetrized P_H, P_Htilde, P_A
-    and P_H - P_Htilde (``eig_order``), and ``ones_align_*`` =
-    |<v_0, 1/sqrt(N)>| for the bottom eigenvector of P_H and of P_Htilde.
-    In single-exchange mode P_H and P_Htilde are one matrix, so their
-    entries come from one decomposition and ``eig_order`` is None.
+    and, in double-exchange mode, P_H - P_Htilde (``eig_order``; None in
+    single mode).  Only P_Htilde is decomposed with eigenvectors, which build
+    its pseudo-inverse; ``ones_align_PHtilde`` = |<v_0, 1/sqrt(N)>| for its
+    bottom eigenvector v_0.  When P_H is the same object as P_Htilde, its
+    entries are P_Htilde's and ``ones_resid_PH`` is None.  Otherwise P_H's
+    eigenvalues come without eigenvectors and ``ones_resid_PH`` is
+    r = ||P_H 1/sqrt(N)||.  If P_H's second eigenvalue lam_2 is positive, the
+    part of 1/sqrt(N) off P_H's bottom eigenvector v_0 has norm at most
+    r/lam_2, so the check ``r <= 1e-4 * lam_2``, with lam_2 above the zero
+    cut, gives |<v_0, 1/sqrt(N)>| > 1 - 1e-8: the bound the P_Htilde check
+    reads from v_0 directly.
     """
 
     lam1_PA: float
@@ -593,14 +613,20 @@ class SpectralQuantities:
     eig_PHtilde: np.ndarray
     eig_PA: np.ndarray
     eig_order: "np.ndarray | None"
-    ones_align_PH: float
     ones_align_PHtilde: float
+    ones_resid_PH: "float | None"
 
 
 def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
-    """Decompose P_A and P_Htilde once each, and in double-exchange mode also
-    P_H and P_H - P_Htilde: two N x N eigensolves in single mode, four in
-    double mode.
+    """Decompose each distinct N x N matrix of a setting once.
+
+    P_Htilde is the only ``eigh`` (its eigenvectors build the
+    pseudo-inverse); P_A takes ``eigvalsh``.  A single-exchange setting, and
+    a double-exchange one with L equal to M, has P_H = P_Htilde as one
+    object, so that is one ``eigh`` and one ``eigvalsh``, and in double mode
+    P_H - P_Htilde is exactly zero, so its eigenvalues are zeros with no
+    solve.  A double-exchange setting with another P_H adds an ``eigvalsh``
+    of P_H and one of P_H - P_Htilde.
 
     Eigenvalues below ``PINV_CUT`` times the largest magnitude are treated as
     zero when inverting P_Htilde (the only intended null direction is the
@@ -608,30 +634,28 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
     """
     n = s.n_nodes
     ones = np.ones(n) / np.sqrt(n)
-    double = s.exchange_mode == "double"
-    vals_A = _sym_eigs(s.P_A)[0]
-    # at most one N x N eigenvector matrix alive at a time keeps peak memory low
-    if double:
-        vals_H, vecs = _sym_eigs(s.P_H)
-        align_H = abs(float(vecs[:, 0] @ ones))
-        del vecs
-        diff = s.P_H - s.P_Htilde
-        vals_order = np.linalg.eigvalsh(0.5 * (diff + diff.T))
-        del diff
-    vals, vecs = _sym_eigs(s.P_Htilde)
+    vals_A = np.linalg.eigvalsh(_sym(s.P_A))
+    vals, vecs = np.linalg.eigh(_sym(s.P_Htilde))
     align = abs(float(vecs[:, 0] @ ones))
-    if not double:  # H is both P_H and P_Htilde: one decomposition serves both
-        vals_H, align_H, vals_order = vals, align, None
     scale = max(float(np.abs(vals).max()), 1.0)
     keep = np.abs(vals) > PINV_CUT * scale
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    pinv = (vecs * inv) @ vecs.T
+    del vecs  # freed before the N x N temporaries below keeps peak memory low
+    vals_H, resid_H, vals_order = vals, None, None
+    if s.P_H is not s.P_Htilde:
+        vals_H = np.linalg.eigvalsh(_sym(s.P_H))
+        resid_H = float(np.linalg.norm(s.P_H @ ones))
+    if s.exchange_mode == "double":
+        diff = s.P_H - s.P_Htilde
+        vals_order = np.linalg.eigvalsh(_sym(diff)) if diff.any() else np.zeros(n)
     return SpectralQuantities(
         lam1_PA=max(float(vals_A[-1]), 0.0),
-        pinv_PHtilde=(vecs * inv) @ vecs.T,
+        pinv_PHtilde=pinv,
         eig_PH=vals_H,
         eig_PHtilde=vals,
         eig_PA=vals_A,
         eig_order=vals_order,
-        ones_align_PH=align_H,
         ones_align_PHtilde=align,
+        ones_resid_PH=resid_H,
     )

@@ -171,48 +171,6 @@ class Problem:
         R = np.sqrt(self.c)[:, None] + np.linalg.norm(self.a[:, None] - self.a_prime, axis=2)
         return R**2
 
-    @classmethod
-    def from_agent_data(cls, P, Q, a, c, a_prime, c_prime, B, c_eq, l1_weight=1.0):
-        """Build a Problem from per-agent (possibly unequal-dimension) arrays.
-
-        ``a_prime[i]`` must have shape (m, d_i) and ``B[i]`` shape (p, d_i);
-        pass m = 0 or p = 0 blocks as empty arrays of those shapes.
-        """
-        n = len(P)
-        dims = tuple(int(np.atleast_2d(Pi).shape[0]) for Pi in P)
-        dmax = max(dims)
-        m = int(np.asarray(a_prime[0], dtype=float).reshape(-1, dims[0]).shape[0]) if n else 0
-        p = int(np.asarray(B[0], dtype=float).reshape(-1, dims[0]).shape[0]) if n else 0
-
-        def pad(chunks, shape):
-            out = np.zeros((n,) + shape)
-            for i, ch in enumerate(chunks):
-                ch = np.asarray(ch, dtype=float)
-                out[i][tuple(slice(0, s) for s in ch.shape)] = ch
-            return out
-
-        return cls(
-            n_agents=n,
-            dims=dims,
-            m=m,
-            p=p,
-            P=pad([np.atleast_2d(v) for v in P], (dmax, dmax)),
-            Q=pad([np.atleast_1d(v) for v in Q], (dmax,)),
-            a=pad([np.atleast_1d(v) for v in a], (dmax,)),
-            c=np.asarray(c, dtype=float).reshape(n),
-            a_prime=pad(
-                [np.asarray(v, dtype=float).reshape(m, dims[i]) for i, v in enumerate(a_prime)],
-                (m, dmax),
-            ),
-            c_prime=pad([np.asarray(v, dtype=float).reshape(m) for v in c_prime], (m,)),
-            B=pad(
-                [np.asarray(v, dtype=float).reshape(p, dims[i]) for i, v in enumerate(B)],
-                (p, dmax),
-            ),
-            c_eq=pad([np.asarray(v, dtype=float).reshape(p) for v in c_eq], (p,)),
-            l1_weight=float(l1_weight),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class StackedPoint:

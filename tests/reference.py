@@ -1,8 +1,10 @@
-"""Reference formulas and problem helpers for the local-solver tests.
+"""Reference formulas and problem helpers for the tests.
 
 The round objective here is written apart from the solver's batched smooth
 parts, and ``grid_local`` searches it by brute force, so the two agreeing
 counts as evidence that the solver minimizes the right function.
+``eigh_reference`` decomposes every matrix of a setting with ``eigh``, to
+check the eigenvalue-only set-up of ``duca.graphs`` against.
 """
 
 import dataclasses
@@ -10,8 +12,51 @@ from typing import NamedTuple
 
 import numpy as np
 
+from duca.graphs import NULL_TOL, PSD_TOL
 from duca.localsolver import solve_local_batch
 from duca.problem import Problem, generate_example
+
+
+def from_agent_data(P, Q, a, c, a_prime, c_prime, B, c_eq, l1_weight=1.0):
+    """A Problem from per-agent (possibly unequal-dimension) arrays.
+
+    ``a_prime[i]`` must have shape (m, d_i) and ``B[i]`` shape (p, d_i);
+    pass m = 0 or p = 0 blocks as empty arrays of those shapes.
+    """
+    n = len(P)
+    dims = tuple(int(np.atleast_2d(Pi).shape[0]) for Pi in P)
+    dmax = max(dims)
+    m = int(np.asarray(a_prime[0], dtype=float).reshape(-1, dims[0]).shape[0]) if n else 0
+    p = int(np.asarray(B[0], dtype=float).reshape(-1, dims[0]).shape[0]) if n else 0
+
+    def pad(chunks, shape):
+        out = np.zeros((n,) + shape)
+        for i, ch in enumerate(chunks):
+            ch = np.asarray(ch, dtype=float)
+            out[i][tuple(slice(0, s) for s in ch.shape)] = ch
+        return out
+
+    return Problem(
+        n_agents=n,
+        dims=dims,
+        m=m,
+        p=p,
+        P=pad([np.atleast_2d(v) for v in P], (dmax, dmax)),
+        Q=pad([np.atleast_1d(v) for v in Q], (dmax,)),
+        a=pad([np.atleast_1d(v) for v in a], (dmax,)),
+        c=np.asarray(c, dtype=float).reshape(n),
+        a_prime=pad(
+            [np.asarray(v, dtype=float).reshape(m, dims[i]) for i, v in enumerate(a_prime)],
+            (m, dmax),
+        ),
+        c_prime=pad([np.asarray(v, dtype=float).reshape(m) for v in c_prime], (m,)),
+        B=pad(
+            [np.asarray(v, dtype=float).reshape(p, dims[i]) for i, v in enumerate(B)],
+            (p, dmax),
+        ),
+        c_eq=pad([np.asarray(v, dtype=float).reshape(p) for v in c_eq], (p,)),
+        l1_weight=float(l1_weight),
+    )
 
 
 def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
@@ -26,7 +71,7 @@ def single_agent(P, Q, a=None, c=4.0, a_prime=None, c_prime=None, B=None,
     B = np.zeros((0, d)) if B is None else np.asarray(B, dtype=float)
     p = B.shape[0]
     c_eq = np.zeros(p) if c_eq is None else np.asarray(c_eq, dtype=float)
-    return Problem.from_agent_data(
+    return from_agent_data(
         P=[P], Q=[Q], a=[a], c=[c], a_prime=[a_prime], c_prime=[c_prime],
         B=[B], c_eq=[c_eq], l1_weight=l1_weight,
     )
@@ -130,3 +175,55 @@ def grid_local(sp, levels=7, pts=81):
         center = X[idx].copy()
         half = np.maximum(half * (2.0 / (pts - 1)) * 2.5, 1e-12)
     return best_x, float(best_v)
+
+
+def eigh_reference(s):
+    """A setting's eigenvalues and standing-check verdicts, by brute force.
+
+    P_H and P_Htilde are rebuilt from ``s.exchange`` (``L @ M`` and
+    ``L @ L`` in double mode, whatever L and M are), and P_A, P_H, P_Htilde
+    and, in double mode, P_H - P_Htilde are each decomposed with ``eigh``.
+    A ones-direction check reads the bottom eigenvector:
+    ``|<v_0, 1/sqrt(N)>| > 1 - 1e-8``.  Returns the ascending eigenvalues
+    and ``lam1_PA`` by the names of ``duca.graphs.SpectralQuantities``, and
+    ``{check name: passed}`` for every standing check.
+    """
+    e = s.exchange
+    single = "H" in e
+    P_H = e["H"] if single else e["L"] @ e["M"]
+    P_Ht = e["H"] if single else e["L"] @ e["L"]
+    n = len(s.d_prime)
+    ones = np.ones(n) / np.sqrt(n)
+
+    def eigh(M):
+        return np.linalg.eigh(0.5 * (M + M.T))
+
+    vals_A = eigh(np.diag(s.d_prime) - s.rho * P_H)[0]
+    forms = {"P_H": (P_H, *eigh(P_H))}
+    verdicts = {}
+    order = None
+    if not single:
+        forms["P_Htilde"] = (P_Ht, *eigh(P_Ht))
+        order = eigh(P_H - P_Ht)[0]
+        verdicts["P_H >= P_Htilde (PSD order)"] = order[0] >= PSD_TOL
+    for label, (M, vals, vecs) in forms.items():
+        zero = NULL_TOL * max(abs(vals[-1]), 1.0)
+        verdicts[label + " symmetric"] = np.abs(M - M.T).max() <= 1e-12
+        verdicts[label + " PSD"] = vals[0] >= PSD_TOL
+        verdicts[label + " smallest eigenvalue ~ 0"] = abs(vals[0]) < zero
+        verdicts[label + " null eigenvector is the ones direction"] = (
+            abs(vecs[:, 0] @ ones) > 1.0 - 1e-8)
+        if n > 1:
+            verdicts[label + " second-smallest eigenvalue > 0"] = vals[1] > zero
+    verdicts["P_D positive"] = s.d_prime.min() > 0.0
+    verdicts["P_A = P_D - rho*P_H PSD"] = vals_A[0] >= PSD_TOL
+    verdicts["rho positive"] = s.rho > 0
+    verdicts["alpha nonnegative"] = s.alpha >= 0
+    nbrs = s.graph.neighbor_lists
+    for name, W in e.items():
+        verdicts[name + " weighs no unlinked agents"] = not any(
+            W[i, j] != 0 for i in range(n) for j in range(n) if i != j and j not in nbrs[i])
+    spectra = {"lam1_PA": max(float(vals_A[-1]), 0.0), "eig_PA": vals_A,
+               "eig_PH": forms["P_H"][1], "eig_PHtilde": forms.get("P_Htilde", forms["P_H"])[1],
+               "eig_order": order}
+    return spectra, {name: bool(passed) for name, passed in verdicts.items()}

@@ -34,8 +34,9 @@ from duca.graphs import (
     random_connected_graph,
 )
 from duca.localsolver import solve_local_batch
-from duca.problem import Problem, generate_example
+from duca.problem import generate_example
 
+from reference import from_agent_data
 from test_localsolver import without_newton
 
 SEED_GRAPH = random_connected_graph(20, 40, seed=42)
@@ -55,7 +56,7 @@ def single_agent_problem():
 
     Optimum x* = 1, f* = -2, multiplier mu* = 0.5.
     """
-    return Problem.from_agent_data(
+    return from_agent_data(
         P=[[[1.0]]],
         Q=[[-4.0]],
         a=[[0.0]],
@@ -254,7 +255,7 @@ class TestInit:
 
     def test_padding_violation_rejected(self):
         g = random_connected_graph(2, 1, seed=0)
-        pb = Problem.from_agent_data(
+        pb = from_agent_data(
             P=[np.eye(2), np.eye(1)],
             Q=[np.zeros(2), np.zeros(1)],
             a=[np.zeros(2), np.zeros(1)],

@@ -1,10 +1,14 @@
 """The package and module export lists name only objects that exist, and
-every package export is used outside the tests."""
+every package export, and every public member of an exported class, is used
+outside the tests."""
 
 import importlib
+import inspect
 import pkgutil
 import re
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import duca
 
@@ -21,10 +25,19 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def _public_members(cls):
+    """Names of the methods, classmethods, staticmethods and properties a class defines."""
+    kinds = (FunctionType, classmethod, staticmethod, property, cached_property)
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_") and isinstance(value, kinds)]
+
+
 def test_every_export_is_used_outside_the_tests():
     # a name counts as used when the library (past its export lists, the
     # package's re-exports and the name's own definition), a demo, the
-    # README or the benchmark names it: public API only tests call goes
+    # README or the benchmark names it, and a public member of an exported
+    # class when one of them reads it as an attribute (``.name``): public
+    # API only tests call goes
     library = "\n".join(re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
                         for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py")
     others = "\n".join(path.read_text() for path in [
@@ -37,4 +50,8 @@ def test_every_export_is_used_outside_the_tests():
         lines = [line for line in library.splitlines() if not definition.match(line)]
         if not (word.search("\n".join(lines)) or word.search(others)):
             unused.append(name)
+        obj = getattr(duca, name)
+        if inspect.isclass(obj):
+            unused += [f"{name}.{member}" for member in _public_members(obj)
+                       if not re.search(rf"\.{re.escape(member)}\b", library + others)]
     assert unused == []

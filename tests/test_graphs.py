@@ -18,12 +18,15 @@ from duca.errors import (
 from duca.graphs import (
     ParamSetting,
     Variant,
+    _standing_checks,
     build_graph,
     laplacian_from_weights,
     make_setting,
     random_connected_graph,
     spectral_quantities,
 )
+
+from reference import eigh_reference
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 PATH2 = build_graph(2, [(0, 1)])
@@ -379,6 +382,8 @@ class TestMakeSetting:
         if variant in (Variant.DIST_ADMM, Variant.ALT):
             assert set(s.exchange) == {"L", "M"}
             assert s.exchange_mode == "double"
+            # DIST_ADMM exchanges L = M, so its L @ M is its L @ L: one matrix
+            assert (s.P_Htilde is s.P_H) == (variant == Variant.DIST_ADMM)
         else:
             assert set(s.exchange) == {"H"}
             assert s.exchange_mode == "single"
@@ -626,3 +631,80 @@ class TestSpectralQuantities:
             s = make_default(variant, g)
             lam = np.linalg.eigvalsh(0.5 * (s.P_A + s.P_A.T))[-1]
             assert spectral_quantities(s).lam1_PA == pytest.approx(max(lam, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue-only set-up against the all-eigh reference
+# ---------------------------------------------------------------------------
+
+
+def _unchecked(s, **fields):
+    """``s`` with ``fields`` replaced, built without its standing checks."""
+    t = object.__new__(ParamSetting)
+    for f in dataclasses.fields(ParamSetting):
+        object.__setattr__(t, f.name, fields.get(f.name, getattr(s, f.name)))
+    return t
+
+
+def _broken(case, g):
+    """A family, the fields that break its setting on g, and a check that must fail.
+
+    Every broken matrix keeps g's sparsity.  ``D M D`` with a non-constant
+    diagonal D has the null direction D^-1 1, not the ones direction.
+    """
+    n = g.n_nodes
+    MG = g.metropolis
+    D = np.diag(np.linspace(0.5, 1.0, n))
+    skewed = D @ MG @ D / 2.0  # eigenvalues in [0, 1)
+    i, j = g.edges[0]
+    e = np.zeros(n)
+    e[i], e[j] = 1.0, -1.0
+    ones_check = "P_H null eigenvector is the ones direction"
+    return {
+        "wrong nullspace, single": (Variant.DUCA_I, {"exchange": {"H": skewed}}, ones_check),
+        # ALT's form: P_H = L (2I - L), P_Htilde = L^2
+        "wrong nullspace, double": (
+            Variant.ALT, {"exchange": {"L": skewed, "M": 2.0 * np.eye(n) - skewed}}, ones_check),
+        "indefinite P_H, single": (
+            Variant.DUCA_I, {"exchange": {"H": MG - 3.0 * np.outer(e, e)}}, "P_H PSD"),
+        "indefinite P_H, double": (
+            Variant.ALT, {"exchange": {"L": MG / 2.0, "M": -MG / 2.0}}, "P_H PSD"),
+        "reversed PSD order": (
+            Variant.DIST_ADMM, {"exchange": {"L": MG, "M": MG / 2.0}},
+            "P_H >= P_Htilde (PSD order)"),
+    }[case]
+
+
+BROKEN_CASES = ["wrong nullspace, single", "wrong nullspace, double",
+                "indefinite P_H, single", "indefinite P_H, double", "reversed PSD order"]
+
+
+class TestEigenvalueOnlyChecks:
+    @given(n=st.integers(2, 8), extra=st.integers(0, 21), seed=st.integers(0, 2**31 - 1),
+           case=st.sampled_from(ALL_VARIANTS + BROKEN_CASES))
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_and_eigenvalues_match_the_eigh_reference(self, n, extra, seed, case):
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+        if case in BROKEN_CASES:
+            variant, fields, must_fail = _broken(case, g)
+        else:
+            variant, fields, must_fail = case, {}, None
+        base = make_default(variant, g)
+        s = _unchecked(base, **fields)
+        want, want_verdicts = eigh_reference(s)
+        verdicts = {name: bool(passed) for name, passed, *_ in _standing_checks(s)}
+        assert verdicts == want_verdicts
+        assert (must_fail is None) == all(verdicts.values())
+        if must_fail is not None:
+            assert not verdicts[must_fail]
+            with pytest.raises(AssumptionViolatedError, match=re.escape(must_fail)):
+                dataclasses.replace(base, **fields)
+        sp = s.spectra
+        assert sp.lam1_PA == pytest.approx(want["lam1_PA"], rel=1e-12, abs=1e-12)
+        for name in ("eig_PH", "eig_PHtilde", "eig_PA", "eig_order"):
+            got, ref = getattr(sp, name), want[name]
+            if ref is None:
+                assert got is None
+            else:
+                scale = max(1.0, float(np.abs(ref).max()))
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale)

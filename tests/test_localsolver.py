@@ -29,6 +29,7 @@ from reference import (
     grid_local,
     one_agent,
     random_subproblem,
+    round_objective,
     single_agent,
     solve_one,
 )
@@ -526,6 +527,37 @@ class TestNewtonFinish:
         x_g, _res, iters_g, done_g, _val = solve_one(sp)
         assert done_g and iters_g > 2
         np.testing.assert_allclose(x, x_g, rtol=0.0, atol=1e-6)
+
+    def test_certified_candidate_that_raises_the_value_refused(self, monkeypatch):
+        # A certificate bounds the gradient, not the value: on x'Px with
+        # P = diag(1, 5e-7) the point (0, 5e-3) certifies at tol 1e-8 (its
+        # gradient is 5e-9) yet its value 1.25e-11 is above the start
+        # (1e-8, 0), whose value is 1e-16 and whose gradient 2e-8 does not
+        # certify.  Offered as every Newton candidate, it must be refused on
+        # value, so that the returned value stays at most the start's.
+        import duca.localsolver as ls
+
+        tol = 1e-8
+        pb = single_agent(P=np.diag([1.0, 5e-7]), Q=[0.0, 0.0], c=1.0, l1_weight=0.0)
+        start = np.array([1e-8, 0.0])
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, start)
+        bad = np.array([0.0, 5e-3])
+        grad = 2.0 * pb.P[0] @ bad
+        assert _certificate_residual(bad[None], grad[None], np.array([0.5]), pb.a, pb.c,
+                                     0.0)[0] <= tol
+        start_value = round_objective(sp, start[None])[0]
+        assert round_objective(sp, bad[None])[0] > start_value + 1e-12
+        offered = []
+
+        def certified_but_higher(smooth, X, grads, a, c, w):
+            offered.append(len(X))
+            return np.tile(bad, (len(X), 1)), np.ones(len(X), dtype=bool)
+
+        monkeypatch.setattr(ls, "_newton_candidate", certified_but_higher)
+        x, res, _iters, done, value = solve_one(sp, tol=tol)
+        assert offered and done and res <= tol
+        assert value <= start_value
+        assert x[1] == 0.0
 
     @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
            p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),

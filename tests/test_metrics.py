@@ -37,13 +37,14 @@ from duca.metrics import (
 )
 from duca.oracle import centralized_solve
 from duca.problem import (
-    Problem,
     StackedPoint,
     coupled_violation_norm,
     eval_objective,
     generate_example,
     gtilde_rows,
 )
+
+from reference import from_agent_data
 
 # ---------------------------------------------------------------------------
 # Shared fixtures (module-level cache keeps the reference solves to one each).
@@ -56,7 +57,7 @@ def asymmetric_pair():
     f = x2, minimized at the ball edge), and the equality multiplier is
     nonzero, so the certificate quantities are all nontrivial.
     """
-    return Problem.from_agent_data(
+    return from_agent_data(
         P=[[[0.0]], [[0.0]]],
         Q=[[1.0], [2.0]],
         a=[[0.0], [0.0]],
@@ -252,20 +253,22 @@ class TestNormsAgainstDenseKron:
 
 
 class TestSpectraOncePerSetting:
-    @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.ALT])
+    @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.DIST_ADMM, Variant.ALT])
     def test_network_eigensolves_per_setting(self, variant, monkeypatch):
         # make_setting, make_certificate and run share one decomposition of
-        # each matrix: P_A and H (= P_H = P_Htilde) in single mode; P_A,
-        # P_H, P_Htilde and P_H - P_Htilde in double mode.
+        # each distinct matrix, and only P_Htilde's keeps its eigenvectors:
+        # eigvalsh of P_A, and eigh of H (= P_H = P_Htilde) in single mode and
+        # of L @ L (= P_H, as M = L) in DIST_ADMM; ALT adds eigvalsh of P_H and
+        # of P_H - P_Htilde.
         pb, _, sol, _, x0, y0 = small_bundle()
         g = random_connected_graph(6, 9, seed=3)
-        calls = []
-        for name in ("eigh", "eigvalsh"):
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
             orig = getattr(np.linalg, name)
 
-            def counted(a, *args, _orig=orig, **kwargs):
+            def counted(a, *args, _orig=orig, _calls=calls[name], **kwargs):
                 if np.ndim(a) == 2:  # per-agent solvers decompose (N, d, d) stacks
-                    calls.append(a.shape)
+                    _calls.append(np.array(a))
                 return _orig(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -273,7 +276,10 @@ class TestSpectraOncePerSetting:
         cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
         coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
         run(pb, s, 3, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
-        assert calls == [(6, 6)] * (2 if variant == Variant.DUCA_I else 4)
+        eigvalsh_calls = 3 if variant == Variant.ALT else 1
+        assert [a.shape for a in calls["eigvalsh"]] == [(6, 6)] * eigvalsh_calls
+        assert [a.shape for a in calls["eigh"]] == [(6, 6)]
+        assert np.array_equal(calls["eigh"][0], 0.5 * (s.P_Htilde + s.P_Htilde.T))
 
 
 class TestPerRunConstants:

@@ -23,6 +23,8 @@ from duca.oracle import (
 )
 from duca.problem import Problem, generate_example
 
+from reference import from_agent_data
+
 
 def quadratic_single_agent(m=0):
     """f(x) = x^2 - 4x + |x| on the ball |x| <= 3, optionally with g(x) = x^2 - 1."""
@@ -32,7 +34,7 @@ def quadratic_single_agent(m=0):
     else:
         a_prime = [np.zeros((0, 1))]
         c_prime = [np.zeros(0)]
-    return Problem.from_agent_data(
+    return from_agent_data(
         P=[[[1.0]]],
         Q=[[-4.0]],
         a=[[0.0]],
@@ -47,7 +49,7 @@ def quadratic_single_agent(m=0):
 
 def linear_pair_with_equality():
     """f_i(x_i) = x_i on [-1, 1], coupled by x_1 + x_2 = 0."""
-    return Problem.from_agent_data(
+    return from_agent_data(
         P=[[[0.0]], [[0.0]]],
         Q=[[1.0], [1.0]],
         a=[[0.0], [0.0]],
