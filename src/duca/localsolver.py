@@ -19,13 +19,15 @@ ball-normal multiplier on active rows, found by the same kind of breakpoint
 solve) minimizes the gap.  The certificate is valid regardless of how the
 iterate was produced.
 
-That is what lets a second-order step finish a row: after each iteration's
-certificate, every row not yet certified gets a Newton candidate on the face
-its iterate shows (zero coordinates fixed, the other signs fixed, the ball
-held with equality when the row is on its sphere), and the row ends there
-only when the same certificate passes at the candidate.  A refused
-candidate leaves no trace, so such a row takes the gradient step it would
-take without it.
+That is what lets second-order steps finish a row: after each iteration's
+certificate, every row not yet certified gets a chain of Newton steps, each
+on the face the last one reached (zero coordinates fixed, the other signs
+fixed, the ball held with equality when the row is on its sphere).  From
+the second step on, the same certificate is tried at each step's point, and
+the row ends at the first that passes without raising the value; the chain
+goes on only while the row's residual falls, for at most ``NEWTON_STEPS``
+steps.  A refused chain leaves no trace, so such a row takes the gradient
+step it would take without it.
 
 All routines are batched over rows (agents) and run on a working set that
 shrinks as rows certify; no row's arithmetic reads another row, so a batch
@@ -47,8 +49,8 @@ DEFAULT_MAX_ITERS = 20000
 LONG_STEP = 16.0
 #: a row still uncertified after this many iterations drops to 1/L
 STALL_ITERS = 100
-#: chained Newton steps in each candidate of the Newton finish
-NEWTON_STEPS = 2
+#: most chained Newton steps in one iteration's Newton finish
+NEWTON_STEPS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -408,55 +410,95 @@ def _onto_sphere(X, a, c, rows):
     return X
 
 
-def _newton_candidate(smooth, X, grads, a, c, w):
-    """Chained Newton steps on the face each row's iterate shows.
+def _newton_step(smooth, X, grads, a, c, w):
+    """One Newton step on the face each row's iterate shows.
 
     The face keeps the zero coordinates at zero and the signs of the others,
     so the l1 term is linear on it, and it holds the ball with equality when
     the row lies on its sphere (``||x - a||^2 >= c*(1 - 1e-10)``, as in the
     certificate) and the multiplier estimate
     ``nu = -<g, x - a> / (2*||x - a||^2)`` over the free coordinates is
-    positive, where g is the gradient plus ``w*sign(x)``.  A step solves the
-    face's KKT system: ``(H + 2*nu*I) dx + 2*(x - a)*nu' = -g`` with the
+    positive, where g is the gradient plus ``w*sign(x)``.  The step solves
+    the face's KKT system: ``(H + 2*nu*I) dx + 2*(x - a)*nu' = -g`` with the
     linearized sphere ``2*<x - a, dx> = c - ||x - a||^2`` bordering it on
     ball rows, H being ``smooth.hessian``.  A coordinate that crosses zero
     is set to zero, a ball row is put back onto its sphere, and a row still
-    outside its ball is clipped into it, so every candidate lies in its ball.  ``NEWTON_STEPS`` steps are
-    chained, each on the face the last one reached.  Returns the candidate
-    rows and a mask of the usable ones: a row is usable when it has a
-    nonzero coordinate and every step kept ``||x - a||^2`` finite.  Whether
-    a candidate is kept is for the certificate to decide.
+    outside its ball is clipped into it, so every new row lies in its ball.
+    Returns the new rows and a mask of the usable ones: those whose step kept
+    ``||x - a||^2`` finite (the others keep X).  Whether a point is kept is
+    for the certificate to decide.
     """
     n, d = X.shape
     eye = np.eye(d)
-    ok = (X != 0.0).any(axis=1)
+    free = X != 0.0
+    sgn = np.sign(X)
+    g = np.where(free, grads + w * sgn, 0.0)
+    e = X - a
+    ef = np.where(free, e, 0.0)
+    n2 = (e**2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = -(g * ef).sum(axis=1) / (2.0 * (ef**2).sum(axis=1))
+    ball = (n2 >= c * (1.0 - 1e-10)) & (nu > 0.0)
+    nu = np.where(ball, nu, 0.0)
+    K = np.empty((n, d + 1, d + 1))
+    K[:, :d, :d] = np.where(free[:, :, None] & free[:, None, :],
+                            smooth.hessian(X) + (2.0 * nu)[:, None, None] * eye, eye)
+    K[:, :d, d] = K[:, d, :d] = np.where(ball[:, None], 2.0 * ef, 0.0)
+    K[:, d, d] = ~ball
+    rhs = np.concatenate([-g, np.where(ball, c - n2, 0.0)[:, None]], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xn = np.where(free, X + _solve_rows(K, rhs)[:, :d], 0.0)
+        finite = np.isfinite(((Xn - a) ** 2).sum(axis=1))
+    Xn[~finite] = X[~finite]
+    Xn[np.sign(Xn) != sgn] = 0.0
+    return _radial_clip(_onto_sphere(Xn, a, c, ball), a, c), finite
+
+
+def _newton_finish(smooth, X, grads, comp, res, probe, a, c, w, tol):
+    """Chain Newton steps from the rows of X; return the rows that finish on one.
+
+    The chain runs on the rows with a nonzero coordinate, each step
+    (``_newton_step``) on the face the last one reached.  From the second
+    step on, each step's point is certified at the row's probe step: the row
+    finishes there when the certificate passes and the composite value is at
+    most ``comp``, the value at X.  A row goes on to the next step only while
+    its certificate residual keeps falling, starting from ``res``, its
+    residual at X, and the chain ends after ``NEWTON_STEPS`` steps.  Returns
+    a mask of the finishing rows and, on them, the point, its residual and
+    its composite value; the other rows leave no trace.
+    """
+    won = np.zeros(len(X), dtype=bool)
+    X_won, res_won, comp_won = np.empty_like(X), np.empty(len(X)), np.empty(len(X))
+    rows, Y, gY, best = np.arange(len(X)), X, grads, res
+
+    def keep(mask):
+        """Drop the chain's rows outside ``mask``; True when none is left."""
+        nonlocal rows, Y, gY, best, smooth
+        if not mask.all():
+            rows, Y, gY, best = rows[mask], Y[mask], gY[mask], best[mask]
+            if len(rows):
+                smooth = smooth.take(mask)
+        return not len(rows)
+
+    if keep((X != 0.0).any(axis=1)):
+        return won, X_won, res_won, comp_won
     for step in range(NEWTON_STEPS):
+        Y, go = _newton_step(smooth, Y, gY, a[rows], c[rows], w)
+        if keep(go):
+            break
+        vY, gY = smooth(Y)
         if step:
-            grads = smooth(X)[1]
-        free = X != 0.0
-        sgn = np.sign(X)
-        g = np.where(free, grads + w * sgn, 0.0)
-        e = X - a
-        ef = np.where(free, e, 0.0)
-        n2 = (e**2).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu = -(g * ef).sum(axis=1) / (2.0 * (ef**2).sum(axis=1))
-        ball = (n2 >= c * (1.0 - 1e-10)) & (nu > 0.0)
-        nu = np.where(ball, nu, 0.0)
-        K = np.empty((n, d + 1, d + 1))
-        K[:, :d, :d] = np.where(free[:, :, None] & free[:, None, :],
-                                smooth.hessian(X) + (2.0 * nu)[:, None, None] * eye, eye)
-        K[:, :d, d] = K[:, d, :d] = np.where(ball[:, None], 2.0 * ef, 0.0)
-        K[:, d, d] = ~ball
-        rhs = np.concatenate([-g, np.where(ball, c - n2, 0.0)[:, None]], axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Xn = np.where(free, X + _solve_rows(K, rhs)[:, :d], 0.0)
-            finite = np.isfinite(((Xn - a) ** 2).sum(axis=1))
-        ok &= finite
-        Xn[~finite] = X[~finite]
-        Xn[np.sign(Xn) != sgn] = 0.0
-        X = _radial_clip(_onto_sphere(Xn, a, c, ball), a, c)
-    return X, ok
+            r = _certificate_residual(Y, gY, probe[rows], a[rows], c[rows], w)
+            comp_Y = vY + w * np.abs(Y).sum(axis=1)
+            win = (r <= tol) & (comp_Y <= comp[rows] + _slack(comp[rows]))
+            at = rows[win]
+            won[at] = True
+            X_won[at], res_won[at], comp_won[at] = Y[win], r[win], comp_Y[win]
+            falling = (r > tol) & (r < best)
+            best = r
+            if keep(falling):
+                break
+    return won, X_won, res_won, comp_won
 
 
 def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
@@ -476,14 +518,15 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     compacted to the rows left.  A row that uses up ``max_iters`` is
     certified once more at its last iterate.
 
-    Every row left then gets a Newton candidate (``_newton_candidate``),
-    certified at the same probe step.  A row leaves with its candidate, which
-    counts as one more iteration, when the candidate passes and does not
-    raise the composite value; every other row takes the accelerated step
-    below as if there were no candidate.  No row's
-    arithmetic depends on another's, so a batch row equals the same row
-    solved alone, bit for bit.  Returns (X, residual, iters, done,
-    composite values).
+    Every row left then gets a chain of Newton steps (``_newton_finish``).
+    Its second step's point and each later one are certified at the same
+    probe step, and the chain goes on only while the row's residual falls,
+    for at most ``NEWTON_STEPS`` steps.  A row leaves at a chain point, which
+    counts as one more iteration, when the point passes and does not raise
+    the composite value; every other row takes the accelerated step below as
+    if there were no chain.  No row's arithmetic depends on another's, so a
+    batch row equals the same row solved alone, bit for bit.  Returns (X,
+    residual, iters, done, composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
     the worst case over the ball, and backtracking shrinks it as needed.  The
@@ -528,19 +571,16 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
         probe = np.minimum(eta, eta0)
         res = _certificate_residual(X, grads, probe, a, c, w)
         out = (res <= tol) | (it == max_iters)
-        if out.any() and leave(out, X, res, comp, it):
-            break
-        # Newton finish: a row leaves with its candidate when the candidate
-        # certifies and does not raise the composite value
-        Xc, ok = _newton_candidate(smooth, X, grads, a, c, w)
-        if ok.any():
-            vc, gc = smooth(Xc)
-            comp_c = vc + w * np.abs(Xc).sum(axis=1)
-            res_c = np.full(len(X), np.inf)
-            res_c[ok] = _certificate_residual(Xc[ok], gc[ok], probe[ok], a[ok], c[ok], w)
-            out = (res_c <= tol) & (comp_c <= comp + _slack(comp))
-            if out.any() and leave(out, Xc, res_c, comp_c, it + 1):
+        if out.any():
+            if leave(out, X, res, comp, it):
                 break
+            res = res[~out]
+        # Newton finish: a row leaves on a chain step's point that certifies
+        # and does not raise the composite value
+        won, X_won, res_won, comp_won = _newton_finish(smooth, X, grads, comp, res, probe,
+                                                       a, c, w, tol)
+        if won.any() and leave(won, X_won, res_won, comp_won, it + 1):
+            break
         if it == STALL_ITERS:
             np.minimum(eta, eta0, out=eta)
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk**2))

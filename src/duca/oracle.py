@@ -189,11 +189,15 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
     forced drop to 1/L multiplied the iteration count instead of rescuing
     the solve.
 
-    After every failed stop test the iterate gets a Newton candidate
-    (``_al_newton_candidate``).  The solve ends there, counting it as one
-    more iteration, when the same stop test at the same probe step passes at
-    the candidate and the composite value does not rise; otherwise the
-    candidate leaves no trace and the accelerated step runs as without it.
+    After a failed stop test on a settled face, where the iterate's sign
+    pattern equals the previous iterate's (always so at the first test, whose
+    previous iterate is the start itself), the iterate gets a Newton
+    candidate (``_al_newton_candidate``, ``NEWTON_STEPS`` = 2 chained steps).
+    On a face that still moves the candidate's face is rarely the optimum's,
+    so none is built there.  The solve ends at the candidate, counting it as
+    one more iteration, when the same stop test at the same probe step passes
+    there and the composite value does not rise; otherwise the candidate
+    leaves no trace and the accelerated step runs as without it.
     No working set is kept, unlike the local loop: the AL couples every row
     through G(x) and H(x), so fixing one row would change the others'
     gradients.  Returns ``(X, residual, iterations)``.
@@ -234,9 +238,11 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
         res = gap(X, grad, probe)
         if res <= tol:
             break
-        # Newton finish: the solve ends at the candidate when it passes the
-        # same stop test and does not raise the composite value
-        Xc, ok = _al_newton_candidate(pb, X, grad, mu, lam, rho_c)
+        # Newton finish, tried only on a face that held over the last step:
+        # the solve ends at the candidate when it passes the same stop test
+        # and does not raise the composite value
+        settled = np.array_equal(np.sign(X), np.sign(Xprev))
+        Xc, ok = _al_newton_candidate(pb, X, grad, mu, lam, rho_c) if settled else (X, False)
         if ok:
             vc, gc = _al_value_grad(pb, Xc, mu, lam, rho_c)
             if vc + w * float(np.abs(Xc).sum()) <= comp + 1e-12 * (1 + abs(comp)):

@@ -418,7 +418,7 @@ class TestRun:
 
     def test_uncertified_solve_raises_when_checked(self, monkeypatch):
         # One inner iteration is too few on the shipped instance: 19 of the
-        # 20 agents end round 1 without a certificate, 39 over five rounds.
+        # 20 agents end round 1 without a certificate, 24 over five rounds.
         # Round 1 starts at x = 0, where the Newton finish has no free
         # coordinate; from round 2 on it certifies some warm-started solves,
         # and without it 83 solves end uncertified.
@@ -430,7 +430,7 @@ class TestRun:
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
         st = run(pb, s, 5, x0, y0, check=False)
-        assert st.solver_failures == 39
+        assert st.solver_failures == 24
         without_newton(monkeypatch)
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
@@ -482,6 +482,27 @@ class TestRun:
         assert np.any(st.X != 0.0)
         assert np.any(st.Y != 0.0)
         assert st.solver_failures == 0
+
+    def test_active_rounds_inner_iterations_pinned(self, monkeypatch):
+        # The benchmark's active-coupling rounds: Q x4, x0 = 0, y0 = 1, 20
+        # checked rounds each.  Continuing the Newton chain past its second
+        # step on the rows it missed takes them from 794 and 676 inner
+        # iterations (the chain capped at two steps) to 437 and 419.
+        import duca.localsolver as ls
+
+        base = generate_example(20, 3, 1, 5, seed=42)
+        pb = dataclasses.replace(base, Q=4.0 * base.Q)
+        x0 = np.zeros((20, pb.dmax))
+        counts = {}
+        for cap in (ls.NEWTON_STEPS, 2):
+            monkeypatch.setattr(ls, "NEWTON_STEPS", cap)
+            for variant in (Variant.DUCA_I, Variant.DIST_ADMM):
+                st = run(pb, make_setting(variant, SEED_GRAPH, rho=1.0), 20, x0, ONES_Y0,
+                         check=True)
+                assert st.solver_failures == 0
+                counts[cap, variant] = st.inner_iters_total
+        assert counts == {(6, Variant.DUCA_I): 437, (6, Variant.DIST_ADMM): 419,
+                          (2, Variant.DUCA_I): 794, (2, Variant.DIST_ADMM): 676}
 
 
 class TestErgodicPoint:

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from duca.errors import AssumptionViolatedError, InvariantBreachError
 from duca.localsolver import (
     DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     _certificate_residual,
     _dual_value_and_grad,
     _prox_grad_loop,
@@ -163,10 +164,10 @@ def certificate_rows(draw):
 
 
 def without_newton(monkeypatch):
-    """Turn the solver's Newton finish off: no candidate is ever usable."""
+    """Turn the solver's Newton finish off: no Newton step is ever usable."""
     import duca.localsolver as ls
 
-    monkeypatch.setattr(ls, "_newton_candidate",
+    monkeypatch.setattr(ls, "_newton_step",
                         lambda smooth, X, grads, a, c, w: (X, np.zeros(len(X), dtype=bool)))
 
 
@@ -501,7 +502,7 @@ class TestNewtonFinish:
             after_garbage[0] = False
             return res
 
-        monkeypatch.setattr(ls, "_newton_candidate", garbage)
+        monkeypatch.setattr(ls, "_newton_step", garbage)
         monkeypatch.setattr(ls, "_certificate_residual", cert)
         got = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
         assert probed and all((res > 1e-9).all() for res in probed)
@@ -529,12 +530,21 @@ class TestNewtonFinish:
         np.testing.assert_allclose(x, x_g, rtol=0.0, atol=1e-6)
 
     def test_certified_candidate_that_raises_the_value_refused(self, monkeypatch):
+        self._refuse_certified_but_higher(monkeypatch, at_step=2)
+
+    def test_certified_extension_step_that_raises_the_value_refused(self, monkeypatch):
+        self._refuse_certified_but_higher(monkeypatch, at_step=3)
+
+    @staticmethod
+    def _refuse_certified_but_higher(monkeypatch, at_step):
         # A certificate bounds the gradient, not the value: on x'Px with
         # P = diag(1, 5e-7) the point (0, 5e-3) certifies at tol 1e-8 (its
         # gradient is 5e-9) yet its value 1.25e-11 is above the start
         # (1e-8, 0), whose value is 1e-16 and whose gradient 2e-8 does not
-        # certify.  Offered as every Newton candidate, it must be refused on
-        # value, so that the returned value stays at most the start's.
+        # certify.  Offered as the chain's second step, or as its third after
+        # a second step whose residual 1.4e-8 falls but fails, it must be
+        # refused on value, so that the returned value stays at most the
+        # start's.
         import duca.localsolver as ls
 
         tol = 1e-8
@@ -547,17 +557,84 @@ class TestNewtonFinish:
                                      0.0)[0] <= tol
         start_value = round_objective(sp, start[None])[0]
         assert round_objective(sp, bad[None])[0] > start_value + 1e-12
+        chain = [np.array([0.9e-8, 0.0]), np.array([0.7e-8, 0.0])][: at_step - 1] + [bad]
         offered = []
 
         def certified_but_higher(smooth, X, grads, a, c, w):
-            offered.append(len(X))
-            return np.tile(bad, (len(X), 1)), np.ones(len(X), dtype=bool)
+            # each chain step moves on along ``chain``; a new chain starts it
+            at = [k for k, y in enumerate(chain[:-1]) if np.array_equal(X[0], y)]
+            Y = chain[at[0] + 1] if at else chain[0]
+            if Y is bad:
+                offered.append(len(X))
+            return np.tile(Y, (len(X), 1)), np.ones(len(X), dtype=bool)
 
-        monkeypatch.setattr(ls, "_newton_candidate", certified_but_higher)
+        monkeypatch.setattr(ls, "_newton_step", certified_but_higher)
         x, res, _iters, done, value = solve_one(sp, tol=tol)
         assert offered and done and res <= tol
         assert value <= start_value
         assert x[1] == 0.0
+
+    @pytest.mark.parametrize("factor, chain_length", [(0.95, None), (1.05, 2)],
+                             ids=["falling", "rising"])
+    def test_uncertified_chain_steps_refused(self, monkeypatch, factor, chain_length):
+        # On x'Px from (1e-8, 0) the residual is 2*x_1.  Steps that shrink x
+        # by 5% each lower the value and the residual at every step, yet stay
+        # above tol 1e-8 up to the chain's last step: the chain runs its full
+        # length.  Steps that grow x by 5% raise the residual: the chain stops
+        # at its first certificate.  Either way every point is refused and
+        # the solve keeps the gradient path's bits.
+        import duca.localsolver as ls
+
+        pb = single_agent(P=np.diag([1.0, 5e-7]), Q=[0.0, 0.0], c=1.0, l1_weight=0.0)
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, np.array([1e-8, 0.0]))
+        with pytest.MonkeyPatch.context() as mp:
+            without_newton(mp)
+            want = solve_one(sp, tol=1e-8)
+        chains, last = [], [None]
+
+        def scaled(smooth, X, grads, a, c, w):
+            if X[0, 0] != last[0]:  # not the last step's point: a new chain
+                chains.append(0)
+            chains[-1] += 1
+            last[0] = factor * X[0, 0]
+            return factor * X, np.ones(len(X), dtype=bool)
+
+        monkeypatch.setattr(ls, "_newton_step", scaled)
+        got = solve_one(sp, tol=1e-8)
+        assert chains[0] == (chain_length or ls.NEWTON_STEPS)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_extension_step_finishes_a_missed_two_step_candidate(self, monkeypatch):
+        # On the active instance, rows whose two-step candidate fails at
+        # iteration 0 end on a later chain step, with iters == 1, where the
+        # chain capped at two steps needs more iterations
+        import duca.localsolver as ls
+
+        Yt, d_prime, anchor = _active_batch()
+        (_X, res, iters, done, _vals), passes = _chain_passes(ACTIVE, Yt, d_prime, 0.1, anchor)
+        assert done.all() and (res <= DEFAULT_TOL).all()
+        monkeypatch.setattr(ls, "NEWTON_STEPS", 2)
+        iters_2 = solve_local_batch(ACTIVE, Yt, d_prime, 0.1, anchor)[2]
+        ext = [i for i in range(20) if iters[i] == 1 and passes[i] and passes[i][-1] > 2]
+        assert len(ext) >= 5
+        assert (iters_2[ext] > 1).all()
+
+    def test_rows_certified_at_step_two_keep_the_capped_chain_bits(self, monkeypatch):
+        # the chain's first certificate comes after its second step, as
+        # before the chain went on; a row that no later step certifies ends
+        # bit for bit as with the chain capped at two steps
+        import duca.localsolver as ls
+
+        Yt, d_prime, anchor = _active_batch()
+        got, passes = _chain_passes(ACTIVE, Yt, d_prime, 0.1, anchor)
+        monkeypatch.setattr(ls, "NEWTON_STEPS", 2)
+        want = solve_local_batch(ACTIVE, Yt, d_prime, 0.1, anchor)
+        at_two = [i for i in range(20) if set(passes[i]) == {2}]
+        same = [i for i in range(20) if all(k == 2 for k in passes[i])]
+        assert len(at_two) >= 3 and len(same) < 20
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[same], w[same])
 
     @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
            p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),
@@ -597,6 +674,53 @@ def _round_batch():
     d_prime = rng.uniform(0.5, 2.0, size=20)
     anchor = rng.uniform(-0.2, 0.2, size=(20, 3))
     return Yt, d_prime, anchor
+
+
+ACTIVE = dataclasses.replace(SVI, Q=4.0 * SVI.Q)
+
+
+def _active_batch():
+    """Random round data on ACTIVE, where the coupling binds."""
+    rng = np.random.default_rng(3)
+    Yt = rng.normal(size=(20, 6))
+    d_prime = rng.uniform(0.5, 2.0, size=20)
+    anchor = rng.uniform(-0.5, 0.5, size=(20, 3))
+    return Yt, d_prime, anchor
+
+
+def _chain_passes(*args):
+    """Solve a batch, recording per agent the Newton chain steps that certified.
+
+    Chain steps are counted from their iteration's entry certificate; a
+    certificate probe that follows a Newton step probes that step's point.
+    Returns the solve's output and, per agent, the list of passing steps.
+    """
+    import duca.localsolver as ls
+
+    real_step, real_cert = ls._newton_step, ls._certificate_residual
+    state = {"step": 0, "fresh": False}
+    passes = [[] for _ in range(20)]
+
+    def step(*step_args):
+        state["step"] += 1
+        state["fresh"] = True
+        return real_step(*step_args)
+
+    def cert(X, grads, eta, a, c, w):
+        res = real_cert(X, grads, eta, a, c, w)
+        if state["fresh"]:
+            for i in _agents(a)[res <= DEFAULT_TOL]:
+                passes[i].append(state["step"])
+        else:
+            state["step"] = 0
+        state["fresh"] = False
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "_newton_step", step)
+        mp.setattr(ls, "_certificate_residual", cert)
+        out = solve_local_batch(*args)
+    return out, passes
 
 
 def _agents(a_rows):
@@ -641,9 +765,10 @@ class TestCertificateSchedule:
                                                            max_iters, all_done):
         # a row is probed at the start of each of its iterations and, if the
         # cap ends it uncertified, once more at its last iterate: iters + 1
-        # entry probes.  A Newton candidate is probed after the entry probe
-        # of its iteration, at most once per iteration, and a row that
-        # leaves with its candidate has no entry probe at that last iterate.
+        # entry probes.  A Newton chain is probed after the entry probe of
+        # its iteration, once per certified chain step, so at most
+        # NEWTON_STEPS - 1 times per iteration, and a row that leaves on a
+        # chain step has no entry probe at that last iterate.
         import duca.localsolver as ls
 
         Yt, d_prime, anchor = _round_batch()
@@ -651,7 +776,7 @@ class TestCertificateSchedule:
         newton = np.zeros(20, dtype=int)
         newton_pass = np.zeros(20, dtype=bool)
         next_is_newton = [False]
-        real_cert, real_candidate = ls._certificate_residual, ls._newton_candidate
+        real_cert, real_candidate = ls._certificate_residual, ls._newton_step
 
         def candidate(smooth, X, grads, a, c, w):
             Xc, ok = real_candidate(smooth, X, grads, a, c, w)
@@ -670,13 +795,13 @@ class TestCertificateSchedule:
             return res
 
         monkeypatch.setattr(ls, "_certificate_residual", cert)
-        monkeypatch.setattr(ls, "_newton_candidate", candidate)
+        monkeypatch.setattr(ls, "_newton_step", candidate)
         _X, res, iters, done, _vals = solve_local_batch(
             SVI, Yt, d_prime, 0.1, anchor, tol=tol, max_iters=max_iters)
         assert done.all() == all_done
         assert newton.sum() > 0
         np.testing.assert_array_equal(entry + newton_pass, iters + 1)
-        assert (newton <= iters).all()
+        assert (newton <= (ls.NEWTON_STEPS - 1) * iters).all()
         assert (res[newton_pass] <= tol).all()
 
 

@@ -112,9 +112,12 @@ def traced_active_solve():
     step; any other prox call with a nonzero step is a stop test, and it tests
     a Newton candidate when the last evaluation was at the candidate.  Each
     prox record carries the worst-case step 1/L of the AL solve it belongs to.
+    ``events`` lists the starts of AL solves, the prox records and the points
+    Newton candidates are built at, in the order they happened.
     """
     pb = active_coupling_instance()
-    trace = {"solves": [], "prox": [], "eta0": None, "candidate": None, "at_candidate": False}
+    trace = {"solves": [], "prox": [], "eta0": None, "candidate": None, "at_candidate": False,
+             "events": []}
 
     def lipschitz(*args):
         lip = real_lip(*args)
@@ -126,6 +129,7 @@ def traced_active_solve():
         step = float(thresh[0]) / pb.l1_weight
         trace["prox"].append({"step": step, "eta0": trace["eta0"], "out": out, "descent": False,
                               "candidate": trace["at_candidate"]})
+        trace["events"].append(("prox", trace["prox"][-1]))
         trace["at_candidate"] = False
         return out
 
@@ -136,11 +140,13 @@ def traced_active_solve():
         return real_vg(pb_, X, *args)
 
     def candidate(*args):
+        trace["events"].append(("candidate", args[1]))
         out = real_cand(*args)
         trace["candidate"] = out[0]
         return out
 
     def minimize(*args):
+        trace["events"].append(("solve", None))
         out = real_min(*args)
         trace["solves"].append({"res": out[1], "iters": out[2], "tol": args[5]})
         return out
@@ -179,9 +185,33 @@ class TestLongStartReference:
         assert solves
         assert all(s["res"] <= s["tol"] for s in solves)
         # 2,561 iterations when every solve started at 1/L, 738 with the
-        # long start alone, and 76 with the Newton finish (a kept candidate
-        # counts as one iteration)
+        # long start alone, 76 with the Newton finish (a kept candidate
+        # counts as one iteration), and 78 with candidates on settled faces
+        # only
         assert sum(s["iters"] for s in solves) <= 100
+
+    def test_candidates_only_on_a_settled_face(self, traced_active_solve):
+        # an iterate is the last descent step's output before a stop test (at
+        # iteration 0, the start's projection).  A candidate is built at the
+        # current iterate, and, past iteration 0, only when its sign pattern
+        # equals the previous iterate's.  On every face, 76 candidates were
+        # built (55 of the first AL solve's 56 refused); on settled faces, 46
+        _, _, trace = traced_active_solve
+        built = 0
+        for kind, data in trace["events"]:
+            if kind == "solve":
+                iterates, last = [], None
+            elif kind == "prox":
+                if data["descent"]:
+                    last = data["out"]
+                elif data["step"] > 0.0 and not data["candidate"]:
+                    iterates.append(last)
+            else:
+                built += 1
+                assert data is iterates[-1]
+                if len(iterates) > 1:
+                    np.testing.assert_array_equal(np.sign(data), np.sign(iterates[-2]))
+        assert 0 < built <= 50
 
     def test_active_coupling_certificate(self, traced_active_solve):
         pb, core, _ = traced_active_solve
