@@ -5,9 +5,12 @@ fixed undirected graph: one local solve per agent, one cone projection, and
 one or two neighbor exchanges.  The setting's exchange mode picks the
 exchange term and the disagreement update.  Cross-agent reads go through
 the setting's neighbor table, ``s.mailbox`` (a :class:`~duca.graphs.Mailbox`),
-which refuses weights between agents that are not neighbors.  Per-round
-algebraic identities (cone split, column-sum conservation, the cumulative
-constraint identity, and the ergodic feasibility bound) are asserted as the
+which refuses weights between agents that are not neighbors.  The state
+keeps the neighbor sums of y that the round's exchanges made (``st.WY``),
+so the next round and every network form read them instead of summing
+again.  Per-round algebraic identities (cone split, column-sum
+conservation, the disagreement identity, the cumulative constraint
+identity, and the ergodic feasibility bound) are asserted as the
 simulation advances, and so is the certificate of every local solve.
 
 Single exchange (one broadcast of y per agent, W = H = P_H = P_Htilde)::
@@ -20,6 +23,8 @@ Single exchange (one broadcast of y per agent, W = H = P_H = P_Htilde)::
 
 The v-update applies P_Htilde, which a single-exchange setting has equal
 to P_H by construction (:class:`~duca.graphs.ParamSetting` stores one H).
+Its sum over the broadcast y+ is also the next round's sum in ytilde: the
+same messages, so it is made once.
 
 Double exchange (broadcasts y then u; P_H = L M, P_Htilde = L L)::
 
@@ -28,6 +33,12 @@ Double exchange (broadcasts y then u; P_H = L M, P_Htilde = L L)::
     z_i+     = z_i + rho * sum_j L_ij y_j+
     u_i+     = z_i+ + rho * sum_j M_ij y_j+
 
+The disagreement variable v = L z is implicit there and never formed.
+From v0 = 0 and z0 = 0 both modes keep v = rho P_Htilde sum_l y_l
+(single) and z = rho L sum_l y_l (double); a checked round verifies that
+identity with one more table sum of the running sum of y.  It is not a
+message, so it adds nothing to ``comm_total``.
+
 K is the cone R_+^m x R^p; the split of the pre-projection vector into its
 K-part and polar-cone part is recomputed independently and checked to
 reconstruct the input exactly (Moreau decomposition).
@@ -35,6 +46,7 @@ reconstruct the input exactly (Moreau decomposition).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +59,7 @@ from .errors import (
     InvariantBreachError,
 )
 # Mailbox is imported for readers of ``duca.engine.Mailbox`` (perfbench's tracer)
-from .graphs import Mailbox, ParamSetting, block_quadratic_norm
+from .graphs import Mailbox, ParamSetting
 from .localsolver import DEFAULT_TOL, solve_local_batch
 from .problem import Problem, coupled_violation_norm, gtilde_rows
 from .textdoc import DocReader, DocWriter
@@ -58,6 +70,8 @@ MOREAU_TOL = 1e-10
 CONE_TOL = 1e-14
 #: column-sum conservation of v, per round
 VSUM_TOL_PER_ROUND = 1e-9
+#: disagreement identity v = rho P_Htilde sum_l y_l (z = rho L sum_l y_l), per round
+IDENTITY_TOL_PER_ROUND = 1e-9
 #: cumulative constraint identity budget at round 1000 (scales linearly after)
 CUMULATIVE_TOL = 1e-8
 #: inexact-inner-solve slack = EPS_INNER_FACTOR * inner tolerance
@@ -74,23 +88,32 @@ class NetworkState:
     """Complete state of the network after ``k`` rounds.
 
     Arrays are stored as agent rows: ``X`` is (N, dmax) zero-padded, the dual
-    quantities ``Y``/``V``/``SIG`` (and ``Z``/``U`` in double mode) are
-    (N, m+p).  ``V`` always holds the implicit disagreement variable; in
-    double mode it mirrors ``L @ Z`` and is never communicated.  Running sums
-    support O(1) ergodic averages; ``cum_gs`` accumulates
-    sum_l sum_i ([g_i; h_i](x_i^l) + sigma_i^l) for the cumulative identity.
+    quantities ``Y``/``SIG`` and ``V`` (single mode) or ``Z``/``U`` (double
+    mode) are (N, m+p).  ``V`` is None in double mode, where the
+    disagreement variable L z is implicit.  ``WY`` holds the neighbor sums
+    ``{name: W Y}`` of the exchange matrices that the last exchange of y
+    made (at k=0, ``init`` makes them), and ``WY0`` the same sums of
+    ``Y0``.  Running sums support O(1) ergodic averages; ``cum_gs``
+    accumulates sum_l sum_i ([g_i; h_i](x_i^l) + sigma_i^l) for the
+    cumulative identity, ``gt_sum`` is sum_i [g_i; h_i](x_i) at ``X`` and
+    ``ergodic_feasibility`` the coupled violation of the ergodic average
+    ``sum_X / k`` (NaN at k=0).
     """
 
     k: int
     X: np.ndarray
     Y: np.ndarray
-    V: np.ndarray
+    V: np.ndarray | None
     SIG: np.ndarray
     X0: np.ndarray
     Y0: np.ndarray
     sum_X: np.ndarray
     sum_Y: np.ndarray
     cum_gs: np.ndarray
+    WY: dict
+    WY0: dict
+    gt_sum: np.ndarray
+    ergodic_feasibility: float = math.nan
     Z: np.ndarray | None = None
     U: np.ndarray | None = None
     comm_total: int = 0
@@ -118,21 +141,26 @@ def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
             raise InvalidInitError(f"x0 row {i} has nonzero padding beyond d_i")
     if pb.m and Y[:, : pb.m].min() < 0.0:
         raise InvalidInitError("y0 mu-blocks must be nonnegative")
+    WY0 = s.mailbox.sums(Y)
+    double = s.exchange_mode == "double"
     st = NetworkState(
         k=0,
         X=X,
         Y=Y,
-        V=np.zeros((n, mp)),
+        V=None if double else np.zeros((n, mp)),
         SIG=np.zeros((n, mp)),
         X0=X.copy(),
         Y0=Y.copy(),
         sum_X=np.zeros((n, pb.dmax)),
         sum_Y=np.zeros((n, mp)),
         cum_gs=np.zeros(mp),
+        WY=WY0,
+        WY0=WY0,
+        gt_sum=gtilde_rows(pb, X).sum(axis=0),
     )
-    if s.exchange_mode == "double":
+    if double:
         st.Z = np.zeros((n, mp))
-        st.U = st.Z + s.rho * (s.exchange["M"] @ Y)
+        st.U = st.Z + s.rho * WY0["M"]
     return st
 
 
@@ -163,7 +191,7 @@ def _dual_and_cone_update(pb, d, ytilde, X_new):
     return gt, Y_new, sig, moreau, compl
 
 
-def _check_exact(st, pb, moreau, compl, check_vsum):
+def _check_exact(st, pb, s, moreau, compl):
     k = st.k
     if moreau > MOREAU_TOL:
         raise InvariantBreachError(f"round {k}: Moreau split residual {moreau:.3e}")
@@ -176,12 +204,19 @@ def _check_exact(st, pb, moreau, compl, check_vsum):
             raise InvariantBreachError(f"round {k}: negative mu-block in sigma")
     if pb.p and np.any(st.SIG[:, pb.m :] != 0.0):
         raise InvariantBreachError(f"round {k}: sigma lambda-block not exactly zero")
-    if check_vsum:
+    if st.V is not None:
         vsum = float(np.abs(st.V.sum(axis=0)).max())
         if vsum > VSUM_TOL_PER_ROUND * max(k, 1):
             raise InvariantBreachError(
                 f"round {k}: sum_i v_i = {vsum:.3e} exceeds {VSUM_TOL_PER_ROUND:g}*k"
             )
+    label, held, name = ("v", st.V, "H") if st.V is not None else ("z", st.Z, "L")
+    err = float(np.abs(held - s.rho * s.mailbox.weighted_sum(name, st.sum_Y)).max())
+    if err > IDENTITY_TOL_PER_ROUND * max(k, 1):
+        raise InvariantBreachError(
+            f"round {k}: disagreement identity residual {err:.3e} "
+            f"({label} against rho*{name}*sum_y)"
+        )
 
 
 def _cumulative_residual(st, s) -> float:
@@ -192,13 +227,14 @@ def _cumulative_residual(st, s) -> float:
 
 def _check_ergodic_bound(st, pb, s, tol_inner):
     """Per-round ergodic feasibility bound (norm-A form, certificate-free)."""
-    fe = coupled_violation_norm(pb, st.sum_X / st.k)
+    dWY = {name: st.WY[name] - st.WY0[name] for name in st.WY}
     bound = (
         np.sqrt(pb.n_agents * s.spectra.lam1_PA) / st.k
-    ) * block_quadratic_norm(s.P_A, st.Y - st.Y0) + eps_inner(tol_inner)
-    if fe > bound:
+    ) * s.a_norm(st.Y - st.Y0, dWY) + eps_inner(tol_inner)
+    if st.ergodic_feasibility > bound:
         raise InvariantBreachError(
-            f"round {st.k}: ergodic feasibility {fe:.6e} exceeds bound {bound:.6e}"
+            f"round {st.k}: ergodic feasibility {st.ergodic_feasibility:.6e} "
+            f"exceeds bound {bound:.6e}"
         )
 
 
@@ -221,29 +257,30 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, check=True):
     if double:
         ytilde = d[:, None] * st.Y - mb.weighted_sum("L", st.U)
     else:
-        ytilde = d[:, None] * st.Y - rho * mb.weighted_sum("H", st.Y) - st.V
+        ytilde = d[:, None] * st.Y - rho * st.WY["H"] - st.V
 
     X_new, _res, iters, done, _vals = solve_local_batch(pb, ytilde, d, s.alpha, st.X,
                                                         tol=tol_inner)
     gt, Y_new, sig, moreau, compl = _dual_and_cone_update(pb, d, ytilde, X_new)
 
+    st.WY = mb.sums(Y_new)
     if double:
-        Z_new = st.Z + rho * mb.weighted_sum("L", Y_new)
+        st.Z = st.Z + rho * st.WY["L"]
         # u must satisfy u+ = rho*(sum_j M_ij y_j+) + z+ so that the round's
         # pre-projection vector equals A y - Htilde^{1/2} z; building u from the
         # stale z would shift the effective coupling matrix to L(M - L), which
         # breaks the P_H >= P_Htilde requirement (it is 0 >= L^2 when M = L).
-        st.U = Z_new + rho * mb.weighted_sum("M", Y_new)
-        st.Z = Z_new
-        st.V = s.exchange["L"] @ Z_new  # diagnostic mirror of the implicit disagreement variable
+        st.U = st.Z + rho * st.WY["M"]
     else:
-        st.V = st.V + rho * mb.weighted_sum("H", Y_new)
+        st.V = st.V + rho * st.WY["H"]
     st.X, st.Y, st.SIG = X_new, Y_new, sig
 
     st.sum_X += st.X
     st.sum_Y += st.Y
-    st.cum_gs += gt.sum(axis=0) + st.SIG.sum(axis=0)
+    st.gt_sum = gt.sum(axis=0)
+    st.cum_gs += st.gt_sum + st.SIG.sum(axis=0)
     st.k += 1
+    st.ergodic_feasibility = coupled_violation_norm(pb, st.sum_X / st.k)
     st.comm_total += (2 if double else 1) * mb.links * pb.mp
     st.inner_iters_total += int(iters.sum())
     uncertified = int((~done).sum())
@@ -255,7 +292,7 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, check=True):
             raise InvariantBreachError(
                 f"round {st.k}: {uncertified} of {pb.n_agents} local solves uncertified"
             )
-        _check_exact(st, pb, moreau, compl, not double)
+        _check_exact(st, pb, s, moreau, compl)
         bar = CUMULATIVE_TOL * max(1.0, st.k / 1000.0)
         if st.cumulative_residual > bar:
             raise InvariantBreachError(
@@ -300,10 +337,12 @@ def ergodic_point(st: NetworkState, pb: Problem):
 # Checkpointing
 
 
-#: checkpoint fields in document order; double mode appends Z and U
+#: checkpoint fields in document order; the mode's arrays and neighbor sums follow
 _STATE_INTS = ("k", "comm_total", "inner_iters_total", "solver_failures")
-_STATE_FLOATS = ("moreau_residual", "cumulative_residual")
-_STATE_ARRAYS = ("X", "Y", "V", "SIG", "X0", "Y0", "sum_X", "sum_Y", "cum_gs")
+_STATE_FLOATS = ("moreau_residual", "cumulative_residual", "ergodic_feasibility")
+_STATE_ARRAYS = ("X", "Y", "SIG", "X0", "Y0", "sum_X", "sum_Y", "cum_gs", "gt_sum")
+#: per exchange mode: its disagreement arrays and the names of its exchange matrices
+_MODE_FIELDS = {False: (("V",), ("H",)), True: (("Z", "U"), ("L", "M"))}
 
 
 def dump_state(st: NetworkState) -> str:
@@ -311,9 +350,14 @@ def dump_state(st: NetworkState) -> str:
     w = DocWriter("netstate")
     for name in _STATE_INTS + _STATE_FLOATS:
         w.scalar(name, getattr(st, name))
-    w.scalar("double_mode", st.Z is not None)
-    for name in _STATE_ARRAYS + (("Z", "U") if st.Z is not None else ()):
+    double_mode = st.Z is not None
+    w.scalar("double_mode", double_mode)
+    arrays, exchanged = _MODE_FIELDS[double_mode]
+    for name in _STATE_ARRAYS + arrays:
         w.array(name, getattr(st, name))
+    for name in exchanged:
+        w.array("WY_" + name, st.WY[name])
+        w.array("WY0_" + name, st.WY0[name])
     return w.text()
 
 
@@ -322,7 +366,12 @@ def load_state(text: str) -> NetworkState:
     fields = {name: r.scalar_int(name) for name in _STATE_INTS}
     fields.update((name, r.scalar_float(name)) for name in _STATE_FLOATS)
     double_mode = r.scalar_bool("double_mode")
-    for name in _STATE_ARRAYS + (("Z", "U") if double_mode else ()):
+    arrays, exchanged = _MODE_FIELDS[double_mode]
+    for name in _STATE_ARRAYS + arrays:
         fields[name] = r.array(name)
+    fields["WY"], fields["WY0"] = {}, {}
+    for name in exchanged:
+        fields["WY"][name] = r.array("WY_" + name)
+        fields["WY0"][name] = r.array("WY0_" + name)
     r.done()
-    return NetworkState(**fields)
+    return NetworkState(V=fields.pop("V", None), **fields)

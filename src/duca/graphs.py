@@ -6,10 +6,10 @@ graph-Laplacian-type weight matrices, and the six named parameter settings
 engine.  A setting stores the matrices its agents exchange and the diagonal
 of P_D as the vector ``d_prime``; P_H and P_Htilde are derived from them.
 Every setting checks the standing positive-semidefiniteness / nullspace
-conditions when it is built, and computes the spectral quantities that
-enter the convergence bounds.  Each setting owns its neighbor table,
-:class:`Mailbox`, through which the round engine reads every cross-agent
-sum.
+conditions when it is built, from eigenvalues alone, and computes the
+spectral quantities that enter the convergence bounds.  Each setting owns
+its neighbor table, :class:`Mailbox`, through which the round engine reads
+every cross-agent sum and the diagnostics read every network form.
 """
 
 import heapq
@@ -46,7 +46,6 @@ __all__ = [
 # at the sizes used here, so -1e-9 is a safe PSD cut and 1e-9 a safe zero cut.
 PSD_TOL = -1e-9
 NULL_TOL = 1e-9
-PINV_CUT = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,8 @@ class ParamSetting:
     fails raises one :class:`AssumptionViolatedError` naming every failed
     condition with its value.  The eigenvalue checks read :attr:`spectra`,
     so checking a setting and later evaluating its bounds decompose each
-    distinct matrix once, and only P_Htilde with eigenvectors.
+    distinct matrix once, for its eigenvalues only.  Network forms are read
+    from neighbor sums (:meth:`a_norm`), not from the N x N matrices.
 
     Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
     :attr:`spectra` and :attr:`mailbox` are computed once per setting, on
@@ -362,6 +362,17 @@ class ParamSetting:
         """Column sums of :attr:`P_A`, built on first use."""
         return self.P_A.sum(axis=0)
 
+    def a_norm(self, rows: np.ndarray, sums: dict) -> float:
+        """||rows||_A for (N, b) rows, from their sums ``sums = mailbox.sums(rows)``.
+
+        ||r||^2_A = sum_i d'_i ||r_i||^2 - rho <r, P_H r>, where <r, P_H r> is
+        <r, H r> in single mode and <L r, M r> in double mode (L is
+        symmetric).  A rounding negative is clipped to 0.
+        """
+        ph = np.sum(rows * sums["H"]) if "H" in sums else np.sum(sums["L"] * sums["M"])
+        val = float(np.sum(self.d_prime[:, None] * rows**2) - self.rho * ph)
+        return math.sqrt(max(val, 0.0))
+
     @cached_property
     def spectra(self) -> "SpectralQuantities":
         """The setting's :func:`spectral_quantities`, computed on first use."""
@@ -384,13 +395,16 @@ class Mailbox:
         W_ii * own_i + sum_j W_ij * x_j    (j over i's neighbors, ascending)
 
     reads only rows that i's neighbors sent.  It is evaluated over degree
-    slots: the own term first, then slot k adds each agent's k-th neighbor
-    for the agents that have one.  Every agent thus adds its terms in the
-    order of a per-agent loop and gets the same bits; a dense ``W @ x``
-    would sum in another order.  The setting has refused any weight between
-    agents that are not neighbors, so the table carries every weight.  A
-    read of a matrix the table does not carry raises :class:`MailboxError`.
-    Use ``s.mailbox``, the table cached on the setting.
+    slots, with the agents held in stable descending-degree order so that
+    the agents with a k-th neighbor are a prefix: the own term first, then
+    slot k adds each agent's k-th neighbor to that prefix, and one
+    permutation puts the rows back in agent order.  Every agent thus adds
+    its terms in the order of a per-agent loop and gets the same bits; a
+    dense ``W @ x`` would sum in another order.  The setting has refused any
+    weight between agents that are not neighbors, so the table carries every
+    weight.  A read of a matrix the table does not carry raises
+    :class:`MailboxError`.  Use ``s.mailbox``, the table cached on the
+    setting.
     """
 
     def __init__(self, s: ParamSetting):
@@ -401,15 +415,22 @@ class Mailbox:
         for i, ns in enumerate(nbrs):
             if any(j == i or not 0 <= j < n for j in ns):
                 raise MailboxError(f"invalid neighbor list for agent {i}: {ns}")
-        deg = np.array([len(ns) for ns in nbrs])
+        deg = [len(ns) for ns in nbrs]
         #: directed links; every exchange sends m+p reals over each
-        self.links = int(deg.sum())
+        self.links = sum(deg)
+        # a stable Python sort: numpy's argsort would page in ~0.2 MB of its code
+        order = sorted(range(n), key=lambda i: -deg[i])
+        self._order = np.array(order, dtype=np.intp)
+        self._back = np.empty(n, dtype=np.intp)
+        self._back[self._order] = np.arange(n)
+        #: per slot k: how many agents have a k-th neighbor, and those neighbors
         self._slots = []
-        for k in range(int(deg.max(initial=0))):
-            rows = np.flatnonzero(deg > k)
-            self._slots.append((rows, np.array([nbrs[i][k] for i in rows])))
+        for k in range(max(deg, default=0)):
+            rows = [i for i in order if deg[i] > k]
+            self._slots.append((len(rows), np.array([nbrs[i][k] for i in rows])))
         self._weights = {
-            name: (np.diag(W).copy(), [W[rows, cols] for rows, cols in self._slots])
+            name: (np.diag(W)[self._order, None],
+                   [W[self._order[:n_k], cols][:, None] for n_k, cols in self._slots])
             for name, W in s.exchange.items()
         }
 
@@ -421,10 +442,14 @@ class Mailbox:
             raise MailboxError(
                 f"no exchange matrix {name!r} in this table (has {sorted(self._weights)})"
             ) from None
-        acc = diag[:, None] * x
-        for (rows, cols), w in zip(self._slots, slot_w):
-            acc[rows] += w[:, None] * x[cols]
-        return acc
+        acc = diag * x.take(self._order, axis=0)
+        for (n_k, cols), w in zip(self._slots, slot_w):
+            acc[:n_k] += w * x.take(cols, axis=0)
+        return acc.take(self._back, axis=0)
+
+    def sums(self, x: np.ndarray) -> dict:
+        """``{name: W x}`` for every exchange matrix W of the setting."""
+        return {name: self.weighted_sum(name, x) for name in self._weights}
 
 
 def _dpga_scale(g: Graph, c: float) -> float:
@@ -532,33 +557,29 @@ def _standing_checks(s: ParamSetting) -> list:
     once and the order P_H >= P_Htilde holds trivially.  A nullspace of
     exactly span(1) means the smallest eigenvalue is ~0 with the ones
     direction as its eigenvector, and (for N > 1) the second is > 0.  The
-    ones direction is read from P_Htilde's bottom eigenvector, and from P_H's
-    residual when P_H is a matrix of its own (see :class:`SpectralQuantities`).
-    A detail is formatted only for a failed check.
+    ones direction is read from each matrix's residual ||P 1/sqrt(N)|| (see
+    :class:`SpectralQuantities`).  A detail is formatted only for a failed
+    check.
     """
     sp = s.spectra
     checks = []
-    forms = [("P_H", s.P_H, sp.eig_PH)]
+    forms = [("P_H", s.P_H, sp.eig_PH, sp.ones_resid_PH)]
     if s.exchange_mode == "double":
-        forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde))
+        forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde, sp.ones_resid_PHtilde))
         checks.append(("P_H >= P_Htilde (PSD order)", sp.eig_order[0] >= PSD_TOL,
                        "lam_min={:.3e}", (sp.eig_order[0],)))
-    for label, M, vals in forms:
+    for label, M, vals, resid in forms:
         zero = NULL_TOL * max(abs(vals[-1]), 1.0)
-        if label == "P_H" and sp.ones_resid_PH is not None:
-            # the residual bound of SpectralQuantities says nothing unless lam_2 > 0
-            lam2 = vals[1] if s.n_nodes > 1 else math.inf
-            ones = (lam2 > zero and sp.ones_resid_PH <= 1e-4 * lam2,
-                    "||P_H 1/sqrt(N)||={:.3e}, lam_2={:.3e}", (sp.ones_resid_PH, lam2))
-        else:
-            ones = (sp.ones_align_PHtilde > 1.0 - 1e-8, "|<v0, 1/sqrt(N)>|={:.12f}",
-                    (sp.ones_align_PHtilde,))
+        # the residual bound of SpectralQuantities says nothing unless lam_2 > 0
+        lam2 = vals[1] if s.n_nodes > 1 else math.inf
         checks += [
             (label + " symmetric", np.abs(M - M.T).max() <= 1e-12, "", ()),
             (label + " PSD", vals[0] >= PSD_TOL, "lam_min={:.3e}", (vals[0],)),
             (label + " smallest eigenvalue ~ 0", abs(vals[0]) < zero,
              "lam_min={:.3e}", (vals[0],)),
-            (label + " null eigenvector is the ones direction", *ones),
+            (label + " null eigenvector is the ones direction",
+             lam2 > zero and resid <= 1e-4 * lam2,
+             "||" + label + " 1/sqrt(N)||={:.3e}, lam_2={:.3e}", (resid, lam2)),
         ]
         if s.n_nodes > 1:
             checks.append((label + " second-smallest eigenvalue > 0", vals[1] > zero,
@@ -578,71 +599,47 @@ def _standing_checks(s: ParamSetting) -> list:
     return checks
 
 
-def block_quadratic_norm(M: np.ndarray, rows: np.ndarray) -> float:
-    """sqrt(y^T (M kron I) y) for y stored as (N, b) agent rows.
-
-    The Kronecker-lifted quadratic form reduces to sum(rows * (M @ rows));
-    tiny negative values from roundoff on PSD M are clipped to zero.
-    """
-    val = float(np.sum(rows * (M @ rows)))
-    return float(np.sqrt(max(val, 0.0)))
-
-
 @dataclass(frozen=True)
 class SpectralQuantities:
-    """One setting's eigen-data, from one decomposition per distinct matrix.
+    """One setting's eigenvalues, from one ``eigvalsh`` per distinct matrix.
 
-    The bounds use ``lam1_PA`` and ``pinv_PHtilde``.  A setting's checks
-    read the ascending eigenvalues of the symmetrized P_H, P_Htilde, P_A
-    and, in double-exchange mode, P_H - P_Htilde (``eig_order``; None in
-    single mode).  Only P_Htilde is decomposed with eigenvectors, which build
-    its pseudo-inverse; ``ones_align_PHtilde`` = |<v_0, 1/sqrt(N)>| for its
-    bottom eigenvector v_0.  When P_H is the same object as P_Htilde, its
-    entries are P_Htilde's and ``ones_resid_PH`` is None.  Otherwise P_H's
-    eigenvalues come without eigenvectors and ``ones_resid_PH`` is
-    r = ||P_H 1/sqrt(N)||.  If P_H's second eigenvalue lam_2 is positive, the
-    part of 1/sqrt(N) off P_H's bottom eigenvector v_0 has norm at most
-    r/lam_2, so the check ``r <= 1e-4 * lam_2``, with lam_2 above the zero
-    cut, gives |<v_0, 1/sqrt(N)>| > 1 - 1e-8: the bound the P_Htilde check
-    reads from v_0 directly.
+    The bounds use ``lam1_PA``.  A setting's checks read the ascending
+    eigenvalues of the symmetrized P_H, P_Htilde, P_A and, in
+    double-exchange mode, P_H - P_Htilde (``eig_order``; None in single
+    mode), and the residuals ``ones_resid_PH`` and ``ones_resid_PHtilde``,
+    r = ||P 1/sqrt(N)|| for P = P_H and P_Htilde (one value when P_H is the
+    same object as P_Htilde).  No eigenvectors are computed: if P's second
+    eigenvalue lam_2 is positive, the part of 1/sqrt(N) off P's bottom
+    eigenvector v_0 has norm at most r/lam_2, so the check
+    ``r <= 1e-4 * lam_2``, with lam_2 above the zero cut, gives
+    |<v_0, 1/sqrt(N)>| > 1 - 1e-8: the ones direction spans the nullspace.
     """
 
     lam1_PA: float
-    pinv_PHtilde: np.ndarray
     eig_PH: np.ndarray
     eig_PHtilde: np.ndarray
     eig_PA: np.ndarray
     eig_order: "np.ndarray | None"
-    ones_align_PHtilde: float
-    ones_resid_PH: "float | None"
+    ones_resid_PH: float
+    ones_resid_PHtilde: float
 
 
 def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
-    """Decompose each distinct N x N matrix of a setting once.
+    """Eigenvalues of each distinct N x N matrix of a setting, one ``eigvalsh`` each.
 
-    P_Htilde is the only ``eigh`` (its eigenvectors build the
-    pseudo-inverse); P_A takes ``eigvalsh``.  A single-exchange setting, and
-    a double-exchange one with L equal to M, has P_H = P_Htilde as one
-    object, so that is one ``eigh`` and one ``eigvalsh``, and in double mode
-    P_H - P_Htilde is exactly zero, so its eigenvalues are zeros with no
-    solve.  A double-exchange setting with another P_H adds an ``eigvalsh``
-    of P_H and one of P_H - P_Htilde.
-
-    Eigenvalues below ``PINV_CUT`` times the largest magnitude are treated as
-    zero when inverting P_Htilde (the only intended null direction is the
-    ones vector).  Use ``s.spectra`` for the value cached on the setting.
+    A single-exchange setting, and a double-exchange one with L equal to M,
+    has P_H = P_Htilde as one object, so that is an ``eigvalsh`` of P_Htilde
+    and one of P_A, and in double mode P_H - P_Htilde is exactly zero, so
+    its eigenvalues are zeros with no solve.  A double-exchange setting with
+    another P_H adds an ``eigvalsh`` of P_H and one of P_H - P_Htilde.  Use
+    ``s.spectra`` for the value cached on the setting.
     """
     n = s.n_nodes
     ones = np.ones(n) / np.sqrt(n)
     vals_A = np.linalg.eigvalsh(_sym(s.P_A))
-    vals, vecs = np.linalg.eigh(_sym(s.P_Htilde))
-    align = abs(float(vecs[:, 0] @ ones))
-    scale = max(float(np.abs(vals).max()), 1.0)
-    keep = np.abs(vals) > PINV_CUT * scale
-    inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    pinv = (vecs * inv) @ vecs.T
-    del vecs  # freed before the N x N temporaries below keeps peak memory low
-    vals_H, resid_H, vals_order = vals, None, None
+    vals = np.linalg.eigvalsh(_sym(s.P_Htilde))
+    resid = float(np.linalg.norm(s.P_Htilde @ ones))
+    vals_H, resid_H, vals_order = vals, resid, None
     if s.P_H is not s.P_Htilde:
         vals_H = np.linalg.eigvalsh(_sym(s.P_H))
         resid_H = float(np.linalg.norm(s.P_H @ ones))
@@ -651,11 +648,10 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
         vals_order = np.linalg.eigvalsh(_sym(diff)) if diff.any() else np.zeros(n)
     return SpectralQuantities(
         lam1_PA=max(float(vals_A[-1]), 0.0),
-        pinv_PHtilde=pinv,
         eig_PH=vals_H,
         eig_PHtilde=vals,
         eig_PA=vals_A,
         eig_order=vals_order,
-        ones_align_PHtilde=align,
         ones_resid_PH=resid_H,
+        ones_resid_PHtilde=resid,
     )

@@ -35,6 +35,7 @@ row matches the same agent solved alone.
 """
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -244,21 +245,35 @@ def _certificate_residual(X, grads, eta, a, c, w):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _eye(d):
+    """The read-only d x d identity, built once per d."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 class _SmoothPart:
     """Smooth part of a batch of row problems, one row per agent.
 
     Calling it on rows X returns their values and gradients.  The per-row
     data are the constructor's keyword arguments (scalars are shared), and
-    ``take(keep)`` builds the part of a subset of the rows.  No row's
-    arithmetic reads another row, so a row keeps its bits in any subset.
+    ``take(keep)`` gives the part of a subset of the rows by slicing every
+    per-row array, the arguments and the arrays derived from them.  No
+    row's arithmetic reads another row, so a row keeps its bits in any
+    subset.
     """
 
     def __init__(self, **data):
-        self.data = data
         self.__dict__.update(data)
+        #: names of the per-row arrays, which ``take`` slices
+        self._rows = tuple(name for name, v in data.items() if np.ndim(v))
 
     def take(self, keep):
-        return type(self)(**{k: v[keep] if np.ndim(v) else v for k, v in self.data.items()})
+        part = object.__new__(type(self))
+        part.__dict__.update(self.__dict__)
+        part.__dict__.update((name, self.__dict__[name][keep]) for name in self._rows)
+        return part
 
     def _terms(self, X):
         """Per-row x'Px + Q'x, its gradient 2Px + Q, x - a'_j, ||x - a'_j||^2 and Bx.
@@ -282,6 +297,7 @@ class _RoundPart(_SmoothPart):
         self.two_inv_d = (2.0 * self.inv_d)[:, None]
         self.inv_d_col = self.inv_d[:, None]
         self.half_alpha = 0.5 * self.alpha
+        self._rows += ("half_inv_d", "two_inv_d", "inv_d_col")
 
     def __call__(self, X):
         fq, grad, diff, dist2, BX = self._terms(X)
@@ -304,7 +320,7 @@ class _RoundPart(_SmoothPart):
         outer = (on * 4.0 * diff[:, :, :, None] * diff[:, :, None, :]).sum(axis=1)
         H = 2.0 * self.P + self.inv_d[:, None, None] * (self.BtB + outer)
         diag = self.alpha + self.two_inv_d[:, 0] * hinge.sum(axis=1)
-        return H + diag[:, None, None] * np.eye(X.shape[1])
+        return H + diag[:, None, None] * _eye(X.shape[1])
 
 
 class _DualPart(_SmoothPart):
@@ -320,7 +336,7 @@ class _DualPart(_SmoothPart):
 
     def hessian(self, X):
         """Per-row Hessian: 2P plus 2*sum(mu) on the diagonal."""
-        return 2.0 * self.P + (2.0 * self.mu.sum(axis=1))[:, None, None] * np.eye(X.shape[1])
+        return 2.0 * self.P + (2.0 * self.mu.sum(axis=1))[:, None, None] * _eye(X.shape[1])
 
 
 def _problem_rows(pb):
@@ -429,7 +445,7 @@ def _newton_step(smooth, X, grads, a, c, w):
     for the certificate to decide.
     """
     n, d = X.shape
-    eye = np.eye(d)
+    eye = _eye(d)
     free = X != 0.0
     sgn = np.sign(X)
     g = np.where(free, grads + w * sgn, 0.0)

@@ -28,6 +28,23 @@ implicit-disagreement runs started at v0=0 (hence z0=0),
 
 and one-round descent requires f(x_{k+1}) - f* <= V_k - V_{k+1} up to the
 inexact-inner-solve slack.
+
+No per-round form here touches an N x N matrix; only the certificate,
+built once, does.  The forms read the neighbor sums the round already
+made (``st.WY``, see :meth:`ParamSetting.a_norm`) and constants of the
+certificate, and rest on the identity the engine checks every round,
+v = rho P_Htilde S (single) and z = rho L S (double), with S = sum_l y_l
+(``st.sum_Y``).  The certificate solves
+(P_Htilde + 11^T/N) w* = v* once, so P_Htilde w* = v* and 1^T w* = 0, and
+keeps z* = L w* in double mode.  Then
+
+    ||v*||^2_Hdag        = <w*, v*>
+    ||v - v*||^2_Hdag    = <rho S - w*, v - v*>        (single)
+                         = ||z - z*||^2                (double)
+    ||S/k||^2_P_Htilde   = <S, v> / (rho k^2)          (single)
+                         = ||z||^2 / (rho k)^2         (double)
+
+with rounding negatives clipped to 0.
 """
 
 from __future__ import annotations
@@ -46,10 +63,10 @@ from .errors import (
     InvalidInitError,
     InvariantBreachError,
 )
-from .graphs import ParamSetting, block_quadratic_norm
+from .graphs import ParamSetting
 from .localsolver import DEFAULT_TOL
 from .oracle import CertificateCore
-from .problem import Problem, coupled_violation_norm, eval_objective, gtilde_rows
+from .problem import Problem, eval_objective, gtilde_rows
 
 
 @dataclass
@@ -92,6 +109,8 @@ class Certificate:
     f_star: float
     y_star: np.ndarray  # (m+p,)
     v_star: np.ndarray  # (N, m+p) agent rows
+    w_star: np.ndarray  # (N, m+p): P_Htilde w* = v*, 1^T w* = 0
+    z_star: "np.ndarray | None"  # (N, m+p) L w* in double mode, else None
     C1: float
     C2: float
     R1: float
@@ -113,16 +132,18 @@ class Certificate:
         return {key: c / k for key, c in self.bound_coefs.items()}
 
 
-def _bound_constants(n, s, x_star_rows, y_star, v_star, x0_rows, y0_rows):
+def _bound_constants(n, s, x_star_rows, y_star, v_term, x0_rows, y0_rows):
     """The certificate's bound fields for one run context; see module docstring.
 
-    The disagreement variable starts at v0 = 0, so ||v0 - v*||_Hdag = ||v*||_Hdag.
+    The disagreement variable starts at v0 = 0, so ||v0 - v*||_Hdag = ||v*||_Hdag,
+    which is ``v_term``.
     """
-    y_stack = np.tile(y_star, (n, 1))
+    def a_norm(rows):  # set-up: the products need not go through the table
+        return s.a_norm(rows, {name: W @ rows for name, W in s.exchange.items()})
+
     sq_nl = math.sqrt(n * s.spectra.lam1_PA)
-    dy_A = block_quadratic_norm(s.P_A, y0_rows - y_stack)
-    y0_A = block_quadratic_norm(s.P_A, y0_rows)
-    v_term = block_quadratic_norm(s.spectra.pinv_PHtilde, v_star)
+    dy_A = a_norm(y0_rows - np.tile(y_star, (n, 1)))
+    y0_A = a_norm(y0_rows)
     s_G = math.sqrt(dy_A**2 + v_term**2 / s.rho)
     dx = float(np.linalg.norm(x0_rows - x_star_rows))
     C1 = sq_nl * float(np.linalg.norm(y_star))
@@ -153,8 +174,9 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     ``x0``/``y0`` are the run's initial agent rows (default all-zero); the
     disagreement variable always starts at zero.  The closed form
     v* = gtilde(x*) - (1/N) sum_i gtilde_i(x*_i) per agent row avoids any
-    matrix square root; its block sum vanishes, placing it in the range of
-    the consensus quadratic form, which is verified here.
+    matrix square root; its block sum vanishes, so the solve
+    (P_Htilde + 11^T/N) w* = v* gives P_Htilde w* = v*: v* lies in the range
+    of the consensus quadratic form, which the solve's residual verifies.
     """
     n, mp = pb.n_agents, pb.mp
     x_star_rows = core.x_star.rows(pb.dmax)
@@ -164,10 +186,9 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     block_sum = float(np.abs(v_star.sum(axis=0)).max()) if mp else 0.0
     if block_sum > 1e-8:
         raise InvariantBreachError(f"v* block sum {block_sum:.3e} is not zero")
+    w_star = np.linalg.solve(s.P_Htilde + 1.0 / n, v_star)
     if mp:
-        rng_err = float(
-            np.abs(s.P_Htilde @ (s.spectra.pinv_PHtilde @ v_star) - v_star).max()
-        )
+        rng_err = float(np.abs(s.P_Htilde @ w_star - v_star).max())
         if rng_err > 1e-8:
             raise InvariantBreachError(
                 f"v* is not in the range of the consensus form (err {rng_err:.3e})"
@@ -179,34 +200,55 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
 
     x0_rows = np.zeros((n, pb.dmax)) if x0 is None else np.asarray(x0, dtype=float)
     y0_rows = np.zeros((n, mp)) if y0 is None else np.asarray(y0, dtype=float)
+    v_term = math.sqrt(max(float(np.sum(w_star * v_star)), 0.0))
     return Certificate(
         x_star_rows=x_star_rows,
         f_star=core.f_star,
         y_star=core.y_star.copy(),
         v_star=v_star,
+        w_star=w_star,
+        z_star=s.exchange["L"] @ w_star if s.exchange_mode == "double" else None,
         x0=x0_rows.copy(),
         y0=y0_rows.copy(),
-        **_bound_constants(n, s, x_star_rows, core.y_star, v_star, x0_rows, y0_rows),
+        **_bound_constants(n, s, x_star_rows, core.y_star, v_term, x0_rows, y0_rows),
     )
+
+
+def _disagreement_sq(st: NetworkState, cert: Certificate, s: ParamSetting) -> float:
+    """||v - v*||^2_Hdag from the running sum of y (see module docstring)."""
+    if st.V is not None:
+        val = np.sum((s.rho * st.sum_Y - cert.w_star) * (st.V - cert.v_star))
+    else:
+        val = np.sum((st.Z - cert.z_star) ** 2)
+    return max(float(val), 0.0)
 
 
 def lyapunov_value(st: NetworkState, cert: Certificate, s: ParamSetting) -> float:
     """V_k for one state snapshot (see module docstring)."""
-    val = 0.5 * block_quadratic_norm(s.P_A, st.Y) ** 2
-    v_dist = block_quadratic_norm(s.spectra.pinv_PHtilde, st.V - cert.v_star)
-    val += v_dist**2 / (2.0 * s.rho)
+    val = 0.5 * s.a_norm(st.Y, st.WY) ** 2
+    val += _disagreement_sq(st, cert, s) / (2.0 * s.rho)
     if s.alpha > 0.0:
         val += 0.5 * s.alpha * float(np.sum((st.X - cert.x_star_rows) ** 2))
     return val
 
 
-def constraint_violation_composite(pb: Problem, X_rows: np.ndarray) -> float:
-    """Local ball excess + positive coupled-inequality excess + equality norm.
+def _consensus_error(st: NetworkState, s: ParamSetting) -> float:
+    """||sum_Y / k||_P_Htilde for a state after k >= 1 rounds (see module docstring)."""
+    if st.V is not None:
+        val = float(np.sum(st.sum_Y * st.V)) / s.rho
+    else:
+        val = float(np.sum(st.Z**2)) / s.rho**2
+    return math.sqrt(max(val, 0.0)) / st.k
 
-    The ball excess is sum_i max(||x_i - a_i||^2 - c_i, 0) over agent rows.
+
+def constraint_violation_composite(pb: Problem, st: NetworkState) -> float:
+    """Local ball excess + positive coupled-inequality excess + equality norm at ``st.X``.
+
+    The ball excess is sum_i max(||x_i - a_i||^2 - c_i, 0) over agent rows;
+    the coupled totals are the round's ``st.gt_sum``.
     """
-    d2 = np.sum((X_rows - pb.a) ** 2, axis=1)
-    tot = gtilde_rows(pb, X_rows).sum(axis=0)
+    d2 = np.sum((st.X - pb.a) ** 2, axis=1)
+    tot = st.gt_sum
     return (
         float(np.maximum(d2 - pb.c, 0.0).sum())
         + float(np.maximum(tot[: pb.m], 0.0).sum())
@@ -220,7 +262,8 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
 
     The bounds come from the certificate's precomputed coefficients, so the
     state must have started from the certificate's (x0, y0).  The ergodic
-    point is read as rows, ``sum_X / k``, whose padding stays exactly zero.
+    point is read as rows, ``sum_X / k``, whose padding stays exactly zero;
+    its coupled violation is the round's ``st.ergodic_feasibility``.
     """
     if cert is None:
         raise CertificateMissingError("compute_row needs a certificate")
@@ -231,12 +274,11 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
         )
     k = st.k
     xbar_rows = st.sum_X / k
-    ybar_rows = st.sum_Y / k
 
     f_now = eval_objective(pb, st.X)
     f_bar = eval_objective(pb, xbar_rows)
     ergodic_oe = f_bar - cert.f_star
-    fe = coupled_violation_norm(pb, xbar_rows)
+    fe = st.ergodic_feasibility
     bounds = cert.bounds(k)
 
     V_now = lyapunov_value(st, cert, s)
@@ -248,9 +290,9 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
         k=k,
         objective_error=abs(cert.f_star - f_now),
         ergodic_objective_error=ergodic_oe,
-        constraint_violation=constraint_violation_composite(pb, st.X),
+        constraint_violation=constraint_violation_composite(pb, st),
         ergodic_feasibility=fe,
-        consensus_error=block_quadratic_norm(s.P_Htilde, ybar_rows),
+        consensus_error=_consensus_error(st, s),
         bound_fe_slack=bounds["fe_bound"] - fe,
         bound_oe_lower_slack=ergodic_oe + bounds["oe_lower"],
         bound_oe_upper_slack=bounds["oe_upper"] - ergodic_oe,
@@ -306,7 +348,7 @@ class MetricsCollector:
             )
         if self.s.alpha > 0.0:
             radius = self.cert.C1 + self.cert.C2 + eps
-            y_A = block_quadratic_norm(self.s.P_A, st.Y)
+            y_A = self.s.a_norm(st.Y, st.WY)
             if y_A > radius:
                 raise InvariantBreachError(
                     f"round {row.k}: ||y||_A = {y_A:.6e} exceeds C1+C2 = {radius:.6e}"

@@ -5,6 +5,10 @@ parts, and ``grid_local`` searches it by brute force, so the two agreeing
 counts as evidence that the solver minimizes the right function.
 ``eigh_reference`` decomposes every matrix of a setting with ``eigh``, to
 check the eigenvalue-only set-up of ``duca.graphs`` against.
+``reference_round`` applies one round's per-agent updates with dense
+matrices, and ``dense_forms`` evaluates the diagnostics' network forms with
+dense matrices and a pseudo-inverse: the library reads both from neighbor
+sums instead.
 """
 
 import dataclasses
@@ -227,3 +231,94 @@ def eigh_reference(s):
                "eig_PH": forms["P_H"][1], "eig_PHtilde": forms.get("P_Htilde", forms["P_H"])[1],
                "eig_order": order}
     return spectra, {name: bool(passed) for name, passed in verdicts.items()}
+
+
+def block_quadratic_norm(M, rows):
+    """sqrt(y^T (M kron I) y) for y stored as (N, b) agent rows.
+
+    The Kronecker-lifted quadratic form reduces to sum(rows * (M @ rows));
+    tiny negative values from roundoff on PSD M are clipped to zero.
+    """
+    val = float(np.sum(rows * (M @ rows)))
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def _dense(s):
+    """P_H, P_Htilde and P_A rebuilt from a setting's exchanged matrices."""
+    e = s.exchange
+    if "H" in e:
+        P_H = P_Ht = e["H"]
+    else:
+        P_H, P_Ht = e["L"] @ e["M"], e["L"] @ e["L"]
+    return P_H, P_Ht, np.diag(s.d_prime) - s.rho * P_H
+
+
+def coupled_rows(pb, X):
+    """[g_i; h_i](x_i) for every agent row, one agent at a time."""
+    out = np.zeros((pb.n_agents, pb.mp))
+    for i in range(pb.n_agents):
+        d = pb.dims[i]
+        x = X[i, :d]
+        for j in range(pb.m):
+            out[i, j] = np.sum((x - pb.a_prime[i, j, :d]) ** 2) - pb.c_prime[i, j]
+        out[i, pb.m :] = pb.B[i, :, :d] @ x + pb.c_eq[i]
+    return out
+
+
+def nonzero_start(pb, rng):
+    """x0 inside the agents' balls and y0 with nonnegative mu-blocks, both nonzero."""
+    x0 = pb.a + rng.uniform(-0.3, 0.3, size=pb.a.shape) * np.sqrt(pb.c)[:, None] / 2.0
+    y0 = rng.uniform(0.0, 1.5, size=(pb.n_agents, pb.mp))
+    return x0, y0
+
+
+def reference_round(pb, s, st, tol=1e-8):
+    """One round from state ``st`` by the per-agent updates of the
+    ``duca.engine`` docstring, with the dense exchanged matrices.
+
+    x+ comes from ``solve_local_batch`` on this function's own ytilde; the
+    rest is written out here.  ``st`` is left unchanged.  Returns the new
+    X, Y, SIG, sum_X, sum_Y, V (single) or Z and U (double), and WY, the
+    neighbor sums ``{name: W @ Y+}`` that the exchanges of y+ carry.
+    """
+    e, rho, d = s.exchange, s.rho, s.d_prime
+    if "H" in e:
+        ytilde = d[:, None] * st.Y - rho * (e["H"] @ st.Y) - st.V
+    else:
+        ytilde = d[:, None] * st.Y - e["L"] @ st.U
+    X = solve_local_batch(pb, ytilde, d, s.alpha, st.X, tol=tol)[0]
+    pre = ytilde + coupled_rows(pb, X)
+    proj = pre.copy()
+    proj[:, : pb.m] = np.maximum(pre[:, : pb.m], 0.0)
+    Y = proj / d[:, None]
+    out = {"X": X, "Y": Y, "SIG": proj - pre, "sum_X": st.sum_X + X, "sum_Y": st.sum_Y + Y,
+           "WY": {name: W @ Y for name, W in e.items()}}
+    if "H" in e:
+        out["V"] = st.V + rho * (e["H"] @ Y)
+    else:
+        out["Z"] = st.Z + rho * (e["L"] @ Y)
+        out["U"] = out["Z"] + rho * (e["M"] @ Y)
+    return out
+
+
+def dense_forms(st, s, cert=None):
+    """The diagnostics' network forms of a state, with dense matrices.
+
+    Returns ||Y||_A, ||Y - Y0||_A and the consensus error ||sum_Y/k||_P_Htilde
+    (k >= 1), and with a certificate also ||v*||_Hdag, ||V - v*||_Hdag and
+    the Lyapunov value; V is L @ Z in double mode, and Hdag is
+    ``np.linalg.pinv`` of P_Htilde.
+    """
+    _, P_Ht, P_A = _dense(s)
+    forms = {"y_A": block_quadratic_norm(P_A, st.Y),
+             "dy_A": block_quadratic_norm(P_A, st.Y - st.Y0)}
+    if st.k:
+        forms["consensus"] = block_quadratic_norm(P_Ht, st.sum_Y / st.k)
+    if cert is not None:
+        pinv = np.linalg.pinv(P_Ht, rcond=1e-10, hermitian=True)
+        V = st.V if st.V is not None else s.exchange["L"] @ st.Z
+        forms["v_term"] = block_quadratic_norm(pinv, cert.v_star)
+        forms["v_dist"] = block_quadratic_norm(pinv, V - cert.v_star)
+        forms["lyapunov"] = (0.5 * forms["y_A"] ** 2 + forms["v_dist"] ** 2 / (2.0 * s.rho)
+                             + 0.5 * s.alpha * float(np.sum((st.X - cert.x_star_rows) ** 2)))
+    return forms

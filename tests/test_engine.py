@@ -36,7 +36,7 @@ from duca.graphs import (
 from duca.localsolver import solve_local_batch
 from duca.problem import generate_example
 
-from reference import from_agent_data
+from reference import from_agent_data, nonzero_start, reference_round
 from test_localsolver import without_newton
 
 SEED_GRAPH = random_connected_graph(20, 40, seed=42)
@@ -355,10 +355,11 @@ class TestDoubleExchange:
         with pytest.raises(ConfigError):
             step(st, pb, double)
 
-    def test_v_mirror_tracks_L_times_z(self):
+    def test_v_is_implicit_and_z_is_rho_L_sum_y(self):
         pb, s = small_case(variant=Variant.ALT)
         st = run(pb, s, 7, y0=np.ones((6, pb.mp)))
-        assert np.allclose(st.V, s.exchange["L"] @ st.Z, atol=1e-14)
+        assert st.V is None
+        assert np.allclose(st.Z, s.rho * s.exchange["L"] @ st.sum_Y, atol=1e-14)
 
 
 BENCH_PROBLEM = generate_example(20, 3, 1, 5, seed=42)
@@ -388,13 +389,67 @@ class TestDisagreementIdentities:
     def test_exact_at_every_round(self, variant, q_scale):
         # seed-42 benchmark instance (x* = 0) and its Q x4 twin, where all
         # six multipliers are nonzero.  A v-update at 0.9*rho and a u built
-        # from the stale z pass every in-run check, yet break these at round 1.
+        # from the stale z break these at round 1; the engine's own check of
+        # the v (z) identity, made through the table, raises on the first.
         pb = dataclasses.replace(BENCH_PROBLEM, Q=q_scale * BENCH_PROBLEM.Q)
         s = make_setting(variant, SEED_GRAPH, rho=1.0, tuning=TUNING.get(variant))
         errors = []
         run(pb, s, 50, y0=ONES_Y0, hook=disagreement_identity_errors(s, errors))
         assert len(errors) == 51
         assert max(errors) <= 1e-10
+
+    @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.ALT])
+    def test_engine_check_refuses_a_broken_identity(self, variant):
+        # a change that keeps sum_i v_i = 0 (and touches only z in double
+        # mode) passes every other in-run check of the next round
+        pb, s = small_case(variant=variant)
+        st = run(pb, s, 3, y0=np.ones((6, pb.mp)))
+        held = st.V if st.V is not None else st.Z
+        held[0, 0] += 1e-6
+        held[1, 0] -= 1e-6
+        with pytest.raises(InvariantBreachError, match="round 4: disagreement identity"):
+            step(st, pb, s)
+
+
+def assert_round_matches_reference(pb, s, st, rounds):
+    """Step ``rounds`` times, comparing every round with ``reference_round``."""
+    for _ in range(rounds):
+        want = reference_round(pb, s, st)
+        step(st, pb, s)
+        for name, ref in want.items():
+            got = getattr(st, name)
+            if name == "WY":
+                assert sorted(got) == sorted(ref)
+                got, ref = (np.stack([sums[key] for key in sorted(ref)]) for sums in (got, ref))
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-10, f"round {st.k}: {name}"
+
+
+class TestAgainstReferenceRound:
+    @given(n=hst.integers(min_value=2, max_value=7),
+           extra=hst.integers(min_value=0, max_value=8),
+           seed=hst.integers(min_value=0, max_value=10_000),
+           variant=hst.sampled_from(list(Variant)),
+           alpha=hst.sampled_from([0.0, 0.1]),
+           q_scale=hst.sampled_from([1.0, 4.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_round_matches_on_small_graphs(self, n, extra, seed, variant, alpha,
+                                                 q_scale):
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+        base = generate_example(n, 2, 1, 2, seed=seed)
+        pb = dataclasses.replace(base, Q=q_scale * base.Q)
+        s = make_setting(variant, g, rho=1.0, alpha=alpha, tuning=TUNING.get(variant))
+        st = init(pb, s, *nonzero_start(pb, np.random.default_rng(seed)))
+        assert_round_matches_reference(pb, s, st, 4)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("q_scale", [1.0, 4.0], ids=["degenerate", "active"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_round_matches_on_the_benchmark_instance(self, variant, q_scale, alpha):
+        pb = dataclasses.replace(BENCH_PROBLEM, Q=q_scale * BENCH_PROBLEM.Q)
+        s = make_setting(variant, SEED_GRAPH, rho=1.0, alpha=alpha,
+                         tuning=TUNING.get(variant))
+        st = init(pb, s, *nonzero_start(pb, np.random.default_rng(42)))
+        assert_round_matches_reference(pb, s, st, 5)
 
 
 class TestRun:
@@ -565,3 +620,15 @@ class TestCheckpoint:
         st2 = load_state(dump_state(st))
         assert np.array_equal(st2.Z, st.Z)
         assert np.array_equal(st2.U, st.U)
+        assert st2.V is None
+        for sums, sums2 in ((st.WY, st2.WY), (st.WY0, st2.WY0)):
+            assert sorted(sums2) == ["L", "M"]
+            assert all(np.array_equal(sums[name], sums2[name]) for name in sums)
+
+    def test_double_mode_resume_matches_uninterrupted(self):
+        pb, s = small_case(variant=Variant.DIST_ADMM)
+        y0 = np.ones((6, pb.mp))
+        resumed = load_state(dump_state(run(pb, s, 3, y0=y0)))
+        for _ in range(2):
+            step(resumed, pb, s)
+        assert dump_state(resumed) == dump_state(run(pb, s, 5, y0=y0))

@@ -26,7 +26,11 @@ from duca.graphs import (
     spectral_quantities,
 )
 
-from reference import eigh_reference
+from duca.metrics import make_certificate
+from duca.oracle import CertificateCore
+from duca.problem import StackedPoint
+
+from reference import eigh_reference, from_agent_data
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 PATH2 = build_graph(2, [(0, 1)])
@@ -562,7 +566,8 @@ class TestValidateSetting:
     @pytest.mark.parametrize("field,value", [("rho", np.nan), ("alpha", np.inf),
                                              ("d_prime", np.array([2.0, np.nan, 2.0]))])
     def test_non_finite_entries_refused_before_decomposing(self, field, value, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", None)  # any eigensolve would raise TypeError
+        for name in ("eigh", "eigvalsh"):  # any eigensolve would raise TypeError
+            monkeypatch.setattr(np.linalg, name, None)
         with pytest.raises(AssumptionViolatedError, match=f"entries finite .not finite: {field}"):
             _hand_setting(**{field: value})
 
@@ -592,13 +597,34 @@ class TestValidateSetting:
 # ---------------------------------------------------------------------------
 
 
+def _w_star(s, v_rows):
+    """The certificate's w* on setting ``s`` for v* = ``v_rows`` (zero column sums).
+
+    Agent i's coupled equalities are x_i = 0 and the reference point has
+    x*_i = v_rows[i], so the certificate's v* is ``v_rows``.
+    """
+    n, p = v_rows.shape
+    pb = from_agent_data(P=[np.zeros((p, p))] * n, Q=[np.zeros(p)] * n, a=[np.zeros(p)] * n,
+                         c=[1e6] * n, a_prime=[np.zeros((0, p))] * n, c_prime=[np.zeros(0)] * n,
+                         B=[np.eye(p)] * n, c_eq=[np.zeros(p)] * n, l1_weight=0.0)
+    core = CertificateCore(x_star=StackedPoint.from_rows(v_rows, pb.dims), f_star=0.0,
+                           y_star=np.zeros(p), stationarity=0.0, feasibility=0.0,
+                           complementarity=0.0, outer_iters=0)
+    cert = make_certificate(core, pb, s)
+    assert np.abs(cert.v_star - v_rows).max() <= 1e-15
+    return cert.w_star
+
+
 class TestSpectralQuantities:
     def test_path2_pextra_pinv(self):
         s = make_setting(Variant.PEXTRA, PATH2, rho=1.0)
-        # P_Htilde = M/2 = [[1/4, -1/4], [-1/4, 1/4]]; eigen 0 and 1/2
+        # P_Htilde = M/2 = [[1/4, -1/4], [-1/4, 1/4]]; eigen 0 and 1/2, and
+        # its pseudo-inverse [[1, -1], [-1, 1]] takes v* = (1, -1) to w* = (2, -2)
         q = spectral_quantities(s)
         assert q.eig_PHtilde[1] == pytest.approx(0.5)
-        np.testing.assert_allclose(q.pinv_PHtilde, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
+        assert q.ones_resid_PHtilde <= 1e-16
+        np.testing.assert_allclose(_w_star(s, np.array([[1.0], [-1.0]])), [[2.0], [-2.0]],
+                                   atol=1e-12)
 
     def test_path2_laplacian_pinv(self):
         # PGC with rho_prime=1 on the 2-path gives P_Htilde = [[1,-1],[-1,1]],
@@ -607,9 +633,8 @@ class TestSpectralQuantities:
         np.testing.assert_allclose(s.P_Htilde, [[1.0, -1.0], [-1.0, 1.0]])
         q = spectral_quantities(s)
         assert q.eig_PHtilde[1] == pytest.approx(2.0)
-        np.testing.assert_allclose(
-            q.pinv_PHtilde, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12
-        )
+        np.testing.assert_allclose(_w_star(s, np.array([[1.0], [-1.0]])), [[0.5], [-0.5]],
+                                   atol=1e-12)
 
     def test_triangle_metropolis_second_eigenvalue(self):
         # On the triangle the Metropolis matrix is I - J/3: eigenvalues {0, 1, 1}.
@@ -618,12 +643,16 @@ class TestSpectralQuantities:
         assert q.eig_PHtilde[1] == pytest.approx(1.0)
 
     def test_pinv_identity_on_range(self):
+        # on the range of P_Htilde (zero column sums) w* is the pseudo-inverse
+        # image: P_Htilde w* = v* and 1^T w* = 0
         g = random_connected_graph(8, 12, seed=5)
         s = make_default(Variant.DIST_ADMM, g)
-        q = spectral_quantities(s)
-        n = 8
-        proj = np.eye(n) - np.ones((n, n)) / n
-        np.testing.assert_allclose(q.pinv_PHtilde @ s.P_Htilde, proj, atol=1e-9)
+        v = np.random.default_rng(5).standard_normal((8, 3))
+        v -= v.mean(axis=0)
+        w = _w_star(s, v)
+        np.testing.assert_allclose(s.P_Htilde @ w, v, atol=1e-9)
+        assert np.abs(w.sum(axis=0)).max() <= 1e-12
+        np.testing.assert_allclose(w, np.linalg.pinv(s.P_Htilde) @ v, atol=1e-9)
 
     def test_lam1_pa_matches_eigh(self):
         g = random_connected_graph(12, 20, seed=9)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duca.engine import NetworkState, eps_inner, ergodic_point, run
+from duca.engine import NetworkState, eps_inner, ergodic_point, init, run
 from duca.errors import (
     CertificateMissingError,
     InsufficientDataError,
@@ -19,10 +19,8 @@ from duca.errors import (
 from duca.graphs import (
     ParamSetting,
     Variant,
-    block_quadratic_norm,
     make_setting,
     random_connected_graph,
-    spectral_quantities,
 )
 from duca.localsolver import dual_value_batch
 from duca.metrics import (
@@ -30,12 +28,13 @@ from duca.metrics import (
     MetricsCollector,
     MetricsRow,
     compute_row,
+    lyapunov_value,
     csv_to_rows,
     loglog_slope,
     make_certificate,
     rows_to_csv,
 )
-from duca.oracle import centralized_solve
+from duca.oracle import CertificateCore, centralized_solve
 from duca.problem import (
     StackedPoint,
     coupled_violation_norm,
@@ -44,7 +43,8 @@ from duca.problem import (
     gtilde_rows,
 )
 
-from reference import from_agent_data
+from reference import block_quadratic_norm, dense_forms, from_agent_data, nonzero_start
+from test_engine import TUNING
 
 # ---------------------------------------------------------------------------
 # Shared fixtures (module-level cache keeps the reference solves to one each).
@@ -101,8 +101,9 @@ def pair_bundle():
     return _CACHE["pair"]
 
 
-def state_at(pb, X_rows, Y_rows, V_rows, k=1):
-    """Fabricate a post-round state holding a constant trajectory."""
+def state_at(pb, s, X_rows, Y_rows, V_rows, k=1):
+    """Fabricate a post-round state of single-exchange setting ``s`` holding
+    a constant trajectory."""
     return NetworkState(
         k=k,
         X=X_rows.copy(),
@@ -114,6 +115,10 @@ def state_at(pb, X_rows, Y_rows, V_rows, k=1):
         sum_X=k * X_rows,
         sum_Y=k * Y_rows,
         cum_gs=np.zeros(pb.mp),
+        WY=s.mailbox.sums(Y_rows),
+        WY0=s.mailbox.sums(np.zeros_like(Y_rows)),
+        gt_sum=gtilde_rows(pb, X_rows).sum(axis=0),
+        ergodic_feasibility=coupled_violation_norm(pb, X_rows),
         comm_total=12 * k,
         inner_iters_total=5 * k,
     )
@@ -240,11 +245,10 @@ class TestNormsAgainstDenseKron:
         rng = np.random.default_rng(n)
         g = random_connected_graph(n, min(n + 1, n * (n - 1) // 2), seed=n)
         s = make_setting(Variant.DUCA_I, g, rho=1.0)
-        spec = spectral_quantities(s)
         mp = 3
         rows = rng.standard_normal((n, mp))
         flat = rows.reshape(-1)
-        for mat in (s.P_A, s.P_Htilde, spec.pinv_PHtilde):
+        for mat in (s.P_A, s.P_Htilde, np.linalg.pinv(s.P_Htilde)):
             dense = float(flat @ np.kron(mat, np.eye(mp)) @ flat)
             dense = max(dense, 0.0)
             assert block_quadratic_norm(mat, rows) == pytest.approx(
@@ -252,14 +256,108 @@ class TestNormsAgainstDenseKron:
             )
 
 
+def stand_in_core(pb, rng):
+    """A reference point for the forms (not an optimum): x* inside the balls,
+    y* with zero mu-block (so complementarity holds) and a random lam-block."""
+    x_star, _ = nonzero_start(pb, rng)
+    y_star = np.concatenate([np.zeros(pb.m), rng.standard_normal(pb.p)])
+    return CertificateCore(x_star=StackedPoint.from_rows(x_star, pb.dims),
+                           f_star=eval_objective(pb, x_star), y_star=y_star, stationarity=0.0,
+                           feasibility=0.0, complementarity=0.0, outer_iters=0)
+
+
+def assert_close_sq(got, want, what):
+    """Norms compared through their squares: a square root of a rounding-level
+    value near 0 would magnify its rounding."""
+    assert got**2 == pytest.approx(want**2, rel=1e-10, abs=1e-12), what
+
+
+class TestFormsAgainstDenseReference:
+    @given(n=st.integers(2, 8), extra=st.integers(0, 10), seed=st.integers(0, 10_000),
+           variant=st.sampled_from(list(Variant)), alpha=st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=50, deadline=None)
+    def test_lyapunov_consensus_and_A_forms_match(self, n, extra, seed, variant, alpha):
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+        pb = generate_example(n, 2, 1, 2, seed=seed)
+        s = make_setting(variant, g, rho=1.0, alpha=alpha, tuning=TUNING.get(variant))
+        rng = np.random.default_rng(seed)
+        x0, y0 = nonzero_start(pb, rng)
+        cert = make_certificate(stand_in_core(pb, rng), pb, s, x0=x0, y0=y0)
+
+        # the certificate's constants against the dense forms at the start
+        ref = dense_forms(init(pb, s, x0, y0), s, cert)
+        y_star = cert.y_star
+        dy_A = block_quadratic_norm(s.P_A, y0 - y_star)
+        y0_A, v_term = ref["y_A"], ref["v_term"]
+        sq_nl = math.sqrt(n * s.spectra.lam1_PA)
+        dx = float(np.linalg.norm(x0 - cert.x_star_rows))
+        want = {"R2": v_term**2 / (2.0 * s.rho) + 0.5 * y0_A**2,
+                "R1": float(np.linalg.norm(y_star)) * sq_nl
+                * (dy_A + math.sqrt(dy_A**2 + v_term**2 / s.rho)),
+                "C2": math.sqrt((y0_A + cert.C1) ** 2 + alpha * dx**2 + v_term**2 / s.rho)}
+        for name, value in want.items():
+            assert getattr(cert, name) == pytest.approx(value, rel=1e-10, abs=1e-12), name
+
+        seen = []
+
+        def hook(state):
+            ref = dense_forms(state, s, cert)
+            where = f"round {state.k}"
+            assert_close_sq(s.a_norm(state.Y, state.WY), ref["y_A"], where + " ||y||_A")
+            dWY = {name: state.WY[name] - state.WY0[name] for name in state.WY}
+            assert_close_sq(s.a_norm(state.Y - state.Y0, dWY), ref["dy_A"],
+                            where + " ||y - y0||_A")
+            assert lyapunov_value(state, cert, s) == pytest.approx(
+                ref["lyapunov"], rel=1e-10, abs=1e-12), where + " Lyapunov value"
+            if state.k:
+                row = compute_row(state, pb, s, cert)
+                assert_close_sq(row.consensus_error, ref["consensus"], where + " consensus")
+            seen.append(state.k)
+
+        run(pb, s, 4, x0=x0, y0=y0, hook=hook)
+        assert seen == [0, 1, 2, 3, 4]
+
+
+class Poisoned:
+    """Stands in for an N x N array of a setting: any use of it fails."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("an N x N array of the setting was used after set-up")
+
+    __array__ = __array_ufunc__ = __array_function__ = __getattr__ = __getitem__ = _refuse
+    __matmul__ = __rmatmul__ = __mul__ = __rmul__ = __add__ = __radd__ = _refuse
+    __sub__ = __rsub__ = __truediv__ = __neg__ = __len__ = __iter__ = _refuse
+
+
+class TestNoDenseRoundWork:
+    @pytest.mark.parametrize("variant,alpha", [(v, 0.0) for v in Variant]
+                             + [(Variant.DUCA_I, 0.1)])
+    def test_checked_rounds_use_no_network_matrix(self, variant, alpha):
+        # set-up (the setting, its spectra, table and P_A column sums, and
+        # the certificate) may read the N x N matrices; the rounds, their
+        # checks and every metrics row read neighbor sums and constants only
+        pb, _, sol, _, x0, y0 = small_bundle()
+        s = make_setting(variant, _CACHE["g6"], rho=1.0, alpha=alpha,
+                         tuning=TUNING.get(variant))
+        cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
+        assert s.mailbox.links and s.P_A_col_sums.shape == (6,)  # built on first use
+        object.__setattr__(s, "exchange", {name: Poisoned() for name in s.exchange})
+        for name in ("P_H", "P_Htilde", "P_A"):
+            s.__dict__[name] = Poisoned()
+        with pytest.raises(AssertionError, match="used after set-up"):
+            s.P_Htilde @ np.ones((6, 1))
+        coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
+        final = run(pb, s, 5, x0=x0, y0=y0, hook=coll, tol_inner=1e-8, check=True)
+        assert final.k == 5 and len(coll.rows) == 5
+
+
 class TestSpectraOncePerSetting:
     @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.DIST_ADMM, Variant.ALT])
     def test_network_eigensolves_per_setting(self, variant, monkeypatch):
         # make_setting, make_certificate and run share one decomposition of
-        # each distinct matrix, and only P_Htilde's keeps its eigenvectors:
-        # eigvalsh of P_A, and eigh of H (= P_H = P_Htilde) in single mode and
-        # of L @ L (= P_H, as M = L) in DIST_ADMM; ALT adds eigvalsh of P_H and
-        # of P_H - P_Htilde.
+        # each distinct matrix, for its eigenvalues only: eigvalsh of P_A and
+        # of H (= P_H = P_Htilde) in single mode, of L @ L (= P_H, as M = L)
+        # in DIST_ADMM; ALT adds eigvalsh of P_H and of P_H - P_Htilde.
         pb, _, sol, _, x0, y0 = small_bundle()
         g = random_connected_graph(6, 9, seed=3)
         calls = {"eigh": [], "eigvalsh": []}
@@ -276,10 +374,10 @@ class TestSpectraOncePerSetting:
         cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
         coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
         run(pb, s, 3, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
-        eigvalsh_calls = 3 if variant == Variant.ALT else 1
+        eigvalsh_calls = 4 if variant == Variant.ALT else 2
         assert [a.shape for a in calls["eigvalsh"]] == [(6, 6)] * eigvalsh_calls
-        assert [a.shape for a in calls["eigh"]] == [(6, 6)]
-        assert np.array_equal(calls["eigh"][0], 0.5 * (s.P_Htilde + s.P_Htilde.T))
+        assert calls["eigh"] == []
+        assert np.array_equal(calls["eigvalsh"][1], 0.5 * (s.P_Htilde + s.P_Htilde.T))
 
 
 class TestPerRunConstants:
@@ -331,7 +429,7 @@ class TestPerRunConstants:
             return dict(counts)
 
         short, long = run_counted(5), run_counted(25)
-        assert short["P_A"] >= 1 and short["eigh"] >= 1
+        assert short["P_A"] >= 1 and short["eigvalsh"] >= 1
         assert long == short
 
 
@@ -343,9 +441,23 @@ class TestCertificate:
         assert np.abs(cert.v_star.sum(axis=0)).max() <= 1e-12
 
     def test_v_star_in_range_of_consensus_form(self):
+        # w* solves P_Htilde w* = v* with 1^T w* = 0: the pseudo-inverse image
+        # of v*, so ||v*||^2_Hdag = <w*, v*>
         pb, s, _, cert, _, _ = small_bundle()
-        recon = s.P_Htilde @ (s.spectra.pinv_PHtilde @ cert.v_star)
-        assert np.abs(recon - cert.v_star).max() <= 1e-8
+        assert np.abs(cert.v_star).max() > 0.1
+        assert np.abs(s.P_Htilde @ cert.w_star - cert.v_star).max() <= 1e-12
+        assert np.abs(cert.w_star.sum(axis=0)).max() <= 1e-12
+        np.testing.assert_allclose(cert.w_star, np.linalg.pinv(s.P_Htilde) @ cert.v_star,
+                                   rtol=0.0, atol=1e-10)
+        assert cert.z_star is None
+
+    @pytest.mark.parametrize("variant", [Variant.DIST_ADMM, Variant.ALT])
+    def test_double_mode_z_star_is_L_w_star(self, variant):
+        pb, _, sol, _, x0, y0 = small_bundle()
+        s = make_setting(variant, _CACHE["g6"], rho=1.0)
+        cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
+        assert np.abs(s.P_Htilde @ cert.w_star - cert.v_star).max() <= 1e-12
+        assert np.abs(cert.z_star - s.exchange["L"] @ cert.w_star).max() <= 1e-14
 
     def test_complementarity_at_reference_solution(self):
         pb, _, sol, cert, _, _ = small_bundle()
@@ -417,7 +529,7 @@ class TestTheoremBounds:
         s = make_setting(Variant.DUCA_I, g, rho=1.0, alpha=0.5)
         cert = make_certificate(sol, pb, s)
         b = cert.bounds(1)
-        v_term = block_quadratic_norm(s.spectra.pinv_PHtilde, cert.v_star)
+        v_term = block_quadratic_norm(np.linalg.pinv(s.P_Htilde), cert.v_star)
         x_term = float(np.sum(sol.x_star.rows(pb.dmax) ** 2))
         expected = v_term**2 / (2.0 * s.rho) + 0.5 * s.alpha * x_term
         assert b["oe_upper"] == pytest.approx(expected, rel=1e-12)
@@ -459,8 +571,8 @@ class TestLyapunov:
         pb, s, sol, cert = pair_bundle()
         X = sol.x_star.rows(pb.dmax)
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
-        st_k = state_at(pb, X, Y, cert.v_star, k=3)
-        st_next = state_at(pb, X, Y, cert.v_star, k=4)
+        st_k = state_at(pb, s, X, Y, cert.v_star, k=3)
+        st_next = state_at(pb, s, X, Y, cert.v_star, k=4)
         V_k = compute_row(st_k, pb, s, cert).lyapunov_value
         resid = compute_row(st_next, pb, s, cert, lyapunov_prev=V_k).lyapunov_residual
         assert abs(resid) <= 1e-9
@@ -510,7 +622,7 @@ class TestComputeRow:
         pb, s, sol, cert = pair_bundle()
         X = sol.x_star.rows(pb.dmax)
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
-        st = state_at(pb, X, Y, cert.v_star, k=1)
+        st = state_at(pb, s, X, Y, cert.v_star, k=1)
         row = compute_row(st, pb, s, cert)
         assert row.objective_error <= 1e-8
         assert abs(row.ergodic_objective_error) <= 1e-8
@@ -555,7 +667,7 @@ class TestComputeRow:
         X = sol.x_star.rows(pb.dmax)
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
         for field in ("X0", "Y0"):
-            st = state_at(pb, X, Y, cert.v_star, k=1)
+            st = state_at(pb, s, X, Y, cert.v_star, k=1)
             getattr(st, field)[0, 0] = 0.5
             with pytest.raises(InvalidInitError):
                 compute_row(st, pb, s, cert)
@@ -564,7 +676,7 @@ class TestComputeRow:
         pb, s, sol, cert = pair_bundle()
         X = sol.x_star.rows(pb.dmax)
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
-        st = state_at(pb, X, Y, cert.v_star, k=1)
+        st = state_at(pb, s, X, Y, cert.v_star, k=1)
         with pytest.raises(CertificateMissingError):
             compute_row(st, pb, s, None)
 
@@ -581,13 +693,13 @@ class TestDualValue:
     def test_at_dual_optimum_recovers_f_star(self):
         pb, s, sol, cert = pair_bundle()
         Y = np.tile(sol.y_star, (pb.n_agents, 1))
-        st = state_at(pb, np.zeros((2, 1)), Y, cert.v_star, k=4)
+        st = state_at(pb, s, np.zeros((2, 1)), Y, cert.v_star, k=4)
         assert dual_sum_at_ergodic_point(st, pb) == pytest.approx(sol.f_star, abs=1e-6)
 
     def test_at_zero_recovers_sum_of_local_minima(self):
         # q(0) decouples into the ball-constrained minima: -1 and -2.
         pb, s, sol, cert = pair_bundle()
-        st = state_at(pb, np.zeros((2, 1)), np.zeros((2, 1)), cert.v_star, k=2)
+        st = state_at(pb, s, np.zeros((2, 1)), np.zeros((2, 1)), cert.v_star, k=2)
         assert dual_sum_at_ergodic_point(st, pb) == pytest.approx(-3.0, abs=1e-6)
 
     def test_concave_along_segments(self):
