@@ -19,15 +19,19 @@ ball-normal multiplier on active rows, found by the same kind of breakpoint
 solve) minimizes the gap.  The certificate is valid regardless of how the
 iterate was produced.
 
-That is what lets second-order steps finish a row: after each iteration's
-certificate, every row not yet certified gets a chain of Newton steps, each
-on the face the last one reached (zero coordinates fixed, the other signs
-fixed, the ball held with equality when the row is on its sphere).  From
-the second step on, the same certificate is tried at each step's point, and
-the row ends at the first that passes without raising the value; the chain
-goes on only while the row's residual falls, for at most ``NEWTON_STEPS``
-steps.  A refused chain leaves no trace, so such a row takes the gradient
-step it would take without it.
+That is what lets second-order steps finish a row.  Every iteration takes
+one Newton step from each row with a nonzero coordinate, on the face its
+iterate shows (zero coordinates fixed, the other signs fixed, the ball held
+with equality when the row is on its sphere), and certifies the iterates
+and these first Newton points in one call.  A row not certified at its
+iterate ends at its first Newton point when that passes without raising the
+value; on a flat face (off the sphere, no positive hinge) the objective is
+quadratic, so that point is the face's minimizer.  Otherwise the row chains
+more steps, each on the face the last one reached and certified at its
+point, and ends at the first that passes without raising the value; the
+chain goes on only while the row's residual falls below its residual at
+the iterate, for at most ``NEWTON_STEPS`` points.  A refused chain leaves no
+trace, so such a row takes the gradient step it would take without it.
 
 All routines are batched over rows (agents) and run on a working set that
 shrinks as rows certify; no row's arithmetic reads another row, so a batch
@@ -233,11 +237,12 @@ def _certificate_residual(X, grads, eta, a, c, w):
             t[need] = np.clip(np.where((S == 0.0) & (C < 0.0), hi, root), lo, hi)
     want = -(grads + t[:, None] * diff)
     s = grads + np.where(kink, np.clip(want, -w, w), fixed_sigma)
-    snorm = np.linalg.norm(s, axis=1)
+    snorm = np.sqrt((s * s).sum(axis=1))
     eta_c = np.minimum(eta, 2.0 * np.sqrt(c) / np.maximum(snorm, 1e-300))
     stepped = X - eta_c[:, None] * s
     back = _project_rows(stepped, a, c)
-    return np.linalg.norm(X - back, axis=1) / eta_c
+    gap = X - back
+    return np.sqrt((gap * gap).sum(axis=1)) / eta_c
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,7 @@ class _SmoothPart:
         self._rows = tuple(name for name, v in data.items() if np.ndim(v))
 
     def take(self, keep):
+        keep = np.flatnonzero(keep) if keep.dtype == bool else keep  # indices slice faster
         part = object.__new__(type(self))
         part.__dict__.update(self.__dict__)
         part.__dict__.update((name, self.__dict__[name][keep]) for name in self._rows)
@@ -406,6 +412,8 @@ def _onto_sphere(X, a, c, rows):
     its scale by a few ulps, and whatever is still outside after four tries
     is left to ``_radial_clip``.
     """
+    if not rows.any():
+        return X
     free = X != 0.0
     e = X - a
     fixed = np.where(free, 0.0, e**2).sum(axis=1)
@@ -470,51 +478,57 @@ def _newton_step(smooth, X, grads, a, c, w):
     return _radial_clip(_onto_sphere(Xn, a, c, ball), a, c), finite
 
 
-def _newton_finish(smooth, X, grads, comp, res, probe, a, c, w, tol):
-    """Chain Newton steps from the rows of X; return the rows that finish on one.
+def _newton_finish(smooth, Y, vY, gY, r, open_rows, comp, best, probe, a, c, w, tol):
+    """Test the first Newton points of the ``open_rows`` and chain more steps.
 
-    The chain runs on the rows with a nonzero coordinate, each step
-    (``_newton_step``) on the face the last one reached.  From the second
-    step on, each step's point is certified at the row's probe step: the row
-    finishes there when the certificate passes and the composite value is at
-    most ``comp``, the value at X.  A row goes on to the next step only while
-    its certificate residual keeps falling, starting from ``res``, its
-    residual at X, and the chain ends after ``NEWTON_STEPS`` steps.  Returns
-    a mask of the finishing rows and, on them, the point, its residual and
-    its composite value; the other rows leave no trace.
+    Y holds each row's first Newton point, with its smooth values vY and
+    gradients gY and its certificate residual r at the row's probe step.  An
+    open row finishes on a point when the certificate passes and the
+    composite value is at most ``comp``, the value at the row's iterate.  An
+    open row that does not finish on its first point takes the next step
+    (``_newton_step``, on the face the last one reached) and is certified
+    there; from then on it goes on only while its residual keeps falling,
+    starting from ``best``, its residual at the iterate, and the chain ends
+    after ``NEWTON_STEPS`` points.  Returns a mask of the finishing rows
+    and, on them, the point, its residual and its composite value; the
+    other rows leave no trace.
     """
-    won = np.zeros(len(X), dtype=bool)
-    X_won, res_won, comp_won = np.empty_like(X), np.empty(len(X)), np.empty(len(X))
-    rows, Y, gY, best = np.arange(len(X)), X, grads, res
+    won = np.zeros(len(Y), dtype=bool)
+    Y_won, res_won, comp_won = np.empty_like(Y), np.empty(len(Y)), np.empty(len(Y))
+    rows, cap = np.arange(len(Y)), comp + _slack(comp)
 
     def keep(mask):
         """Drop the chain's rows outside ``mask``; True when none is left."""
-        nonlocal rows, Y, gY, best, smooth
+        nonlocal rows, Y, gY, best, cap, probe, a, c, smooth
         if not mask.all():
-            rows, Y, gY, best = rows[mask], Y[mask], gY[mask], best[mask]
+            rows, Y, gY, best, cap, probe, a, c = (
+                v[mask] for v in (rows, Y, gY, best, cap, probe, a, c))
             if len(rows):
                 smooth = smooth.take(mask)
         return not len(rows)
 
-    if keep((X != 0.0).any(axis=1)):
-        return won, X_won, res_won, comp_won
     for step in range(NEWTON_STEPS):
-        Y, go = _newton_step(smooth, Y, gY, a[rows], c[rows], w)
+        comp_Y = vY + w * np.abs(Y).sum(axis=1)
+        win = (r <= tol) & (comp_Y <= cap)
+        if not step:
+            win &= open_rows
+        if win.any():
+            at = rows[win]
+            won[at] = True
+            Y_won[at], res_won[at], comp_won[at] = Y[win], r[win], comp_Y[win]
+        # past the first point, a row goes on only while its residual falls
+        if step:
+            go_on, best = (r > tol) & (r < best), r
+        else:
+            go_on = open_rows & ~win
+        if step == NEWTON_STEPS - 1 or keep(go_on):
+            break
+        Y, go = _newton_step(smooth, Y, gY, a, c, w)
         if keep(go):
             break
         vY, gY = smooth(Y)
-        if step:
-            r = _certificate_residual(Y, gY, probe[rows], a[rows], c[rows], w)
-            comp_Y = vY + w * np.abs(Y).sum(axis=1)
-            win = (r <= tol) & (comp_Y <= comp[rows] + _slack(comp[rows]))
-            at = rows[win]
-            won[at] = True
-            X_won[at], res_won[at], comp_won[at] = Y[win], r[win], comp_Y[win]
-            falling = (r > tol) & (r < best)
-            best = r
-            if keep(falling):
-                break
-    return won, X_won, res_won, comp_won
+        r = _certificate_residual(Y, gY, probe, a, c, w)
+    return won, Y_won, res_won, comp_won
 
 
 def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
@@ -528,21 +542,26 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     ``smooth(X)`` returns per-row smooth values and gradients,
     ``smooth.hessian(X)`` their Hessians, and ``smooth.take(keep)`` the
     smooth part of a subset of the rows.  At the start of every iteration
-    each row of the working set is certified at its current iterate; a row
-    leaves the set at its first iterate whose residual is <= tol, after
-    ``iters`` steps, and the set's per-row arrays and smooth part are
-    compacted to the rows left.  A row that uses up ``max_iters`` is
-    certified once more at its last iterate.
+    each row of the working set with a nonzero coordinate takes one Newton
+    step (``_newton_step``) from its iterate, and every row is certified at
+    its iterate and every such row at its first Newton point, in one call.
+    A row leaves the set at its first iterate whose residual is <= tol,
+    after ``iters`` steps; a row that uses up ``max_iters`` is certified
+    once more at its last iterate and leaves there.
 
-    Every row left then gets a chain of Newton steps (``_newton_finish``).
-    Its second step's point and each later one are certified at the same
-    probe step, and the chain goes on only while the row's residual falls,
-    for at most ``NEWTON_STEPS`` steps.  A row leaves at a chain point, which
-    counts as one more iteration, when the point passes and does not raise
-    the composite value; every other row takes the accelerated step below as
-    if there were no chain.  No row's arithmetic depends on another's, so a
-    batch row equals the same row solved alone, bit for bit.  Returns (X,
-    residual, iters, done, composite values).
+    A row not certified at its iterate goes on to ``_newton_finish``: it
+    leaves at its first Newton point when that passes and does not raise
+    the composite value, and otherwise chains more Newton steps, each
+    certified at the same probe step, for as long as its residual falls and
+    for at most ``NEWTON_STEPS`` points.  A row that leaves at a Newton
+    point counts one more iteration.  On a flat face (off the sphere, no
+    positive hinge) the round objective is quadratic, so the first Newton
+    point is the face's minimizer and such a row leaves there.  Every other
+    row takes the accelerated step below as if there were no Newton step.
+    The set's per-row arrays and smooth part are compacted once per
+    iteration, to the rows left.  No row's arithmetic depends on another's,
+    so a batch row equals the same row solved alone, bit for bit.  Returns
+    (X, residual, iters, done, composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
     the worst case over the ball, and backtracking shrinks it as needed.  The
@@ -567,36 +586,50 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     Xprev = X
     tk = np.ones(rows)
 
-    def leave(out, Xl, res, comp_l, n_iters):
-        """Record the ``out`` rows' results and compact the working set; True if empty."""
-        nonlocal X, Xprev, vals, grads, comp, tk, eta, eta0, probe, a, c, live, smooth
-        rows_out = live[out]
-        X_out[rows_out], residual[rows_out], values[rows_out] = Xl[out], res[out], comp_l[out]
-        iters[rows_out], done[rows_out] = n_iters, res[out] <= tol
-        keep = ~out
-        if not keep.any():
-            return True
-        X, Xprev, vals, grads, comp, tk, eta, eta0, probe, a, c, live = (
-            v[keep] for v in (X, Xprev, vals, grads, comp, tk, eta, eta0, probe, a, c, live))
-        smooth = smooth.take(keep)
-        return False
+    def record(rows_out, Xl, res, comp_l, n_iters):
+        """Record the results of the rows ``rows_out`` of the whole batch."""
+        X_out[rows_out], residual[rows_out], values[rows_out] = Xl, res, comp_l
+        iters[rows_out], done[rows_out] = n_iters, res <= tol
 
     for it in range(max_iters + 1):
-        # certify every row of the working set at its current iterate, at a
-        # probe step of at most 1/L; a row leaves at its first pass
+        # the first Newton point of every row with a nonzero coordinate, while
+        # iterations are left; it is certified with the iterates, all at a
+        # probe step of at most 1/L
         probe = np.minimum(eta, eta0)
-        res = _certificate_residual(X, grads, probe, a, c, w)
+        Y = X[:0]
+        if it < max_iters and X.any():
+            nonzero = (X != 0.0).any(axis=1)
+            # those rows as a slice when they are all the rows: views, not copies
+            first = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
+            near = smooth if nonzero.all() else smooth.take(first)
+            Y, go = _newton_step(near, X[first], grads[first], a[first], c[first], w)
+            if not go.all():
+                first, Y, near = np.arange(len(X))[first][go], Y[go], near.take(go)
+        if len(Y):
+            vY, gY = near(Y)
+            both = _certificate_residual(np.concatenate([X, Y]), np.concatenate([grads, gY]),
+                                         *(np.concatenate([v, v[first]]) for v in (probe, a, c)),
+                                         w)
+            res, r = both[: len(X)], both[len(X) :]
+        else:
+            res = _certificate_residual(X, grads, probe, a, c, w)
+        # a row leaves at its iterate when that passes; the others with a
+        # first Newton point may leave on it or on a later chain step
         out = (res <= tol) | (it == max_iters)
+        record(live[out], X[out], res[out], comp[out], it)
+        if len(Y) and not out[first].all():
+            won, Y_won, res_won, comp_won = _newton_finish(
+                near, Y, vY, gY, r, ~out[first], comp[first], res[first], probe[first],
+                a[first], c[first], w, tol)
+            record(live[first][won], Y_won[won], res_won[won], comp_won[won], it + 1)
+            out[first] |= won
         if out.any():
-            if leave(out, X, res, comp, it):
+            keep = ~out
+            if not keep.any():
                 break
-            res = res[~out]
-        # Newton finish: a row leaves on a chain step's point that certifies
-        # and does not raise the composite value
-        won, X_won, res_won, comp_won = _newton_finish(smooth, X, grads, comp, res, probe,
-                                                       a, c, w, tol)
-        if won.any() and leave(won, X_won, res_won, comp_won, it + 1):
-            break
+            X, Xprev, vals, grads, comp, tk, eta, eta0, a, c, live = (
+                v[keep] for v in (X, Xprev, vals, grads, comp, tk, eta, eta0, a, c, live))
+            smooth = smooth.take(keep)
         if it == STALL_ITERS:
             np.minimum(eta, eta0, out=eta)
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk**2))

@@ -63,7 +63,7 @@ from .errors import (
     InvalidInitError,
     InvariantBreachError,
 )
-from .graphs import ParamSetting
+from .graphs import ParamSetting, Variant
 from .localsolver import DEFAULT_TOL
 from .oracle import CertificateCore
 from .problem import Problem, eval_objective, gtilde_rows
@@ -186,7 +186,14 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     block_sum = float(np.abs(v_star.sum(axis=0)).max()) if mp else 0.0
     if block_sum > 1e-8:
         raise InvariantBreachError(f"v* block sum {block_sum:.3e} is not zero")
-    w_star = np.linalg.solve(s.P_Htilde + 1.0 / n, v_star)
+    try:
+        w_star = np.linalg.solve(s.P_Htilde + 1.0 / n, v_star)
+    except np.linalg.LinAlgError:
+        raise InvariantBreachError(
+            f"{Variant(s.variant).value} setting (rho={s.rho}, alpha={s.alpha}): "
+            "P_Htilde + 11^T/N is singular, so its consensus form has a null space "
+            "larger than span(1)"
+        ) from None
     if mp:
         rng_err = float(np.abs(s.P_Htilde @ w_star - v_star).max())
         if rng_err > 1e-8:

@@ -127,7 +127,7 @@ class Problem:
                     f"need sum c' > sum ||a'||^2, got slack {slack:.3e}"
                 )
 
-    @property
+    @cached_property
     def dmax(self) -> int:
         return max(self.dims)
 

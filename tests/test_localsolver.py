@@ -12,8 +12,10 @@ from duca.errors import AssumptionViolatedError, InvariantBreachError
 from duca.localsolver import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    NEWTON_STEPS,
     _certificate_residual,
     _dual_value_and_grad,
+    _newton_step,
     _prox_grad_loop,
     _prox_l1_ball,
     _radial_clip,
@@ -481,30 +483,14 @@ class TestNewtonFinish:
     def test_garbage_candidate_refused_by_the_certificate(self, monkeypatch):
         # a candidate of X + 1 must fail its certificate on every row, and
         # every row then keeps the gradient path's bits
-        import duca.localsolver as ls
-
         Yt, d_prime, anchor = _round_batch()
         with pytest.MonkeyPatch.context() as mp:
             without_newton(mp)
             want = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
-        probed = []
-        after_garbage = [False]
-        real_cert = ls._certificate_residual
-
-        def garbage(smooth, X, grads, a, c, w):
-            after_garbage[0] = True
-            return X + 1.0, np.ones(len(X), dtype=bool)
-
-        def cert(X, grads, eta, a, c, w):
-            res = real_cert(X, grads, eta, a, c, w)
-            if after_garbage[0]:
-                probed.append(res)
-            after_garbage[0] = False
-            return res
-
-        monkeypatch.setattr(ls, "_newton_step", garbage)
-        monkeypatch.setattr(ls, "_certificate_residual", cert)
+        log = _log_probes(monkeypatch, lambda smooth, X, grads, a, c, w:
+                          (X + 1.0, np.ones(len(X), dtype=bool)))
         got = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
+        probed = [res[at_newton] for _agents, res, at_newton, _step in log if at_newton.any()]
         assert probed and all((res > 1e-9).all() for res in probed)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -529,6 +515,9 @@ class TestNewtonFinish:
         assert done_g and iters_g > 2
         np.testing.assert_allclose(x, x_g, rtol=0.0, atol=1e-6)
 
+    def test_certified_first_point_that_raises_the_value_refused(self, monkeypatch):
+        self._refuse_certified_but_higher(monkeypatch, at_step=1)
+
     def test_certified_candidate_that_raises_the_value_refused(self, monkeypatch):
         self._refuse_certified_but_higher(monkeypatch, at_step=2)
 
@@ -541,10 +530,10 @@ class TestNewtonFinish:
         # P = diag(1, 5e-7) the point (0, 5e-3) certifies at tol 1e-8 (its
         # gradient is 5e-9) yet its value 1.25e-11 is above the start
         # (1e-8, 0), whose value is 1e-16 and whose gradient 2e-8 does not
-        # certify.  Offered as the chain's second step, or as its third after
-        # a second step whose residual 1.4e-8 falls but fails, it must be
-        # refused on value, so that the returned value stays at most the
-        # start's.
+        # certify.  Offered as the first Newton point, as the chain's second,
+        # or as its third after a second whose residual 1.4e-8 falls but
+        # fails, it must be refused on value, so that the returned value
+        # stays at most the start's.
         import duca.localsolver as ls
 
         tol = 1e-8
@@ -621,9 +610,9 @@ class TestNewtonFinish:
         assert (iters_2[ext] > 1).all()
 
     def test_rows_certified_at_step_two_keep_the_capped_chain_bits(self, monkeypatch):
-        # the chain's first certificate comes after its second step, as
-        # before the chain went on; a row that no later step certifies ends
-        # bit for bit as with the chain capped at two steps
+        # the chain's first two points are certified as with the chain
+        # capped at two points; a row that no later point certifies ends bit
+        # for bit as with the cap
         import duca.localsolver as ls
 
         Yt, d_prime, anchor = _active_batch()
@@ -631,7 +620,7 @@ class TestNewtonFinish:
         monkeypatch.setattr(ls, "NEWTON_STEPS", 2)
         want = solve_local_batch(ACTIVE, Yt, d_prime, 0.1, anchor)
         at_two = [i for i in range(20) if set(passes[i]) == {2}]
-        same = [i for i in range(20) if all(k == 2 for k in passes[i])]
+        same = [i for i in range(20) if all(k <= 2 for k in passes[i])]
         assert len(at_two) >= 3 and len(same) < 20
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g[same], w[same])
@@ -688,39 +677,67 @@ def _active_batch():
     return Yt, d_prime, anchor
 
 
-def _chain_passes(*args):
-    """Solve a batch, recording per agent the Newton chain steps that certified.
+def _log_probes(mp, newton_step=None, agents=None):
+    """Spy on the solver's certificate calls; return the log it fills.
 
-    Chain steps are counted from their iteration's entry certificate; a
-    certificate probe that follows a Newton step probes that step's point.
-    Returns the solve's output and, per agent, the list of passing steps.
+    A call that follows a Newton step ends with that step's points.  When it
+    holds more rows than the step returned, it starts with the iterates
+    certified with them, and the step was its iteration's first.  Each call
+    appends ``(agents, res, at_newton, step)``: the agent of each row (read
+    by ``agents`` from the rows' ball centers, by default SVI's), the
+    residuals, a mask of the rows at Newton points and their points'
+    number in the chain (1 for a first Newton point, 0 in a call with none).
+    ``newton_step`` stands in for the solver's step; every step must keep
+    all its rows.
     """
     import duca.localsolver as ls
 
-    real_step, real_cert = ls._newton_step, ls._certificate_residual
-    state = {"step": 0, "fresh": False}
-    passes = [[] for _ in range(20)]
+    real_step, real_cert = newton_step or ls._newton_step, ls._certificate_residual
+    log, state = [], {"n": 0, "step": 0}
 
-    def step(*step_args):
-        state["step"] += 1
-        state["fresh"] = True
-        return real_step(*step_args)
+    def step(smooth, X, grads, a, c, w):
+        Y, go = real_step(smooth, X, grads, a, c, w)
+        assert go.all()
+        state["n"] = len(X)
+        return Y, go
 
     def cert(X, grads, eta, a, c, w):
         res = real_cert(X, grads, eta, a, c, w)
-        if state["fresh"]:
-            for i in _agents(a)[res <= DEFAULT_TOL]:
-                passes[i].append(state["step"])
-        else:
-            state["step"] = 0
-        state["fresh"] = False
+        n, state["n"] = state["n"], 0
+        state["step"] = 0 if not n else 1 if len(X) > n else state["step"] + 1
+        at_newton = np.zeros(len(X), dtype=bool)
+        at_newton[len(X) - n :] = True
+        log.append(((agents or _agents)(a), res, at_newton, state["step"]))
         return res
 
+    mp.setattr(ls, "_newton_step", step)
+    mp.setattr(ls, "_certificate_residual", cert)
+    return log
+
+
+def _chain_passes(*args):
+    """Solve a batch, recording per agent the Newton chain points that certified.
+
+    Points are numbered from the iteration's first Newton point, which is
+    certified with the iterates; a first point counts only on a row whose
+    iterate failed in the same call.  Returns the solve's output and, per
+    agent, the list of passing points.
+    """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ls, "_newton_step", step)
-        mp.setattr(ls, "_certificate_residual", cert)
+        log = _log_probes(mp)
         out = solve_local_batch(*args)
+    passes = [[] for _ in range(20)]
+    for agents, res, at_newton, step in log:
+        open_rows = set(agents[~at_newton & (res > DEFAULT_TOL)])
+        for i, r in zip(agents[at_newton], res[at_newton]):
+            if r <= DEFAULT_TOL and (step > 1 or i in open_rows):
+                passes[i].append(step)
     return out, passes
+
+
+def _one(a_rows):
+    """Agent of each row of a one-agent batch."""
+    return np.zeros(len(a_rows), dtype=int)
 
 
 def _agents(a_rows):
@@ -763,46 +780,69 @@ class TestCertificateSchedule:
                              [(1e-9, DEFAULT_MAX_ITERS, True), (1e-14, 5, False)])
     def test_every_unfrozen_row_certified_at_every_iterate(self, monkeypatch, tol,
                                                            max_iters, all_done):
-        # a row is probed at the start of each of its iterations and, if the
-        # cap ends it uncertified, once more at its last iterate: iters + 1
-        # entry probes.  A Newton chain is probed after the entry probe of
-        # its iteration, once per certified chain step, so at most
-        # NEWTON_STEPS - 1 times per iteration, and a row that leaves on a
-        # chain step has no entry probe at that last iterate.
-        import duca.localsolver as ls
-
+        # a row is probed at its iterate at the start of each of its
+        # iterations and, if the cap ends it uncertified, once more at its
+        # last iterate; a row that leaves on a Newton point has no probe at
+        # the iterate that point would have become: entry probes plus
+        # Newton passes make iters + 1.  A first Newton point is probed in
+        # the same call as its row's iterate, so at most once per entry
+        # probe, and its chain adds at most NEWTON_STEPS - 1 probes.
         Yt, d_prime, anchor = _round_batch()
-        entry = np.zeros(20, dtype=int)
-        newton = np.zeros(20, dtype=int)
+        entry, first, chain = (np.zeros(20, dtype=int) for _ in range(3))
         newton_pass = np.zeros(20, dtype=bool)
-        next_is_newton = [False]
-        real_cert, real_candidate = ls._certificate_residual, ls._newton_step
-
-        def candidate(smooth, X, grads, a, c, w):
-            Xc, ok = real_candidate(smooth, X, grads, a, c, w)
-            next_is_newton[0] = ok.any()
-            return Xc, ok
-
-        def cert(X, grads, eta, a, c, w):
-            res = real_cert(X, grads, eta, a, c, w)
-            rows = _agents(a)
-            if next_is_newton[0]:
-                np.add.at(newton, rows, 1)
-                newton_pass[rows] |= res <= tol
-            else:
-                np.add.at(entry, rows, 1)
-            next_is_newton[0] = False
-            return res
-
-        monkeypatch.setattr(ls, "_certificate_residual", cert)
-        monkeypatch.setattr(ls, "_newton_step", candidate)
+        log = _log_probes(monkeypatch)
         _X, res, iters, done, _vals = solve_local_batch(
             SVI, Yt, d_prime, 0.1, anchor, tol=tol, max_iters=max_iters)
+        for agents, r, at_newton, step in log:
+            np.add.at(entry, agents[~at_newton], 1)
+            np.add.at(first if step == 1 else chain, agents[at_newton], 1)
+            if step == 1:
+                assert set(agents[at_newton]) <= set(agents[~at_newton])
+            open_rows = agents[~at_newton][r[~at_newton] > tol]
+            passed = agents[at_newton][r[at_newton] <= tol]
+            newton_pass[passed if step > 1 else np.intersect1d(passed, open_rows)] = True
         assert done.all() == all_done
-        assert newton.sum() > 0
+        assert first.sum() > 0 and chain.sum() > 0
         np.testing.assert_array_equal(entry + newton_pass, iters + 1)
-        assert (newton <= (ls.NEWTON_STEPS - 1) * iters).all()
+        assert (first <= entry).all()
+        assert (chain <= (NEWTON_STEPS - 1) * first).all()
         assert (res[newton_pass] <= tol).all()
+
+    def test_flat_face_row_finishes_on_its_first_newton_point(self, monkeypatch):
+        # x'Px + Q'x + 0.1*||x||_1 with P = diag(1, 2), Q = (-1, -2) on a
+        # ball of radius 10: the minimizer (0.45, 0.475) lies off the sphere,
+        # and with no hinge the objective is quadratic on the positive face.
+        # From (0.3, 0.3), on that face, the first Newton point is the
+        # face's minimizer, so the row leaves there after one iteration and
+        # one Newton step, where the gradient path needs more iterations.
+        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-1.0, -2.0], c=100.0, l1_weight=0.1)
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, np.array([0.3, 0.3]))
+        with pytest.MonkeyPatch.context() as mp:
+            log = _log_probes(mp, agents=_one)
+            x, _res, iters, done, _val = solve_one(sp)
+        assert done and iters == 1
+        assert [step for _a, _r, _at, step in log] == [1]
+        np.testing.assert_allclose(x, [0.45, 0.475], rtol=0.0, atol=1e-14)
+        without_newton(monkeypatch)
+        _x, _res, iters_g, done_g, _val = solve_one(sp)
+        assert done_g and iters_g > 1
+
+    def test_row_certified_at_its_iterate_returned_there(self, monkeypatch):
+        # the flat-face problem above, started a rounding-level step off its
+        # minimizer: the start certifies, and so does its first Newton point,
+        # which is another point; the row leaves at its start, bit for bit
+        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-1.0, -2.0], c=100.0, l1_weight=0.1)
+        start = np.array([0.45, 0.475]) + np.array([1e-10, -1e-10])
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, start)
+        smooth = _round_value_and_grad(pb, np.zeros((1, 0)), np.ones(1), 0.0, start[None])
+        Y, _go = _newton_step(smooth, start[None], smooth(start[None])[1], pb.a, pb.c, 0.1)
+        assert not np.array_equal(Y[0], start)
+        log = _log_probes(monkeypatch, agents=_one)
+        x, _res, iters, done, _val = solve_one(sp)
+        ((_a, r, _at, step),) = log
+        assert step == 1 and (r <= DEFAULT_TOL).all()
+        assert done and iters == 0
+        np.testing.assert_array_equal(x, start)
 
 
 class TestDualFunction:

@@ -480,6 +480,22 @@ class TestCertificate:
             make_certificate(bad, pb, s)
 
 
+    @pytest.mark.parametrize("form, match", [("zero", "DUCA_I setting .* singular"),
+                                             ("two components", "not in the range")])
+    def test_consensus_form_with_a_larger_null_space_rejected(self, form, match):
+        # P_Htilde forced past the standing checks, onto a form whose null
+        # space is larger than span(1): the zero form makes the solve for w*
+        # singular, which is refused naming the setting, and the Laplacian
+        # of two disjoint triangles leaves v* outside its range
+        pb, _, sol, _, _, _ = small_bundle()
+        s = make_setting(Variant.DUCA_I, _CACHE["g6"], rho=1.0)
+        tri = 3.0 * np.eye(3) - 1.0
+        s.__dict__["P_Htilde"] = (np.zeros((6, 6)) if form == "zero"
+                                  else np.kron(np.eye(2), tri))
+        with pytest.raises(InvariantBreachError, match=match):
+            make_certificate(sol, pb, s)
+
+
 class TestTheoremBounds:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_doubling_k_halves_every_bound(self, alpha):
