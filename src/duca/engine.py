@@ -71,7 +71,8 @@ CONE_TOL = 1e-14
 #: column-sum conservation of v, per round
 VSUM_TOL_PER_ROUND = 1e-9
 #: disagreement identity v = rho P_Htilde sum_l y_l (z = rho L sum_l y_l), per round
-IDENTITY_TOL_PER_ROUND = 1e-9
+#: and relative to the largest entry of its right-hand side (but at least 1)
+IDENTITY_TOL_PER_ROUND = 1e-12
 #: cumulative constraint identity budget at round 1000 (scales linearly after)
 CUMULATIVE_TOL = 1e-8
 #: inexact-inner-solve slack = EPS_INNER_FACTOR * inner tolerance
@@ -211,8 +212,9 @@ def _check_exact(st, pb, s, moreau, compl):
                 f"round {k}: sum_i v_i = {vsum:.3e} exceeds {VSUM_TOL_PER_ROUND:g}*k"
             )
     label, held, name = ("v", st.V, "H") if st.V is not None else ("z", st.Z, "L")
-    err = float(np.abs(held - s.rho * s.mailbox.weighted_sum(name, st.sum_Y)).max())
-    if err > IDENTITY_TOL_PER_ROUND * max(k, 1):
+    want = s.rho * s.mailbox.weighted_sum(name, st.sum_Y)
+    err = float(np.abs(held - want).max())
+    if err > IDENTITY_TOL_PER_ROUND * max(k, 1) * max(1.0, float(np.abs(want).max())):
         raise InvariantBreachError(
             f"round {k}: disagreement identity residual {err:.3e} "
             f"({label} against rho*{name}*sum_y)"

@@ -20,12 +20,12 @@ solve) minimizes the gap.  The certificate is valid regardless of how the
 iterate was produced.
 
 That is what lets second-order steps finish a row.  Every iteration takes
-one Newton step from each row with a nonzero coordinate, on the face its
-iterate shows (zero coordinates fixed, the other signs fixed, the ball held
-with equality when the row is on its sphere), and certifies the iterates
-and these first Newton points in one call.  A row not certified at its
-iterate ends at its first Newton point when that passes without raising the
-value; on a flat face (off the sphere, no positive hinge) the objective is
+one Newton step from each row, on the face its iterate shows (zero
+coordinates fixed, the other signs fixed, the ball held with equality when
+the row is on its sphere), and certifies the iterates and these first
+Newton points in one call.  A row with a nonzero coordinate not certified
+at its iterate ends at its first Newton point when that passes without
+raising the value; on a flat face (off the sphere, no positive hinge) the objective is
 quadratic, so that point is the face's minimizer.  Otherwise the row chains
 more steps, each on the face the last one reached and certified at its
 point, and ends at the first that passes without raising the value; the
@@ -33,9 +33,10 @@ chain goes on only while the row's residual falls below its residual at
 the iterate, for at most ``NEWTON_STEPS`` points.  A refused chain leaves no
 trace, so such a row takes the gradient step it would take without it.
 
-All routines are batched over rows (agents) and run on a working set that
-shrinks as rows certify; no row's arithmetic reads another row, so a batch
-row matches the same agent solved alone.
+All routines are batched over rows (agents), and a solve keeps its whole
+batch to the end: a row whose result is written is stepped on with the
+others.  No row's arithmetic reads another row, so a batch row matches the
+same agent solved alone.
 """
 
 import contextlib
@@ -262,24 +263,13 @@ class _SmoothPart:
     """Smooth part of a batch of row problems, one row per agent.
 
     Calling it on rows X returns their values and gradients.  The per-row
-    data are the constructor's keyword arguments (scalars are shared), and
-    ``take(keep)`` gives the part of a subset of the rows by slicing every
-    per-row array, the arguments and the arrays derived from them.  No
+    data are the constructor's keyword arguments (scalars are shared).  No
     row's arithmetic reads another row, so a row keeps its bits in any
-    subset.
+    batch.
     """
 
     def __init__(self, **data):
         self.__dict__.update(data)
-        #: names of the per-row arrays, which ``take`` slices
-        self._rows = tuple(name for name, v in data.items() if np.ndim(v))
-
-    def take(self, keep):
-        keep = np.flatnonzero(keep) if keep.dtype == bool else keep  # indices slice faster
-        part = object.__new__(type(self))
-        part.__dict__.update(self.__dict__)
-        part.__dict__.update((name, self.__dict__[name][keep]) for name in self._rows)
-        return part
 
     def _terms(self, X):
         """Per-row x'Px + Q'x, its gradient 2Px + Q, x - a'_j, ||x - a'_j||^2 and Bx.
@@ -303,7 +293,6 @@ class _RoundPart(_SmoothPart):
         self.two_inv_d = (2.0 * self.inv_d)[:, None]
         self.inv_d_col = self.inv_d[:, None]
         self.half_alpha = 0.5 * self.alpha
-        self._rows += ("half_inv_d", "two_inv_d", "inv_d_col")
 
     def __call__(self, X):
         fq, grad, diff, dist2, BX = self._terms(X)
@@ -361,7 +350,7 @@ def _dual_value_and_grad(pb, mu, lam):
 
 
 # ---------------------------------------------------------------------------
-# Batched projected proximal-gradient loop over a shrinking working set
+# Batched projected proximal-gradient loop
 # ---------------------------------------------------------------------------
 
 
@@ -369,28 +358,24 @@ def _slack(v):
     return 1e-12 * (1.0 + np.abs(v))
 
 
-def _descent_step(smooth, Y, vY, gY, eta, a, c, w):
+def _descent_step(smooth, Y, vY, gY, eta, a, c, w, rows):
     """Backtracked prox step from each row of Y; halves ``eta`` in place.
 
-    A row whose new value breaks the quadratic majorization at its step
-    halves the step and is stepped again; only those rows are recomputed.
+    A row of the mask ``rows`` whose new value breaks the quadratic
+    majorization at its step halves the step, and the batch is stepped
+    again; a row that held takes the same step again, to the same bits.
+    The other rows are stepped at their ``eta``, untested.
     """
-    Xn, vn, gn = np.empty_like(Y), np.empty_like(vY), np.empty_like(gY)
-    pend = np.arange(len(Y))
     for _ in range(60):
-        Yp, gp = Y[pend], gY[pend]
-        Xp = _prox_l1_ball(Yp - eta[pend, None] * gp, eta[pend] * w, a[pend], c[pend])
-        vp, gnp = smooth(Xp)
-        dX = Xp - Yp
-        bound = vY[pend] + (gp * dX).sum(axis=1) + 0.5 / eta[pend] * (dX**2).sum(axis=1)
-        bad = vp > bound + _slack(vY[pend])
-        Xn[pend], vn[pend], gn[pend] = Xp, vp, gnp
-        if not bad.any():
+        X = _prox_l1_ball(Y - eta[:, None] * gY, eta * w, a, c)
+        v, g = smooth(X)
+        dX = X - Y
+        bound = vY + (gY * dX).sum(axis=1) + 0.5 / eta * (dX**2).sum(axis=1)
+        rows = rows & (v > bound + _slack(vY))
+        if not rows.any():
             break
-        pend = pend[bad]
-        eta[pend] *= 0.5
-        smooth = smooth.take(bad)
-    return Xn, vn, gn
+        eta[rows] *= 0.5
+    return X, v, g
 
 
 def _solve_rows(K, rhs):
@@ -478,53 +463,41 @@ def _newton_step(smooth, X, grads, a, c, w):
     return _radial_clip(_onto_sphere(Xn, a, c, ball), a, c), finite
 
 
-def _newton_finish(smooth, Y, vY, gY, r, open_rows, comp, best, probe, a, c, w, tol):
-    """Test the first Newton points of the ``open_rows`` and chain more steps.
+def _newton_finish(smooth, Y, vY, gY, r, going, comp, best, probe, a, c, w, tol):
+    """Test the first Newton points of the rows in ``going`` and chain more steps.
 
     Y holds each row's first Newton point, with its smooth values vY and
-    gradients gY and its certificate residual r at the row's probe step.  An
-    open row finishes on a point when the certificate passes and the
-    composite value is at most ``comp``, the value at the row's iterate.  An
-    open row that does not finish on its first point takes the next step
-    (``_newton_step``, on the face the last one reached) and is certified
-    there; from then on it goes on only while its residual keeps falling,
-    starting from ``best``, its residual at the iterate, and the chain ends
-    after ``NEWTON_STEPS`` points.  Returns a mask of the finishing rows
-    and, on them, the point, its residual and its composite value; the
-    other rows leave no trace.
+    gradients gY and its certificate residual r at the row's probe step.  A
+    row in the mask ``going`` finishes on a point when the certificate
+    passes and the composite value is at most ``comp``, the value at the
+    row's iterate.  A row that does not finish on its first point takes the
+    next step (``_newton_step``, on the face the last one reached) and is
+    certified there; from then on it goes on only while its residual keeps
+    falling, starting from ``best``, its residual at the iterate, and the
+    chain ends after ``NEWTON_STEPS`` points.  Every step is taken on the
+    whole batch, and ``going`` is updated in place to the rows still in the
+    chain.  Returns a mask of the finishing rows and, on them, the point,
+    its residual and its composite value; the other rows leave no trace.
     """
     won = np.zeros(len(Y), dtype=bool)
     Y_won, res_won, comp_won = np.empty_like(Y), np.empty(len(Y)), np.empty(len(Y))
-    rows, cap = np.arange(len(Y)), comp + _slack(comp)
-
-    def keep(mask):
-        """Drop the chain's rows outside ``mask``; True when none is left."""
-        nonlocal rows, Y, gY, best, cap, probe, a, c, smooth
-        if not mask.all():
-            rows, Y, gY, best, cap, probe, a, c = (
-                v[mask] for v in (rows, Y, gY, best, cap, probe, a, c))
-            if len(rows):
-                smooth = smooth.take(mask)
-        return not len(rows)
-
+    cap = comp + _slack(comp)
     for step in range(NEWTON_STEPS):
         comp_Y = vY + w * np.abs(Y).sum(axis=1)
-        win = (r <= tol) & (comp_Y <= cap)
-        if not step:
-            win &= open_rows
-        if win.any():
-            at = rows[win]
-            won[at] = True
-            Y_won[at], res_won[at], comp_won[at] = Y[win], r[win], comp_Y[win]
+        win = going & (r <= tol) & (comp_Y <= cap)
+        won |= win
+        Y_won[win], res_won[win], comp_won[win] = Y[win], r[win], comp_Y[win]
         # past the first point, a row goes on only while its residual falls
         if step:
-            go_on, best = (r > tol) & (r < best), r
+            going &= (r > tol) & (r < best)
+            best = r
         else:
-            go_on = open_rows & ~win
-        if step == NEWTON_STEPS - 1 or keep(go_on):
+            going &= ~win
+        if step == NEWTON_STEPS - 1 or not going.any():
             break
         Y, go = _newton_step(smooth, Y, gY, a, c, w)
-        if keep(go):
+        going &= go
+        if not going.any():
             break
         vY, gY = smooth(Y)
         r = _certificate_residual(Y, gY, probe, a, c, w)
@@ -539,29 +512,31 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     falls back to a plain (guaranteed-descent) step and resets its momentum,
     so each row's composite value never increases from one iterate to the next.
 
-    ``smooth(X)`` returns per-row smooth values and gradients,
-    ``smooth.hessian(X)`` their Hessians, and ``smooth.take(keep)`` the
-    smooth part of a subset of the rows.  At the start of every iteration
-    each row of the working set with a nonzero coordinate takes one Newton
-    step (``_newton_step``) from its iterate, and every row is certified at
-    its iterate and every such row at its first Newton point, in one call.
-    A row leaves the set at its first iterate whose residual is <= tol,
+    ``smooth(X)`` returns per-row smooth values and gradients and
+    ``smooth.hessian(X)`` their Hessians.  The batch stays whole: a mask
+    ``live`` holds the rows still open, and a row's result is written once,
+    when it leaves.  While a live row has a nonzero coordinate, every
+    iteration takes one Newton step (``_newton_step``) from every row's
+    iterate, and certifies the iterates and these first Newton points in
+    one call.  A row leaves at its first iterate whose residual is <= tol,
     after ``iters`` steps; a row that uses up ``max_iters`` is certified
     once more at its last iterate and leaves there.
 
-    A row not certified at its iterate goes on to ``_newton_finish``: it
-    leaves at its first Newton point when that passes and does not raise
-    the composite value, and otherwise chains more Newton steps, each
-    certified at the same probe step, for as long as its residual falls and
-    for at most ``NEWTON_STEPS`` points.  A row that leaves at a Newton
-    point counts one more iteration.  On a flat face (off the sphere, no
-    positive hinge) the round objective is quadratic, so the first Newton
-    point is the face's minimizer and such a row leaves there.  Every other
-    row takes the accelerated step below as if there were no Newton step.
-    The set's per-row arrays and smooth part are compacted once per
-    iteration, to the rows left.  No row's arithmetic depends on another's,
-    so a batch row equals the same row solved alone, bit for bit.  Returns
-    (X, residual, iters, done, composite values).
+    A live row with a nonzero coordinate that is not certified at its
+    iterate goes on to ``_newton_finish``: it leaves at its first Newton
+    point when that passes and does not raise the composite value, and
+    otherwise chains more Newton steps, each certified at the same probe
+    step, for as long as its residual falls and for at most
+    ``NEWTON_STEPS`` points.  A row that leaves at a Newton point counts one
+    more iteration.  On a flat face (off the sphere, no positive hinge) the
+    round objective is quadratic, so the first Newton point is the face's
+    minimizer and such a row leaves there.  Every other row takes the
+    accelerated step below as if there were no Newton step.  A row that has
+    left is stepped on with the others, untested, and stays in its ball,
+    since every prox and Newton point is clipped into it.  No row's
+    arithmetic depends on another's, so a batch row equals the same row
+    solved alone, bit for bit.  Returns (X, residual, iters, done,
+    composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
     the worst case over the ball, and backtracking shrinks it as needed.  The
@@ -578,78 +553,59 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     done = np.zeros(rows, dtype=bool)
     residual = np.full(rows, np.inf)
     values = np.empty(rows)
-    live = np.arange(rows)
+    live = np.ones(rows, dtype=bool)
     eta0 = 1.0 / np.maximum(lip, 1e-300)
     eta = LONG_STEP * eta0
     vals, grads = smooth(X)
     comp = vals + w * np.abs(X).sum(axis=1)
     Xprev = X
     tk = np.ones(rows)
+    a2, c2 = np.concatenate([a, a]), np.concatenate([c, c])
 
-    def record(rows_out, Xl, res, comp_l, n_iters):
-        """Record the results of the rows ``rows_out`` of the whole batch."""
-        X_out[rows_out], residual[rows_out], values[rows_out] = Xl, res, comp_l
-        iters[rows_out], done[rows_out] = n_iters, res <= tol
+    def record(mask, Xr, res, comp_r, n_iters):
+        """Write the results of the rows in ``mask`` and close them."""
+        X_out[mask], residual[mask], values[mask] = Xr[mask], res[mask], comp_r[mask]
+        iters[mask], done[mask] = n_iters, res[mask] <= tol
+        live[mask] = False
 
     for it in range(max_iters + 1):
-        # the first Newton point of every row with a nonzero coordinate, while
-        # iterations are left; it is certified with the iterates, all at a
-        # probe step of at most 1/L
+        # the first Newton points, while iterations are left, are certified
+        # with the iterates, all at a probe step of at most 1/L
         probe = np.minimum(eta, eta0)
-        Y = X[:0]
-        if it < max_iters and X.any():
-            nonzero = (X != 0.0).any(axis=1)
-            # those rows as a slice when they are all the rows: views, not copies
-            first = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
-            near = smooth if nonzero.all() else smooth.take(first)
-            Y, go = _newton_step(near, X[first], grads[first], a[first], c[first], w)
-            if not go.all():
-                first, Y, near = np.arange(len(X))[first][go], Y[go], near.take(go)
-        if len(Y):
-            vY, gY = near(Y)
+        newton = it < max_iters and X[live].any()
+        if newton:
+            Y, go = _newton_step(smooth, X, grads, a, c, w)
+            vY, gY = smooth(Y)
             both = _certificate_residual(np.concatenate([X, Y]), np.concatenate([grads, gY]),
-                                         *(np.concatenate([v, v[first]]) for v in (probe, a, c)),
-                                         w)
-            res, r = both[: len(X)], both[len(X) :]
+                                         np.concatenate([probe, probe]), a2, c2, w)
+            res, r = both[:rows], both[rows:]
         else:
             res = _certificate_residual(X, grads, probe, a, c, w)
-        # a row leaves at its iterate when that passes; the others with a
-        # first Newton point may leave on it or on a later chain step
-        out = (res <= tol) | (it == max_iters)
-        record(live[out], X[out], res[out], comp[out], it)
-        if len(Y) and not out[first].all():
-            won, Y_won, res_won, comp_won = _newton_finish(
-                near, Y, vY, gY, r, ~out[first], comp[first], res[first], probe[first],
-                a[first], c[first], w, tol)
-            record(live[first][won], Y_won[won], res_won[won], comp_won[won], it + 1)
-            out[first] |= won
-        if out.any():
-            keep = ~out
-            if not keep.any():
-                break
-            X, Xprev, vals, grads, comp, tk, eta, eta0, a, c, live = (
-                v[keep] for v in (X, Xprev, vals, grads, comp, tk, eta, eta0, a, c, live))
-            smooth = smooth.take(keep)
+        record(live & ((res <= tol) | (it == max_iters)), X, res, comp, it)
+        if newton:
+            going = live & go & (X != 0.0).any(axis=1)
+            if going.any():
+                record(*_newton_finish(smooth, Y, vY, gY, r, going, comp, res, probe,
+                                       a, c, w, tol), it + 1)
+        if not live.any():
+            break
         if it == STALL_ITERS:
             np.minimum(eta, eta0, out=eta)
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk**2))
         beta = (tk - 1.0) / tk_next
-        if np.any(beta != 0.0):
+        if beta[live].any():
             Z = X + beta[:, None] * (X - Xprev)
             vZ, gZ = smooth(Z)
         else:
             Z, vZ, gZ = X, vals, grads
-        Xn, vn, gn = _descent_step(smooth, Z, vZ, gZ, eta, a, c, w)
+        Xn, vn, gn = _descent_step(smooth, Z, vZ, gZ, eta, a, c, w, live)
         comp_n = vn + w * np.abs(Xn).sum(axis=1)
-        worse = comp_n > comp + _slack(comp)
+        worse = live & (comp_n > comp + _slack(comp))
         if worse.any():
             # momentum overshoot: plain step from X and momentum reset
-            eta_w = eta[worse]
-            X2, v2, g2 = _descent_step(smooth.take(worse), X[worse], vals[worse],
-                                       grads[worse], eta_w, a[worse], c[worse], w)
-            eta[worse] = eta_w
-            Xn[worse], vn[worse], gn[worse] = X2, v2, g2
-            comp_n[worse] = v2 + w * np.abs(X2).sum(axis=1)
+            X2, v2, g2 = _descent_step(smooth, X, vals, grads, eta, a, c, w, worse)
+            Xn[worse], vn[worse], gn[worse] = X2[worse], v2[worse], g2[worse]
+            comp_n[worse] = vn[worse] + w * np.abs(Xn[worse]).sum(axis=1)
             tk_next[worse] = 1.0
         Xprev, X, vals, grads, comp, tk = X, Xn, vn, gn, comp_n, tk_next
     return X_out, residual, iters, done, values

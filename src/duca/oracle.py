@@ -198,8 +198,8 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
     one more iteration, when the same stop test at the same probe step passes
     there and the composite value does not rise; otherwise the candidate
     leaves no trace and the accelerated step runs as without it.
-    No working set is kept, unlike the local loop: the AL couples every row
-    through G(x) and H(x), so fixing one row would change the others'
+    The rows stop together, unlike the local loop's: the AL couples every
+    row through G(x) and H(x), so fixing one row would change the others'
     gradients.  Returns ``(X, residual, iterations)``.
     """
     w = pb.l1_weight

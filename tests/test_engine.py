@@ -398,16 +398,20 @@ class TestDisagreementIdentities:
         assert len(errors) == 51
         assert max(errors) <= 1e-10
 
+    @pytest.mark.parametrize("rounds, shift", [(3, 1e-6), (4, 1e-10)])
     @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.ALT])
-    def test_engine_check_refuses_a_broken_identity(self, variant):
+    def test_engine_check_refuses_a_broken_identity(self, variant, rounds, shift):
         # a change that keeps sum_i v_i = 0 (and touches only z in double
-        # mode) passes every other in-run check of the next round
+        # mode) passes every other in-run check of the next round; the bar
+        # scales with the identity's right-hand side, so even a 1e-10 shift
+        # at round 5 is caught
         pb, s = small_case(variant=variant)
-        st = run(pb, s, 3, y0=np.ones((6, pb.mp)))
+        st = run(pb, s, rounds, y0=np.ones((6, pb.mp)))
         held = st.V if st.V is not None else st.Z
-        held[0, 0] += 1e-6
-        held[1, 0] -= 1e-6
-        with pytest.raises(InvariantBreachError, match="round 4: disagreement identity"):
+        held[0, 0] += shift
+        held[1, 0] -= shift
+        with pytest.raises(InvariantBreachError,
+                           match=f"round {rounds + 1}: disagreement identity"):
             step(st, pb, s)
 
 

@@ -1,7 +1,9 @@
-"""The package and module export lists name only objects that exist, and
-every package export, and every public member of an exported class, is used
-outside the tests."""
+"""The package and module export lists name only objects that exist, every
+package export, and every public member of an exported class, is used
+outside the tests, and so is every function, class and method the package
+defines."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -55,3 +57,51 @@ def test_every_export_is_used_outside_the_tests():
             unused += [f"{name}.{member}" for member in _public_members(obj)
                        if not re.search(rf"\.{re.escape(member)}\b", library + others)]
     assert unused == []
+
+
+def _names_in(paths):
+    """Every identifier the ASTs of ``paths`` name: names, attributes,
+    imports and the identifiers held in string constants."""
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update(node.name.split("."), [node.asname])
+            elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
+                named.add(node.value)
+    return named
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # a function, class or method of the package that neither the package,
+    # a demo nor the benchmark names is dead code; the benchmark patches
+    # some of them by their names as strings, which count.  A private one
+    # (or a method of a private class) must be named in its own module or
+    # outside the package: ``x.take`` on an array in graphs.py says
+    # nothing of a ``take`` method in localsolver.py
+    library = sorted(PACKAGE.glob("*.py"))
+    outside = _names_in([*sorted((ROOT / "demos").rglob("*.py")),
+                         *sorted((ROOT / "perfbench").rglob("*.py"))])
+    own = {path: outside | _names_in([path]) for path in library}
+    everywhere = set().union(*own.values())
+    unnamed = [f"{path.name}: {name}" for path in library
+               for name, private in _definitions(ast.parse(path.read_text()))
+               if name not in (own[path] if private else everywhere)]
+    assert unnamed == []
+
+
+def _definitions(tree, private=False):
+    """(name, private) of every function, class and method under ``tree``,
+    dunders excepted; private when it or an enclosing definition is."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = private or node.name.startswith("_")
+            if not re.fullmatch(r"__\w+__", node.name):
+                yield node.name, inner
+            yield from _definitions(node, inner)
+        else:
+            yield from _definitions(node, private)

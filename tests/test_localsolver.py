@@ -29,6 +29,7 @@ from duca.problem import generate_example
 
 from reference import (
     Subproblem,
+    from_agent_data,
     grid_local,
     one_agent,
     random_subproblem,
@@ -467,6 +468,41 @@ class TestSolveLocal:
             np.testing.assert_array_equal(xq1[0], Xq[i])
             assert (q1[0], res_q1[0], done_q1[0]) == (q[i], res_q[i], done_q[i])
 
+    def test_singular_face_row_keeps_its_solo_bits(self, monkeypatch):
+        # agent 0 is linear on its ball: P = 0, alpha = 0, a zero equality
+        # row and a hinge that stays off (c' = 100), so only the hinge's
+        # worst case keeps its Lipschitz bound positive.  Started inside its
+        # ball, the Newton system of its face is singular until it reaches
+        # its sphere: the batch's solve raises, ``_solve_rows`` solves row
+        # by row and gives agent 0 NaN, and its step is refused.  Every row
+        # still equals its solo solve, bit for bit.
+        import duca.localsolver as ls
+
+        pb = from_agent_data(P=[np.zeros((2, 2)), np.diag([1.0, 2.0]), np.diag([3.0, 0.5])],
+                             Q=[[1.0, 2.0], [-1.0, 0.5], [0.4, -2.0]], a=[np.zeros(2)] * 3,
+                             c=[1.0] * 3, a_prime=[np.zeros((1, 2))] * 3,
+                             c_prime=[[100.0], [0.5], [0.5]],
+                             B=[[[0.0, 0.0]], [[1.0, -1.0]], [[0.5, 2.0]]],
+                             c_eq=[[0.0], [0.2], [-0.1]], l1_weight=0.1)
+        Yt = np.array([[0.0, 0.0], [0.3, -0.5], [0.8, 0.4]])
+        anchor = np.array([[0.3, -0.2], [0.1, 0.2], [-0.2, 0.1]])
+        nan_rows, real_solve = [], ls._solve_rows
+
+        def solve_rows(K, rhs):
+            out = real_solve(K, rhs)
+            nan_rows.append(np.isnan(out).any(axis=1).tolist())
+            return out
+
+        monkeypatch.setattr(ls, "_solve_rows", solve_rows)
+        X, res, iters, done, vals = solve_local_batch(pb, Yt, np.ones(3), 0.0, anchor)
+        assert done.all()
+        assert [True, False, False] in nan_rows
+        for i in range(3):
+            x1, res1, it1, done1, val1 = solve_local_batch(
+                one_agent(pb, i), Yt[i : i + 1], np.ones(1), 0.0, anchor[i : i + 1])
+            np.testing.assert_array_equal(x1[0], X[i])
+            assert (res1[0], it1[0], done1[0], val1[0]) == (res[i], iters[i], done[i], vals[i])
+
     def test_matches_grid_oracle_2d(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
@@ -680,37 +716,58 @@ def _active_batch():
 def _log_probes(mp, newton_step=None, agents=None):
     """Spy on the solver's certificate calls; return the log it fills.
 
-    A call that follows a Newton step ends with that step's points.  When it
-    holds more rows than the step returned, it starts with the iterates
-    certified with them, and the step was its iteration's first.  Each call
-    appends ``(agents, res, at_newton, step)``: the agent of each row (read
-    by ``agents`` from the rows' ball centers, by default SVI's), the
-    residuals, a mask of the rows at Newton points and their points'
-    number in the chain (1 for a first Newton point, 0 in a call with none).
-    ``newton_step`` stands in for the solver's step; every step must keep
-    all its rows.
+    The solver keeps its whole batch, so the spy follows which rows are
+    open: all of them when a solve starts, until a row's iterate certifies
+    or ``_newton_finish`` returns the row among its wins.  A call with twice
+    the batch's rows holds the iterates and then their first Newton points;
+    a call inside ``_newton_finish`` holds a chain step's points, and the
+    rows in the chain are those its ``going`` mask, which it updates in
+    place, holds at the call.  Each call appends ``(agents, res, at_newton,
+    step)`` over its open rows (the open iterates and their first points,
+    or the chain's points): the agent of each row (read by ``agents`` from
+    the rows' ball centers, by default SVI's), the residuals, a mask of the
+    rows at Newton points and their points' number in the chain (1 for a
+    first Newton point, 0 in a call with none).  ``newton_step`` stands in
+    for the solver's step.
     """
     import duca.localsolver as ls
 
-    real_step, real_cert = newton_step or ls._newton_step, ls._certificate_residual
-    log, state = [], {"n": 0, "step": 0}
+    real_loop, real_finish = ls._prox_grad_loop, ls._newton_finish
+    real_cert = ls._certificate_residual
+    log, state = [], {"going": None}
 
-    def step(smooth, X, grads, a, c, w):
-        Y, go = real_step(smooth, X, grads, a, c, w)
-        assert go.all()
-        state["n"] = len(X)
-        return Y, go
+    def loop(smooth, X0, a, c, w, lip, tol, max_iters):
+        state.update(live=np.ones(len(X0), dtype=bool), tol=tol)
+        return real_loop(smooth, X0, a, c, w, lip, tol, max_iters)
+
+    def finish(smooth, Y, vY, gY, r, going, *args):
+        state["going"] = going
+        try:
+            won, *out = real_finish(smooth, Y, vY, gY, r, going, *args)
+        finally:
+            state["going"] = None
+        state["live"] &= ~won
+        return won, *out
 
     def cert(X, grads, eta, a, c, w):
         res = real_cert(X, grads, eta, a, c, w)
-        n, state["n"] = state["n"], 0
-        state["step"] = 0 if not n else 1 if len(X) > n else state["step"] + 1
-        at_newton = np.zeros(len(X), dtype=bool)
-        at_newton[len(X) - n :] = True
-        log.append(((agents or _agents)(a), res, at_newton, state["step"]))
+        who, live, going = (agents or _agents)(a), state["live"], state["going"]
+        if going is not None:
+            state["step"] += 1
+            log.append((who[going], res[going], np.ones(going.sum(), dtype=bool), state["step"]))
+            return res
+        n = len(live)
+        state["step"] = int(len(X) > n)
+        rows = np.concatenate([live, live])[: len(X)]
+        at_newton = np.arange(len(X)) >= n
+        log.append((who[rows], res[rows], at_newton[rows], state["step"]))
+        live &= ~(res[:n] <= state["tol"])
         return res
 
-    mp.setattr(ls, "_newton_step", step)
+    if newton_step:
+        mp.setattr(ls, "_newton_step", newton_step)
+    mp.setattr(ls, "_prox_grad_loop", loop)
+    mp.setattr(ls, "_newton_finish", finish)
     mp.setattr(ls, "_certificate_residual", cert)
     return log
 
