@@ -17,7 +17,9 @@ projected-gradient fixed-point gap ``||x - proj(x - eta*s(x))|| / eta`` where
 s(x) is a composite subgradient whose l1 selection at kink coordinates (and
 ball-normal multiplier on active rows, found by the same kind of breakpoint
 solve) minimizes the gap.  The certificate is valid regardless of how the
-iterate was produced.
+iterate was produced.  Where a zero coordinate's selection cannot absorb
+its gradient, the certificate also reports the sign in which that
+coordinate would open: its release sign.
 
 That is what lets second-order steps finish a row.  Every iteration takes
 one Newton step from each row, on the face its iterate shows (zero
@@ -27,11 +29,15 @@ Newton points in one call.  A row with a nonzero coordinate not certified
 at its iterate ends at its first Newton point when that passes without
 raising the value; on a flat face (off the sphere, no positive hinge) the objective is
 quadratic, so that point is the face's minimizer.  Otherwise the row chains
-more steps, each on the face the last one reached and certified at its
-point, and ends at the first that passes without raising the value; the
-chain goes on only while the row's residual falls below its residual at
-the iterate, for at most ``NEWTON_STEPS`` points.  A refused chain leaves no
-trace, so such a row takes the gradient step it would take without it.
+more steps and ends at the first that passes without raising the value.
+Each chain step is taken on the face the last point reached, with the zero
+coordinates its certificate released opened in their release signs, as in
+OWL-QN's choice of orthant (Andrew & Gao, 2007), so a row stalled at the
+minimizer of the wrong face moves on.  The chain goes on only while the
+row's residual falls below its residual at the iterate, for at most
+``NEWTON_STEPS`` points.  A refused chain leaves no trace, so such a row
+takes the gradient step it would take without it; a wrong release costs
+time, never correctness.
 
 All routines are batched over rows (agents), and a solve keeps its whole
 batch to the end: a row whose result is written is stepped on with the
@@ -206,6 +212,12 @@ def _certificate_residual(X, grads, eta, a, c, w):
     is the method's step capped at (ball diameter)/||s||: beyond that the
     projection truncates the whole step and the gap would shrink with eta
     regardless of optimality.
+
+    Returns the gaps and the release signs: at a kink coordinate where the
+    clipped selection cannot reach ``want = -(grad + t*(x-a))``
+    (``|want_j| > w``), the sign of ``want_j``, in which opening the
+    coordinate lowers the first-order model of the objective plus t times
+    the ball term; 0 elsewhere.
     """
     diff = X - a
     n2 = (diff**2).sum(axis=1)
@@ -238,12 +250,13 @@ def _certificate_residual(X, grads, eta, a, c, w):
             t[need] = np.clip(np.where((S == 0.0) & (C < 0.0), hi, root), lo, hi)
     want = -(grads + t[:, None] * diff)
     s = grads + np.where(kink, np.clip(want, -w, w), fixed_sigma)
+    release = np.where(kink & (np.abs(want) > w), np.sign(want), 0.0)
     snorm = np.sqrt((s * s).sum(axis=1))
     eta_c = np.minimum(eta, 2.0 * np.sqrt(c) / np.maximum(snorm, 1e-300))
     stepped = X - eta_c[:, None] * s
     back = _project_rows(stepped, a, c)
     gap = X - back
-    return np.sqrt((gap * gap).sum(axis=1)) / eta_c
+    return np.sqrt((gap * gap).sum(axis=1)) / eta_c, release
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +432,22 @@ def _onto_sphere(X, a, c, rows):
     return X
 
 
-def _newton_step(smooth, X, grads, a, c, w):
-    """One Newton step on the face each row's iterate shows.
+def _newton_step(smooth, X, grads, a, c, w, release=0.0):
+    """One Newton step on the face each row's iterate shows, or opens.
 
     The face keeps the zero coordinates at zero and the signs of the others,
-    so the l1 term is linear on it, and it holds the ball with equality when
-    the row lies on its sphere (``||x - a||^2 >= c*(1 - 1e-10)``, as in the
-    certificate) and the multiplier estimate
-    ``nu = -<g, x - a> / (2*||x - a||^2)`` over the free coordinates is
-    positive, where g is the gradient plus ``w*sign(x)``.  The step solves
-    the face's KKT system: ``(H + 2*nu*I) dx + 2*(x - a)*nu' = -g`` with the
-    linearized sphere ``2*<x - a, dx> = c - ||x - a||^2`` bordering it on
-    ball rows, H being ``smooth.hessian``.  A coordinate that crosses zero
-    is set to zero, a ball row is put back onto its sphere, and a row still
+    so the l1 term is linear on it.  With ``release`` (per-coordinate signs
+    from ``_certificate_residual``), a zero coordinate with a nonzero
+    release sign joins the face with that sign.  The face holds the ball
+    with equality when the row lies on its sphere
+    (``||x - a||^2 >= c*(1 - 1e-10)``, as in the certificate) and the
+    multiplier estimate ``nu = -<g, x - a> / (2*||x - a||^2)`` over the
+    face's coordinates is positive, where g is the gradient plus w times the
+    face's signs.  The step solves the face's KKT system:
+    ``(H + 2*nu*I) dx + 2*(x - a)*nu' = -g`` with the linearized sphere
+    ``2*<x - a, dx> = c - ||x - a||^2`` bordering it on ball rows, H being
+    ``smooth.hessian``.  A coordinate that ends against its face's sign is
+    set to zero, a ball row is put back onto its sphere, and a row still
     outside its ball is clipped into it, so every new row lies in its ball.
     Returns the new rows and a mask of the usable ones: those whose step kept
     ``||x - a||^2`` finite (the others keep X).  Whether a point is kept is
@@ -439,8 +455,8 @@ def _newton_step(smooth, X, grads, a, c, w):
     """
     n, d = X.shape
     eye = _eye(d)
-    free = X != 0.0
-    sgn = np.sign(X)
+    sgn = np.sign(X) + release  # a release sign is 0 off the zero coordinates
+    free = sgn != 0.0
     g = np.where(free, grads + w * sgn, 0.0)
     e = X - a
     ef = np.where(free, e, 0.0)
@@ -463,7 +479,7 @@ def _newton_step(smooth, X, grads, a, c, w):
     return _radial_clip(_onto_sphere(Xn, a, c, ball), a, c), finite
 
 
-def _newton_finish(smooth, Y, vY, gY, r, going, comp, best, probe, a, c, w, tol):
+def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c, w, tol):
     """Test the first Newton points of the rows in ``going`` and chain more steps.
 
     Y holds each row's first Newton point, with its smooth values vY and
@@ -471,7 +487,9 @@ def _newton_finish(smooth, Y, vY, gY, r, going, comp, best, probe, a, c, w, tol)
     row in the mask ``going`` finishes on a point when the certificate
     passes and the composite value is at most ``comp``, the value at the
     row's iterate.  A row that does not finish on its first point takes the
-    next step (``_newton_step``, on the face the last one reached) and is
+    next step (``_newton_step`` on the face the last one reached, with the
+    zero coordinates opened that the certificate of that point released:
+    ``release`` for the first point, then each chain certificate's) and is
     certified there; from then on it goes on only while its residual keeps
     falling, starting from ``best``, its residual at the iterate, and the
     chain ends after ``NEWTON_STEPS`` points.  Every step is taken on the
@@ -495,12 +513,12 @@ def _newton_finish(smooth, Y, vY, gY, r, going, comp, best, probe, a, c, w, tol)
             going &= ~win
         if step == NEWTON_STEPS - 1 or not going.any():
             break
-        Y, go = _newton_step(smooth, Y, gY, a, c, w)
+        Y, go = _newton_step(smooth, Y, gY, a, c, w, release)
         going &= go
         if not going.any():
             break
         vY, gY = smooth(Y)
-        r = _certificate_residual(Y, gY, probe, a, c, w)
+        r, release = _certificate_residual(Y, gY, probe, a, c, w)
     return won, Y_won, res_won, comp_won
 
 
@@ -525,7 +543,8 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     A live row with a nonzero coordinate that is not certified at its
     iterate goes on to ``_newton_finish``: it leaves at its first Newton
     point when that passes and does not raise the composite value, and
-    otherwise chains more Newton steps, each certified at the same probe
+    otherwise chains more Newton steps, each opening the zero coordinates
+    the last point's certificate released and certified at the same probe
     step, for as long as its residual falls and for at most
     ``NEWTON_STEPS`` points.  A row that leaves at a Newton point counts one
     more iteration.  On a flat face (off the sphere, no positive hinge) the
@@ -539,10 +558,11 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
-    the worst case over the ball, and backtracking shrinks it as needed.  The
-    certificate probes at ``min(eta, 1/L)``, never at a longer step: its gap
-    ``||x - proj(x - eta*s)|| / eta`` does not increase with eta, so
-    following the solver's step would loosen acceptance.  A row still
+    the worst case over the ball, floored at 1e-12 so that a row with a
+    linear smooth part (L = 0) takes a finite step, and backtracking shrinks
+    it as needed.  The certificate probes at ``min(eta, 1/L)``, never at a
+    longer step: its gap ``||x - proj(x - eta*s)|| / eta`` does not increase
+    with eta, so following the solver's step would loosen acceptance.  A row still
     uncertified after ``STALL_ITERS`` iterations drops to ``min(eta, 1/L)``,
     the step that is proven to converge.
     """
@@ -554,7 +574,7 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     residual = np.full(rows, np.inf)
     values = np.empty(rows)
     live = np.ones(rows, dtype=bool)
-    eta0 = 1.0 / np.maximum(lip, 1e-300)
+    eta0 = 1.0 / np.maximum(lip, 1e-12)
     eta = LONG_STEP * eta0
     vals, grads = smooth(X)
     comp = vals + w * np.abs(X).sum(axis=1)
@@ -576,17 +596,18 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
         if newton:
             Y, go = _newton_step(smooth, X, grads, a, c, w)
             vY, gY = smooth(Y)
-            both = _certificate_residual(np.concatenate([X, Y]), np.concatenate([grads, gY]),
-                                         np.concatenate([probe, probe]), a2, c2, w)
+            both, release = _certificate_residual(
+                np.concatenate([X, Y]), np.concatenate([grads, gY]),
+                np.concatenate([probe, probe]), a2, c2, w)
             res, r = both[:rows], both[rows:]
         else:
-            res = _certificate_residual(X, grads, probe, a, c, w)
+            res = _certificate_residual(X, grads, probe, a, c, w)[0]
         record(live & ((res <= tol) | (it == max_iters)), X, res, comp, it)
         if newton:
             going = live & go & (X != 0.0).any(axis=1)
             if going.any():
-                record(*_newton_finish(smooth, Y, vY, gY, r, going, comp, res, probe,
-                                       a, c, w, tol), it + 1)
+                record(*_newton_finish(smooth, Y, vY, gY, r, release[rows:], going, comp, res,
+                                       probe, a, c, w, tol), it + 1)
         if not live.any():
             break
         if it == STALL_ITERS:
@@ -665,7 +686,7 @@ def dual_value_batch(pb: Problem, y: np.ndarray, tol=DEFAULT_TOL):
     smooth = _dual_value_and_grad(pb, mu, lam)
     lip = pb.curv_P + 2.0 * float(y[: pb.m].sum())
     X, res, iters, done, vals = _prox_grad_loop(
-        smooth, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight,
-        np.maximum(lip, 1e-12), tol, DEFAULT_MAX_ITERS,
+        smooth, np.zeros((pb.n_agents, pb.dmax)), pb.a, pb.c, pb.l1_weight, lip, tol,
+        DEFAULT_MAX_ITERS,
     )
     return vals, X, res, done

@@ -328,7 +328,7 @@ def _lagrangian_stationarity(pb: Problem, X, mu, lam):
     _, grad = _dual_value_and_grad(pb, np.broadcast_to(mu, (pb.n_agents, pb.m)),
                                    np.broadcast_to(lam, (pb.n_agents, pb.p)))(X)
     lip = np.maximum(pb.curv_P + 2.0 * float(mu.sum()), 1e-12)
-    res = _certificate_residual(X, grad, 1.0 / lip, pb.a, pb.c, pb.l1_weight)
+    res = _certificate_residual(X, grad, 1.0 / lip, pb.a, pb.c, pb.l1_weight)[0]
     return float(res.max())
 
 

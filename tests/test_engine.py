@@ -477,7 +477,7 @@ class TestRun:
 
     def test_uncertified_solve_raises_when_checked(self, monkeypatch):
         # One inner iteration is too few on the shipped instance: 19 of the
-        # 20 agents end round 1 without a certificate, 24 over five rounds.
+        # 20 agents end round 1 without a certificate, 22 over five rounds.
         # Round 1 starts at x = 0, where the Newton finish has no free
         # coordinate; from round 2 on it certifies some warm-started solves,
         # and without it 83 solves end uncertified.
@@ -489,7 +489,7 @@ class TestRun:
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
         st = run(pb, s, 5, x0, y0, check=False)
-        assert st.solver_failures == 24
+        assert st.solver_failures == 22
         without_newton(monkeypatch)
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
@@ -545,8 +545,8 @@ class TestRun:
     def test_active_rounds_inner_iterations_pinned(self, monkeypatch):
         # The benchmark's active-coupling rounds: Q x4, x0 = 0, y0 = 1, 20
         # checked rounds each.  Continuing the Newton chain past its second
-        # step on the rows it missed takes them from 794 and 676 inner
-        # iterations (the chain capped at two steps) to 437 and 419.
+        # step on the rows it missed takes them from 793 and 676 inner
+        # iterations (the chain capped at two steps) to 420 and 398.
         import duca.localsolver as ls
 
         base = generate_example(20, 3, 1, 5, seed=42)
@@ -560,8 +560,55 @@ class TestRun:
                          check=True)
                 assert st.solver_failures == 0
                 counts[cap, variant] = st.inner_iters_total
-        assert counts == {(6, Variant.DUCA_I): 437, (6, Variant.DIST_ADMM): 419,
-                          (2, Variant.DUCA_I): 794, (2, Variant.DIST_ADMM): 676}
+        assert counts == {(6, Variant.DUCA_I): 420, (6, Variant.DIST_ADMM): 398,
+                          (2, Variant.DUCA_I): 793, (2, Variant.DIST_ADMM): 676}
+
+    def test_active_rounds_release_pinned(self, monkeypatch):
+        # The same 40 active-coupling solves, in the generated agent order.
+        # A chain step opens the zero coordinates its certificate cannot
+        # hold, so rows stalled on the wrong face finish in their first
+        # iteration: pinned are the solves that need a second iteration and
+        # the calls of the descent step and of the prox.  With the release
+        # dropped (every chain step held on the face its point shows), they
+        # are 25, 33 and 71.
+        import duca.engine as eng
+        import duca.localsolver as ls
+
+        base = generate_example(20, 3, 1, 5, seed=42)
+        pb = dataclasses.replace(base, Q=4.0 * base.Q)
+        x0 = np.zeros((20, pb.dmax))
+        real_cert = ls._certificate_residual
+
+        def held(*args):
+            return real_cert(*args)[0], np.zeros_like(args[0])
+
+        def counts():
+            calls = {"descent": 0, "prox": 0, "second": 0}
+
+            def counted(name, f):
+                def g(*args, **kw):
+                    calls[name] += 1
+                    return f(*args, **kw)
+                return g
+
+            def solve(*args, **kw):
+                out = solve_local_batch(*args, **kw)
+                calls["second"] += int(out[2].max() >= 2)
+                return out
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ls, "_descent_step", counted("descent", ls._descent_step))
+                mp.setattr(ls, "_prox_l1_ball", counted("prox", ls._prox_l1_ball))
+                mp.setattr(eng, "solve_local_batch", solve)
+                for variant in (Variant.DUCA_I, Variant.DIST_ADMM):
+                    st = run(pb, make_setting(variant, SEED_GRAPH, rho=1.0), 20, x0, ONES_Y0,
+                             check=True)
+                    assert st.solver_failures == 0
+            return calls
+
+        assert counts() == {"descent": 9, "prox": 20, "second": 6}
+        monkeypatch.setattr(ls, "_certificate_residual", held)
+        assert counts() == {"descent": 33, "prox": 71, "second": 25}
 
 
 class TestErgodicPoint:

@@ -1,6 +1,7 @@
 """Inner solver: subgradients, prox, certificates, and grid-oracle agreement."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -81,8 +82,15 @@ def bisect_prox_l1_ball(V, thr, a, c):
     return X
 
 
-def bisect_certificate_residual(X, grads, eta, a, c, w):
-    """Fixed-point gap with the normal multiplier t found by bisection."""
+def bisect_certificate_residual(X, grads, eta, a, c, w, margin=0.0):
+    """Fixed-point gap with the normal multiplier t found by bisection, and
+    the release signs at that t.
+
+    A kink coordinate (x_j = 0, w > 0) is released with ``sign(want_j)``,
+    ``want = -(grads + t*(x - a))``, when ``|want_j| > w + margin``, and held
+    (0) when ``|want_j| < w - margin``; in between its sign is NaN, since
+    the bisected t cannot decide it.
+    """
     diff = X - a
     n2 = np.sum(diff**2, axis=1)
     active = n2 >= c * (1.0 - 1e-10)
@@ -118,6 +126,10 @@ def bisect_certificate_residual(X, grads, eta, a, c, w):
             lo = np.where(neg, mid, lo)
             hi = np.where(neg, hi, mid)
         t = np.where(need, 0.5 * (lo + hi), t)
+    want = -(grads + t[:, None] * diff)
+    edge = np.abs(np.abs(want) - w)
+    release = np.where(kink & (w != 0.0) & (np.abs(want) > w), np.sign(want), 0.0)
+    release[kink & (w != 0.0) & (edge <= margin)] = np.nan
     s = grads + sigma_at(t)
     snorm = np.linalg.norm(s, axis=1)
     eta_c = np.minimum(eta, 2.0 * np.sqrt(c) / np.maximum(snorm, 1e-300))
@@ -126,7 +138,7 @@ def bisect_certificate_residual(X, grads, eta, a, c, w):
     m2 = np.sum(d2**2, axis=1)
     scale = np.where(m2 > c, np.sqrt(c / np.where(m2 > c, m2, 1.0)), 1.0)
     back = a + scale[:, None] * d2
-    return np.linalg.norm(X - back, axis=1) / eta_c
+    return np.linalg.norm(X - back, axis=1) / eta_c, release
 
 
 def fl(lo, hi):
@@ -170,8 +182,8 @@ def without_newton(monkeypatch):
     """Turn the solver's Newton finish off: no Newton step is ever usable."""
     import duca.localsolver as ls
 
-    monkeypatch.setattr(ls, "_newton_step",
-                        lambda smooth, X, grads, a, c, w: (X, np.zeros(len(X), dtype=bool)))
+    monkeypatch.setattr(ls, "_newton_step", lambda smooth, X, grads, a, c, w, release=0.0:
+                        (X, np.zeros(len(X), dtype=bool)))
 
 
 class TestLocalSubproblem:
@@ -369,11 +381,38 @@ class TestCertificateResidual:
                    np.array([[1.0, 2.2250738585072014e-308]]), np.array([1.0]), 0.01))
     def test_matches_bisection(self, rows):
         X, grads, eta, a, c, w = rows
-        got = _certificate_residual(X, grads, eta, a, c, w)
-        ref = bisect_certificate_residual(X, grads, eta, a, c, w)
+        got = _certificate_residual(X, grads, eta, a, c, w)[0]
+        ref = bisect_certificate_residual(X, grads, eta, a, c, w)[0]
         # relative, with an absolute floor for a gap that vanishes at the
         # exact multiplier, where the reference keeps its bracket's width
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @given(rows=certificate_rows(), inside=hnp.arrays(bool, 6), w=fl(0.01, 2.0))
+    @settings(max_examples=300, deadline=None)
+    # on its sphere at t = 0.5, where want = (0.5, 3): the zero coordinate's
+    # selection cannot hold 3 at w = 0.5, so it is released upward
+    @example(rows=(np.array([[1.0, 0.0]]), np.array([[-1.0, -3.0]]), np.array([1.0]),
+                   np.zeros((1, 2)), np.array([1.0]), 0.0),
+             inside=np.zeros(6, dtype=bool), w=0.5)
+    def test_release_signs_match_bisection(self, rows, inside, w):
+        # rows on their spheres and, with c doubled, inside their balls
+        # (t = 0), at w > 0.  The signs agree wherever the bisected
+        # selection is more than 1e-9 from +-w: the bisection's t is exact
+        # to about 1e-15 relative, far inside that margin
+        X, grads, eta, a, c, _w = rows
+        c = np.where(inside[: len(c)], 2.0 * c, c)
+        release = _certificate_residual(X, grads, eta, a, c, w)[1]
+        ref = bisect_certificate_residual(X, grads, eta, a, c, w, margin=1e-9)[1]
+        sure = ~np.isnan(ref)
+        np.testing.assert_array_equal(release[sure], ref[sure])
+        assert (release[X != 0.0] == 0.0).all()
+
+    def test_release_sign_on_the_sphere(self):
+        # the example above: psi(t) = t - 0.5 on the nonzero coordinate
+        release = _certificate_residual(np.array([[1.0, 0.0]]), np.array([[-1.0, -3.0]]),
+                                        np.array([1.0]), np.zeros((1, 2)), np.array([1.0]),
+                                        0.5)[1]
+        np.testing.assert_array_equal(release, [[0.0, 1.0]])
 
 
 class TestSolveLocal:
@@ -503,6 +542,20 @@ class TestSolveLocal:
             np.testing.assert_array_equal(x1[0], X[i])
             assert (res1[0], it1[0], done1[0], val1[0]) == (res[i], iters[i], done[i], vals[i])
 
+    def test_zero_lipschitz_row_certifies(self):
+        # P = 0, alpha = 0 and no coupling: the smooth part is linear, its
+        # Hessian bound is 0, and the step 1/L would be infinite.  With L
+        # floored at 1e-12 the first prox step lands on the sphere at
+        # -q/||q||, q = Q - w*(1, 1), where the row certifies.
+        pb = single_agent(P=np.zeros((2, 2)), Q=[1.0, 2.0], c=1.0, l1_weight=0.1)
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, np.array([0.3, -0.2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, res, iters, done, _val = solve_one(sp)
+        assert done and res <= DEFAULT_TOL and iters == 1
+        q = np.array([0.9, 1.9])
+        np.testing.assert_allclose(x, -q / np.linalg.norm(q), rtol=0.0, atol=1e-12)
+
     def test_matches_grid_oracle_2d(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
@@ -523,7 +576,7 @@ class TestNewtonFinish:
         with pytest.MonkeyPatch.context() as mp:
             without_newton(mp)
             want = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
-        log = _log_probes(monkeypatch, lambda smooth, X, grads, a, c, w:
+        log = _log_probes(monkeypatch, lambda smooth, X, grads, a, c, w, release=0.0:
                           (X + 1.0, np.ones(len(X), dtype=bool)))
         got = solve_local_batch(SVI, Yt, d_prime, 0.1, anchor, tol=1e-9)
         probed = [res[at_newton] for _agents, res, at_newton, _step in log if at_newton.any()]
@@ -579,13 +632,13 @@ class TestNewtonFinish:
         bad = np.array([0.0, 5e-3])
         grad = 2.0 * pb.P[0] @ bad
         assert _certificate_residual(bad[None], grad[None], np.array([0.5]), pb.a, pb.c,
-                                     0.0)[0] <= tol
+                                     0.0)[0][0] <= tol
         start_value = round_objective(sp, start[None])[0]
         assert round_objective(sp, bad[None])[0] > start_value + 1e-12
         chain = [np.array([0.9e-8, 0.0]), np.array([0.7e-8, 0.0])][: at_step - 1] + [bad]
         offered = []
 
-        def certified_but_higher(smooth, X, grads, a, c, w):
+        def certified_but_higher(smooth, X, grads, a, c, w, release=0.0):
             # each chain step moves on along ``chain``; a new chain starts it
             at = [k for k, y in enumerate(chain[:-1]) if np.array_equal(X[0], y)]
             Y = chain[at[0] + 1] if at else chain[0]
@@ -617,7 +670,7 @@ class TestNewtonFinish:
             want = solve_one(sp, tol=1e-8)
         chains, last = [], [None]
 
-        def scaled(smooth, X, grads, a, c, w):
+        def scaled(smooth, X, grads, a, c, w, release=0.0):
             if X[0, 0] != last[0]:  # not the last step's point: a new chain
                 chains.append(0)
             chains[-1] += 1
@@ -648,10 +701,11 @@ class TestNewtonFinish:
     def test_rows_certified_at_step_two_keep_the_capped_chain_bits(self, monkeypatch):
         # the chain's first two points are certified as with the chain
         # capped at two points; a row that no later point certifies ends bit
-        # for bit as with the cap
+        # for bit as with the cap.  Round data of seed 6, where four rows
+        # end at step two (two of seed 3's do)
         import duca.localsolver as ls
 
-        Yt, d_prime, anchor = _active_batch()
+        Yt, d_prime, anchor = _active_batch(seed=6)
         got, passes = _chain_passes(ACTIVE, Yt, d_prime, 0.1, anchor)
         monkeypatch.setattr(ls, "NEWTON_STEPS", 2)
         want = solve_local_batch(ACTIVE, Yt, d_prime, 0.1, anchor)
@@ -660,6 +714,50 @@ class TestNewtonFinish:
         assert len(at_two) >= 3 and len(same) < 20
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g[same], w[same])
+
+    def test_sphere_row_opens_its_zero_coordinate(self):
+        # x'Px + Q'x + ||x||_1 with P = diag(1, 2), Q = (-6, -3) on the unit
+        # ball about (0.5, 0): the optimum lies on the sphere with both
+        # coordinates positive.  From (1.5, 0), on the sphere with x_2 = 0,
+        # the first Newton point stays on that face; its certificate cannot
+        # hold x_2's gradient with the l1 kink, so the next chain step opens
+        # x_2 upward and the chain finishes in the first iteration.  A chain
+        # that held x_2 at 0 would stall on that face, and the row would
+        # need a gradient step and a second iteration.
+        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-6.0, -3.0], a=[0.5, 0.0], c=1.0)
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, np.array([1.5, 0.0]))
+        assert np.sum((sp.anchor - pb.a[0]) ** 2) == pb.c[0]
+        x, res, iters, done, _val = solve_one(sp)
+        assert done and res <= DEFAULT_TOL and iters == 1
+        np.testing.assert_allclose(x, grid_local(sp)[0], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("mutant", ["flipped", "every_kink"])
+    def test_solves_do_not_depend_on_the_release(self, monkeypatch, mutant):
+        # the release only proposes a face; every point is still accepted on
+        # the unchanged certificate and value.  Release signs flipped, or
+        # every kink coordinate released along -grad (+ where grad is 0):
+        # each strongly convex solve still certifies and lands within
+        # 2*tol/alpha of the unpatched one, at the cost of more iterations
+        import duca.localsolver as ls
+
+        real_cert, tol, alpha = ls._certificate_residual, 1e-9, 0.1
+
+        def cert(X, grads, eta, a, c, w):
+            res, release = real_cert(X, grads, eta, a, c, w)
+            if mutant == "flipped":
+                return res, -release
+            return res, np.where((X == 0.0) & (w != 0.0), np.where(grads > 0.0, -1.0, 1.0), 0.0)
+
+        for pb, (Yt, d_prime, anchor) in [(ACTIVE, _active_batch()), (ACTIVE, _active_batch(6)),
+                                          (SVI, _round_batch())]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ls, "_certificate_residual", cert)
+                X, res, iters, done, _vals = solve_local_batch(pb, Yt, d_prime, alpha, anchor,
+                                                               tol=tol)
+            want = solve_local_batch(pb, Yt, d_prime, alpha, anchor, tol=tol)
+            assert done.all() and (res <= tol).all()
+            assert (np.linalg.norm(X - want[0], axis=1) <= 2.0 * tol / alpha).all()
+            assert iters.sum() > want[2].sum()
 
     @given(n=st.integers(1, 6), d=st.integers(1, 3), m=st.integers(0, 2),
            p=st.integers(0, 2), alpha=st.sampled_from([0.0, 0.3]),
@@ -704,9 +802,9 @@ def _round_batch():
 ACTIVE = dataclasses.replace(SVI, Q=4.0 * SVI.Q)
 
 
-def _active_batch():
+def _active_batch(seed=3):
     """Random round data on ACTIVE, where the coupling binds."""
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     Yt = rng.normal(size=(20, 6))
     d_prime = rng.uniform(0.5, 2.0, size=20)
     anchor = rng.uniform(-0.5, 0.5, size=(20, 3))
@@ -740,29 +838,29 @@ def _log_probes(mp, newton_step=None, agents=None):
         state.update(live=np.ones(len(X0), dtype=bool), tol=tol)
         return real_loop(smooth, X0, a, c, w, lip, tol, max_iters)
 
-    def finish(smooth, Y, vY, gY, r, going, *args):
+    def finish(smooth, Y, vY, gY, r, release, going, *args):
         state["going"] = going
         try:
-            won, *out = real_finish(smooth, Y, vY, gY, r, going, *args)
+            won, *out = real_finish(smooth, Y, vY, gY, r, release, going, *args)
         finally:
             state["going"] = None
         state["live"] &= ~won
         return won, *out
 
     def cert(X, grads, eta, a, c, w):
-        res = real_cert(X, grads, eta, a, c, w)
+        res, release = real_cert(X, grads, eta, a, c, w)
         who, live, going = (agents or _agents)(a), state["live"], state["going"]
         if going is not None:
             state["step"] += 1
             log.append((who[going], res[going], np.ones(going.sum(), dtype=bool), state["step"]))
-            return res
+            return res, release
         n = len(live)
         state["step"] = int(len(X) > n)
         rows = np.concatenate([live, live])[: len(X)]
         at_newton = np.arange(len(X)) >= n
         log.append((who[rows], res[rows], at_newton[rows], state["step"]))
         live &= ~(res[:n] <= state["tol"])
-        return res
+        return res, release
 
     if newton_step:
         mp.setattr(ls, "_newton_step", newton_step)
@@ -806,12 +904,14 @@ def _agents(a_rows):
 class TestLongStart:
     def test_certificate_probes_at_worst_case_step(self, monkeypatch):
         # the solver starts at LONG_STEP/L, but the certificate's gap does not
-        # increase with its step, so every probe must stay at or below 1/L
+        # increase with its step, so every probe must stay at or below 1/L.
+        # On ACTIVE some rows take a prox step; on SVI's round batch the
+        # Newton finish ends every row before its first one
         import duca.localsolver as ls
 
-        pb = SVI
-        Yt, d_prime, anchor = _round_batch()
-        inv_lip = 1.0 / np.maximum(ls._round_lipschitz(pb, Yt, d_prime, 0.1), 1e-300)
+        pb = ACTIVE
+        Yt, d_prime, anchor = _active_batch()
+        inv_lip = 1.0 / np.maximum(ls._round_lipschitz(pb, Yt, d_prime, 0.1), 1e-12)
 
         probes, steps = [], []
         real_cert, real_prox = ls._certificate_residual, ls._prox_l1_ball
