@@ -5,9 +5,12 @@ The per-agent inner problem: proximal solves with a verifiable certificate
 Every round, each agent minimizes its own cost plus smooth penalties built
 from the dual estimate: squared hinges for the coupled inequalities,
 squared residuals for the equalities, an optional proximal term, all over
-the agent's private ball.  The solver is an accelerated projected proximal
-gradient method whose exit test is a subgradient-based optimality
-certificate, so "converged" is a checkable statement, not a hope.
+the agent's private ball.  The solver takes Newton steps on the face its
+iterate identifies, with a backtracked proximal-gradient step as the
+safeguard; from the zero start used here, the Newton chain first opens the
+coordinates the certificate says must move.  Its exit test is a
+subgradient-based optimality certificate, so "converged" is a checkable
+statement, not a hope.
 """
 
 import numpy as np

@@ -7,10 +7,14 @@ Each round, every agent minimizes over its ball set the composite
 
 where (mu, lam) is the agent's shifted dual vector.  Everything except the
 l1 part of f_i and the ball indicator is differentiable (the squared hinge is
-C^1), so the solver is a projected proximal-gradient loop: gradient step on
-the smooth part, then the exact joint prox of ``w*||.||_1 + ball indicator``
-(its ball multiplier solved in closed form on the breakpoint segment that
-holds the root), with per-row backtracking on the quadratic majorization.
+C^1).  The solve is Newton-first, as in the second-order l1 methods of Byrd,
+Chin, Nocedal & Oztoprak (2016): Newton steps on the face the iterate
+identifies, with one plain proximal-gradient step per iteration as the
+safeguard.  That step is a gradient step on the smooth part, then the exact
+joint prox of ``w*||.||_1 + ball indicator`` (its ball multiplier solved in
+closed form on the breakpoint segment that holds the root), with per-row
+backtracking on the quadratic majorization, so no step raises a row's
+composite value.
 
 Acceptance of an iterate is certificate-based: the reported residual is the
 projected-gradient fixed-point gap ``||x - proj(x - eta*s(x))|| / eta`` where
@@ -25,18 +29,21 @@ That is what lets second-order steps finish a row.  Every iteration takes
 one Newton step from each row, on the face its iterate shows (zero
 coordinates fixed, the other signs fixed, the ball held with equality when
 the row is on its sphere), and certifies the iterates and these first
-Newton points in one call.  A row with a nonzero coordinate not certified
-at its iterate ends at its first Newton point when that passes without
-raising the value; on a flat face (off the sphere, no positive hinge) the objective is
-quadratic, so that point is the face's minimizer.  Otherwise the row chains
-more steps and ends at the first that passes without raising the value.
-Each chain step is taken on the face the last point reached, with the zero
+Newton points in one call.  A row not certified at its iterate ends at
+its first Newton point when that passes without raising the value; on a
+flat face (off the sphere, no positive hinge) the objective is quadratic,
+so that point is the face's minimizer.  Otherwise the row chains more
+steps and ends at the first that passes without raising the value.  At
+x = 0 the face is the point itself, so a row there is its own first Newton
+point (when every open row is at zero, the iterates are certified alone),
+and its chain starts by opening what its certificate releases: a solve
+started at zero can finish by Newton without a prox step.  Each chain step is taken on the face the last point reached, with the zero
 coordinates its certificate released opened in their release signs, as in
 OWL-QN's choice of orthant (Andrew & Gao, 2007), so a row stalled at the
 minimizer of the wrong face moves on.  The chain goes on only while the
 row's residual falls below its residual at the iterate, for at most
 ``NEWTON_STEPS`` points.  A refused chain leaves no trace, so such a row
-takes the gradient step it would take without it; a wrong release costs
+takes the prox step it would take without it; a wrong release costs
 time, never correctness.
 
 All routines are batched over rows (agents), and a solve keeps its whole
@@ -525,36 +532,38 @@ def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c
 def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     """Minimize rows of smooth(x) + w*||x||_1 over per-row balls.
 
-    Accelerated proximal gradient with per-row backtracking and function-value
-    restart: a row whose extrapolated step would increase the composite value
-    falls back to a plain (guaranteed-descent) step and resets its momentum,
-    so each row's composite value never increases from one iterate to the next.
+    Newton-first: each iteration tries the Newton finish and then takes one
+    backtracked prox step (``_descent_step``), which does not raise a row's
+    composite value beyond its rounding slack, so no iterate has a higher
+    value than the one before.
 
     ``smooth(X)`` returns per-row smooth values and gradients and
     ``smooth.hessian(X)`` their Hessians.  The batch stays whole: a mask
     ``live`` holds the rows still open, and a row's result is written once,
-    when it leaves.  While a live row has a nonzero coordinate, every
-    iteration takes one Newton step (``_newton_step``) from every row's
-    iterate, and certifies the iterates and these first Newton points in
-    one call.  A row leaves at its first iterate whose residual is <= tol,
-    after ``iters`` steps; a row that uses up ``max_iters`` is certified
-    once more at its last iterate and leaves there.
+    when it leaves.  Every iteration takes one Newton step
+    (``_newton_step``) from every row's iterate, and certifies the iterates
+    and these first Newton points in one call; when every live row is at
+    x = 0, where the step keeps the point, the iterates are certified alone
+    and each is its own first Newton point.  A row leaves at its first
+    iterate whose residual is <= tol, after ``iters`` steps; a row that uses
+    up ``max_iters`` is certified once more at its last iterate and leaves
+    there.
 
-    A live row with a nonzero coordinate that is not certified at its
-    iterate goes on to ``_newton_finish``: it leaves at its first Newton
-    point when that passes and does not raise the composite value, and
-    otherwise chains more Newton steps, each opening the zero coordinates
-    the last point's certificate released and certified at the same probe
-    step, for as long as its residual falls and for at most
-    ``NEWTON_STEPS`` points.  A row that leaves at a Newton point counts one
-    more iteration.  On a flat face (off the sphere, no positive hinge) the
-    round objective is quadratic, so the first Newton point is the face's
-    minimizer and such a row leaves there.  Every other row takes the
-    accelerated step below as if there were no Newton step.  A row that has
-    left is stepped on with the others, untested, and stays in its ball,
-    since every prox and Newton point is clipped into it.  No row's
-    arithmetic depends on another's, so a batch row equals the same row
-    solved alone, bit for bit.  Returns (X, residual, iters, done,
+    A live row that is not certified at its iterate goes on to
+    ``_newton_finish``: it leaves at its first Newton point when that passes
+    and does not raise the composite value, and otherwise chains more Newton
+    steps, each opening the zero coordinates the last point's certificate
+    released and certified at the same probe step, for as long as its
+    residual falls and for at most ``NEWTON_STEPS`` points.  A row at x = 0
+    thus starts its chain by opening its released coordinates.  A row that
+    leaves at a Newton point counts one more iteration.  On a flat face (off
+    the sphere, no positive hinge) the round objective is quadratic, so the
+    first Newton point is the face's minimizer and such a row leaves there.
+    Every other row takes the prox step below as if there were no Newton
+    step.  A row that has left is stepped on with the others, untested, and
+    stays in its ball, since every prox and Newton point is clipped into it.
+    No row's arithmetic depends on another's, so a batch row equals the same
+    row solved alone, bit for bit.  Returns (X, residual, iters, done,
     composite values).
 
     Each row starts at the long step ``LONG_STEP / L``, where ``L = lip`` is
@@ -578,8 +587,6 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     eta = LONG_STEP * eta0
     vals, grads = smooth(X)
     comp = vals + w * np.abs(X).sum(axis=1)
-    Xprev = X
-    tk = np.ones(rows)
     a2, c2 = np.concatenate([a, a]), np.concatenate([c, c])
 
     def record(mask, Xr, res, comp_r, n_iters):
@@ -592,43 +599,30 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
         # the first Newton points, while iterations are left, are certified
         # with the iterates, all at a probe step of at most 1/L
         probe = np.minimum(eta, eta0)
-        newton = it < max_iters and X[live].any()
-        if newton:
+        newton = it < max_iters
+        if newton and X[live].any():
             Y, go = _newton_step(smooth, X, grads, a, c, w)
             vY, gY = smooth(Y)
             both, release = _certificate_residual(
                 np.concatenate([X, Y]), np.concatenate([grads, gY]),
                 np.concatenate([probe, probe]), a2, c2, w)
-            res, r = both[:rows], both[rows:]
+            res, r, release = both[:rows], both[rows:], release[rows:]
         else:
-            res = _certificate_residual(X, grads, probe, a, c, w)[0]
+            # at x = 0 the Newton step keeps every row: the iterate is its
+            # own first Newton point, and the chain opens its release
+            res, release = _certificate_residual(X, grads, probe, a, c, w)
+            Y, go, vY, gY, r = X, live, vals, grads, res
         record(live & ((res <= tol) | (it == max_iters)), X, res, comp, it)
-        if newton:
-            going = live & go & (X != 0.0).any(axis=1)
-            if going.any():
-                record(*_newton_finish(smooth, Y, vY, gY, r, release[rows:], going, comp, res,
-                                       probe, a, c, w, tol), it + 1)
+        going = live & go
+        if newton and going.any():
+            record(*_newton_finish(smooth, Y, vY, gY, r, release, going, comp, res, probe,
+                                   a, c, w, tol), it + 1)
         if not live.any():
             break
         if it == STALL_ITERS:
             np.minimum(eta, eta0, out=eta)
-        tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk**2))
-        beta = (tk - 1.0) / tk_next
-        if beta[live].any():
-            Z = X + beta[:, None] * (X - Xprev)
-            vZ, gZ = smooth(Z)
-        else:
-            Z, vZ, gZ = X, vals, grads
-        Xn, vn, gn = _descent_step(smooth, Z, vZ, gZ, eta, a, c, w, live)
-        comp_n = vn + w * np.abs(Xn).sum(axis=1)
-        worse = live & (comp_n > comp + _slack(comp))
-        if worse.any():
-            # momentum overshoot: plain step from X and momentum reset
-            X2, v2, g2 = _descent_step(smooth, X, vals, grads, eta, a, c, w, worse)
-            Xn[worse], vn[worse], gn[worse] = X2[worse], v2[worse], g2[worse]
-            comp_n[worse] = vn[worse] + w * np.abs(Xn[worse]).sum(axis=1)
-            tk_next[worse] = 1.0
-        Xprev, X, vals, grads, comp, tk = X, Xn, vn, gn, comp_n, tk_next
+        X, vals, grads = _descent_step(smooth, X, vals, grads, eta, a, c, w, live)
+        comp = vals + w * np.abs(X).sum(axis=1)
     return X_out, residual, iters, done, values
 
 

@@ -5,6 +5,7 @@ import functools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +335,30 @@ class TestRunArtifacts:
         rc = main(["run", "--config", write_config(tmp_path, raw),
                    "--out", str(tmp_path / "o"), "--strict"])
         assert rc == EXIT_OK
+
+    def test_shipped_local_solver_calls_pinned(self, tmp_path, monkeypatch):
+        # `duca run --strict` on the shipped config at 100 rounds, the
+        # benchmark's unit: 800 local solves.  Pinned are the calls of the
+        # local solver's backtracked prox step and of its prox, counts that
+        # machine noise cannot move.  With FISTA momentum, and with the
+        # Newton chain held back at x = 0, they were 90 and 161.
+        import duca.localsolver as ls
+
+        calls = {"descent": 0, "prox": 0}
+
+        def counted(name, f):
+            def g(*args, **kw):
+                calls[name] += 1
+                return f(*args, **kw)
+            return g
+
+        monkeypatch.setattr(ls, "_descent_step", counted("descent", ls._descent_step))
+        monkeypatch.setattr(ls, "_prox_l1_ball", counted("prox", ls._prox_l1_ball))
+        config = Path(__file__).resolve().parent.parent / "demos" / "configs" / "experiment.yaml"
+        rc = main(["run", "--config", str(config), "--rounds", "100", "--strict",
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert calls == {"descent": 25, "prox": 32}
 
 
 class TestBoundsCommand:

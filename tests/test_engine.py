@@ -476,20 +476,20 @@ class TestRun:
         assert dump_state(st1) == dump_state(st2)
 
     def test_uncertified_solve_raises_when_checked(self, monkeypatch):
-        # One inner iteration is too few on the shipped instance: 19 of the
-        # 20 agents end round 1 without a certificate, 22 over five rounds.
-        # Round 1 starts at x = 0, where the Newton finish has no free
-        # coordinate; from round 2 on it certifies some warm-started solves,
-        # and without it 83 solves end uncertified.
+        # One inner iteration is too few on the shipped instance: 2 of the
+        # 20 agents end round 1 without a certificate, 6 over five rounds.
+        # Round 1 starts at x = 0, where the Newton chain opens the
+        # coordinates the certificate releases; without the Newton finish
+        # 19 agents end round 1 uncertified, and 83 solves over five rounds.
         pb = generate_example(20, 3, 1, 5, seed=42)
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         x0, y0 = np.zeros((20, pb.dmax)), np.ones((20, pb.mp))
         monkeypatch.setattr("duca.engine.solve_local_batch",
                             functools.partial(solve_local_batch, max_iters=1))
-        with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
+        with pytest.raises(InvariantBreachError, match="round 1: 2 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
         st = run(pb, s, 5, x0, y0, check=False)
-        assert st.solver_failures == 22
+        assert st.solver_failures == 6
         without_newton(monkeypatch)
         with pytest.raises(InvariantBreachError, match="round 1: 19 of 20 local solves"):
             run(pb, s, 5, x0, y0, check=True)
@@ -497,18 +497,18 @@ class TestRun:
         assert st.solver_failures == 83
 
     def test_long_start_needs_the_stall_guard(self, monkeypatch):
-        # From a start at 32/L, with the Newton finish off, one DUCA_I solve
-        # stalls in round 216: there the backtracking test sits inside its
-        # rounding slack and accepts a step that is too long.  The stall
-        # guard's drop to 1/L certifies it; without the guard it stays
-        # uncertified (also at max_iters=20000).  With the Newton finish on,
-        # every solve certifies even without the guard.
+        # From a start at 64/L, with the Newton finish off, one DUCA_I solve
+        # stalls in round 213 (16 solves stay uncertified over the 300
+        # rounds).  The stall guard's drop to 1/L certifies them; with the
+        # Newton finish on, every solve certifies even without the guard.
+        # The start at 32/L no longer stalls since the solver's momentum
+        # went; with it, one solve stalled in round 216.
         import duca.localsolver as ls
 
         pb = generate_example(20, 3, 1, 5, seed=42)
         s = make_setting(Variant.DUCA_I, SEED_GRAPH, rho=1.0)
         x0, y0 = np.zeros((20, pb.dmax)), np.ones((20, pb.mp))
-        monkeypatch.setattr(ls, "LONG_STEP", 32.0)
+        monkeypatch.setattr(ls, "LONG_STEP", 64.0)
         monkeypatch.setattr("duca.engine.solve_local_batch",
                             functools.partial(solve_local_batch, max_iters=1000))
         monkeypatch.setattr(ls, "STALL_ITERS", 1000)  # never reached
@@ -519,7 +519,7 @@ class TestRun:
         st = run(pb, s, 300, x0, y0, check=True)
         assert st.solver_failures == 0
         monkeypatch.setattr(ls, "STALL_ITERS", 1000)
-        with pytest.raises(InvariantBreachError, match="round 216: 1 of 20"):
+        with pytest.raises(InvariantBreachError, match="round 213: 1 of 20"):
             run(pb, s, 300, x0, y0, check=True)
 
     def test_zero_start_is_a_fixed_point_here(self):
@@ -545,8 +545,8 @@ class TestRun:
     def test_active_rounds_inner_iterations_pinned(self, monkeypatch):
         # The benchmark's active-coupling rounds: Q x4, x0 = 0, y0 = 1, 20
         # checked rounds each.  Continuing the Newton chain past its second
-        # step on the rows it missed takes them from 793 and 676 inner
-        # iterations (the chain capped at two steps) to 420 and 398.
+        # step on the rows it missed takes them from 894 and 719 inner
+        # iterations (the chain capped at two steps) to 406 and 381.
         import duca.localsolver as ls
 
         base = generate_example(20, 3, 1, 5, seed=42)
@@ -560,8 +560,8 @@ class TestRun:
                          check=True)
                 assert st.solver_failures == 0
                 counts[cap, variant] = st.inner_iters_total
-        assert counts == {(6, Variant.DUCA_I): 420, (6, Variant.DIST_ADMM): 398,
-                          (2, Variant.DUCA_I): 793, (2, Variant.DIST_ADMM): 676}
+        assert counts == {(6, Variant.DUCA_I): 406, (6, Variant.DIST_ADMM): 381,
+                          (2, Variant.DUCA_I): 894, (2, Variant.DIST_ADMM): 719}
 
     def test_active_rounds_release_pinned(self, monkeypatch):
         # The same 40 active-coupling solves, in the generated agent order.
@@ -570,7 +570,7 @@ class TestRun:
         # iteration: pinned are the solves that need a second iteration and
         # the calls of the descent step and of the prox.  With the release
         # dropped (every chain step held on the face its point shows), they
-        # are 25, 33 and 71.
+        # are 25, 36 and 73.
         import duca.engine as eng
         import duca.localsolver as ls
 
@@ -606,9 +606,9 @@ class TestRun:
                     assert st.solver_failures == 0
             return calls
 
-        assert counts() == {"descent": 9, "prox": 20, "second": 6}
+        assert counts() == {"descent": 8, "prox": 13, "second": 4}
         monkeypatch.setattr(ls, "_certificate_residual", held)
-        assert counts() == {"descent": 33, "prox": 71, "second": 25}
+        assert counts() == {"descent": 36, "prox": 73, "second": 25}
 
 
 class TestErgodicPoint:

@@ -435,10 +435,12 @@ class TestSolveLocal:
 
     def test_monotone_objective_along_iterates(self):
         # a run capped at k iterations is a prefix of any longer run, so the
-        # values of the runs capped at 0, 1, ..., iters trace the iterates
+        # values of the runs capped at 0, 1, ..., iters trace the iterates.
+        # One more input starts the fourth draw (alpha = 0, so its anchor is
+        # only its start) at x = 0, from where it takes 7 iterations
         rng = np.random.default_rng(15)
-        for _ in range(5):
-            sp = random_subproblem(rng, d=3, m=1, p=2)
+        sps = [random_subproblem(rng, d=3, m=1, p=2) for _ in range(5)]
+        for sp in [*sps, sps[3]._replace(anchor=np.zeros(3))]:
             _x, _res, iters, done, value = solve_one(sp)
             assert done
             hist = np.array([solve_one(sp, max_iters=k)[4] for k in range(iters + 1)])
@@ -983,6 +985,28 @@ class TestCertificateSchedule:
         without_newton(monkeypatch)
         _x, _res, iters_g, done_g, _val = solve_one(sp)
         assert done_g and iters_g > 1
+
+    def test_zero_start_finishes_on_the_released_face(self, monkeypatch):
+        # the flat-face problem above, started at x = 0: the certificate
+        # there releases both coordinates upward, and the Newton chain, with
+        # the iterate as its own first point, opens them onto the face whose
+        # minimizer it reaches in one step.  The row leaves after one
+        # iteration and no prox step.
+        import duca.localsolver as ls
+
+        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-1.0, -2.0], c=100.0, l1_weight=0.1)
+        sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, np.zeros(2))
+        descents, real_descent = [], ls._descent_step
+
+        def descent(*args):
+            descents.append(len(args[1]))
+            return real_descent(*args)
+
+        monkeypatch.setattr(ls, "_descent_step", descent)
+        x, res, iters, done, _val = solve_one(sp)
+        assert done and res <= DEFAULT_TOL and iters == 1
+        assert descents == []
+        np.testing.assert_allclose(x, [0.45, 0.475], rtol=0.0, atol=1e-14)
 
     def test_row_certified_at_its_iterate_returned_there(self, monkeypatch):
         # the flat-face problem above, started a rounding-level step off its
