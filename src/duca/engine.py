@@ -61,7 +61,7 @@ from .errors import (
 # Mailbox is imported for readers of ``duca.engine.Mailbox`` (perfbench's tracer)
 from .graphs import Mailbox, ParamSetting
 from .localsolver import DEFAULT_TOL, solve_local_batch
-from .problem import Problem, coupled_violation_norm, gtilde_rows
+from .problem import Problem, coupled_violation_norm, gtilde_rows, row_sum
 from .textdoc import DocReader, DocWriter
 
 #: exact-identity tolerance for the Moreau split and its complementarity
@@ -137,9 +137,9 @@ def init(pb: Problem, s: ParamSetting, x0=None, y0=None) -> NetworkState:
         raise InvalidInitError(f"y0 must have shape {(n, mp)}, got {Y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise InvalidInitError("x0 and y0 must be finite")
-    for i in range(n):
-        if np.any(X[i, pb.dims[i] :] != 0.0):
-            raise InvalidInitError(f"x0 row {i} has nonzero padding beyond d_i")
+    padded = ((X != 0.0) & pb.padding).any(axis=1)
+    if padded.any():
+        raise InvalidInitError(f"x0 row {int(padded.argmax())} has nonzero padding beyond d_i")
     if pb.m and Y[:, : pb.m].min() < 0.0:
         raise InvalidInitError("y0 mu-blocks must be nonnegative")
     WY0 = s.mailbox.sums(Y)
@@ -188,7 +188,7 @@ def _dual_and_cone_update(pb, d, ytilde, X_new):
     Y_new = proj / d[:, None]
     recon = d[:, None] * Y_new - sig
     moreau = float(np.abs(recon - pre).max())
-    compl = float(np.abs(np.sum((d[:, None] * Y_new) * sig, axis=1)).max())
+    compl = float(np.abs(row_sum((d[:, None] * Y_new) * sig)).max())
     return gt, Y_new, sig, moreau, compl
 
 
@@ -227,12 +227,10 @@ def _cumulative_residual(st, s) -> float:
     return float(np.abs(st.cum_gs - rhs).max())
 
 
-def _check_ergodic_bound(st, pb, s, tol_inner):
+def _check_ergodic_bound(st, s, tol_inner):
     """Per-round ergodic feasibility bound (norm-A form, certificate-free)."""
     dWY = {name: st.WY[name] - st.WY0[name] for name in st.WY}
-    bound = (
-        np.sqrt(pb.n_agents * s.spectra.lam1_PA) / st.k
-    ) * s.a_norm(st.Y - st.Y0, dWY) + eps_inner(tol_inner)
+    bound = (s.bound_scale / st.k) * s.a_norm(st.Y - st.Y0, dWY) + eps_inner(tol_inner)
     if st.ergodic_feasibility > bound:
         raise InvariantBreachError(
             f"round {st.k}: ergodic feasibility {st.ergodic_feasibility:.6e} "
@@ -301,7 +299,7 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, check=True):
                 f"round {st.k}: cumulative constraint identity residual "
                 f"{st.cumulative_residual:.3e}"
             )
-        _check_ergodic_bound(st, pb, s, tol_inner)
+        _check_ergodic_bound(st, s, tol_inner)
     return st
 
 

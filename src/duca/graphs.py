@@ -286,9 +286,12 @@ class ParamSetting:
     from neighbor sums (:meth:`a_norm`), not from the N x N matrices.
 
     Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
-    :attr:`spectra` and :attr:`mailbox` are computed once per setting, on
-    first use; derive a changed setting with ``dataclasses.replace``.
-    Settings compare and hash by identity.
+    :attr:`spectra`, :attr:`bound_scale` and :attr:`mailbox` are computed
+    once per setting, on first use; derive a changed setting with
+    ``dataclasses.replace``.  For the same reason a setting keeps its own
+    read-only copy of ``d_prime`` (the local solver keeps the 1/d' arrays it
+    builds from a read-only d' for the whole run).  Settings compare and
+    hash by identity.
     """
 
     variant: Variant
@@ -299,6 +302,9 @@ class ParamSetting:
     alpha: float = 0.0
 
     def __post_init__(self):
+        d_prime = np.array(self.d_prime, dtype=float)
+        d_prime.flags.writeable = False
+        object.__setattr__(self, "d_prime", d_prime)
         if set(self.exchange) not in ({"H"}, {"L", "M"}):
             raise AssumptionViolatedError(
                 f"exchange keys {sorted(self.exchange)} are neither ['H'] nor ['L', 'M']"
@@ -379,6 +385,11 @@ class ParamSetting:
         return spectral_quantities(self)
 
     @cached_property
+    def bound_scale(self) -> float:
+        """sqrt(N * lambda_1(P_A)), the factor of the ergodic bounds, computed on first use."""
+        return math.sqrt(self.n_nodes * self.spectra.lam1_PA)
+
+    @cached_property
     def mailbox(self) -> "Mailbox":
         """The setting's neighbor table, built on first use."""
         return Mailbox(self)
@@ -396,15 +407,18 @@ class Mailbox:
 
     reads only rows that i's neighbors sent.  It is evaluated over degree
     slots, with the agents held in stable descending-degree order so that
-    the agents with a k-th neighbor are a prefix: the own term first, then
-    slot k adds each agent's k-th neighbor to that prefix, and one
-    permutation puts the rows back in agent order.  Every agent thus adds
-    its terms in the order of a per-agent loop and gets the same bits; a
-    dense ``W @ x`` would sum in another order.  The setting has refused any
-    weight between agents that are not neighbors, so the table carries every
-    weight.  A read of a matrix the table does not carry raises
-    :class:`MailboxError`.  Use ``s.mailbox``, the table cached on the
-    setting.
+    the agents with a k-th neighbor are a prefix.  One ``take`` gathers
+    every term a sum reads, the own rows in that order and then slot after
+    slot each agent's k-th neighbor, and one product weighs them all by a
+    matching column of weights; slot k's span of the products is then added
+    into the prefix of the own terms, and one permutation puts the rows
+    back in agent order.  Every agent thus adds its terms in the order of a
+    per-agent loop and gets the same bits; a dense ``W @ x`` would sum in
+    another order.  :meth:`sums` shares the gather between the matrices.
+    The setting has refused any weight between agents that are not
+    neighbors, so the table carries every weight.  A read of a matrix the
+    table does not carry raises :class:`MailboxError`.  Use ``s.mailbox``,
+    the table cached on the setting.
     """
 
     def __init__(self, s: ParamSetting):
@@ -420,36 +434,41 @@ class Mailbox:
         self.links = sum(deg)
         # a stable Python sort: numpy's argsort would page in ~0.2 MB of its code
         order = sorted(range(n), key=lambda i: -deg[i])
-        self._order = np.array(order, dtype=np.intp)
         self._back = np.empty(n, dtype=np.intp)
-        self._back[self._order] = np.arange(n)
-        #: per slot k: how many agents have a k-th neighbor, and those neighbors
-        self._slots = []
+        self._back[order] = np.arange(n)
+        # per slot k: the prefix of agents with a k-th neighbor, and the span
+        # of the gathered terms that holds those neighbors
+        rows, cols, self._spans = list(order), list(order), []
         for k in range(max(deg, default=0)):
-            rows = [i for i in order if deg[i] > k]
-            self._slots.append((len(rows), np.array([nbrs[i][k] for i in rows])))
-        self._weights = {
-            name: (np.diag(W)[self._order, None],
-                   [W[self._order[:n_k], cols][:, None] for n_k, cols in self._slots])
-            for name, W in s.exchange.items()
-        }
+            have = [i for i in order if deg[i] > k]
+            self._spans.append((slice(len(have)), slice(len(cols), len(cols) + len(have))))
+            rows += have
+            cols += [nbrs[i][k] for i in have]
+        self._n = n
+        self._gather = np.array(cols, dtype=np.intp)
+        self._weights = {name: W[rows, cols][:, None] for name, W in s.exchange.items()}
+
+    def _add_slots(self, terms):
+        """The rows, in agent order, of the weighed terms summed slot by slot."""
+        acc = terms[: self._n]
+        for prefix, span in self._spans:
+            acc[prefix] += terms[span]
+        return acc.take(self._back, axis=0)
 
     def weighted_sum(self, name: str, x: np.ndarray) -> np.ndarray:
         """Rows ``W_ii x_i + sum_j W_ij x_j`` for exchange matrix ``name``."""
         try:
-            diag, slot_w = self._weights[name]
+            w = self._weights[name]
         except KeyError:
             raise MailboxError(
                 f"no exchange matrix {name!r} in this table (has {sorted(self._weights)})"
             ) from None
-        acc = diag * x.take(self._order, axis=0)
-        for (n_k, cols), w in zip(self._slots, slot_w):
-            acc[:n_k] += w * x.take(cols, axis=0)
-        return acc.take(self._back, axis=0)
+        return self._add_slots(w * x.take(self._gather, axis=0))
 
     def sums(self, x: np.ndarray) -> dict:
-        """``{name: W x}`` for every exchange matrix W of the setting."""
-        return {name: self.weighted_sum(name, x) for name in self._weights}
+        """``{name: W x}`` for every exchange matrix W of the setting, from one gather."""
+        gathered = x.take(self._gather, axis=0)
+        return {name: self._add_slots(w * gathered) for name, w in self._weights.items()}
 
 
 def _dpga_scale(g: Graph, c: float) -> float:

@@ -49,7 +49,8 @@ time, never correctness.
 All routines are batched over rows (agents), and a solve keeps its whole
 batch to the end: a row whose result is written is stepped on with the
 others.  No row's arithmetic reads another row, so a batch row matches the
-same agent solved alone.
+same agent solved alone.  Sums over a row's coordinates or coupled rows go
+through :func:`~duca.problem.row_sum`, numpy's own bits made as column adds.
 """
 
 import contextlib
@@ -58,7 +59,7 @@ import functools
 import numpy as np
 
 from .errors import AssumptionViolatedError, DimMismatchError, InvariantBreachError
-from .problem import Problem
+from .problem import Problem, row_sum
 
 __all__ = ["solve_local_batch", "dual_value_batch"]
 
@@ -102,7 +103,7 @@ def _root_segment(base, slope, h, use, past):
     finite = np.isfinite(knots)
     with np.errstate(over="ignore"):
         beyond = finite & past(np.where(finite, knots, 0.0))
-    k = np.cumprod(beyond, axis=1).sum(axis=1)
+    k = row_sum(np.cumprod(beyond, axis=1))
     rows = np.arange(len(knots))
     lo = np.concatenate([np.zeros((len(rows), 1)), knots], axis=1)[rows, k]
     hi = np.concatenate([knots, np.full((len(rows), 1), np.inf)], axis=1)[rows, k]
@@ -122,7 +123,7 @@ def _radial_clip(X, a, c):
     after that means bad data (``c < 0`` or non-finite entries) and raises.
     """
     diff = X - a
-    n2 = (diff**2).sum(axis=1)
+    n2 = row_sum(diff**2)
     out = n2 > c
     if not out.any():
         return X
@@ -131,7 +132,7 @@ def _radial_clip(X, a, c):
     for _ in range(64):
         t = np.nextafter(np.sqrt(c[out] / n2[out]) * max(1.0 - rel, 0.0), 0.0)
         X[out] = a[out] + t[:, None] * diff[out]
-        out[out] = ~(((X[out] - a[out]) ** 2).sum(axis=1) <= c[out])
+        out[out] = ~(row_sum((X[out] - a[out]) ** 2) <= c[out])
         if not out.any():
             return X
         rel = max(2.0 * rel, np.finfo(float).eps)
@@ -155,7 +156,7 @@ def _prox_l1_ball(V, thr, a, c):
     by ulps of ``1 + nu`` until ``x(nu)`` lies in the ball exactly.
     """
     X = _soft(V, thr[:, None])
-    gap = ((X - a) ** 2).sum(axis=1) - c
+    gap = row_sum((X - a) ** 2) - c
     bad = gap > 0.0
     if bad.any():
         Vb, ab, thrb, cb = V[bad], a[bad], thr[bad, None], c[bad]
@@ -166,17 +167,17 @@ def _prox_l1_ball(V, thr, a, c):
             s = 1.0 / (1.0 + T[:, :, None])
             Z = _soft(Vb[:, None, :] * s + (T[:, :, None] * s) * ab[:, None, :],
                       thrb[:, :, None] * s)
-            return ((Z - ab[:, None, :]) ** 2).sum(axis=2) > cb[:, None]
+            return row_sum((Z - ab[:, None, :]) ** 2) > cb[:, None]
 
         lo, hi, u = _root_segment(Vb, ab, thrb, ab != 0.0, outside)
         on = np.abs(u) > thrb
-        A = np.where(on, (Vb - np.sign(u) * thrb - ab) ** 2, 0.0).sum(axis=1)
-        B = np.where(on, 0.0, ab**2).sum(axis=1)
+        A = row_sum(np.where(on, (Vb - np.sign(u) * thrb - ab) ** 2, 0.0))
+        B = row_sum(np.where(on, 0.0, ab**2))
         one_nu = np.sqrt(A / np.maximum(cb - B, np.finfo(float).tiny))
         nu = np.clip(one_nu - 1.0, lo, hi)
         for _ in range(8):
             Xb = _soft(Vb + nu[:, None] * ab, thrb) / (1.0 + nu[:, None])
-            out = ((Xb - ab) ** 2).sum(axis=1) > cb
+            out = row_sum((Xb - ab) ** 2) > cb
             if not out.any():
                 break
             nu[out] = np.nextafter(1.0 + nu[out], np.inf) - 1.0
@@ -192,7 +193,7 @@ def _prox_l1_ball(V, thr, a, c):
 def _project_rows(X, a, c):
     """Radial projection of the rows outside their balls; rows inside are kept."""
     diff = X - a
-    n2 = (diff**2).sum(axis=1)
+    n2 = row_sum(diff**2)
     out = n2 > c
     if out.any():
         X = X.copy()
@@ -227,7 +228,7 @@ def _certificate_residual(X, grads, eta, a, c, w):
     the ball term; 0 elsewhere.
     """
     diff = X - a
-    n2 = (diff**2).sum(axis=1)
+    n2 = row_sum(diff**2)
     active = n2 >= c * (1.0 - 1e-10)
     # with w = 0 a kink coordinate's selection is fixed at 0 like any other
     kink = (X == 0.0) & (w != 0.0)
@@ -237,7 +238,7 @@ def _certificate_residual(X, grads, eta, a, c, w):
         """psi at multipliers T (rows, n) for rows with data g, dd, kk, fs."""
         want = -(g[:, None, :] + T[:, :, None] * dd[:, None, :])
         sigma = np.where(kk[:, None, :], np.clip(want, -w, w), fs[:, None, :])
-        return ((sigma - want) * dd[:, None, :]).sum(axis=2)
+        return row_sum((sigma - want) * dd[:, None, :])
 
     t = np.zeros(len(X))
     if active.any():
@@ -249,8 +250,8 @@ def _certificate_residual(X, grads, eta, a, c, w):
             )
             on = ~kk | (np.abs(u) > w)
             sig = np.where(kk, -w * np.sign(u), fs)
-            C = np.where(on, (g + sig) * dd, 0.0).sum(axis=1)
-            S = np.where(on, dd**2, 0.0).sum(axis=1)
+            C = row_sum(np.where(on, (g + sig) * dd, 0.0))
+            S = row_sum(np.where(on, dd**2, 0.0))
             # S underflows to 0 on a piece whose slope is below the float
             # range; psi < 0 there puts the root at the piece's right end
             root = -C / np.maximum(S, np.finfo(float).tiny)
@@ -258,12 +259,12 @@ def _certificate_residual(X, grads, eta, a, c, w):
     want = -(grads + t[:, None] * diff)
     s = grads + np.where(kink, np.clip(want, -w, w), fixed_sigma)
     release = np.where(kink & (np.abs(want) > w), np.sign(want), 0.0)
-    snorm = np.sqrt((s * s).sum(axis=1))
+    snorm = np.sqrt(row_sum(s * s))
     eta_c = np.minimum(eta, 2.0 * np.sqrt(c) / np.maximum(snorm, 1e-300))
     stepped = X - eta_c[:, None] * s
     back = _project_rows(stepped, a, c)
     gap = X - back
-    return np.sqrt((gap * gap).sum(axis=1)) / eta_c, release
+    return np.sqrt(row_sum(gap * gap)) / eta_c, release
 
 
 # ---------------------------------------------------------------------------
@@ -298,43 +299,44 @@ class _SmoothPart:
         two axes depends on the batch size, and a row must not.
         """
         PX = np.einsum("rde,re->rd", self.P, X)
-        fq = (X * PX).sum(axis=1) + (self.Q * X).sum(axis=1)
+        fq = row_sum(X * PX) + row_sum(self.Q * X)
         diff = X[:, None, :] - self.a_prime
         BX = np.einsum("rpd,rd->rp", self.B, X)
-        return fq, 2.0 * PX + self.Q, diff, (diff**2).sum(axis=2), BX
+        return fq, 2.0 * PX + self.Q, diff, row_sum(diff**2), BX
 
 
 class _RoundPart(_SmoothPart):
-    """Round smooth part: the quadratic, the two penalties and the prox term."""
+    """Round smooth part: the quadratic, the two penalties and the prox term.
+
+    Its per-run data, the problem's rows and 1/d' scaled as the terms read
+    it, come from :func:`_round_arrays`.
+    """
 
     def __init__(self, **data):
         super().__init__(**data)
-        self.half_inv_d = 0.5 * self.inv_d
-        self.two_inv_d = (2.0 * self.inv_d)[:, None]
-        self.inv_d_col = self.inv_d[:, None]
         self.half_alpha = 0.5 * self.alpha
 
     def __call__(self, X):
         fq, grad, diff, dist2, BX = self._terms(X)
         hinge = np.maximum(self.mu + dist2 - self.c_prime, 0.0)
-        pen_g = self.half_inv_d * (hinge**2).sum(axis=1)
+        pen_g = self.half_inv_d * row_sum(hinge**2)
         grad += self.two_inv_d * np.einsum("rm,rmd->rd", hinge, diff)
         eq = self.lam + BX + self.c_eq
-        pen_h = self.half_inv_d * (eq**2).sum(axis=1)
+        pen_h = self.half_inv_d * row_sum(eq**2)
         grad += self.inv_d_col * np.einsum("rpd,rp->rd", self.B, eq)
         dxa = X - self.anchor
-        prox = self.half_alpha * (dxa**2).sum(axis=1)
+        prox = self.half_alpha * row_sum(dxa**2)
         grad += self.alpha * dxa
         return fq + pen_g + pen_h + prox, grad
 
     def hessian(self, X):
         """Per-row Hessian; a squared hinge curves only where it is positive."""
         diff = X[:, None, :] - self.a_prime
-        hinge = np.maximum(self.mu + (diff**2).sum(axis=2) - self.c_prime, 0.0)
+        hinge = np.maximum(self.mu + row_sum(diff**2) - self.c_prime, 0.0)
         on = (hinge > 0.0)[:, :, None, None]
         outer = (on * 4.0 * diff[:, :, :, None] * diff[:, :, None, :]).sum(axis=1)
         H = 2.0 * self.P + self.inv_d[:, None, None] * (self.BtB + outer)
-        diag = self.alpha + self.two_inv_d[:, 0] * hinge.sum(axis=1)
+        diag = self.alpha + self.two_inv_d[:, 0] * row_sum(hinge)
         return H + diag[:, None, None] * _eye(X.shape[1])
 
 
@@ -343,25 +345,50 @@ class _DualPart(_SmoothPart):
 
     def __call__(self, X):
         fq, grad, diff, dist2, BX = self._terms(X)
-        val_g = (self.mu * (dist2 - self.c_prime)).sum(axis=1)
+        val_g = row_sum(self.mu * (dist2 - self.c_prime))
         grad += 2.0 * np.einsum("rm,rmd->rd", self.mu, diff)
-        val_h = (self.lam * (BX + self.c_eq)).sum(axis=1)
+        val_h = row_sum(self.lam * (BX + self.c_eq))
         grad += np.einsum("rpd,rp->rd", self.B, self.lam)
         return fq + val_g + val_h, grad
 
     def hessian(self, X):
         """Per-row Hessian: 2P plus 2*sum(mu) on the diagonal."""
-        return 2.0 * self.P + (2.0 * self.mu.sum(axis=1))[:, None, None] * _eye(X.shape[1])
+        return 2.0 * self.P + (2.0 * row_sum(self.mu))[:, None, None] * _eye(X.shape[1])
 
 
 def _problem_rows(pb):
     return dict(P=pb.P, Q=pb.Q, a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq)
 
 
+def _round_arrays(pb, d_prime):
+    """The round part's per-run arrays: the problem's rows and 1/d' scaled.
+
+    A setting's d' is a read-only array that owns its data, so the arrays
+    made from such a d' are kept on the problem, in ``pb.round_arrays``, for
+    the last one seen: a run builds them in its first round and reads them
+    in every later one.  Any other d' is checked and scaled on every call.
+    The kept arrays are never changed, only replaced.
+    """
+    held = pb.round_arrays
+    arrays = held.get("last")
+    if arrays is not None and arrays["d_prime"] is d_prime:
+        return arrays
+    d_prime = np.asarray(d_prime, dtype=float)
+    if (d_prime <= 0).any():
+        raise AssumptionViolatedError("d_prime entries must be positive")
+    inv_d = 1.0 / d_prime
+    arrays = dict(_problem_rows(pb), BtB=pb.BtB, d_prime=d_prime, inv_d=inv_d,
+                  half_inv_d=0.5 * inv_d, two_inv_d=(2.0 * inv_d)[:, None],
+                  inv_d_col=inv_d[:, None])
+    if not d_prime.flags.writeable and d_prime.flags.owndata:
+        held["last"] = arrays
+    return arrays
+
+
 def _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor):
     """The round smooth part, one row per agent."""
-    return _RoundPart(**_problem_rows(pb), BtB=pb.BtB, mu=Ytilde[:, : pb.m],
-                      lam=Ytilde[:, pb.m :], inv_d=1.0 / d_prime, alpha=alpha, anchor=anchor)
+    return _RoundPart(**_round_arrays(pb, d_prime), mu=Ytilde[:, : pb.m],
+                      lam=Ytilde[:, pb.m :], alpha=alpha, anchor=anchor)
 
 
 def _dual_value_and_grad(pb, mu, lam):
@@ -390,7 +417,7 @@ def _descent_step(smooth, Y, vY, gY, eta, a, c, w, rows):
         X = _prox_l1_ball(Y - eta[:, None] * gY, eta * w, a, c)
         v, g = smooth(X)
         dX = X - Y
-        bound = vY + (gY * dX).sum(axis=1) + 0.5 / eta * (dX**2).sum(axis=1)
+        bound = vY + row_sum(gY * dX) + 0.5 / eta * row_sum(dX**2)
         rows = rows & (v > bound + _slack(vY))
         if not rows.any():
             break
@@ -421,8 +448,8 @@ def _onto_sphere(X, a, c, rows):
         return X
     free = X != 0.0
     e = X - a
-    fixed = np.where(free, 0.0, e**2).sum(axis=1)
-    moving = np.where(free, e**2, 0.0).sum(axis=1)
+    fixed = row_sum(np.where(free, 0.0, e**2))
+    moving = row_sum(np.where(free, e**2, 0.0))
     rows = rows & (moving > 0.0) & (fixed < c)
     if not rows.any():
         return X
@@ -430,7 +457,7 @@ def _onto_sphere(X, a, c, rows):
     Xr, ar, er, fr = X[rows], a[rows], e[rows], free[rows]
     for k in range(4):
         Y = np.where(fr, ar + t[:, None] * er, Xr)
-        out = ((Y - ar) ** 2).sum(axis=1) > c[rows]
+        out = row_sum((Y - ar) ** 2) > c[rows]
         if not out.any():
             break
         t[out] *= 1.0 - 2.0**k * np.finfo(float).eps
@@ -456,6 +483,10 @@ def _newton_step(smooth, X, grads, a, c, w, release=0.0):
     ``smooth.hessian``.  A coordinate that ends against its face's sign is
     set to zero, a ball row is put back onto its sphere, and a row still
     outside its ball is clipped into it, so every new row lies in its ball.
+    With ``w = 0`` there is no kink and no face sign: every coordinate with
+    a nonzero value or gradient is free and may change sign (a zero one
+    with zero gradient stays out of the system, as padding with its zero
+    data must, or the system would be singular there).
     Returns the new rows and a mask of the usable ones: those whose step kept
     ``||x - a||^2`` finite (the others keep X).  Whether a point is kept is
     for the certificate to decide.
@@ -464,12 +495,14 @@ def _newton_step(smooth, X, grads, a, c, w, release=0.0):
     eye = _eye(d)
     sgn = np.sign(X) + release  # a release sign is 0 off the zero coordinates
     free = sgn != 0.0
+    if w == 0.0:
+        free |= grads != 0.0
     g = np.where(free, grads + w * sgn, 0.0)
     e = X - a
     ef = np.where(free, e, 0.0)
-    n2 = (e**2).sum(axis=1)
+    n2 = row_sum(e**2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu = -(g * ef).sum(axis=1) / (2.0 * (ef**2).sum(axis=1))
+        nu = -row_sum(g * ef) / (2.0 * row_sum(ef**2))
     ball = (n2 >= c * (1.0 - 1e-10)) & (nu > 0.0)
     nu = np.where(ball, nu, 0.0)
     K = np.empty((n, d + 1, d + 1))
@@ -480,9 +513,10 @@ def _newton_step(smooth, X, grads, a, c, w, release=0.0):
     rhs = np.concatenate([-g, np.where(ball, c - n2, 0.0)[:, None]], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         Xn = np.where(free, X + _solve_rows(K, rhs)[:, :d], 0.0)
-        finite = np.isfinite(((Xn - a) ** 2).sum(axis=1))
+        finite = np.isfinite(row_sum((Xn - a) ** 2))
     Xn[~finite] = X[~finite]
-    Xn[np.sign(Xn) != sgn] = 0.0
+    if w != 0.0:
+        Xn[np.sign(Xn) != sgn] = 0.0
     return _radial_clip(_onto_sphere(Xn, a, c, ball), a, c), finite
 
 
@@ -508,7 +542,7 @@ def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c
     Y_won, res_won, comp_won = np.empty_like(Y), np.empty(len(Y)), np.empty(len(Y))
     cap = comp + _slack(comp)
     for step in range(NEWTON_STEPS):
-        comp_Y = vY + w * np.abs(Y).sum(axis=1)
+        comp_Y = vY + w * row_sum(np.abs(Y))
         win = going & (r <= tol) & (comp_Y <= cap)
         won |= win
         Y_won[win], res_won[win], comp_won[win] = Y[win], r[win], comp_Y[win]
@@ -586,7 +620,7 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
     eta0 = 1.0 / np.maximum(lip, 1e-12)
     eta = LONG_STEP * eta0
     vals, grads = smooth(X)
-    comp = vals + w * np.abs(X).sum(axis=1)
+    comp = vals + w * row_sum(np.abs(X))
     a2, c2 = np.concatenate([a, a]), np.concatenate([c, c])
 
     def record(mask, Xr, res, comp_r, n_iters):
@@ -608,8 +642,9 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
                 np.concatenate([probe, probe]), a2, c2, w)
             res, r, release = both[:rows], both[rows:], release[rows:]
         else:
-            # at x = 0 the Newton step keeps every row: the iterate is its
-            # own first Newton point, and the chain opens its release
+            # at x = 0 the Newton step keeps every row (w > 0): the iterate
+            # is its own first Newton point, and the chain opens its release
+            # (with w = 0, every coordinate with a nonzero gradient)
             res, release = _certificate_residual(X, grads, probe, a, c, w)
             Y, go, vY, gY, r = X, live, vals, grads, res
         record(live & ((res <= tol) | (it == max_iters)), X, res, comp, it)
@@ -622,7 +657,7 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
         if it == STALL_ITERS:
             np.minimum(eta, eta0, out=eta)
         X, vals, grads = _descent_step(smooth, X, vals, grads, eta, a, c, w, live)
-        comp = vals + w * np.abs(X).sum(axis=1)
+        comp = vals + w * row_sum(np.abs(X))
     return X_out, residual, iters, done, values
 
 
@@ -639,7 +674,7 @@ def _round_lipschitz(pb, Ytilde, d_prime, alpha):
     """
     R2 = pb.reach_sq
     hinge_max = np.maximum(Ytilde[:, : pb.m] + R2 - pb.c_prime, 0.0)
-    curv_g = (4.0 * R2 + 2.0 * hinge_max).sum(axis=1)
+    curv_g = row_sum(4.0 * R2 + 2.0 * hinge_max)
     return pb.curv_P + (curv_g + pb.curv_B) / d_prime + alpha
 
 
@@ -655,11 +690,8 @@ def solve_local_batch(pb: Problem, Ytilde, d_prime, alpha, anchor,
     """
     if not tol > 0:
         raise AssumptionViolatedError(f"tol must be positive, got {tol}")
-    d_prime = np.asarray(d_prime, dtype=float)
-    if (d_prime <= 0).any():
-        raise AssumptionViolatedError("d_prime entries must be positive")
     smooth = _round_value_and_grad(pb, Ytilde, d_prime, alpha, anchor)
-    lip = _round_lipschitz(pb, Ytilde, d_prime, alpha)
+    lip = _round_lipschitz(pb, Ytilde, smooth.d_prime, alpha)
     return _prox_grad_loop(smooth, anchor, pb.a, pb.c, pb.l1_weight, lip, tol, max_iters)
 
 

@@ -66,7 +66,7 @@ from .errors import (
 from .graphs import ParamSetting, Variant
 from .localsolver import DEFAULT_TOL
 from .oracle import CertificateCore
-from .problem import Problem, eval_objective, gtilde_rows
+from .problem import Problem, eval_objective, gtilde_rows, row_sum
 
 
 @dataclass
@@ -141,7 +141,7 @@ def _bound_constants(n, s, x_star_rows, y_star, v_term, x0_rows, y0_rows):
     def a_norm(rows):  # set-up: the products need not go through the table
         return s.a_norm(rows, {name: W @ rows for name, W in s.exchange.items()})
 
-    sq_nl = math.sqrt(n * s.spectra.lam1_PA)
+    sq_nl = s.bound_scale
     dy_A = a_norm(y0_rows - np.tile(y_star, (n, 1)))
     y0_A = a_norm(y0_rows)
     s_G = math.sqrt(dy_A**2 + v_term**2 / s.rho)
@@ -254,7 +254,7 @@ def constraint_violation_composite(pb: Problem, st: NetworkState) -> float:
     The ball excess is sum_i max(||x_i - a_i||^2 - c_i, 0) over agent rows;
     the coupled totals are the round's ``st.gt_sum``.
     """
-    d2 = np.sum((st.X - pb.a) ** 2, axis=1)
+    d2 = row_sum((st.X - pb.a) ** 2)
     tot = st.gt_sum
     return (
         float(np.maximum(d2 - pb.c, 0.0).sum())
@@ -272,6 +272,12 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
     point is read as rows, ``sum_X / k``, whose padding stays exactly zero;
     its coupled violation is the round's ``st.ergodic_feasibility``.
     """
+    _check_start(st, cert)
+    return _metrics_row(st, pb, s, cert, lyapunov_prev)
+
+
+def _check_start(st: NetworkState, cert: Certificate) -> None:
+    """Refuse a state that did not start from the certificate's (x0, y0)."""
     if cert is None:
         raise CertificateMissingError("compute_row needs a certificate")
     if not (np.array_equal(st.X0, cert.x0) and np.array_equal(st.Y0, cert.y0)):
@@ -279,6 +285,10 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
             "state started from another (x0, y0) than its certificate; "
             "build a certificate for that start with make_certificate(..., x0=, y0=)"
         )
+
+
+def _metrics_row(st, pb, s, cert, lyapunov_prev) -> MetricsRow:
+    """:func:`compute_row` for a state whose start has been checked."""
     k = st.k
     xbar_rows = st.sum_X / k
 
@@ -315,8 +325,11 @@ def compute_row(st: NetworkState, pb: Problem, s: ParamSetting,
 class MetricsCollector:
     """Engine hook accumulating one MetricsRow per round.
 
-    Call it on the k=0 state first (the engine's ``run`` does this) so the
-    Lyapunov residual of round 1 can use V_0.  With ``check=True`` the bound
+    Call it on the k=0 state first (the engine's ``run`` does this): that
+    call checks that the run starts from the certificate's (x0, y0), which
+    every later round of the run shares, and keeps V_0 for the Lyapunov
+    residual of round 1.  A collector first called after k=0 checks the
+    start then.  With ``check=True`` the bound
     invariants are enforced as the run progresses: slack fields must stay
     above -eps_inner, the Lyapunov descent residual below +eps_inner, and for
     proximal runs the dual trajectory must respect the C1 + C2 radius.
@@ -331,13 +344,16 @@ class MetricsCollector:
         self.check = check
         self.rows: list[MetricsRow] = []
         self._prev_V = math.nan
+        self._checked = False
 
     def __call__(self, st: NetworkState):
+        if st.k == 0 or not self._checked:
+            _check_start(st, self.cert)
+            self._checked = True
         if st.k == 0:
             self._prev_V = lyapunov_value(st, self.cert, self.s)
             return
-        row = compute_row(st, self.pb, self.s, self.cert,
-                          lyapunov_prev=self._prev_V)
+        row = _metrics_row(st, self.pb, self.s, self.cert, self._prev_V)
         self._prev_V = row.lyapunov_value
         self.rows.append(row)
         if self.check:

@@ -26,6 +26,7 @@ __all__ = [
     "generate_example",
     "eval_objective",
     "gtilde_rows",
+    "row_sum",
     "slater_check",
 ]
 
@@ -166,6 +167,19 @@ class Problem:
         return float(np.linalg.eigvalsh(B_flat @ B_flat.T).max())
 
     @cached_property
+    def padding(self) -> np.ndarray:
+        """(N, dmax) read-only mask, True on the coordinates beyond each agent's dimension."""
+        mask = np.arange(self.dmax) >= np.array(self.dims)[:, None]
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def round_arrays(self) -> dict:
+        """The local solver's per-run round arrays, ``{"last": arrays}`` for the
+        last setting's d' it solved with (it fills them)."""
+        return {}
+
+    @cached_property
     def reach_sq(self) -> np.ndarray:
         """(N, m) bound (sqrt(c_i) + ||a_i - a'_ij||)^2 on ||x - a'_ij||^2 over X_i."""
         R = np.sqrt(self.c)[:, None] + np.linalg.norm(self.a[:, None] - self.a_prime, axis=2)
@@ -244,6 +258,24 @@ def generate_example(n: int, d: int, m: int, p: int, seed: int) -> Problem:
 # ---------------------------------------------------------------------------
 
 
+def row_sum(A: np.ndarray) -> np.ndarray:
+    """``A.sum(axis=-1)`` of a float array, bit for bit, made as column adds.
+
+    Below 8 terms numpy adds a last axis left to right, from 0, but it runs
+    that reduction's inner loop once per row, which costs more than the adds
+    on a narrow axis.  Here the axis is moved first (one copy) and reduced
+    there, so each add runs over every row at once: the same adds in the same
+    order, hence the same bits.  From 8 terms on numpy adds pairwise, and
+    ``A.sum(axis=-1)`` itself is returned.
+    """
+    k = A.shape[-1]
+    if not 1 < k < 8:
+        return A.sum(axis=-1)
+    if A.ndim == 2:
+        return np.add.reduce(A.T.copy())
+    return np.add.reduce(A.reshape(-1, k).T.copy()).reshape(A.shape[:-1])
+
+
 def _check_rows(pb: Problem, X) -> np.ndarray:
     """A network point as padded (N, dmax) agent rows; other shapes raise."""
     if np.shape(X) != (pb.n_agents, pb.dmax):
@@ -263,15 +295,15 @@ def eval_objective(pb: Problem, X) -> float:
 def objective_rows(pb: Problem, X: np.ndarray) -> np.ndarray:
     """Per-agent costs f_i(x_i) for padded rows X of shape (N, dmax)."""
     quad = np.einsum("nd,nde,ne->n", X, pb.P, X)
-    lin = np.sum(pb.Q * X, axis=1)
-    l1 = pb.l1_weight * np.abs(X).sum(axis=1)
+    lin = row_sum(pb.Q * X)
+    l1 = pb.l1_weight * row_sum(np.abs(X))
     return quad + lin + l1
 
 
 def gtilde_rows(pb: Problem, X: np.ndarray) -> np.ndarray:
     """Per-agent coupled blocks [g_i(x_i); h_i(x_i)] as an (N, m+p) array."""
     diff = X[:, None, :] - pb.a_prime  # (N, m, dmax)
-    g = np.sum(diff**2, axis=2) - pb.c_prime
+    g = row_sum(diff**2) - pb.c_prime
     h = np.einsum("npd,nd->np", pb.B, X) + pb.c_eq
     return np.concatenate([g, h], axis=1)
 

@@ -8,7 +8,9 @@ check the eigenvalue-only set-up of ``duca.graphs`` against.
 ``reference_round`` applies one round's per-agent updates with dense
 matrices, and ``dense_forms`` evaluates the diagnostics' network forms with
 dense matrices and a pseudo-inverse: the library reads both from neighbor
-sums instead.
+sums instead.  ``brute_force_sums`` makes those sums by the per-agent loop
+that the library's neighbor table must match bit for bit, and
+``LoopMailbox`` is a neighbor table that sums that way.
 """
 
 import dataclasses
@@ -179,6 +181,31 @@ def grid_local(sp, levels=7, pts=81):
         center = X[idx].copy()
         half = np.maximum(half * (2.0 / (pts - 1)) * 2.5, 1e-12)
     return best_x, float(best_v)
+
+
+def brute_force_sums(W, nbrs, x):
+    """W_ii x_i + sum_j W_ij x_j per agent, neighbors ascending: the reference."""
+    out = np.empty_like(x)
+    for i in range(len(nbrs)):
+        acc = W[i, i] * x[i]
+        for j in nbrs[i]:
+            acc = acc + W[i, j] * x[j]
+        out[i] = acc
+    return out
+
+
+class LoopMailbox:
+    """A setting's neighbor table that sums by ``brute_force_sums``."""
+
+    def __init__(self, s):
+        self.links = 2 * s.graph.n_edges
+        self._s = s
+
+    def weighted_sum(self, name, x):
+        return brute_force_sums(self._s.exchange[name], self._s.graph.neighbor_lists, x)
+
+    def sums(self, x):
+        return {name: self.weighted_sum(name, x) for name in self._s.exchange}
 
 
 def eigh_reference(s):

@@ -28,6 +28,8 @@ from duca.metrics import CSV_COLUMNS, csv_to_rows, make_certificate
 from duca.oracle import centralized_solve, load_certificate
 from duca.problem import generate_example
 
+from reference import LoopMailbox
+
 
 def base_config() -> dict:
     return {
@@ -359,6 +361,34 @@ class TestRunArtifacts:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
         assert calls == {"descent": 25, "prox": 32}
+
+
+    def test_shipped_run_keeps_the_reference_bits(self, tmp_path, monkeypatch):
+        # `duca run --strict` on the shipped config, 30 rounds: the narrow
+        # row sums (column adds) and the neighbor table (one gather per
+        # exchange) give the bits of numpy's own sums and of the per-agent
+        # loop, so every file is byte-identical to a run made with those
+        import duca.engine
+        import duca.localsolver
+        import duca.metrics
+        import duca.problem
+        from duca.graphs import ParamSetting
+
+        config = Path(__file__).resolve().parent.parent / "demos" / "configs" / "experiment.yaml"
+
+        def shipped(out):
+            rc = main(["run", "--config", str(config), "--rounds", "30", "--strict",
+                       "--out", str(out)])
+            assert rc == EXIT_OK
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        fast = shipped(tmp_path / "fast")
+        for module in (duca.problem, duca.localsolver, duca.engine, duca.metrics):
+            monkeypatch.setattr(module, "row_sum", lambda A: A.sum(axis=-1))
+        monkeypatch.setattr(ParamSetting, "mailbox", property(LoopMailbox))
+        reference = shipped(tmp_path / "reference")
+        assert len(fast) == 10 and sum(name.endswith(".csv") for name in fast) == 8
+        assert fast == reference
 
 
 class TestBoundsCommand:

@@ -34,9 +34,11 @@ from duca.graphs import (
     random_connected_graph,
 )
 from duca.localsolver import solve_local_batch
+from duca.metrics import MetricsCollector, make_certificate
+from duca.oracle import centralized_solve
 from duca.problem import generate_example
 
-from reference import from_agent_data, nonzero_start, reference_round
+from reference import brute_force_sums, from_agent_data, nonzero_start, reference_round
 from test_localsolver import without_newton
 
 SEED_GRAPH = random_connected_graph(20, 40, seed=42)
@@ -79,36 +81,35 @@ def single_agent_setting(d_prime=2.0):
     )
 
 
-def brute_force_sums(W, nbrs, x):
-    """W_ii x_i + sum_j W_ij x_j per agent, neighbors ascending: the reference."""
-    out = np.empty_like(x)
-    for i in range(len(nbrs)):
-        acc = W[i, i] * x[i]
-        for j in nbrs[i]:
-            acc = acc + W[i, j] * x[j]
-        out[i] = acc
-    return out
-
-
 TUNING = {Variant.PGC: {"rho_prime": 0.5}, Variant.DPGA: {"c": 1.0}}
 
 
 class TestMailbox:
     @given(
-        n=hst.integers(min_value=2, max_value=9),
-        extra=hst.integers(min_value=0, max_value=8),
+        n=hst.integers(min_value=2, max_value=40),
+        extra=hst.integers(min_value=0, max_value=60),
         seed=hst.integers(min_value=0, max_value=10_000),
         variant=hst.sampled_from(list(Variant)),
     )
     @settings(max_examples=60, deadline=None)
     def test_sums_match_per_agent_loop(self, n, extra, seed, variant):
+        # every matrix of the setting, read alone and through ``sums`` (both
+        # L and M of a double-exchange setting from one gather), equals the
+        # per-agent loop bit for bit, signed zeros included, on entries of
+        # mixed magnitudes
         g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
         s = make_setting(variant, g, rho=1.0, tuning=TUNING.get(variant))
         mb = s.mailbox
-        x = np.random.default_rng(seed).standard_normal((n, 4))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-30, 31, size=(n, 4))
+        x[rng.random((n, 4)) < 0.2] = 0.0
+        x[rng.random((n, 4)) < 0.2] = -0.0
+        sums = mb.sums(x)
+        assert sorted(sums) == sorted(s.exchange)
         for name, W in s.exchange.items():
-            got = mb.weighted_sum(name, x)
-            assert np.array_equal(got, brute_force_sums(W, g.neighbor_lists, x))
+            want = brute_force_sums(W, g.neighbor_lists, x).view(np.int64)
+            assert np.array_equal(mb.weighted_sum(name, x).view(np.int64), want)
+            assert np.array_equal(sums[name].view(np.int64), want)
         assert mb.links == 2 * g.n_edges
 
     @given(seed=hst.integers(min_value=0, max_value=10_000),
@@ -254,21 +255,29 @@ class TestInit:
             init(pb, s, x0=np.zeros((5, 2)))
 
     def test_padding_violation_rejected(self):
-        g = random_connected_graph(2, 1, seed=0)
+        # agents 1 and 2 have dimension 1; the error names the first row
+        # with a nonzero entry beyond its agent's dimension
+        g = random_connected_graph(3, 2, seed=0)
+        dims = (2, 1, 1)
         pb = from_agent_data(
-            P=[np.eye(2), np.eye(1)],
-            Q=[np.zeros(2), np.zeros(1)],
-            a=[np.zeros(2), np.zeros(1)],
-            c=[1.0, 1.0],
-            a_prime=[np.zeros((1, 2)), np.zeros((1, 1))],
-            c_prime=[np.ones(1), np.ones(1)],
-            B=[np.zeros((0, 2)), np.zeros((0, 1))],
-            c_eq=[np.zeros(0), np.zeros(0)],
+            P=[np.eye(d) for d in dims],
+            Q=[np.zeros(d) for d in dims],
+            a=[np.zeros(d) for d in dims],
+            c=[1.0] * 3,
+            a_prime=[np.zeros((1, d)) for d in dims],
+            c_prime=[np.ones(1)] * 3,
+            B=[np.zeros((0, d)) for d in dims],
+            c_eq=[np.zeros(0)] * 3,
         )
         s = make_setting(Variant.PEXTRA, g, rho=1.0)
-        x0 = np.zeros((2, 2))
-        x0[1, 1] = 0.5  # beyond agent 1's dimension
-        with pytest.raises(InvalidInitError):
+        x0 = np.zeros((3, 2))
+        x0[0, 1] = x0[1, 0] = 0.5  # inside agents 0 and 1's dimensions
+        init(pb, s, x0=x0)
+        x0[2, 1] = 0.5  # beyond agent 2's dimension
+        with pytest.raises(InvalidInitError, match="x0 row 2 has nonzero padding"):
+            init(pb, s, x0=x0)
+        x0[1, 1] = -0.5  # beyond agent 1's dimension too
+        with pytest.raises(InvalidInitError, match="x0 row 1 has nonzero padding"):
             init(pb, s, x0=x0)
 
 
@@ -521,6 +530,32 @@ class TestRun:
         monkeypatch.setattr(ls, "STALL_ITERS", 1000)
         with pytest.raises(InvariantBreachError, match="round 213: 1 of 20"):
             run(pb, s, 300, x0, y0, check=True)
+
+    def test_per_run_constants_built_once(self, monkeypatch):
+        # a 50-round checked run with a checking collector gathers the
+        # local solver's round arrays (the problem's rows and 1/d') once and
+        # checks its start against the certificate once, not every round;
+        # the next run, with another setting, builds its own
+        import duca.localsolver as ls
+        import duca.metrics as met
+
+        base = generate_example(20, 3, 1, 5, seed=42)
+        pb = dataclasses.replace(base, Q=4.0 * base.Q)
+        x0 = np.zeros((20, pb.dmax))
+        core = centralized_solve(pb, tol=1e-9)
+        builds, starts = [], []
+        rows, check_start = ls._problem_rows, met._check_start
+        monkeypatch.setattr(ls, "_problem_rows", lambda p: builds.append(p) or rows(p))
+        monkeypatch.setattr(met, "_check_start",
+                            lambda st, cert: starts.append(st.k) or check_start(st, cert))
+        for k, variant in enumerate((Variant.DUCA_I, Variant.DIST_ADMM), start=1):
+            s = make_setting(variant, SEED_GRAPH, rho=1.0)
+            cert = make_certificate(core, pb, s, x0=x0, y0=ONES_Y0)
+            coll = MetricsCollector(pb, s, cert, check=True)
+            st = run(pb, s, 50, x0, ONES_Y0, hook=coll, check=True)
+            assert st.inner_iters_total > 50 and len(coll.rows) == 50
+            assert len(builds) == k and builds[-1] is pb
+            assert starts == [0] * k
 
     def test_zero_start_is_a_fixed_point_here(self):
         # The generated family minimizes at the origin with slack coupled

@@ -986,15 +986,18 @@ class TestCertificateSchedule:
         _x, _res, iters_g, done_g, _val = solve_one(sp)
         assert done_g and iters_g > 1
 
-    def test_zero_start_finishes_on_the_released_face(self, monkeypatch):
+    @pytest.mark.parametrize("w, minimizer", [(0.1, [0.45, 0.475]), (0.0, [0.5, 0.5])])
+    def test_zero_start_finishes_on_the_released_face(self, monkeypatch, w, minimizer):
         # the flat-face problem above, started at x = 0: the certificate
         # there releases both coordinates upward, and the Newton chain, with
         # the iterate as its own first point, opens them onto the face whose
         # minimizer it reaches in one step.  The row leaves after one
-        # iteration and no prox step.
+        # iteration and no prox step.  With w = 0 there is no kink to
+        # release from: the chain step frees every coordinate whose gradient
+        # is nonzero, and lands on the unconstrained minimizer.
         import duca.localsolver as ls
 
-        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-1.0, -2.0], c=100.0, l1_weight=0.1)
+        pb = single_agent(P=np.diag([1.0, 2.0]), Q=[-1.0, -2.0], c=100.0, l1_weight=w)
         sp = Subproblem(pb, np.zeros(0), 1.0, 0.0, np.zeros(2))
         descents, real_descent = [], ls._descent_step
 
@@ -1006,7 +1009,7 @@ class TestCertificateSchedule:
         x, res, iters, done, _val = solve_one(sp)
         assert done and res <= DEFAULT_TOL and iters == 1
         assert descents == []
-        np.testing.assert_allclose(x, [0.45, 0.475], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(x, minimizer, rtol=0.0, atol=1e-14)
 
     def test_row_certified_at_its_iterate_returned_there(self, monkeypatch):
         # the flat-face problem above, started a rounding-level step off its

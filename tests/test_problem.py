@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,7 @@ from duca.problem import (
     eval_objective,
     generate_example,
     gtilde_rows,
+    row_sum,
     slater_check,
 )
 
@@ -297,3 +298,43 @@ class TestSlaterCheck:
         with pytest.raises(InfeasibleProblemError,
                            match=r"coupled equality sums vanish at 0 \(\|\|sum h\|\| = "):
             slater_check(shifted)
+
+
+#: entries a narrow row sum must carry through, besides ordinary values
+SUM_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300,
+                         5e-324, np.finfo(float).max])
+
+
+class TestRowSum:
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(0, 6), st.integers(0, 12)),
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 12)),
+        ),
+        fortran=st.booleans(),
+        special=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(6, 8), fortran=False, special=0.0, seed=0)
+    @example(shape=(4, 3, 8), fortran=False, special=0.1, seed=1)
+    @example(shape=(6, 7), fortran=False, special=0.1, seed=2)
+    @settings(max_examples=400, deadline=None)
+    def test_bits_equal_numpy_sum(self, shape, fortran, special, seed):
+        # the column adds give A.sum(axis=-1) bit for bit, over every width
+        # (0-12, so both sides of the 8 terms where numpy goes pairwise) and
+        # in either memory order; NaN where numpy gives NaN.  Most entries
+        # are of comparable size, so that the order of the adds shows in
+        # the rounding; a share of them are special values
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.choice([-300, -3, 0, 3, 300], size=shape, p=[.05, .3, .3, .3, .05])
+        A = rng.standard_normal(shape) * scale
+        mask = rng.random(shape) < special
+        A[mask] = rng.choice(SUM_SPECIALS, size=int(mask.sum()))
+        if fortran:
+            A = np.asfortranarray(A)
+        with np.errstate(all="ignore"):
+            got, want = row_sum(A), A.sum(axis=-1)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
