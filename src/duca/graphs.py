@@ -65,6 +65,13 @@ class Graph:
         The undirected link set.
     neighbor_lists : tuple of tuples
         ``neighbor_lists[i]`` is the sorted tuple of neighbors of node i.
+
+    Built once per graph, on first use, and read-only: the links as index
+    arrays (:attr:`edge_index`), from which the weight matrices are filled
+    and checked without a loop over links; the Metropolis matrix
+    (:attr:`metropolis`) and its eigenvalues (:attr:`metropolis_eigvals`),
+    which every setting exchanging that matrix shares; and the dense mask of
+    unlinked pairs (:attr:`unlinked`), read only to name a refused weight.
     """
 
     n_nodes: int
@@ -79,6 +86,13 @@ class Graph:
         return len(self.neighbor_lists[i])
 
     @cached_property
+    def edge_index(self) -> tuple:
+        """(rows, cols), read-only index arrays of the links (i, j) in ``edges`` order."""
+        idx = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        idx.flags.writeable = False
+        return idx[:, 0], idx[:, 1]
+
+    @cached_property
     def metropolis(self) -> np.ndarray:
         """Metropolis Laplacian-type matrix M, built once and read-only.
 
@@ -87,23 +101,36 @@ class Graph:
         and M is positive semidefinite with nullspace span(1) on a connected
         graph.
         """
+        rows, cols = self.edge_index
+        deg = np.bincount(rows, minlength=self.n_nodes) + np.bincount(cols, minlength=self.n_nodes)
         M = laplacian_from_weights(
-            _edge_weights(self, lambda i, j: 1.0 / (max(self.degree(i), self.degree(j)) + 1)),
-            self,
+            _edge_weights(self, 1.0 / (np.maximum(deg[rows], deg[cols]) + 1)), self
         )
         M.flags.writeable = False
         return M
 
     @cached_property
+    def metropolis_eigvals(self) -> np.ndarray:
+        """Ascending eigenvalues of :attr:`metropolis`, one ``eigvalsh``; read-only.
+
+        Every setting that exchanges M itself reads its spectrum here, so the
+        settings on one graph decompose M once (see :func:`spectral_quantities`).
+        """
+        vals = np.linalg.eigvalsh(_sym(self.metropolis))
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
     def unlinked(self) -> np.ndarray:
         """(N, N) boolean mask, True for two distinct agents with no edge; read-only.
 
-        No weight matrix on the graph may be nonzero where it is True.
+        No weight matrix on the graph may be nonzero where it is True.  The
+        checks decide from the edge list and build this mask only to name
+        the first such entry.
         """
         U = ~np.eye(self.n_nodes, dtype=bool)
-        if self.edges:
-            rows, cols = np.array(self.edges).T
-            U[rows, cols] = U[cols, rows] = False
+        rows, cols = self.edge_index
+        U[rows, cols] = U[cols, rows] = False
         U.flags.writeable = False
         return U
 
@@ -191,16 +218,19 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
                 heapq.heappush(leaves, v)
         tree.append((min(leaves), max(leaves)))
     edges = set(tree)
-    # uniform extra edges among the absent pairs, indexed in (i, j) order
-    in_tree = np.zeros((n, n), dtype=bool)
-    in_tree[tuple(np.array(tree).T)] = True
-    iu, ju = np.triu_indices(n, 1)
-    absent = ~in_tree[iu, ju]
-    iu, ju = iu[absent], ju[absent]
+    # uniform extra edges among the absent pairs, ranked in (i, j) order: the
+    # pair at rank r is the pair at position r + #{tree pairs before it} in
+    # the row-major upper triangle, where tree pair k (sorted by position t_k)
+    # comes before it exactly when t_k - k <= r
     extra = n_edges - len(tree)
     if extra > 0:
-        pick = rng.choice(len(iu), size=extra, replace=False)
-        edges.update(zip(iu[pick].tolist(), ju[pick].tolist()))
+        pick = rng.choice(max_edges - len(tree), size=extra, replace=False)
+        row_start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+        ti, tj = np.array(tree).T
+        t = np.sort(row_start[ti] + tj - ti - 1)
+        q = pick + np.searchsorted(t - np.arange(len(t)), pick, side="right")
+        i = np.searchsorted(row_start, q, side="right") - 1
+        edges.update(zip(i.tolist(), (q - row_start[i] + i + 1).tolist()))
     return build_graph(n, sorted(edges))
 
 
@@ -209,12 +239,21 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _edge_weights(g: Graph, weight) -> np.ndarray:
-    """Symmetric weight matrix with ``weight(i, j)`` on each edge, 0 elsewhere."""
+def _edge_weights(g: Graph, weights) -> np.ndarray:
+    """Symmetric weight matrix with ``weights`` on the links (a scalar, or
+    one value per link in ``g.edges`` order), 0 elsewhere."""
     W = np.zeros((g.n_nodes, g.n_nodes))
-    for i, j in g.edges:
-        W[i, j] = W[j, i] = weight(i, j)
+    rows, cols = g.edge_index
+    W[rows, cols] = W[cols, rows] = weights
     return W
+
+
+def _zero_off_graph(W: np.ndarray, g: Graph) -> bool:
+    """Whether W weighs no two unlinked agents: all its nonzeros (NaN
+    included) sit on the diagonal or on a link, found by one count over W."""
+    rows, cols = g.edge_index
+    on_graph = np.count_nonzero(W.diagonal()) + np.count_nonzero(W[rows, cols])
+    return np.count_nonzero(W) == on_graph + np.count_nonzero(W[cols, rows])
 
 
 def laplacian_from_weights(W: np.ndarray, g: Graph) -> np.ndarray:
@@ -222,20 +261,28 @@ def laplacian_from_weights(W: np.ndarray, g: Graph) -> np.ndarray:
 
     W must be symmetric, strictly positive on edges, zero on non-edges, and
     nonnegative on the diagonal; self-weights cancel out of the Laplacian.
+    W is admitted from its entries on the links and diagonal and a count of
+    its nonzeros: zero off the graph, it is symmetric to 1e-12 exactly when
+    it is on the links and its diagonal is finite.  Only a W refused there
+    is checked densely, in the order below, to name its first fault.
     """
     W = np.asarray(W, dtype=float)
     n = g.n_nodes
     if W.shape != (n, n):
         raise PatternMismatchError(f"weight matrix shape {W.shape} != ({n},{n})")
-    if not np.abs(W - W.T).max() <= 1e-12:
-        raise PatternMismatchError("weight matrix is not symmetric")
-    on_edge = ~g.unlinked
-    np.fill_diagonal(on_edge, False)
-    for bad, what in ((np.diag(W) < 0, "negative self-weight at node"),
-                      (on_edge & (W <= 0), "non-positive weight on edge"),
-                      ((W != 0) & g.unlinked, "nonzero weight off the graph at")):
-        if bad.any():
-            raise PatternMismatchError(f"{what} {np.argwhere(bad)[0].tolist()}")
+    rows, cols = g.edge_index
+    w_ij, w_ji, diag = W[rows, cols], W[cols, rows], W.diagonal()
+    if not (np.all(np.abs(w_ij - w_ji) <= 1e-12) and np.all(w_ij > 0) and np.all(w_ji > 0)
+            and np.all((diag >= 0) & (diag < np.inf)) and _zero_off_graph(W, g)):
+        if not np.abs(W - W.T).max() <= 1e-12:
+            raise PatternMismatchError("weight matrix is not symmetric")
+        on_edge = ~g.unlinked
+        np.fill_diagonal(on_edge, False)
+        for bad, what in ((diag < 0, "negative self-weight at node"),
+                          (on_edge & (W <= 0), "non-positive weight on edge"),
+                          ((W != 0) & g.unlinked, "nonzero weight off the graph at")):
+            if bad.any():
+                raise PatternMismatchError(f"{what} {np.argwhere(bad)[0].tolist()}")
     return np.diag(W.sum(axis=1)) - W
 
 
@@ -282,7 +329,11 @@ class ParamSetting:
     fails raises one :class:`AssumptionViolatedError` naming every failed
     condition with its value.  The eigenvalue checks read :attr:`spectra`,
     so checking a setting and later evaluating its bounds decompose each
-    distinct matrix once, for its eigenvalues only.  Network forms are read
+    distinct matrix once, for its eigenvalues only; P_Htilde built from the
+    graph's own Metropolis matrix (DUCA_I, DIST_ADMM) is not decomposed at
+    all, its spectrum coming from ``graph.metropolis_eigvals``.  Whether an
+    exchange matrix weighs unlinked agents is decided from its entries on
+    the links and one count of its nonzeros.  Network forms are read
     from neighbor sums (:meth:`a_norm`), not from the N x N matrices.
 
     Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
@@ -414,7 +465,8 @@ class Mailbox:
     into the prefix of the own terms, and one permutation puts the rows
     back in agent order.  Every agent thus adds its terms in the order of a
     per-agent loop and gets the same bits; a dense ``W @ x`` would sum in
-    another order.  :meth:`sums` shares the gather between the matrices.
+    another order.  :meth:`sums` shares the gather between the matrices,
+    and one sum between names that hold the same matrix object.
     The setting has refused any weight between agents that are not
     neighbors, so the table carries every weight.  A read of a matrix the
     table does not carry raises :class:`MailboxError`.  Use ``s.mailbox``,
@@ -447,6 +499,9 @@ class Mailbox:
         self._n = n
         self._gather = np.array(cols, dtype=np.intp)
         self._weights = {name: W[rows, cols][:, None] for name, W in s.exchange.items()}
+        # each name's first holder of its matrix object, whose sum serves both
+        first = {}
+        self._twin = {name: first.setdefault(id(W), name) for name, W in s.exchange.items()}
 
     def _add_slots(self, terms):
         """The rows, in agent order, of the weighed terms summed slot by slot."""
@@ -466,9 +521,18 @@ class Mailbox:
         return self._add_slots(w * x.take(self._gather, axis=0))
 
     def sums(self, x: np.ndarray) -> dict:
-        """``{name: W x}`` for every exchange matrix W of the setting, from one gather."""
+        """``{name: W x}`` for every exchange matrix W of the setting, from one gather.
+
+        Names that hold one matrix object (DIST_ADMM's L and M) get one sum,
+        the same array under both names; no reader writes into it.
+        """
         gathered = x.take(self._gather, axis=0)
-        return {name: self._add_slots(w * gathered) for name, w in self._weights.items()}
+        out = {}
+        for name, twin in self._twin.items():
+            if twin not in out:
+                out[twin] = self._add_slots(self._weights[name] * gathered)
+            out[name] = out[twin]
+        return out
 
 
 def _dpga_scale(g: Graph, c: float) -> float:
@@ -522,7 +586,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
             raise MissingTuningError(f"rho_prime must be positive, got {rho_prime}")
         if rho != 1.0:
             raise AssumptionViolatedError("PGC fixes rho = 1; tune rho_prime instead")
-        L1 = laplacian_from_weights(_edge_weights(g, lambda i, j: 2.0 * rho_prime), g)
+        L1 = laplacian_from_weights(_edge_weights(g, 2.0 * rho_prime), g)
         exchange = {"H": L1 / 2.0}
         d_prime = np.diag(L1).copy()
     elif variant == Variant.DPGA:
@@ -535,7 +599,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
         if rho != 1.0:
             raise AssumptionViolatedError("DPGA fixes rho = 1; tune c instead")
         s = _dpga_scale(g, c)
-        L2 = laplacian_from_weights(_edge_weights(g, lambda i, j: s / 2.0), g)
+        L2 = laplacian_from_weights(_edge_weights(g, s / 2.0), g)
         exchange = {"H": L2}
         d_prime = s * np.array([float(g.degree(i)) for i in range(n)])
     elif variant == Variant.DIST_ADMM:
@@ -564,8 +628,9 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
 
 
 def _sym(M):
-    """The symmetric part of M, which every eigensolve here decomposes."""
-    return 0.5 * (M + M.T)
+    """The symmetric part of M, which every eigensolve here decomposes: M
+    itself when it equals its transpose exactly, since 0.5 * (m + m) is m."""
+    return M if np.array_equal(M, M.T) else 0.5 * (M + M.T)
 
 
 def _standing_checks(s: ParamSetting) -> list:
@@ -611,23 +676,26 @@ def _standing_checks(s: ParamSetting) -> list:
         ("alpha nonnegative", s.alpha >= 0, "alpha={}", (s.alpha,)),
     ]
     for name, W in s.exchange.items():
-        off = (W != 0) & s.graph.unlinked
-        passed = not off.any()
+        passed = _zero_off_graph(W, s.graph)
         checks.append((name + " weighs no unlinked agents", passed, "weight at {}",
-                       () if passed else (np.argwhere(off)[0].tolist(),)))
+                       () if passed else (np.argwhere((W != 0) & s.graph.unlinked)[0].tolist(),)))
     return checks
 
 
 @dataclass(frozen=True)
 class SpectralQuantities:
-    """One setting's eigenvalues, from one ``eigvalsh`` per distinct matrix.
+    """One setting's eigenvalues, from at most one ``eigvalsh`` per distinct matrix.
 
     The bounds use ``lam1_PA``.  A setting's checks read the ascending
     eigenvalues of the symmetrized P_H, P_Htilde, P_A and, in
     double-exchange mode, P_H - P_Htilde (``eig_order``; None in single
     mode), and the residuals ``ones_resid_PH`` and ``ones_resid_PHtilde``,
     r = ||P 1/sqrt(N)|| for P = P_H and P_Htilde (one value when P_H is the
-    same object as P_Htilde).  No eigenvectors are computed: if P's second
+    same object as P_Htilde).  When P_Htilde is the graph's Metropolis
+    matrix M or M @ M, its eigenvalues are those of
+    :attr:`Graph.metropolis_eigvals` or their sorted squares, the latter
+    within rounding of a solve of M @ M; every other array is a solve of its
+    own matrix.  No eigenvectors are computed: if P's second
     eigenvalue lam_2 is positive, the part of 1/sqrt(N) off P's bottom
     eigenvector v_0 has norm at most r/lam_2, so the check
     ``r <= 1e-4 * lam_2``, with lam_2 above the zero cut, gives
@@ -650,19 +718,27 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
     has P_H = P_Htilde as one object, so that is an ``eigvalsh`` of P_Htilde
     and one of P_A, and in double mode P_H - P_Htilde is exactly zero, so
     its eigenvalues are zeros with no solve.  A double-exchange setting with
-    another P_H adds an ``eigvalsh`` of P_H and one of P_H - P_Htilde.  Use
-    ``s.spectra`` for the value cached on the setting.
+    another P_H adds an ``eigvalsh`` of P_H and one of P_H - P_Htilde.
+    P_Htilde is not decomposed when it is built from the graph's own
+    Metropolis matrix M: H = M (DUCA_I) reads :attr:`Graph.metropolis_eigvals`,
+    solved once per graph, and L = M (DIST_ADMM, P_Htilde = M @ M) their
+    sorted squares.  P_A always has its own solve, since lambda_1(P_A) sets
+    the bounds.  Use ``s.spectra`` for the value cached on the setting.
     """
     n = s.n_nodes
     ones = np.ones(n) / np.sqrt(n)
     vals_A = np.linalg.eigvalsh(_sym(s.P_A))
-    vals = np.linalg.eigvalsh(_sym(s.P_Htilde))
+    single = s.exchange_mode == "single"
+    if s.exchange["H" if single else "L"] is s.graph.metropolis:
+        vals = s.graph.metropolis_eigvals if single else np.sort(s.graph.metropolis_eigvals**2)
+    else:
+        vals = np.linalg.eigvalsh(_sym(s.P_Htilde))
     resid = float(np.linalg.norm(s.P_Htilde @ ones))
     vals_H, resid_H, vals_order = vals, resid, None
     if s.P_H is not s.P_Htilde:
         vals_H = np.linalg.eigvalsh(_sym(s.P_H))
         resid_H = float(np.linalg.norm(s.P_H @ ones))
-    if s.exchange_mode == "double":
+    if not single:
         diff = s.P_H - s.P_Htilde
         vals_order = np.linalg.eigvalsh(_sym(diff)) if diff.any() else np.zeros(n)
     return SpectralQuantities(

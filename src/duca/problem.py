@@ -97,18 +97,25 @@ class Problem:
                 raise AssumptionViolatedError(f"{name} has non-finite entries")
         if not 0.0 <= self.l1_weight < np.inf:
             raise AssumptionViolatedError("l1_weight must be finite and nonnegative")
-        for i, d in enumerate(self.dims):
-            if not (1 <= d <= dmax):
+        # per agent (column): an invalid dimension, then nonzero padding in P,
+        # Q, a, a_prime and B; the first agent at fault is named, with its
+        # first fault in that order
+        pad = self.padding
+        faults = np.array([
+            np.array(self.dims) < 1,  # no d exceeds dmax = max(dims)
+            ((self.P != 0) & (pad[:, :, None] | pad[:, None, :])).any(axis=(1, 2)),
+            ((self.Q != 0) & pad).any(axis=1),
+            ((self.a != 0) & pad).any(axis=1),
+            ((self.a_prime != 0) & pad[:, None, :]).any(axis=(1, 2)),
+            ((self.B != 0) & pad[:, None, :]).any(axis=(1, 2)),
+        ])
+        if faults.any():
+            i = int(faults.any(axis=0).argmax())
+            fault, d = int(faults[:, i].argmax()), self.dims[i]
+            if fault == 0:
                 raise DimMismatchError(f"agent {i} has invalid dimension {d}")
-            for name in ("P", "Q", "a", "a_prime", "B"):
-                arr = shapes[name][0][i]
-                tail = arr[..., d:]
-                if name == "P":
-                    tail = np.concatenate([arr[d:, :].ravel(), arr[:, d:].ravel()])
-                if tail.size and float(np.abs(tail).max()) != 0.0:
-                    raise DimMismatchError(
-                        f"{name}[{i}] has nonzero entries beyond dimension {d}"
-                    )
+            name = ("P", "Q", "a", "a_prime", "B")[fault - 1]
+            raise DimMismatchError(f"{name}[{i}] has nonzero entries beyond dimension {d}")
         sym_err = float(np.abs(self.P - np.transpose(self.P, (0, 2, 1))).max())
         if sym_err > 1e-12:
             raise AssumptionViolatedError(f"P not symmetric (max err {sym_err:.3e})")

@@ -5,6 +5,12 @@ parts, and ``grid_local`` searches it by brute force, so the two agreeing
 counts as evidence that the solver minimizes the right function.
 ``eigh_reference`` decomposes every matrix of a setting with ``eigh``, to
 check the eigenvalue-only set-up of ``duca.graphs`` against.
+``random_graph_edges`` draws a random graph's extra links from the N x N
+enumeration of absent pairs, ``loop_laplacian`` builds a graph Laplacian by
+a loop over the links, ``weight_fault`` names a weight matrix's first fault
+from dense masks, and ``padding_fault`` a problem's first padding fault by
+a loop over agents: the library does each from index arithmetic or masks
+over arrays.
 ``reference_round`` applies one round's per-agent updates with dense
 matrices, and ``dense_forms`` evaluates the diagnostics' network forms with
 dense matrices and a pseudo-inverse: the library reads both from neighbor
@@ -14,6 +20,7 @@ that the library's neighbor table must match bit for bit, and
 """
 
 import dataclasses
+import heapq
 from typing import NamedTuple
 
 import numpy as np
@@ -181,6 +188,104 @@ def grid_local(sp, levels=7, pts=81):
         center = X[idx].copy()
         half = np.maximum(half * (2.0 / (pts - 1)) * 2.5, 1e-12)
     return best_x, float(best_v)
+
+
+def random_graph_edges(n, n_edges, seed):
+    """Edge tuple of ``random_connected_graph(n, n_edges, seed)`` for n >= 2,
+    its extra links drawn from N x N arrays.
+
+    A Pruefer tree decoded with a heap of leaves, then a uniform draw without
+    replacement from the absent pairs, listed by ``np.triu_indices`` in
+    (i, j) order after masking the tree out of an N x N table.
+    """
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        tree = [(0, 1)]
+    else:
+        seq = [int(v) for v in rng.integers(0, n, size=n - 2)]
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        leaves = [i for i in range(n) if degree[i] == 1]
+        tree = []
+        for v in seq:
+            leaf = heapq.heappop(leaves)
+            tree.append((min(leaf, v), max(leaf, v)))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(leaves, v)
+        tree.append((min(leaves), max(leaves)))
+    edges = set(tree)
+    in_tree = np.zeros((n, n), dtype=bool)
+    in_tree[tuple(np.array(tree).T)] = True
+    iu, ju = np.triu_indices(n, 1)
+    absent = ~in_tree[iu, ju]
+    iu, ju = iu[absent], ju[absent]
+    extra = n_edges - len(tree)
+    if extra > 0:
+        pick = rng.choice(len(iu), size=extra, replace=False)
+        edges.update(zip(iu[pick].tolist(), ju[pick].tolist()))
+    return tuple(sorted(edges))
+
+
+def loop_laplacian(g, weight):
+    """diag(row sums) - W for W with ``weight(i, j)`` on each link, by a loop."""
+    W = np.zeros((g.n_nodes, g.n_nodes))
+    for i, j in g.edges:
+        W[i, j] = W[j, i] = weight(i, j)
+    return np.diag(W.sum(axis=1)) - W
+
+
+def loop_metropolis(g):
+    """The Metropolis matrix, -1/(max{deg_i, deg_j}+1) on each link, by a loop."""
+    return loop_laplacian(g, lambda i, j: 1.0 / (max(g.degree(i), g.degree(j)) + 1))
+
+
+def unlinked_mask(g):
+    """(N, N) mask of distinct agents that are not neighbors, from the neighbor lists."""
+    n = g.n_nodes
+    return np.array([[i != j and j not in g.neighbor_lists[i] for j in range(n)]
+                     for i in range(n)])
+
+
+def weight_fault(W, g):
+    """The message ``laplacian_from_weights`` refuses W with, or None.
+
+    Dense masks, checked in order: symmetry to 1e-12, a negative diagonal
+    entry, a non-positive weight on a link, a nonzero weight between
+    unlinked agents; the first offending entry in row-major order is named.
+    """
+    if not np.abs(W - W.T).max() <= 1e-12:
+        return "weight matrix is not symmetric"
+    unlinked = unlinked_mask(g)
+    on_edge = ~unlinked & ~np.eye(g.n_nodes, dtype=bool)
+    for bad, what in ((np.diag(W) < 0, "negative self-weight at node"),
+                      (on_edge & (W <= 0), "non-positive weight on edge"),
+                      ((W != 0) & unlinked, "nonzero weight off the graph at")):
+        if bad.any():
+            return f"{what} {np.argwhere(bad)[0].tolist()}"
+    return None
+
+
+def padding_fault(dims, arrays):
+    """The message ``Problem`` refuses padded data with, or None, by a loop.
+
+    Agent by agent: an invalid dimension, then a nonzero entry beyond the
+    agent's dimension in P (rows or columns), Q, a, a_prime and B, in that
+    order; ``arrays`` maps those names to the padded arrays.
+    """
+    dmax = max(dims)
+    for i, d in enumerate(dims):
+        if not (1 <= d <= dmax):
+            return f"agent {i} has invalid dimension {d}"
+        for name in ("P", "Q", "a", "a_prime", "B"):
+            arr = arrays[name][i]
+            tail = arr[..., d:]
+            if name == "P":
+                tail = np.concatenate([arr[d:, :].ravel(), arr[:, d:].ravel()])
+            if tail.size and float(np.abs(tail).max()) != 0.0:
+                return f"{name}[{i}] has nonzero entries beyond dimension {d}"
+    return None
 
 
 def brute_force_sums(W, nbrs, x):

@@ -112,6 +112,29 @@ class TestMailbox:
             assert np.array_equal(sums[name].view(np.int64), want)
         assert mb.links == 2 * g.n_edges
 
+    def test_one_sum_serves_the_names_of_one_matrix(self):
+        # DIST_ADMM exchanges L = M as one object: sums() makes one sum and
+        # serves it under both names, with the bits of two separate sums, and
+        # a state holding it round-trips through dump_state/load_state
+        pb, s = small_case(variant=Variant.DIST_ADMM)
+        assert s.exchange["L"] is s.exchange["M"]
+        x = np.random.default_rng(1).standard_normal((6, pb.mp))
+        sums = s.mailbox.sums(x)
+        assert sums["L"] is sums["M"]
+        for name in ("L", "M"):
+            alone = s.mailbox.weighted_sum(name, x)
+            assert np.array_equal(sums[name].view(np.int64), alone.view(np.int64))
+        st = run(pb, s, 3, y0=np.ones((6, pb.mp)))
+        assert st.WY["L"] is st.WY["M"] and st.WY0["L"] is st.WY0["M"]
+        text = dump_state(st)
+        st2 = load_state(text)
+        assert dump_state(st2) == text
+        assert all(np.array_equal(st2.WY[name], st.WY[name]) for name in ("L", "M"))
+        # ALT's L and M are two matrices, so two sums
+        _, alt = small_case(variant=Variant.ALT)
+        sums = alt.mailbox.sums(x)
+        assert sums["L"] is not sums["M"]
+
     @given(seed=hst.integers(min_value=0, max_value=10_000),
            variant=hst.sampled_from(list(Variant)))
     @settings(max_examples=12, deadline=None)

@@ -1,11 +1,12 @@
 """Graphs, weight matrices, and parameter settings."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duca.errors import (
@@ -19,6 +20,7 @@ from duca.graphs import (
     ParamSetting,
     Variant,
     _standing_checks,
+    _sym,
     build_graph,
     laplacian_from_weights,
     make_setting,
@@ -30,7 +32,15 @@ from duca.metrics import make_certificate
 from duca.oracle import CertificateCore
 from duca.problem import StackedPoint
 
-from reference import eigh_reference, from_agent_data
+from reference import (
+    eigh_reference,
+    from_agent_data,
+    loop_laplacian,
+    loop_metropolis,
+    random_graph_edges,
+    unlinked_mask,
+    weight_fault,
+)
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 PATH2 = build_graph(2, [(0, 1)])
@@ -127,6 +137,21 @@ class TestRandomConnectedGraph:
             for seed in range(20):
                 got = random_connected_graph(n, n_edges, seed=seed).edges
                 assert got == _reference_random_edges(n, n_edges, seed), (n, n_edges, seed)
+
+    @given(n=st.integers(2, 60), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_draw(self, n, fill, seed):
+        # extra links picked by rank arithmetic over the tree are the pairs the
+        # N x N enumeration of absent pairs gives for the same draw
+        n_edges = n - 1 + round(fill * ((n - 1) * (n - 2) // 2))
+        assert random_connected_graph(n, n_edges, seed=seed).edges == \
+            random_graph_edges(n, n_edges, seed)
+
+    def test_pinned_500_node_graph(self):
+        edges = random_connected_graph(500, 1000, seed=42).edges
+        assert edges == random_graph_edges(500, 1000, 42)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
+            "bdf59986870ff653189162608d438592ecbab3b999c7784997253ef75b449b8d")
 
     def test_deterministic(self):
         a = random_connected_graph(20, 40, seed=7)
@@ -235,6 +260,68 @@ class TestMetropolis:
         assert M is g.metropolis
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
+        vals = g.metropolis_eigvals
+        assert vals is g.metropolis_eigvals
+        assert np.array_equal(vals, np.linalg.eigvalsh(M))
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+
+    @pytest.mark.parametrize("n,n_edges,seed", [(2, 1, 0), (9, 14, 4), (60, 150, 7)])
+    def test_same_bits_as_the_loop_over_links(self, n, n_edges, seed):
+        g = random_connected_graph(n, n_edges, seed=seed)
+        assert g.metropolis.tobytes() == loop_metropolis(g).tobytes()
+
+
+#: perturbations of an admissible weight matrix (see ``_perturbed_weights``)
+FAULTS = ["asymmetric link", "link", "one side of a link", "off the graph",
+          "one side off the graph", "diagonal"]
+FAULT_VALUES = [0.0, -0.0, 5e-324, 1e-13, -1e-13, 2e-12, -1.0, 0.7,
+                np.inf, -np.inf, np.nan]
+
+
+def _perturbed_weights(g, seed, faults):
+    """Positive symmetric link weights and a nonnegative diagonal, with each
+    ``(kind, where, value)`` fault applied at entry ``where`` of its kind."""
+    rng = np.random.default_rng(seed)
+    n = g.n_nodes
+    W = np.zeros((n, n))
+    for i, j in g.edges:
+        W[i, j] = W[j, i] = rng.uniform(0.1, 2.0)
+    W[np.diag_indices(n)] = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.5)
+    off = np.argwhere(unlinked_mask(g))
+    for kind, where, value in faults:
+        if kind == "diagonal":
+            W[where % n, where % n] = value
+            continue
+        if "off the graph" in kind:
+            if not len(off):
+                continue
+            i, j = off[where % len(off)]
+        else:
+            i, j = g.edges[where % g.n_edges]
+        if where % 2:
+            i, j = j, i
+        if kind == "asymmetric link":
+            W[i, j] += value
+        elif kind.startswith("one side"):
+            W[i, j] = value
+        else:
+            W[i, j] = W[j, i] = value
+    return W
+
+
+def _check_weights_as_dense_masks(g, W):
+    """laplacian_from_weights refuses W exactly as the dense masks do, with
+    their message, and otherwise returns the Laplacian of W's row sums."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = weight_fault(W, g)
+        if want is None:
+            got = laplacian_from_weights(W, g)
+            assert got.tobytes() == (np.diag(W.sum(axis=1)) - W).tobytes()
+        else:
+            with pytest.raises(PatternMismatchError) as err:
+                laplacian_from_weights(W, g)
+            assert str(err.value) == want
 
 
 class TestLaplacianFromWeights:
@@ -282,6 +369,47 @@ class TestLaplacianFromWeights:
         W = np.array([[-1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(PatternMismatchError):
             laplacian_from_weights(W, PATH2)
+
+    @given(n=st.integers(2, 7), extra=st.integers(0, 8), seed=st.integers(0, 10_000),
+           faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 10**6),
+                                     st.sampled_from(FAULT_VALUES)), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_and_message_match_dense_masks(self, n, extra, seed, faults):
+        # the edge-list admission refuses exactly the matrices the dense masks
+        # refuse, naming the same first fault; an admitted one gives the
+        # Laplacian of its dense row sums
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+        _check_weights_as_dense_masks(g, _perturbed_weights(g, seed, faults))
+
+    def test_every_fault_and_every_near_zero_link_matches_dense_masks(self):
+        # each fault kind with each value, on either side, and each link set
+        # to a value and then changed on one side: the cases where a link's
+        # two weights agree to 1e-12 but one of them is not positive
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+        for kind in FAULTS:
+            for value in FAULT_VALUES:
+                for where in (0, 1, 5, 6):
+                    W = _perturbed_weights(g, 0, [(kind, where, value)])
+                    _check_weights_as_dense_masks(g, W)
+        for first in FAULT_VALUES:
+            for second in FAULT_VALUES:
+                for where in (2, 3):
+                    faults = [("link", 2, first), ("one side of a link", where, second)]
+                    _check_weights_as_dense_masks(g, _perturbed_weights(g, 0, faults))
+
+    @pytest.mark.parametrize("variant", [Variant.PGC, Variant.DPGA])
+    def test_laplacians_have_the_bits_of_the_loop_over_links(self, variant):
+        g = random_connected_graph(60, 150, seed=7)
+        s = make_default(variant, g)
+        if variant == Variant.PGC:
+            L = loop_laplacian(g, lambda i, j: 2.0 * 0.5)
+            H, d = L / 2.0, np.diag(L).copy()
+        else:
+            sc = float(np.sqrt(1.0 * 60 / (g.n_edges * min(map(len, g.neighbor_lists)))))
+            H = loop_laplacian(g, lambda i, j: sc / 2.0)
+            d = sc * np.array([float(g.degree(i)) for i in range(60)])
+        assert s.exchange["H"].tobytes() == H.tobytes()
+        assert s.d_prime.tobytes() == d.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +654,35 @@ class TestValidateSetting:
         with pytest.raises(AssumptionViolatedError, match=re.escape(named)):
             make_setting(Variant.DUCA_I, _graph_with_stale_metropolis(case), rho=1.0)
 
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 8),
+           faults=st.lists(st.tuples(st.sampled_from(["off", "off, both sides", "link"]),
+                                     st.integers(0, 10**6),
+                                     st.sampled_from([0.0, -0.0, 5e-324, -0.01, 0.3])),
+                           min_size=1, max_size=3))
+    @example(seed=0, n=3, faults=[("link", 0, 0.0), ("off", 0, 0.3)])
+    @settings(max_examples=100, deadline=None)
+    def test_unlinked_weight_named_as_by_a_dense_mask(self, seed, n, faults):
+        # the count over H refuses a weight between unlinked agents exactly
+        # when the dense mask has one, and names the mask's first entry, also
+        # when a zeroed link weight offsets an off-graph one in the count
+        g = random_connected_graph(n, n - 1, seed=seed)  # a tree leaves pairs unlinked
+        s = make_setting(Variant.DUCA_I, g, rho=1.0)
+        H = s.P_H.copy()
+        off = np.argwhere(unlinked_mask(g))
+        for kind, where, value in faults:
+            i, j = off[where % len(off)] if kind.startswith("off") else g.edges[where % g.n_edges]
+            H[i, j] = value
+            if kind == "off, both sides":
+                H[j, i] = value
+        bad = np.argwhere((H != 0) & unlinked_mask(g))
+        try:
+            dataclasses.replace(s, exchange={"H": H})
+            refused = ""
+        except AssumptionViolatedError as err:
+            refused = str(err)
+        named = re.findall(r"H weighs no unlinked agents \(weight at (\[\d+, \d+\])\)", refused)
+        assert named == ([str(bad[0].tolist())] if len(bad) else [])
+
     def test_pd_too_small_fails_pa_psd(self):
         M = TRIANGLE.metropolis
         with pytest.raises(AssumptionViolatedError,
@@ -653,6 +810,40 @@ class TestSpectralQuantities:
         np.testing.assert_allclose(s.P_Htilde @ w, v, atol=1e-9)
         assert np.abs(w.sum(axis=0)).max() <= 1e-12
         np.testing.assert_allclose(w, np.linalg.pinv(s.P_Htilde) @ v, atol=1e-9)
+
+    @given(n=st.integers(2, 40), extra=st.integers(0, 60), seed=st.integers(0, 10_000))
+    @example(n=500, extra=501, seed=42)
+    @settings(max_examples=40, deadline=None)
+    def test_dist_admm_spectrum_is_the_squared_metropolis_spectrum(self, n, extra, seed):
+        # DIST_ADMM's P_H = P_Htilde = M @ M is not decomposed: its spectrum is
+        # the sorted squares of the graph's one Metropolis spectrum
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+        sp = make_default(Variant.DIST_ADMM, g).spectra
+        ref = np.linalg.eigvalsh(_sym(g.metropolis @ g.metropolis))
+        assert sp.eig_PH is sp.eig_PHtilde
+        assert np.all(np.abs(sp.eig_PHtilde - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.DIST_ADMM])
+    def test_set_up_bits_match_a_dense_reference(self, variant):
+        # N = 60: M, d', lambda_1(P_A) and w* built from the links by a loop and
+        # solved densely, bit for bit
+        n = 60
+        g = random_connected_graph(n, 150, seed=7)
+        s = make_default(variant, g)
+        M = loop_metropolis(g)
+        if variant == Variant.DUCA_I:
+            P_H, d = M, 2.0 * 1.0 * np.diag(M)
+        else:
+            P_H = M @ M
+            d = (M**2) @ np.array([g.degree(j) + 1.0 for j in range(n)])
+        P_A = np.diag(d) - 1.0 * P_H
+        v = np.random.default_rng(7).standard_normal((n, 3))
+        v -= v.mean(axis=0)
+        assert g.metropolis.tobytes() == M.tobytes()
+        assert s.d_prime.tobytes() == d.tobytes()
+        assert s.spectra.lam1_PA == max(float(np.linalg.eigvalsh(0.5 * (P_A + P_A.T))[-1]), 0.0)
+        v_star = v - v.mean(axis=0)  # the certificate's closed form for v*
+        assert _w_star(s, v).tobytes() == np.linalg.solve(P_H + 1.0 / n, v_star).tobytes()
 
     def test_lam1_pa_matches_eigh(self):
         g = random_connected_graph(12, 20, seed=9)

@@ -351,25 +351,34 @@ class TestNoDenseRoundWork:
         assert final.k == 5 and len(coll.rows) == 5
 
 
+def _spy_linalg(monkeypatch, names):
+    """``{name: [matrix, ...]}``, filled with every 2-D array passed to those
+    ``np.linalg`` functions (per-agent solvers pass (N, d, d) stacks)."""
+    calls = {name: [] for name in names}
+    for name in names:
+        orig = getattr(np.linalg, name)
+
+        def counted(a, *args, _orig=orig, _calls=calls[name], **kwargs):
+            if np.ndim(a) == 2:
+                _calls.append(np.array(a))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestSpectraOncePerSetting:
     @pytest.mark.parametrize("variant", [Variant.DUCA_I, Variant.DIST_ADMM, Variant.ALT])
     def test_network_eigensolves_per_setting(self, variant, monkeypatch):
         # make_setting, make_certificate and run share one decomposition of
         # each distinct matrix, for its eigenvalues only: eigvalsh of P_A and
-        # of H (= P_H = P_Htilde) in single mode, of L @ L (= P_H, as M = L)
-        # in DIST_ADMM; ALT adds eigvalsh of P_H and of P_H - P_Htilde.
+        # of the graph's Metropolis matrix M, which is H (= P_H = P_Htilde) in
+        # DUCA_I and L = M in DIST_ADMM, whose P_H = P_Htilde = M @ M has the
+        # squared spectrum; ALT decomposes its own P_Htilde, P_H and
+        # P_H - P_Htilde.
         pb, _, sol, _, x0, y0 = small_bundle()
         g = random_connected_graph(6, 9, seed=3)
-        calls = {"eigh": [], "eigvalsh": []}
-        for name in calls:
-            orig = getattr(np.linalg, name)
-
-            def counted(a, *args, _orig=orig, _calls=calls[name], **kwargs):
-                if np.ndim(a) == 2:  # per-agent solvers decompose (N, d, d) stacks
-                    _calls.append(np.array(a))
-                return _orig(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = _spy_linalg(monkeypatch, ("eigh", "eigvalsh"))
         s = make_setting(variant, g, rho=1.0)
         cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
         coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
@@ -377,7 +386,24 @@ class TestSpectraOncePerSetting:
         eigvalsh_calls = 4 if variant == Variant.ALT else 2
         assert [a.shape for a in calls["eigvalsh"]] == [(6, 6)] * eigvalsh_calls
         assert calls["eigh"] == []
-        assert np.array_equal(calls["eigvalsh"][1], 0.5 * (s.P_Htilde + s.P_Htilde.T))
+        second = 0.5 * (s.P_Htilde + s.P_Htilde.T) if variant == Variant.ALT else g.metropolis
+        assert np.array_equal(calls["eigvalsh"][1], second)
+
+    def test_one_metropolis_eigensolve_per_graph(self, monkeypatch):
+        # DUCA_I and DIST_ADMM on one graph, certified and run: eigvalsh of
+        # each P_A and one of M, shared by the two settings (3 N x N solves),
+        # and each certificate's one solve for w*.
+        pb, _, sol, _, x0, y0 = small_bundle()
+        g = random_connected_graph(6, 9, seed=3)
+        calls = _spy_linalg(monkeypatch, ("eigvalsh", "solve"))
+        for variant in (Variant.DUCA_I, Variant.DIST_ADMM):
+            s = make_setting(variant, g, rho=1.0)
+            cert = make_certificate(sol, pb, s, x0=x0, y0=y0)
+            coll = MetricsCollector(pb, s, cert, tol_inner=1e-8, check=True)
+            run(pb, s, 3, x0=x0, y0=y0, hook=coll, tol_inner=1e-8)
+        assert [a.shape for a in calls["eigvalsh"]] == [(6, 6)] * 3
+        assert [a.shape for a in calls["solve"]] == [(6, 6)] * 2
+        assert sum(np.array_equal(a, g.metropolis) for a in calls["eigvalsh"]) == 1
 
 
 class TestPerRunConstants:

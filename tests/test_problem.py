@@ -19,7 +19,7 @@ from duca.problem import (
     slater_check,
 )
 
-from reference import single_agent
+from reference import padding_fault, single_agent
 
 SVI = generate_example(20, 3, 1, 5, seed=42)
 
@@ -100,6 +100,64 @@ class TestProblemValidation:
                 P=pb.P, Q=bad_Q, a=pb.a, c=pb.c,
                 a_prime=pb.a_prime, c_prime=pb.c_prime, B=pb.B, c_eq=pb.c_eq,
             )  # agent 1 declared 1-dimensional but has nonzero padded data
+
+    def test_names_the_first_bad_agent_and_its_first_bad_array(self):
+        # agents 1 and 3 both have nonzero padding, each in two arrays: agent 1
+        # (a and B) is named, with a, the earlier of its arrays in P, Q, a,
+        # a_prime, B order
+        pb = generate_example(4, 2, 1, 1, seed=0)
+        arrays = _padded(pb, (2, 1, 2, 1))
+        arrays["a"][1, 1] = arrays["B"][1, 0, 1] = 0.5
+        arrays["Q"][3, 1] = arrays["a_prime"][3, 0, 1] = -0.5
+        with pytest.raises(DimMismatchError,
+                           match=r"^a\[1\] has nonzero entries beyond dimension 1$"):
+            Problem(n_agents=4, dims=(2, 1, 2, 1), m=1, p=1, c=pb.c, c_prime=pb.c_prime,
+                    c_eq=pb.c_eq, **arrays)
+
+    @given(dims=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           faults=st.lists(st.tuples(st.integers(0, 5),
+                                     st.sampled_from(["P", "P_col", "Q", "a", "a_prime", "B"]),
+                                     st.integers(0, 2), st.sampled_from([1.0, -1e-300, 5e-324])),
+                           max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_padding_faults_named_as_by_the_agent_loop(self, dims, faults):
+        dims = tuple(dims) + (3,)  # dmax = 3
+        n = len(dims)
+        pb = generate_example(n, 3, 1, 2, seed=n)
+        arrays = _padded(pb, dims)
+        for agent, name, k, value in faults:
+            i, d = agent % n, dims[agent % n]
+            if d < 3:  # a padded coordinate of agent i
+                col = d + k % (3 - d)
+                if name == "P_col":
+                    arrays["P"][i, k, col] = value
+                elif name == "P":
+                    arrays["P"][i, col, k] = value
+                elif name in ("a_prime", "B"):
+                    arrays[name][i, 0, col] = value
+                else:
+                    arrays[name][i, col] = value
+        want = padding_fault(dims, arrays)
+        build = dict(n_agents=n, dims=dims, m=1, p=2, c=pb.c, c_prime=pb.c_prime,
+                     c_eq=pb.c_eq, **arrays)
+        if want is None:
+            Problem(**build)
+        else:
+            with pytest.raises(DimMismatchError) as err:
+                Problem(**build)
+            assert str(err.value) == want
+
+
+def _padded(pb, dims):
+    """Copies of pb's P, Q, a, a_prime and B with each agent's coordinates
+    beyond ``dims[i]`` zeroed (an agent of dimension 0 has none left)."""
+    out = {name: getattr(pb, name).copy() for name in ("P", "Q", "a", "a_prime", "B")}
+    for i, d in enumerate(dims):
+        d = max(d, 0)
+        out["P"][i, d:, :] = out["P"][i, :, d:] = 0.0
+        out["Q"][i, d:] = out["a"][i, d:] = 0.0
+        out["a_prime"][i, :, d:] = out["B"][i, :, d:] = 0.0
+    return out
 
 
 class TestStackedPoint:
