@@ -28,7 +28,7 @@ from duca import (
 # A random connected graph: spanning tree plus extra links, seeded.
 g = random_connected_graph(8, n_edges=12, seed=7)
 print(f"graph: {g.n_nodes} nodes, {g.n_edges} edges")
-print("degrees:", [g.degree(i) for i in range(g.n_nodes)])
+print("degrees:", g.degrees.tolist())
 
 # The mixing matrix uses Metropolis weights: -1/(max degree pair + 1) per
 # edge, diagonal chosen so rows sum to zero.  It is symmetric and PSD.

@@ -163,6 +163,12 @@ def normalize_config(raw) -> dict:
                 f"setting[{i}].variant must be one of {', '.join(names)};"
                 f" got {entry['variant']!r}"
             )
+        section = f"setting[{i}].tuning"
+        entry["tuning"] = {key: _coerce(section, key, float, value)
+                           for key, value in entry["tuning"].items()}
+        for key, value in entry["tuning"].items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{section}.{key} must be finite, got {value}")
     for key, choices in _INIT_CHOICES.items():
         if cfg["run"][key] not in choices:
             raise ConfigError(

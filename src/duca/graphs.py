@@ -1,9 +1,9 @@
 """Graph topologies, Laplacian-type matrices, and algorithm parameter settings.
 
-Builds the undirected communication graph, the Metropolis and related
-graph-Laplacian-type weight matrices, and the six named parameter settings
-(``P_H``, ``P_Htilde``, ``P_D = diag(d')``, ``rho``) consumed by the round
-engine.  A setting stores the matrices its agents exchange and the diagonal
+Builds the undirected communication graph, checked once when built, the
+Metropolis and related graph-Laplacian-type weight matrices, and the six
+named parameter settings (``P_H``, ``P_Htilde``, ``P_D = diag(d')``,
+``rho``) consumed by the round engine.  A setting stores the matrices its agents exchange and the diagonal
 of P_D as the vector ``d_prime``; P_H and P_Htilde are derived from them.
 Every setting checks the standing positive-semidefiniteness / nullspace
 conditions when it is built, from eigenvalues alone, and computes the
@@ -55,42 +55,89 @@ NULL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected graph with sorted neighbor lists.
+    """Undirected connected graph: N >= 1 agents and their links.
 
-    Attributes
-    ----------
-    n_nodes : int
-        Number of agents N.
-    edges : tuple of (i, j) pairs with i < j
-        The undirected link set.
-    neighbor_lists : tuple of tuples
-        ``neighbor_lists[i]`` is the sorted tuple of neighbors of node i.
+    ``edges`` holds each link as an int pair (i, j) with i < j, in strictly
+    increasing (i, j) order, so no link is a self-loop or repeated;
+    :func:`build_graph` puts any edge list in this form.  A graph is checked
+    once, however it is built: a link that breaks this form raises
+    :class:`InvalidEdgeError`, a node unreachable from node 0
+    :class:`DisconnectedError`.  Nothing downstream checks the links again.
 
-    Built once per graph, on first use, and read-only: the links as index
-    arrays (:attr:`edge_index`), from which the weight matrices are filled
-    and checked without a loop over links; the Metropolis matrix
-    (:attr:`metropolis`) and its eigenvalues (:attr:`metropolis_eigvals`),
-    which every setting exchanging that matrix shares; and the dense mask of
-    unlinked pairs (:attr:`unlinked`), read only to name a refused weight.
+    Derived once, on first use, and read-only: the links as index arrays
+    (:attr:`edge_index`), from which the weight matrices are filled and
+    checked without a loop over links; each node's sorted neighbors
+    (:attr:`neighbor_lists`) and the degrees (:attr:`degrees`); the
+    Metropolis matrix (:attr:`metropolis`) and its eigenvalues
+    (:attr:`metropolis_eigvals`), which every setting exchanging that matrix
+    shares; and the dense mask of unlinked pairs (:attr:`unlinked`), read
+    only to name a refused weight.
     """
 
     n_nodes: int
     edges: tuple
-    neighbor_lists: tuple
+
+    def __post_init__(self):
+        n = self.n_nodes
+        if n < 1:
+            raise InvalidEdgeError(f"need at least one node, got n={n}")
+        rows, cols = self.edge_index
+        # in range with i < j, keys i*N + j increase iff links are ordered and distinct
+        step = np.append(np.diff(rows * n + cols), 1)
+        for bad, what in ((~((rows >= 0) & (cols >= 0) & (rows < n) & (cols < n)),
+                           "edge ({},{}) out of range for n=" + str(n)),
+                          (rows == cols, "self-loop at node {}"),
+                          (rows > cols, "edge ({},{}) has i > j"),
+                          (step == 0, "duplicate edge ({}, {})"),
+                          (step < 0, "edge ({},{}) comes before a smaller one")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InvalidEdgeError(what.format(rows[k], cols[k]))
+        reached, queue = [False] * n, [0]
+        reached[0] = True
+        for u in queue:  # breadth first: the queue grows as it is read
+            for v in self.neighbor_lists[u]:
+                if not reached[v]:
+                    reached[v] = True
+                    queue.append(v)
+        if len(queue) != n:
+            missing = [i for i in range(n) if not reached[i]]
+            raise DisconnectedError(f"nodes unreachable from 0: {missing}")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbor_lists[i])
-
     @cached_property
     def edge_index(self) -> tuple:
         """(rows, cols), read-only index arrays of the links (i, j) in ``edges`` order."""
-        idx = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        try:
+            idx = np.array(self.edges or np.empty((0, 2), dtype=np.intp))
+        except ValueError:  # pairs of unequal lengths
+            idx = np.empty(0)
+        if idx.shape[1:] != (2,) or idx.dtype.kind not in "iu":
+            raise InvalidEdgeError("edges must be (i, j) pairs of integers")
+        idx = idx.astype(np.intp, copy=False)
         idx.flags.writeable = False
         return idx[:, 0], idx[:, 1]
+
+    @cached_property
+    def neighbor_lists(self) -> tuple:
+        """``neighbor_lists[i]``: node i's neighbors in increasing order, as
+        the ordered links give them: h of each (h, i), then j of each (i, j)."""
+        lower = [[] for _ in range(self.n_nodes)]
+        higher = [[] for _ in range(self.n_nodes)]
+        for i, j in self.edges:
+            higher[i].append(j)
+            lower[j].append(i)
+        return tuple(tuple(lo + hi) for lo, hi in zip(lower, higher))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """(N,) integer degrees, one ``bincount`` over the link ends; read-only."""
+        deg = np.bincount(np.concatenate(self.edge_index), minlength=self.n_nodes)
+        deg.flags.writeable = False
+        return deg
 
     @cached_property
     def metropolis(self) -> np.ndarray:
@@ -102,7 +149,7 @@ class Graph:
         graph.
         """
         rows, cols = self.edge_index
-        deg = np.bincount(rows, minlength=self.n_nodes) + np.bincount(cols, minlength=self.n_nodes)
+        deg = self.degrees
         M = laplacian_from_weights(
             _edge_weights(self, 1.0 / (np.maximum(deg[rows], deg[cols]) + 1)), self
         )
@@ -136,50 +183,15 @@ class Graph:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Validate an edge list and return a connected Graph.
+    """The :class:`Graph` on n nodes with the links of an edge list in any order.
 
-    Raises InvalidEdgeError for out-of-range/self-loop/duplicate edges and
-    DisconnectedError if some node is unreachable from node 0.
+    Each link (i, j) or (j, i) is written (min, max), the list is sorted, and
+    :class:`Graph` checks the result: it raises InvalidEdgeError for an
+    out-of-range, self-loop or repeated link and DisconnectedError if some
+    node is unreachable from node 0.
     """
-    if n < 1:
-        raise InvalidEdgeError(f"need at least one node, got n={n}")
-    seen = set()
-    canon = []
-    for e in edges:
-        i, j = int(e[0]), int(e[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidEdgeError(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise InvalidEdgeError(f"self-loop at node {i}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise InvalidEdgeError(f"duplicate edge {key}")
-        seen.add(key)
-        canon.append(key)
-    canon.sort()
-    nbrs = [[] for _ in range(n)]
-    for i, j in canon:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    # connectivity: BFS from node 0
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if v not in reach:
-                    reach.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    if len(reach) != n:
-        missing = sorted(set(range(n)) - reach)
-        raise DisconnectedError(f"nodes unreachable from 0: {missing}")
-    return Graph(
-        n_nodes=n,
-        edges=tuple(canon),
-        neighbor_lists=tuple(tuple(sorted(a)) for a in nbrs),
-    )
+    links = ((int(e[0]), int(e[1])) for e in edges)
+    return Graph(n, tuple(sorted((min(i, j), max(i, j)) for i, j in links)))
 
 
 def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
@@ -192,7 +204,7 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
     if n == 1:
         if n_edges != 0:
             raise InvalidEdgeError("a single node admits no edges")
-        return build_graph(1, [])
+        return Graph(1, ())
     max_edges = n * (n - 1) // 2
     if not (n - 1 <= n_edges <= max_edges):
         raise InvalidEdgeError(
@@ -231,7 +243,7 @@ def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:
         q = pick + np.searchsorted(t - np.arange(len(t)), pick, side="right")
         i = np.searchsorted(row_start, q, side="right") - 1
         edges.update(zip(i.tolist(), (q - row_start[i] + i + 1).tolist()))
-    return build_graph(n, sorted(edges))
+    return Graph(n, tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +339,10 @@ class ParamSetting:
     symmetric PSD with nullspace exactly span(1), ``P_H >= P_Htilde`` in the
     PSD order and ``P_A = diag(d') - rho * P_H`` is PSD.  A setting that
     fails raises one :class:`AssumptionViolatedError` naming every failed
-    condition with its value.  The eigenvalue checks read :attr:`spectra`,
-    so checking a setting and later evaluating its bounds decompose each
-    distinct matrix once, for its eigenvalues only; P_Htilde built from the
-    graph's own Metropolis matrix (DUCA_I, DIST_ADMM) is not decomposed at
-    all, its spectrum coming from ``graph.metropolis_eigvals``.  Whether an
-    exchange matrix weighs unlinked agents is decided from its entries on
-    the links and one count of its nonzeros.  Network forms are read
-    from neighbor sums (:meth:`a_norm`), not from the N x N matrices.
+    condition with its value.  The eigenvalue checks read :attr:`spectra`
+    (see :func:`spectral_quantities`), which the bounds read too.  Network
+    forms are read from neighbor sums (:meth:`a_norm`), not from the N x N
+    matrices.
 
     Settings are frozen because P_H, P_Htilde, :attr:`P_A`, its column sums,
     :attr:`spectra`, :attr:`bound_scale` and :attr:`mailbox` are computed
@@ -467,21 +475,17 @@ class Mailbox:
     per-agent loop and gets the same bits; a dense ``W @ x`` would sum in
     another order.  :meth:`sums` shares the gather between the matrices,
     and one sum between names that hold the same matrix object.
-    The setting has refused any weight between agents that are not
-    neighbors, so the table carries every weight.  A read of a matrix the
-    table does not carry raises :class:`MailboxError`.  Use ``s.mailbox``,
-    the table cached on the setting.
+    The graph has checked its links and the setting has refused any weight
+    between agents that are not neighbors, so the table is built without
+    further checks and carries every weight.  A read of a matrix the table
+    does not carry raises :class:`MailboxError`.  Use ``s.mailbox``, the
+    table cached on the setting.
     """
 
     def __init__(self, s: ParamSetting):
         n = s.n_nodes
         nbrs = s.graph.neighbor_lists
-        if len(nbrs) != n:
-            raise MailboxError(f"neighbor table has {len(nbrs)} agents, setting has {n}")
-        for i, ns in enumerate(nbrs):
-            if any(j == i or not 0 <= j < n for j in ns):
-                raise MailboxError(f"invalid neighbor list for agent {i}: {ns}")
-        deg = [len(ns) for ns in nbrs]
+        deg = s.graph.degrees.tolist()
         #: directed links; every exchange sends m+p reals over each
         self.links = sum(deg)
         # a stable Python sort: numpy's argsort would page in ~0.2 MB of its code
@@ -535,11 +539,6 @@ class Mailbox:
         return out
 
 
-def _dpga_scale(g: Graph, c: float) -> float:
-    min_deg = min(g.degree(i) for i in range(g.n_nodes))
-    return float(np.sqrt(c * g.n_nodes / (g.n_edges * min_deg)))
-
-
 def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None) -> ParamSetting:
     """Construct one named parameter setting on graph g (checked as it is built).
 
@@ -570,7 +569,7 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
     if variant == Variant.DUCA_I:
         c = float(tuning.get("c", 2.0))
         used_keys.add("c")
-        if c < 2.0:
+        if not c >= 2.0:
             raise AssumptionViolatedError(f"DUCA_I needs c >= 2, got {c}")
         exchange = {"H": MG}
         d_prime = c * rho * np.diag(MG)
@@ -582,8 +581,8 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
             raise MissingTuningError("PGC needs tuning['rho_prime'] > 0")
         rho_prime = float(tuning["rho_prime"])
         used_keys.add("rho_prime")
-        if rho_prime <= 0:
-            raise MissingTuningError(f"rho_prime must be positive, got {rho_prime}")
+        if not 0.0 < rho_prime < math.inf:
+            raise MissingTuningError(f"rho_prime must be finite and positive, got {rho_prime}")
         if rho != 1.0:
             raise AssumptionViolatedError("PGC fixes rho = 1; tune rho_prime instead")
         L1 = laplacian_from_weights(_edge_weights(g, 2.0 * rho_prime), g)
@@ -594,18 +593,17 @@ def make_setting(variant, g: Graph, rho: float, alpha: float = 0.0, tuning=None)
             raise MissingTuningError("DPGA needs tuning['c'] > 0")
         c = float(tuning["c"])
         used_keys.add("c")
-        if c <= 0:
-            raise MissingTuningError(f"c must be positive, got {c}")
+        if not 0.0 < c < math.inf:
+            raise MissingTuningError(f"c must be finite and positive, got {c}")
         if rho != 1.0:
             raise AssumptionViolatedError("DPGA fixes rho = 1; tune c instead")
-        s = _dpga_scale(g, c)
+        s = float(np.sqrt(c * n / (g.n_edges * int(g.degrees.min()))))
         L2 = laplacian_from_weights(_edge_weights(g, s / 2.0), g)
         exchange = {"H": L2}
-        d_prime = s * np.array([float(g.degree(i)) for i in range(n)])
+        d_prime = s * g.degrees
     elif variant == Variant.DIST_ADMM:
         exchange = {"L": MG, "M": MG}  # P_H = P_Htilde = MG @ MG
-        deg1 = np.array([g.degree(j) + 1.0 for j in range(n)])
-        d_prime = (MG**2) @ deg1
+        d_prime = (MG**2) @ (g.degrees + 1.0)
     elif variant == Variant.ALT:
         W4 = np.eye(n) - MG / 2.0
         # L = MG / 2 and M = 2I - L: P_H = I - W4 @ W4, P_Htilde = (I - W4)^2
@@ -652,12 +650,15 @@ def _standing_checks(s: ParamSetting) -> list:
         forms.append(("P_Htilde", s.P_Htilde, sp.eig_PHtilde, sp.ones_resid_PHtilde))
         checks.append(("P_H >= P_Htilde (PSD order)", sp.eig_order[0] >= PSD_TOL,
                        "lam_min={:.3e}", (sp.eig_order[0],)))
+    symmetric = {}  # one dense test per matrix object: DIST_ADMM's forms are one
     for label, M, vals, resid in forms:
+        if id(M) not in symmetric:
+            symmetric[id(M)] = np.abs(M - M.T).max() <= 1e-12
         zero = NULL_TOL * max(abs(vals[-1]), 1.0)
         # the residual bound of SpectralQuantities says nothing unless lam_2 > 0
         lam2 = vals[1] if s.n_nodes > 1 else math.inf
         checks += [
-            (label + " symmetric", np.abs(M - M.T).max() <= 1e-12, "", ()),
+            (label + " symmetric", symmetric[id(M)], "", ()),
             (label + " PSD", vals[0] >= PSD_TOL, "lam_min={:.3e}", (vals[0],)),
             (label + " smallest eigenvalue ~ 0", abs(vals[0]) < zero,
              "lam_min={:.3e}", (vals[0],)),
@@ -691,11 +692,7 @@ class SpectralQuantities:
     double-exchange mode, P_H - P_Htilde (``eig_order``; None in single
     mode), and the residuals ``ones_resid_PH`` and ``ones_resid_PHtilde``,
     r = ||P 1/sqrt(N)|| for P = P_H and P_Htilde (one value when P_H is the
-    same object as P_Htilde).  When P_Htilde is the graph's Metropolis
-    matrix M or M @ M, its eigenvalues are those of
-    :attr:`Graph.metropolis_eigvals` or their sorted squares, the latter
-    within rounding of a solve of M @ M; every other array is a solve of its
-    own matrix.  No eigenvectors are computed: if P's second
+    same object as P_Htilde).  No eigenvectors are computed: if P's second
     eigenvalue lam_2 is positive, the part of 1/sqrt(N) off P's bottom
     eigenvector v_0 has norm at most r/lam_2, so the check
     ``r <= 1e-4 * lam_2``, with lam_2 above the zero cut, gives
@@ -722,8 +719,9 @@ def spectral_quantities(s: ParamSetting) -> SpectralQuantities:
     P_Htilde is not decomposed when it is built from the graph's own
     Metropolis matrix M: H = M (DUCA_I) reads :attr:`Graph.metropolis_eigvals`,
     solved once per graph, and L = M (DIST_ADMM, P_Htilde = M @ M) their
-    sorted squares.  P_A always has its own solve, since lambda_1(P_A) sets
-    the bounds.  Use ``s.spectra`` for the value cached on the setting.
+    sorted squares, within rounding of a solve of M @ M.  P_A always has its
+    own solve, since lambda_1(P_A) sets the bounds.  Use ``s.spectra`` for
+    the value cached on the setting.
     """
     n = s.n_nodes
     ones = np.ones(n) / np.sqrt(n)

@@ -520,7 +520,8 @@ def _newton_step(smooth, X, grads, a, c, w, release=0.0):
     return _radial_clip(_onto_sphere(Xn, a, c, ball), a, c), finite
 
 
-def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c, w, tol):
+def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c, w, tol,
+                   record):
     """Test the first Newton points of the rows in ``going`` and chain more steps.
 
     Y holds each row's first Newton point, with its smooth values vY and
@@ -535,17 +536,15 @@ def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c
     falling, starting from ``best``, its residual at the iterate, and the
     chain ends after ``NEWTON_STEPS`` points.  Every step is taken on the
     whole batch, and ``going`` is updated in place to the rows still in the
-    chain.  Returns a mask of the finishing rows and, on them, the point,
-    its residual and its composite value; the other rows leave no trace.
+    chain.  The finishing rows of each point are written with
+    ``record(mask, points, residuals, composite values)``; the other rows
+    leave no trace.
     """
-    won = np.zeros(len(Y), dtype=bool)
-    Y_won, res_won, comp_won = np.empty_like(Y), np.empty(len(Y)), np.empty(len(Y))
     cap = comp + _slack(comp)
     for step in range(NEWTON_STEPS):
         comp_Y = vY + w * row_sum(np.abs(Y))
         win = going & (r <= tol) & (comp_Y <= cap)
-        won |= win
-        Y_won[win], res_won[win], comp_won[win] = Y[win], r[win], comp_Y[win]
+        record(win, Y, r, comp_Y)
         # past the first point, a row goes on only while its residual falls
         if step:
             going &= (r > tol) & (r < best)
@@ -560,7 +559,6 @@ def _newton_finish(smooth, Y, vY, gY, r, release, going, comp, best, probe, a, c
             break
         vY, gY = smooth(Y)
         r, release = _certificate_residual(Y, gY, probe, a, c, w)
-    return won, Y_won, res_won, comp_won
 
 
 def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
@@ -650,8 +648,8 @@ def _prox_grad_loop(smooth, X0, a, c, w, lip, tol, max_iters):
         record(live & ((res <= tol) | (it == max_iters)), X, res, comp, it)
         going = live & go
         if newton and going.any():
-            record(*_newton_finish(smooth, Y, vY, gY, r, release, going, comp, res, probe,
-                                   a, c, w, tol), it + 1)
+            _newton_finish(smooth, Y, vY, gY, r, release, going, comp, res, probe, a, c, w,
+                           tol, functools.partial(record, n_iters=it + 1))
         if not live.any():
             break
         if it == STALL_ITERS:

@@ -76,40 +76,55 @@ class DocReader:
             raise DucaError(f"expected {want_kind} {want_name!r}, got {line!r}")
         return parts[2] if len(parts) == 3 else ""
 
+    @staticmethod
+    def _numbers(label, text, cast):
+        """``cast`` of each word of ``text``; a malformed one raises naming the record."""
+        try:
+            return [cast(v) for v in text.split()]
+        except ValueError:
+            raise DucaError(f"{label}: malformed number in {text!r}") from None
+
+    def _scalar(self, kind, name, cast):
+        label = f"{kind} {name!r}"
+        vals = self._numbers(label, self._record(kind, name), cast)
+        if len(vals) != 1:
+            raise DucaError(f"{label}: expected one value, got {len(vals)}")
+        return vals[0]
+
     def scalar_int(self, name) -> int:
-        return int(self._record("int", name))
+        return self._scalar("int", name, int)
 
     def scalar_bool(self, name) -> bool:
-        return bool(int(self._record("bool", name)))
+        return bool(self._scalar("bool", name, int))
 
     def scalar_float(self, name) -> float:
-        return float(self._record("float", name))
+        return self._scalar("float", name, float)
 
     def intlist(self, name):
-        payload = self._record("ints", name).split()
-        n = int(payload[0])
-        vals = [int(v) for v in payload[1:]]
+        label = f"ints {name!r}"
+        payload = self._numbers(label, self._record("ints", name), int)
+        if not payload:
+            raise DucaError(f"{label}: missing count")
+        n, vals = payload[0], payload[1:]
         if len(vals) != n:
-            raise DucaError(f"ints {name!r}: expected {n} values, got {len(vals)}")
+            raise DucaError(f"{label}: expected {n} values, got {len(vals)}")
         return vals
 
     def array(self, name) -> np.ndarray:
-        payload = self._record("array", name).split()
-        ndim = int(payload[0])
-        shape = tuple(int(v) for v in payload[1:])
-        if len(shape) != ndim:
-            raise DucaError(f"array {name!r}: bad shape record")
-        if ndim == 0:
-            vals = [float(v) for v in self._next().split()]
-            return np.array(vals[0])
-        n_rows = shape[0] if int(np.prod(shape)) else 1
+        label = f"array {name!r}"
+        payload = self._numbers(label, self._record("array", name), int)
+        shape = tuple(payload[1:])
+        if not payload or len(shape) != payload[0]:
+            raise DucaError(f"{label}: bad shape record")
+        size = int(np.prod(shape))
+        # one line per leading index; a scalar or an empty array takes one line
+        n_rows = shape[0] if shape and size else 1
         rows = []
         for _ in range(n_rows):
-            rows.extend(float(v) for v in self._next().split())
-        a = np.array(rows, dtype=float)
-        if a.size != int(np.prod(shape)):
-            raise DucaError(f"array {name!r}: expected {np.prod(shape)} values")
-        return a.reshape(shape)
+            rows.extend(self._numbers(label, self._next(), float))
+        if len(rows) != size:
+            raise DucaError(f"{label}: expected {size} values")
+        return np.array(rows, dtype=float).reshape(shape)
 
     def done(self):
         if self._pos != len(self._lines):

@@ -236,9 +236,24 @@ def loop_laplacian(g, weight):
     return np.diag(W.sum(axis=1)) - W
 
 
+def loop_neighbors(g):
+    """Each node's sorted tuple of neighbors, collected by a loop over ``g.edges``."""
+    nbrs = [set() for _ in range(g.n_nodes)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
+def loop_degrees(g):
+    """Each node's number of links, counted by a loop over ``g.edges``."""
+    return [len(ns) for ns in loop_neighbors(g)]
+
+
 def loop_metropolis(g):
     """The Metropolis matrix, -1/(max{deg_i, deg_j}+1) on each link, by a loop."""
-    return loop_laplacian(g, lambda i, j: 1.0 / (max(g.degree(i), g.degree(j)) + 1))
+    deg = loop_degrees(g)
+    return loop_laplacian(g, lambda i, j: 1.0 / (max(deg[i], deg[j]) + 1))
 
 
 def unlinked_mask(g):

@@ -144,6 +144,30 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_ASSUMPTION
 
+    @pytest.mark.parametrize("value,why", [
+        ("abc", "must be a number, got 'abc'"),
+        (None, "must be a number, got None"),
+        (True, "must be a number, got True"),
+        (float("nan"), "must be finite, got nan"),
+        (float("inf"), "must be finite, got inf"),
+        (float("-inf"), "must be finite, got -inf"),
+    ])
+    def test_bad_tuning_value_is_a_config_error(self, tmp_path, capsys, value, why):
+        raw = base_config()
+        raw["setting"].append({"variant": "DPGA", "tuning": {"c": value}})
+        rc = main(["validate", "--config", write_config(tmp_path, raw)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG and captured.out == ""
+        assert f"config error: setting[1].tuning.c {why}" in captured.err
+
+    def test_nan_tuning_refused_before_any_work(self, tmp_path, capsys):
+        raw = base_config()
+        raw["setting"] = [{"variant": "PGC", "tuning": {"rho_prime": float("nan")}}]
+        rc = main(["run", "--config", write_config(tmp_path, raw),
+                   "--out", str(tmp_path / "o"), "--strict"])
+        assert rc == EXIT_CONFIG and not (tmp_path / "o").exists()
+        assert "setting[0].tuning.rho_prime must be finite, got nan" in capsys.readouterr().err
+
     def test_validate_reports_broken_setting(self, tmp_path, capsys):
         raw = base_config()
         raw["setting"].append({"variant": "DUCA_I", "tuning": {"c": 0.1}})

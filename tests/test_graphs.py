@@ -17,6 +17,7 @@ from duca.errors import (
     PatternMismatchError,
 )
 from duca.graphs import (
+    Graph,
     ParamSetting,
     Variant,
     _standing_checks,
@@ -35,8 +36,10 @@ from duca.problem import StackedPoint
 from reference import (
     eigh_reference,
     from_agent_data,
+    loop_degrees,
     loop_laplacian,
     loop_metropolis,
+    loop_neighbors,
     random_graph_edges,
     unlinked_mask,
     weight_fault,
@@ -74,7 +77,7 @@ class TestBuildGraph:
         g = build_graph(4, [(3, 0), (1, 0), (2, 1), (3, 2)])
         assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
         assert g.neighbor_lists == ((1, 3), (0, 2), (1, 3), (0, 2))
-        assert g.degree(0) == 2
+        assert g.degrees.tolist() == [2, 2, 2, 2]
 
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidEdgeError):
@@ -95,6 +98,66 @@ class TestBuildGraph:
     def test_single_node(self):
         g = build_graph(1, [])
         assert g.n_nodes == 1 and g.n_edges == 0
+
+
+class TestGraph:
+    def test_fields_are_the_node_count_and_the_links(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n_nodes", "edges"]
+        assert not hasattr(Graph, "degree")
+        # a neighbor table that disagrees with the links cannot be handed in
+        with pytest.raises(TypeError):
+            Graph(n_nodes=3, edges=((0, 1), (1, 2)), neighbor_lists=((1,), (0,), ()))
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (0, (), "need at least one node, got n=0"),
+        (-2, (), "need at least one node, got n=-2"),
+        (3, ((0, 1), (1, 3)), "edge (1,3) out of range for n=3"),
+        (3, ((-1, 0), (0, 1), (1, 2)), "edge (-1,0) out of range for n=3"),
+        (3, ((0, 1), (1, 1), (1, 2)), "self-loop at node 1"),
+        (3, ((0, 1), (2, 1)), "edge (2,1) has i > j"),
+        (3, ((0, 1), (0, 1), (1, 2)), "duplicate edge (0, 1)"),
+        (3, ((1, 2), (0, 1)), "edge (1,2) comes before a smaller one"),
+        (4, ((0, 2), (0, 1), (2, 3)), "edge (0,2) comes before a smaller one"),
+        (3, ((0, 1), (1.0, 2.0)), "edges must be (i, j) pairs of integers"),
+        (3, ((0, 1), (1, 2, 0)), "edges must be (i, j) pairs of integers"),
+        (3, ((0, 1, 2),), "edges must be (i, j) pairs of integers"),
+    ])
+    def test_each_fault_in_the_links_refused(self, n, edges, message):
+        with pytest.raises(InvalidEdgeError, match=re.escape(message)):
+            Graph(n_nodes=n, edges=edges)
+
+    @pytest.mark.parametrize("n,edges,missing", [
+        (2, (), "[1]"),
+        (4, ((0, 1), (2, 3)), "[2, 3]"),
+        (5, ((1, 2), (1, 3), (2, 4)), "[1, 2, 3, 4]"),
+    ])
+    def test_disconnected_refused(self, n, edges, missing):
+        with pytest.raises(DisconnectedError, match=re.escape(f"unreachable from 0: {missing}")):
+            Graph(n_nodes=n, edges=edges)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(InvalidEdgeError, match="self-loop"):
+            dataclasses.replace(TRIANGLE, edges=((0, 0), (0, 1), (1, 2)))
+        with pytest.raises(DisconnectedError):
+            dataclasses.replace(TRIANGLE, n_nodes=4)
+
+    @given(n=st.integers(1, 25), fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_neighbors_and_degrees_are_the_loop_over_links(self, n, fill, seed):
+        max_edges = n * (n - 1) // 2
+        g = random_connected_graph(n, n - 1 + round(fill * (max_edges - n + 1)), seed=seed)
+        assert g.neighbor_lists == loop_neighbors(g)
+        assert g.degrees.tolist() == loop_degrees(g)
+        assert g.degrees.dtype.kind == "i"
+        assert Graph(n_nodes=n, edges=g.edges) == g  # the built graph passes the check
+
+    def test_derived_values_read_only(self):
+        g = random_connected_graph(9, 14, seed=4)
+        assert g.neighbor_lists is g.neighbor_lists and g.degrees is g.degrees
+        with pytest.raises(ValueError):
+            g.degrees[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.neighbor_lists = ()
 
 
 def _reference_random_edges(n, n_edges, seed):
@@ -405,9 +468,9 @@ class TestLaplacianFromWeights:
             L = loop_laplacian(g, lambda i, j: 2.0 * 0.5)
             H, d = L / 2.0, np.diag(L).copy()
         else:
-            sc = float(np.sqrt(1.0 * 60 / (g.n_edges * min(map(len, g.neighbor_lists)))))
+            sc = float(np.sqrt(1.0 * 60 / (g.n_edges * min(loop_degrees(g)))))
             H = loop_laplacian(g, lambda i, j: sc / 2.0)
-            d = sc * np.array([float(g.degree(i)) for i in range(60)])
+            d = sc * np.array([float(k) for k in loop_degrees(g)])
         assert s.exchange["H"].tobytes() == H.tobytes()
         assert s.d_prime.tobytes() == d.tobytes()
 
@@ -498,7 +561,7 @@ class TestMakeSetting:
         MG = g.metropolis
         W4 = np.eye(9) - MG / 2.0
         rho_prime, c = default_tuning(Variant.PGC)["rho_prime"], default_tuning(Variant.DPGA)["c"]
-        scale = np.sqrt(c * 9 / (g.n_edges * min(g.degree(i) for i in range(9))))
+        scale = np.sqrt(c * 9 / (g.n_edges * min(loop_degrees(g))))
         edge = np.zeros((9, 9))
         rows, cols = np.array(g.edges).T
         edge[rows, cols] = edge[cols, rows] = 1.0
@@ -543,6 +606,20 @@ class TestMakeSetting:
         s = make_default(Variant.PEXTRA, TRIANGLE)
         with pytest.raises(TypeError):
             dataclasses.replace(s, P_Htilde=0.5 * s.P_Htilde)
+
+    @pytest.mark.parametrize("variant,key,value,error,message", [
+        (Variant.DUCA_I, "c", float("nan"), AssumptionViolatedError, "DUCA_I needs c >= 2, got nan"),
+        (Variant.DUCA_I, "c", float("inf"), AssumptionViolatedError, "not finite: d_prime"),
+        (Variant.PGC, "rho_prime", float("nan"), MissingTuningError,
+         "rho_prime must be finite and positive, got nan"),
+        (Variant.PGC, "rho_prime", float("inf"), MissingTuningError,
+         "rho_prime must be finite and positive, got inf"),
+        (Variant.DPGA, "c", float("nan"), MissingTuningError, "c must be finite and positive, got nan"),
+        (Variant.DPGA, "c", float("inf"), MissingTuningError, "c must be finite and positive, got inf"),
+    ])
+    def test_nan_and_inf_tuning_refused_by_name(self, variant, key, value, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            make_setting(variant, TRIANGLE, rho=1.0, tuning={key: value})
 
     def test_rejects_unknown_tuning_key(self):
         with pytest.raises(MissingTuningError):
@@ -641,6 +718,24 @@ class TestValidateSetting:
             ParamSetting(**{**fields, **bad})
         with pytest.raises(AssumptionViolatedError, match=re.escape(named)):
             dataclasses.replace(s, **bad)
+
+    @pytest.mark.parametrize("variant,dense_tests", [
+        (Variant.DUCA_I, 1), (Variant.DIST_ADMM, 1), (Variant.ALT, 2)])
+    def test_one_dense_symmetry_test_per_matrix_object(self, variant, dense_tests,
+                                                       monkeypatch):
+        # DIST_ADMM's P_H and P_Htilde are one object: one test, both verdict lines
+        s = make_default(variant, SEED42)
+        s.spectra
+        shapes, real = [], np.abs
+        monkeypatch.setattr(np, "abs", lambda x, *a, **kw: shapes.append(np.shape(x))
+                            or real(x, *a, **kw))
+        checks = _standing_checks(s)
+        monkeypatch.undo()
+        assert shapes == [(20, 20)] * dense_tests
+        lines = [(name, bool(passed)) for name, passed, *_ in checks
+                 if name.endswith(" symmetric")]
+        forms = ["P_H"] if s.exchange_mode == "single" else ["P_H", "P_Htilde"]
+        assert lines == [(form + " symmetric", True) for form in forms]
 
     @pytest.mark.parametrize("case", BROKEN_SEED42)
     def test_make_setting_refuses_the_broken_setting(self, case):
@@ -835,7 +930,7 @@ class TestSpectralQuantities:
             P_H, d = M, 2.0 * 1.0 * np.diag(M)
         else:
             P_H = M @ M
-            d = (M**2) @ np.array([g.degree(j) + 1.0 for j in range(n)])
+            d = (M**2) @ np.array([k + 1.0 for k in loop_degrees(g)])
         P_A = np.diag(d) - 1.0 * P_H
         v = np.random.default_rng(7).standard_normal((n, 3))
         v -= v.mean(axis=0)

@@ -818,7 +818,8 @@ def _log_probes(mp, newton_step=None, agents=None):
 
     The solver keeps its whole batch, so the spy follows which rows are
     open: all of them when a solve starts, until a row's iterate certifies
-    or ``_newton_finish`` returns the row among its wins.  A call with twice
+    or ``_newton_finish`` records the row as finished, through the
+    ``record`` it is handed, which the spy wraps.  A call with twice
     the batch's rows holds the iterates and then their first Newton points;
     a call inside ``_newton_finish`` holds a chain step's points, and the
     rows in the chain are those its ``going`` mask, which it updates in
@@ -841,13 +842,17 @@ def _log_probes(mp, newton_step=None, agents=None):
         return real_loop(smooth, X0, a, c, w, lip, tol, max_iters)
 
     def finish(smooth, Y, vY, gY, r, release, going, *args):
+        *args, record = args
+
+        def spy_record(won, *out, **kw):
+            state["live"] &= ~won
+            return record(won, *out, **kw)
+
         state["going"] = going
         try:
-            won, *out = real_finish(smooth, Y, vY, gY, r, release, going, *args)
+            return real_finish(smooth, Y, vY, gY, r, release, going, *args, spy_record)
         finally:
             state["going"] = None
-        state["live"] &= ~won
-        return won, *out
 
     def cert(X, grads, eta, a, c, w):
         res, release = real_cert(X, grads, eta, a, c, w)
