@@ -188,10 +188,17 @@ def build_graph(n: int, edges) -> Graph:
     Each link (i, j) or (j, i) is written (min, max), the list is sorted, and
     :class:`Graph` checks the result: it raises InvalidEdgeError for an
     out-of-range, self-loop or repeated link and DisconnectedError if some
-    node is unreachable from node 0.
+    node is unreachable from node 0.  A node label that is not a Python or
+    numpy integer raises InvalidEdgeError here, before any rounding.
     """
-    links = ((int(e[0]), int(e[1])) for e in edges)
+    links = [(_node_label(e[0]), _node_label(e[1])) for e in edges]
     return Graph(n, tuple(sorted((min(i, j), max(i, j)) for i, j in links)))
+
+
+def _node_label(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InvalidEdgeError(f"node label {v!r} is not an integer")
+    return int(v)
 
 
 def random_connected_graph(n: int, n_edges: int, seed: int) -> Graph:

@@ -95,7 +95,10 @@ class DocReader:
         return self._scalar("int", name, int)
 
     def scalar_bool(self, name) -> bool:
-        return bool(self._scalar("bool", name, int))
+        v = self._scalar("bool", name, int)
+        if v not in (0, 1):
+            raise DucaError(f"bool {name!r}: expected 0 or 1, got {v}")
+        return bool(v)
 
     def scalar_float(self, name) -> float:
         return self._scalar("float", name, float)

@@ -17,6 +17,9 @@ dense matrices and a pseudo-inverse: the library reads both from neighbor
 sums instead.  ``brute_force_sums`` makes those sums by the per-agent loop
 that the library's neighbor table must match bit for bit, and
 ``LoopMailbox`` is a neighbor table that sums that way.
+``slsqp_reference`` solves a whole problem with SciPy's SLSQP and refines
+SLSQP's face by Newton's method on the KKT equations, sharing nothing with
+``duca.oracle``'s method of multipliers.
 """
 
 import dataclasses
@@ -410,6 +413,113 @@ def coupled_rows(pb, X):
             out[i, j] = np.sum((x - pb.a_prime[i, j, :d]) ** 2) - pb.c_prime[i, j]
         out[i, pb.m :] = pb.B[i, :, :d] @ x + pb.c_eq[i]
     return out
+
+
+def slsqp_reference(pb, ftol=1e-12, maxiter=1000):
+    """(f*, x* rows, y*) of ``pb``: SciPy's SLSQP, then Newton on its KKT face.
+
+    Written one agent at a time.  SLSQP solves the split x = u - v with
+    u, v >= 0, each agent's ball being one inequality.  Its line search
+    compares values, so it places x only to about sqrt(eps * |f|) (2e-7 to
+    8e-7 on the active instance), and whether it reports success there
+    depends on the BLAS thread count.  Its face is kept instead: the
+    coordinates it leaves nonzero, their signs, and the equalities and
+    inequalities with a positive multiplier.  Newton's method on that
+    face's KKT equations refines x and the multipliers to rounding.  The
+    result must then be a KKT point of the whole problem (inequality
+    multipliers >= 0, each zero coordinate inside the l1 subgradient, every
+    constraint met), which certifies it optimal for this convex problem;
+    AssertionError otherwise.  y* is [mu*; lam*].  Raises ImportError
+    without scipy.
+    """
+    from scipy.optimize import minimize
+
+    idx = [(i, k) for i in range(pb.n_agents) for k in range(pb.dims[i])]
+    n, w = len(idx), pb.l1_weight
+    rows, cols = np.array(idx).T
+    n_con = pb.p + pb.m + pb.n_agents
+
+    def unflat(x):
+        X = np.zeros((pb.n_agents, pb.dmax))
+        X[rows, cols] = x
+        return X
+
+    def smooth(x):
+        """Value and gradient of sum_i x_i' P_i x_i + Q_i' x_i."""
+        X = unflat(x)
+        val = sum(X[i] @ pb.P[i] @ X[i] + pb.Q[i] @ X[i] for i in range(pb.n_agents))
+        grad = np.array([((pb.P[i] + pb.P[i].T) @ X[i] + pb.Q[i])[k] for i, k in idx])
+        return val, grad
+
+    def constraints(x):
+        """Values and Jacobian of [h (= 0); -sum_i g_i (>= 0); balls (>= 0)]."""
+        X = unflat(x)
+        h = [sum(pb.B[i, q] @ X[i] + pb.c_eq[i, q] for i in range(pb.n_agents))
+             for q in range(pb.p)]
+        g = [-sum(np.sum((X[i] - pb.a_prime[i, j]) ** 2) - pb.c_prime[i, j]
+                  for i in range(pb.n_agents)) for j in range(pb.m)]
+        balls = [pb.c[i] - np.sum((X[i] - pb.a[i]) ** 2) for i in range(pb.n_agents)]
+        J = np.zeros((n_con, n))
+        for col, (i, k) in enumerate(idx):
+            J[: pb.p, col] = pb.B[i, :, k]
+            J[pb.p : pb.p + pb.m, col] = -2.0 * (X[i, k] - pb.a_prime[i, :, k])
+            J[pb.p + pb.m + i, col] = -2.0 * (X[i, k] - pb.a[i, k])
+        return np.array(h + g + balls), J
+
+    def on_z(kind, part):
+        """SLSQP's dict for rows ``part`` of ``constraints``, in z = [u; v]."""
+        def value(z):
+            return constraints(z[:n] - z[n:])[0][part]
+
+        def jac(z):
+            J = constraints(z[:n] - z[n:])[1][part]
+            return np.hstack([J, -J])
+        return {"type": kind, "fun": value, "jac": jac}
+
+    def objective(z):
+        val, grad = smooth(z[:n] - z[n:])
+        return val + w * z.sum(), np.concatenate([grad, -grad]) + w
+
+    # SciPy lists the equalities' multipliers first, so ``v`` follows the
+    # rows of ``constraints``; its Lagrangian is f - v . c
+    cons = ([on_z("eq", slice(0, pb.p))] if pb.p else []) + [on_z("ineq", slice(pb.p, None))]
+    res = minimize(objective, np.zeros(2 * n), jac=True, method="SLSQP",
+                   bounds=[(0.0, None)] * (2 * n), constraints=cons,
+                   options={"ftol": ftol, "maxiter": maxiter})
+    x = res.x[:n] - res.x[n:]
+    v = np.array(res.multipliers, dtype=float)
+    free = np.abs(x) > 1e-8
+    sign = np.sign(x) * free
+    held = (np.arange(n_con) < pb.p) | (v > 1e-8)
+    v[~held] = 0.0
+    F, S = np.flatnonzero(free), np.flatnonzero(held)
+    # Hessian of the smooth part; each constraint's Hessian is diagonal:
+    # -2 on every coordinate for a coupled g, on agent i's for ball i
+    hess = np.zeros((n, n))
+    curv = np.zeros((n_con, n))
+    curv[pb.p : pb.p + pb.m] = -2.0
+    for col, (i, k) in enumerate(idx):
+        hess[col, rows == i] = (pb.P[i] + pb.P[i].T)[k, cols[rows == i]]
+        curv[pb.p + pb.m + i, col] = -2.0
+    for _ in range(20):
+        c, J = constraints(x)
+        r = np.concatenate([(smooth(x)[1] + w * sign - J.T @ v)[F], c[S]])
+        if np.abs(r).max() <= 1e-13:
+            break
+        H = (hess - np.diag(v @ curv))[np.ix_(F, F)]
+        JS = J[np.ix_(S, F)]
+        step = np.linalg.solve(np.block([[H, -JS.T], [JS, np.zeros((S.size, S.size))]]), -r)
+        x[F] += step[: F.size]
+        v[S] += step[F.size :]
+    c, J = constraints(x)
+    grad = smooth(x)[1] - J.T @ v
+    assert np.abs(grad[F] + w * sign[F]).max(initial=0.0) <= 1e-10, "not stationary on the face"
+    assert np.all(np.abs(grad[~free]) <= w + 1e-10), "a zero coordinate wants to move"
+    assert np.array_equal(np.sign(x[F]), sign[F]), "a coordinate left its sign"
+    assert np.all(v[pb.p :] >= 0.0), "an inequality multiplier is negative"
+    assert np.abs(c[: pb.p]).max(initial=0.0) <= 1e-10 and c[pb.p :].min() >= -1e-10
+    f = float(smooth(x)[0] + w * np.abs(x).sum())
+    return f, unflat(x), np.concatenate([v[pb.p : pb.p + pb.m], -v[: pb.p]])
 
 
 def nonzero_start(pb, rng):

@@ -99,6 +99,18 @@ class TestBuildGraph:
         g = build_graph(1, [])
         assert g.n_nodes == 1 and g.n_edges == 0
 
+    @pytest.mark.parametrize("label", [1.5, 2.9, 1.0, "1", None, True, np.float64(1.0)])
+    def test_rejects_a_label_that_is_not_an_integer(self, label):
+        with pytest.raises(InvalidEdgeError, match="is not an integer"):
+            build_graph(3, [(0, label), (1, 2)])
+
+    def test_python_and_numpy_integer_labels_accepted(self):
+        links = [(np.int64(2), 1), (np.int32(0), np.uint8(1))]
+        g = build_graph(3, links)
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert build_graph(3, np.array([[2, 1], [1, 0]])).edges == g.edges
+
 
 class TestGraph:
     def test_fields_are_the_node_count_and_the_links(self):

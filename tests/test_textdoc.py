@@ -39,6 +39,9 @@ def _edit(text, head, new_line, offset=0):
      "float 'moreau_residual': malformed number in 'x'"),
     ("bool double_mode ", "bool double_mode no", 0,
      "bool 'double_mode': malformed number in 'no'"),
+    ("bool double_mode ", "bool double_mode 7", 0, "bool 'double_mode': expected 0 or 1, got 7"),
+    ("bool double_mode ", "bool double_mode -1", 0,
+     "bool 'double_mode': expected 0 or 1, got -1"),
     ("array X ", "array X 2 5 two", 0, "array 'X': malformed number in '2 5 two'"),
     ("array X ", "array X 3 5 2", 0, "array 'X': bad shape record"),
     ("array X ", "0.0 oops", 1, "array 'X': malformed number in '0.0 oops'"),
