@@ -242,7 +242,8 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, check=True):
     """One synchronous round of the setting's exchange scheme (in place).
 
     Neighbor sums go through the setting's table, ``s.mailbox``.  A state
-    of the other exchange mode raises :class:`ConfigError`.  With
+    of the other exchange mode raises :class:`ConfigError`, and one whose x
+    or y rows do not fit the problem raises :class:`DimMismatchError`.  With
     ``check=True`` the round raises :class:`InvariantBreachError` on an
     uncertified local solve or a broken identity.
     """
@@ -251,6 +252,12 @@ def step(st, pb, s, tol_inner=DEFAULT_TOL, check=True):
         raise ConfigError(
             f"the setting is {s.exchange_mode}-exchange but the state "
             f"{'carries' if st.U is not None else 'lacks'} the double-exchange u and z"
+        )
+    want_x, want_y = (pb.n_agents, pb.dmax), (pb.n_agents, pb.mp)
+    if st.X.shape != want_x or st.Y.shape != want_y:
+        raise DimMismatchError(
+            f"state has x {st.X.shape} and y {st.Y.shape}, the problem needs "
+            f"x {want_x} and y {want_y}"
         )
     mb = s.mailbox
     rho, d = s.rho, s.d_prime

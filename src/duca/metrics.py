@@ -177,9 +177,21 @@ def make_certificate(core: CertificateCore, pb: Problem, s: ParamSetting,
     matrix square root; its block sum vanishes, so the solve
     (P_Htilde + 11^T/N) w* = v* gives P_Htilde w* = v*: v* lies in the range
     of the consensus quadratic form, which the solve's residual verifies.
+    A reference whose y* is not an (m+p,) vector, whose f*, x* or y* is not
+    finite, or whose mu* has a negative entry is refused: every bound would
+    be off or NaN, and a NaN slack fails no check.
     """
     n, mp = pb.n_agents, pb.mp
     x_star_rows = core.x_star.rows(pb.dmax)
+    if np.shape(core.y_star) != (mp,):
+        raise InvariantBreachError(
+            f"reference y* has shape {np.shape(core.y_star)}, expected ({mp},)")
+    if not (math.isfinite(core.f_star) and np.isfinite(x_star_rows).all()
+            and np.isfinite(core.y_star).all()):
+        raise InvariantBreachError("reference f*, x* and y* must be finite")
+    if pb.m and core.y_star[: pb.m].min() < 0.0:
+        raise InvariantBreachError(
+            f"reference mu* has a negative entry {core.y_star[: pb.m].min():.3e}")
     gt = gtilde_rows(pb, x_star_rows)
     v_star = gt - gt.mean(axis=0)[None, :]
 

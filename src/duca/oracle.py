@@ -14,7 +14,14 @@ does.  The augmented Lagrangian couples every agent's row through the sums
 G(x) and H(x), so the Newton step is one system over all rows, solved by
 per-row blocks and a low-rank correction.  Its iteration structure shares
 nothing with the per-agent dual-consensus rounds, so agreement between the
-two is evidence, not tautology.
+two is evidence, not tautology.  What it still takes from the local solver
+is four kernels: the exact l1+ball prox, the two ball maps of the Newton
+candidate (``_onto_sphere``, ``_radial_clip``) and, for the duality gap
+only, the dual evaluation.  Stationarity is certified by the final AL
+solve's own stop test: the AL gradient at x is the plain Lagrangian's at the
+reported multipliers ``[mu + rho_c*G(x)]_+`` and ``lam + rho_c*H(x)``, so its
+prox fixed-point gap, probed at a step no longer than 1/L, is that
+Lagrangian's stationarity residual.
 
 ``grid_oracle`` is a zooming exhaustive search over the product of balls for
 tiny instances, and ``duality_gap_check`` evaluates the dual function at the
@@ -28,8 +35,7 @@ import numpy as np
 from .errors import (AssumptionViolatedError, InfeasibleProblemError, NotConvergedError,
                      TooLargeError)
 from .textdoc import DocReader, DocWriter
-from .localsolver import (LONG_STEP, _certificate_residual, _dual_value_and_grad,
-                          _onto_sphere, _prox_l1_ball, _radial_clip, dual_value_batch)
+from .localsolver import _onto_sphere, _prox_l1_ball, _radial_clip, dual_value_batch
 from .problem import Problem, StackedPoint, gtilde_rows, objective_rows, slater_check
 
 __all__ = [
@@ -45,9 +51,8 @@ __all__ = [
 MAX_OUTER = 120
 #: grid nodes per axis at each zoom level of the exhaustive search
 GRID_PTS = 41
-#: chained Newton steps in each candidate of the AL solve; one suffices, since
-#: a candidate that lowers the value is kept and the next one continues from it
-NEWTON_STEPS = 1
+#: first step of every AL solve, in units of the worst-case step 1/L
+LONG_STEP = 16.0
 
 
 @dataclass
@@ -57,7 +62,7 @@ class CertificateCore:
     x_star: StackedPoint
     f_star: float
     y_star: np.ndarray  # (m+p,): mu* >= 0 then lam*
-    stationarity: float
+    stationarity: float  # the final AL solve's stop-test gap at x*
     feasibility: float
     complementarity: float
     outer_iters: int
@@ -151,39 +156,37 @@ def _al_newton_step(pb: Problem, X, grad, mu, rho_c):
     return np.where(free, z[:, :d], 0.0), ball
 
 
-def _al_newton_candidate(pb: Problem, X, grad, mu, lam, rho_c):
-    """Chained Newton steps of the AL, each on the face the last one reached.
+def _al_newton_candidate(pb: Problem, X, grad, mu, rho_c):
+    """One Newton step of the AL on the face X shows, mapped into the balls.
 
     A coordinate that crosses zero is set to zero, a ball row is put back
     onto its sphere, and a row still outside its ball is clipped into it, so
     the candidate lies in the product of balls.  Returns the candidate and
-    whether it is usable: X has a nonzero coordinate, and every step solved
-    and kept ``||X - a||^2`` finite.  Whether it is kept is for the stop test
-    to decide.
+    whether it is usable: X has a nonzero coordinate, and the step solved and
+    kept ``||X - a||^2`` finite.  Whether it is kept is for the stop test to
+    decide; a kept candidate makes the next one a further Newton step.
     """
     if not X.any():
         return X, False
-    for step in range(NEWTON_STEPS):
-        if step:
-            grad = _al_value_grad(pb, X, mu, lam, rho_c)[1]
-        try:
-            dX, ball = _al_newton_step(pb, X, grad, mu, rho_c)
-        except np.linalg.LinAlgError:
+    try:
+        dX, ball = _al_newton_step(pb, X, grad, mu, rho_c)
+    except np.linalg.LinAlgError:
+        return X, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xn = X + dX
+        if not np.isfinite(((Xn - pb.a) ** 2).sum()):
             return X, False
-        with np.errstate(over="ignore", invalid="ignore"):
-            Xn = X + dX
-            if not np.isfinite(((Xn - pb.a) ** 2).sum()):
-                return X, False
-        Xn[np.sign(Xn) != np.sign(X)] = 0.0
-        X = _radial_clip(_onto_sphere(Xn, pb.a, pb.c, ball), pb.a, pb.c)
-    return X, True
+    Xn[np.sign(Xn) != np.sign(X)] = 0.0
+    return _radial_clip(_onto_sphere(Xn, pb.a, pb.c, ball), pb.a, pb.c), True
 
 
-def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
+def _al_minimize(pb: Problem, X, mu, lam, rho_c, tol, max_iters=100000):
     """Accelerated proximal-gradient minimization of the AL over the balls.
 
     Single stacked objective; the nonsmooth part (l1 + per-agent balls) keeps
-    its exact row-wise prox.  Stops at prox fixed-point gap <= tol.
+    its exact row-wise prox.  Starts at X, which must lie in the balls (the
+    caller passes zeros or the last solve's output).  Stops at prox
+    fixed-point gap <= tol.
 
     The solve starts at the long step ``LONG_STEP / L``, where ``L`` is the
     worst-case AL curvature over the balls, and backtracking shrinks it as
@@ -213,7 +216,6 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
     lip = max(_al_lipschitz(pb, mu, rho_c), 1e-12)
     eta0 = 1.0 / lip
     eta = LONG_STEP * eta0
-    X = _prox_l1_ball(X0.copy(), np.zeros(pb.n_agents), pb.a, pb.c)
     val, grad = _al_value_grad(pb, X, mu, lam, rho_c)
     comp = val + w * float(np.abs(X).sum())
     Xprev = X.copy()
@@ -247,7 +249,7 @@ def _al_minimize(pb: Problem, X0, mu, lam, rho_c, tol, max_iters=100000):
         # Newton candidate: the solve ends there when it passes the same stop
         # test and does not raise the composite value; one that lowers the
         # value but fails the test becomes the iterate, momentum restarted
-        Xc, ok = _al_newton_candidate(pb, X, grad, mu, lam, rho_c)
+        Xc, ok = _al_newton_candidate(pb, X, grad, mu, rho_c)
         if ok:
             vc, gc = _al_value_grad(pb, Xc, mu, lam, rho_c)
             comp_c = vc + w * float(np.abs(Xc).sum())
@@ -278,11 +280,13 @@ def centralized_solve(pb: Problem, tol=1e-9) -> CertificateCore:
     """Reference primal-dual solution by the method of multipliers.
 
     Stops when coupled feasibility and Lagrangian stationarity are <= tol and
-    complementarity <= 10*tol.  The penalty rho_c grows 4x after an outer
-    iteration whose feasibility fell by less than 4x, or by less than 20x
-    when its AL solve ended on a Newton candidate.  Raises NotConvergedError
-    when the outer rounds run out, or when an augmented-Lagrangian solve uses
-    up its iterations without passing its stop test.
+    complementarity <= 10*tol; stationarity is the residual the AL solve
+    stopped at, whose gradient is the Lagrangian's at the reported y*.  The
+    penalty rho_c grows 4x after an outer iteration whose feasibility fell by
+    less than 4x, or by less than 20x when its AL solve ended on a Newton
+    candidate.  Raises NotConvergedError when the outer rounds run out, or
+    when an augmented-Lagrangian solve uses up its iterations without passing
+    its stop test.
     """
     if not tol > 0:
         raise AssumptionViolatedError(f"tol must be positive, got {tol}")
@@ -308,20 +312,18 @@ def centralized_solve(pb: Problem, tol=1e-9) -> CertificateCore:
             float(np.abs(H).max()) if pb.p else 0.0,
         )
         compl = float(mu_eff @ G) if pb.m else 0.0
-        if feas <= tol and abs(compl) <= 10.0 * tol:
-            # certify stationarity of the plain Lagrangian at (mu_eff, lam_eff)
-            stat = _lagrangian_stationarity(pb, X, mu_eff, lam_eff)
-            if stat <= tol:
-                f_star = float(objective_rows(pb, X).sum())
-                return CertificateCore(
-                    x_star=StackedPoint.from_rows(X, pb.dims),
-                    f_star=f_star,
-                    y_star=np.concatenate([mu_eff, lam_eff]),
-                    stationarity=stat,
-                    feasibility=feas,
-                    complementarity=compl,
-                    outer_iters=outer,
-                )
+        # the AL gradient at X is the plain Lagrangian's at (mu_eff, lam_eff),
+        # so res is already that Lagrangian's stationarity residual
+        if feas <= tol and abs(compl) <= 10.0 * tol and res <= tol:
+            return CertificateCore(
+                x_star=StackedPoint.from_rows(X, pb.dims),
+                f_star=float(objective_rows(pb, X).sum()),
+                y_star=np.concatenate([mu_eff, lam_eff]),
+                stationarity=res,
+                feasibility=feas,
+                complementarity=compl,
+                outer_iters=outer,
+            )
         mu, lam = mu_eff, lam_eff
         # a Newton finish does not slow down as rho_c grows; the gradient
         # path does, so it keeps the 4x rule
@@ -331,19 +333,6 @@ def centralized_solve(pb: Problem, tol=1e-9) -> CertificateCore:
     raise NotConvergedError(
         f"method of multipliers: feasibility {feas:.3e} after {MAX_OUTER} outer rounds"
     )
-
-
-def _lagrangian_stationarity(pb: Problem, X, mu, lam):
-    """Certified per-agent fixed-point residual of the plain Lagrangian.
-
-    At fixed multipliers the Lagrangian splits across agents, so stationarity
-    is the worst per-row projected-subgradient gap.
-    """
-    _, grad = _dual_value_and_grad(pb, np.broadcast_to(mu, (pb.n_agents, pb.m)),
-                                   np.broadcast_to(lam, (pb.n_agents, pb.p)))(X)
-    lip = np.maximum(pb.curv_P + 2.0 * float(mu.sum()), 1e-12)
-    res = _certificate_residual(X, grad, 1.0 / lip, pb.a, pb.c, pb.l1_weight)[0]
-    return float(res.max())
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +357,13 @@ def grid_oracle(pb: Problem, resolution=1e-5):
 
     Coupled constraints are enforced with a slack proportional to the current
     grid spacing times a Lipschitz estimate, so the search never discards the
-    true optimum for lying between grid nodes.  Requires total dimension <= 4.
+    true optimum for lying between grid nodes.  Requires total dimension <= 4
+    and a finite, positive ``resolution``: the zoom stops once the spacing is
+    at most ``resolution``, and the spacing never falls below 1e-14.
     """
+    if not 0.0 < resolution < np.inf:
+        raise AssumptionViolatedError(
+            f"resolution must be finite and positive, got {resolution}")
     total = pb.total_dim
     if total > 4:
         raise TooLargeError(f"grid search limited to total dimension 4, got {total}")

@@ -20,6 +20,7 @@ from duca.engine import (
 from duca.errors import (
     AssumptionViolatedError,
     ConfigError,
+    DimMismatchError,
     InsufficientDataError,
     InvalidInitError,
     InvariantBreachError,
@@ -741,3 +742,15 @@ class TestCheckpoint:
         for _ in range(2):
             step(resumed, pb, s)
         assert dump_state(resumed) == dump_state(run(pb, s, 5, y0=y0))
+
+    def test_checkpoint_of_another_size_refused(self):
+        # a 6-agent checkpoint stepped on an 8-agent problem and setting
+        pb6, s6 = small_case(seed=4)
+        resumed = load_state(dump_state(run(pb6, s6, 2, y0=np.ones((6, pb6.mp)))))
+        pb8 = generate_example(8, 2, 2, 1, seed=4)
+        s8 = make_setting(Variant.DUCA_I, random_connected_graph(8, 12, seed=4), rho=1.0)
+        with pytest.raises(DimMismatchError,
+                           match=r"state has x \(6, 2\) and y \(6, 3\), the problem needs "
+                                 r"x \(8, 2\) and y \(8, 3\)"):
+            step(resumed, pb8, s8)
+        assert resumed.k == 2

@@ -522,6 +522,52 @@ class TestCertificate:
             make_certificate(sol, pb, s)
 
 
+def active_reference():
+    """Seed-42 benchmark instance with Q x4 (all six multipliers nonzero), its
+    reference solution and a DUCA_I setting on the benchmark graph."""
+    if "active" not in _CACHE:
+        pb = generate_example(20, 3, 1, 5, seed=42)
+        pb = dataclasses.replace(pb, Q=4.0 * pb.Q)
+        s = make_setting(Variant.DUCA_I, random_connected_graph(20, 40, seed=42), rho=1.0)
+        _CACHE["active"] = (pb, s, centralized_solve(pb, tol=1e-9))
+    return _CACHE["active"]
+
+
+def _negated_mu(core, pb):
+    return dataclasses.replace(core, y_star=np.concatenate([-core.y_star[: pb.m],
+                                                            core.y_star[pb.m :]]))
+
+
+def _nan_x(core, pb):
+    x = core.x_star.x.copy()
+    x[0] = np.nan
+    return dataclasses.replace(core, x_star=StackedPoint(x=x, dims=core.x_star.dims))
+
+
+class TestReferenceChecks:
+    """A reference the bounds cannot use is refused, not turned into NaN or
+    into bounds built on a wrong-signed multiplier."""
+
+    def test_active_reference_accepted(self):
+        pb, s, core = active_reference()
+        assert np.all(core.y_star[: pb.m] > 0.0)
+        assert np.isfinite(make_certificate(core, pb, s).bounds(10)["fe_bound"])
+
+    @pytest.mark.parametrize("spoil, match", [
+        (_negated_mu, "mu\\* has a negative entry"),
+        (lambda core, pb: dataclasses.replace(core, y_star=np.full_like(core.y_star, np.nan)),
+         "must be finite"),
+        (lambda core, pb: dataclasses.replace(core, y_star=np.append(core.y_star, 0.0)),
+         r"y\* has shape \(7,\), expected \(6,\)"),
+        (lambda core, pb: dataclasses.replace(core, f_star=np.inf), "must be finite"),
+        (_nan_x, "must be finite"),
+    ], ids=["negative-mu", "nan-y", "long-y", "inf-f", "nan-x"])
+    def test_unusable_reference_refused(self, spoil, match):
+        pb, s, core = active_reference()
+        with pytest.raises(InvariantBreachError, match=match):
+            make_certificate(spoil(core, pb), pb, s)
+
+
 class TestTheoremBounds:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_doubling_k_halves_every_bound(self, alpha):

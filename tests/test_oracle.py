@@ -1,6 +1,8 @@
 """Tests for the centralized reference solvers (method of multipliers + grid)."""
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from duca.errors import (
     NotConvergedError,
     TooLargeError,
 )
-from duca.localsolver import LONG_STEP, _onto_sphere, dual_value_batch
+from duca.localsolver import _onto_sphere, dual_value_batch
 from duca.oracle import (
+    LONG_STEP,
     CertificateCore,
     centralized_solve,
     duality_gap_check,
@@ -24,6 +27,7 @@ from duca.oracle import (
 from duca.problem import Problem, generate_example
 
 from reference import from_agent_data, slsqp_reference
+from test_localsolver import bisect_prox_l1_ball
 
 
 def quadratic_single_agent(m=0):
@@ -117,11 +121,12 @@ def traced_active_solve():
     prox record carries the worst-case step 1/L of the AL solve it belongs to.
     ``events`` lists the starts of AL solves, the prox records and the Newton
     candidates, each as (point it is built at, candidate, mu, lam, rho_c), in
-    the order they happened.
+    the order they happened; the multipliers and penalty are the enclosing AL
+    solve's.
     """
     pb = active_coupling_instance()
     trace = {"solves": [], "prox": [], "eta0": None, "candidate": None, "at_candidate": False,
-             "events": []}
+             "events": [], "mults": None}
 
     def lipschitz(*args):
         lip = real_lip(*args)
@@ -145,12 +150,13 @@ def traced_active_solve():
 
     def candidate(*args):
         out = real_cand(*args)
-        trace["events"].append(("candidate", (args[1], out[0]) + args[3:]))
+        trace["events"].append(("candidate", (args[1], out[0]) + trace["mults"]))
         trace["candidate"] = out[0]
         return out
 
     def minimize(*args):
         trace["events"].append(("solve", None))
+        trace["mults"] = args[2:5]
         out = real_min(*args)
         trace["solves"].append({"res": out[1], "iters": out[2], "tol": args[5],
                                 "newton": out[3]})
@@ -193,10 +199,12 @@ class TestLongStartReference:
         # candidates on settled faces only, refused unless they passed the
         # stop test; 7 / 42 / 84 with a candidate on every iteration, kept
         # when it lowers the value, and 20x penalty growth after a Newton
-        # finish
+        # finish; 7 / 42 / 77 without a zero-step prox at each solve's start
         assert core.outer_iters <= 7
         assert sum(s["iters"] for s in solves) <= 44
-        assert len(trace["prox"]) <= 88
+        assert len(trace["prox"]) <= 77
+        # every prox call is a descent step or a stop test: none has step 0
+        assert all(r["step"] > 0.0 for r in trace["prox"])
 
     def test_kept_candidates_lower_the_value(self, traced_active_solve):
         # every iteration builds a candidate at its iterate, so within an AL
@@ -239,6 +247,24 @@ class TestLongStartReference:
         assert duality_gap_check(core, pb) <= 1e-8
 
 
+def lagrangian_stationarity(pb, core):
+    """Worst per-agent prox-gradient gap of the plain Lagrangian at (x*, y*).
+
+    The gradient is written out per agent from the problem arrays,
+    ``2 P_i x + q_i + 2 sum_j mu_j (x - a'_ij) + B_i^T lam``, and each row
+    takes one prox step at ``t_i = 1/(curv_P_i + 2 sum mu)`` through the
+    bisection prox, so nothing here is the oracle's or the local solver's.
+    """
+    X = core.x_star.rows(pb.dmax)
+    mu, lam = core.y_star[: pb.m], core.y_star[pb.m :]
+    grad = np.array([2.0 * pb.P[i] @ X[i] + pb.Q[i]
+                     + 2.0 * sum(mu[j] * (X[i] - pb.a_prime[i, j]) for j in range(pb.m))
+                     + pb.B[i].T @ lam for i in range(pb.n_agents)])
+    t = 1.0 / (pb.curv_P + 2.0 * mu.sum())
+    step = bisect_prox_l1_ball(X - t[:, None] * grad, t * pb.l1_weight, pb.a, pb.c)
+    return float((np.linalg.norm(X - step, axis=1) / t).max())
+
+
 def relabeled(pb, perm):
     """The same problem with agent perm[r] renamed r."""
     arrays = {name: getattr(pb, name)[perm]
@@ -263,6 +289,23 @@ class TestGroundTruth:
         assert abs(core.f_star - f) <= 1e-8
         np.testing.assert_allclose(core.x_star.rows(pb.dmax), X, rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(core.y_star, y, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("make", [
+        active_coupling_instance,
+        lambda: scaled_q(generate_example(6, 2, 2, 1, seed=3)),
+    ], ids=["active-N20", "N6-Q4"])
+    def test_stationarity_bounds_the_lagrangian_residual(self, make):
+        # the reported stationarity is the last AL solve's stop-test gap; the
+        # AL gradient there is the Lagrangian's at y*, and it is probed at a
+        # step no longer than each row's 1/(curv_P_i + 2 sum mu*), where the
+        # gap is no smaller, so it bounds the Lagrangian's own per-row gap
+        pb = make()
+        core = centralized_solve(pb, tol=1e-9)
+        assert np.any(core.y_star[: pb.m] > 1e-3)
+        assert core.stationarity <= 1e-9
+        # measured 2.5e-13 and 1.9e-13 against 8.0e-12 and 4.9e-12; the slack
+        # is rounding only, so a stationarity reported as 0 fails
+        assert lagrangian_stationarity(pb, core) <= core.stationarity + 1e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relabeling_permutes_the_solution(self, seed):
@@ -330,6 +373,19 @@ def dense_newton_step(pb, X, mu, lam, rho_c, h=1e-3):
         dX[free] = np.linalg.solve(K, rhs)[: len(free)]
         cond = np.linalg.cond(K)
     return dX.reshape(X.shape), np.isin(np.arange(pb.n_agents), ball), cond
+
+
+def test_oracle_shares_four_kernels_with_the_local_solver():
+    # the reference judges the local solver, so what it takes from it is
+    # kept to this list; a new shared name has to change this test
+    tree = ast.parse(inspect.getsource(oracle))
+    shared = {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "localsolver"
+              for alias in node.names}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.name.endswith("localsolver")}
+    assert shared == {"_onto_sphere", "_prox_l1_ball", "_radial_clip", "dual_value_batch"}
+    assert not modules
 
 
 class TestNewtonFinish:
@@ -504,6 +560,12 @@ class TestGridOracle:
     def test_dimension_guard(self):
         with pytest.raises(TooLargeError):
             grid_oracle(generate_example(3, 2, 1, 1, seed=0), resolution=1e-3)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
+    def test_unreachable_resolution_rejected(self, resolution):
+        # the spacing stops shrinking at 1e-14, so the zoom would never end
+        with pytest.raises(AssumptionViolatedError, match="resolution must be finite"):
+            grid_oracle(linear_pair_with_equality(), resolution=resolution)
 
 
 class TestDualityGap:
